@@ -100,7 +100,8 @@ def green(medium_path, component, source, target, tol):
     err = errs[0, 0] / (4 * math.pi)
     click.echo(
         f"u^{a}{b}_({ell},{ellprime}) = {value:.15e}  "
-        f"error_estimate = {err:.3e}  panels = {stats['panels']}"
+        f"error_estimate = {err:.3e}  panels = {stats['panels']}  "
+        f"gl_calls = {stats['gl_calls']}  evals = {stats['evals']}"
     )
 
 

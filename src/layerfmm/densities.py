@@ -31,6 +31,7 @@ from .errors import (
     ComponentAbsent,
     DegenerateDenominator,
     InvalidSpectralArgument,
+    InvariantViolated,
 )
 from .medium import component_exists, require_component
 
@@ -128,9 +129,10 @@ class InterfaceMatrices:
             prod *= self.gamma_plus[l] ** 2 - self.gamma_minus[l] ** 2
             al = self.alpha[l]
             lhs = np.abs(al[1, 1]) ** 2 - np.abs(al[1, 0]) ** 2
-            assert np.all(lhs >= prod * (1.0 - 1e-10) - 1e-290), (
-                "interface-matrix inequality violated; medium data corrupt"
-            )
+            if not np.all(lhs >= prod * (1.0 - 1e-10) - 1e-290):
+                raise InvariantViolated(
+                    "interface-matrix inequality violated; medium data corrupt"
+                )
             if np.any(np.abs(al[1, 1]) < 1e-300):
                 raise DegenerateDenominator("|alpha_22| below 1e-300")
 

@@ -27,6 +27,13 @@ class DegenerateDenominator(LayerFMMError):
     guarantees it is bounded away from zero for admissible media."""
 
 
+class InvariantViolated(LayerFMMError):
+    """A runtime invariant of the mathematics failed: the interface-matrix
+    key inequality, or the imaginary residue of an expansion of real
+    charges.  Signals corrupt input data or a defect, never a tolerance
+    miss."""
+
+
 class DomainError(LayerFMMError):
     """Function argument outside its mathematical domain."""
 

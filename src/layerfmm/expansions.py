@@ -38,6 +38,7 @@ from .errors import (
     CenterOnWrongSide,
     ChargeInsideBox,
     ChargeOutsideBox,
+    InvariantViolated,
     RegionViolation,
 )
 from .harmonics import cartesian_to_spherical, constants, sph_harm_table
@@ -353,6 +354,16 @@ def m2l_free(exp, target_center, p, target_radius=None):
     )
 
 
+def _check_real(val, terms):
+    """An expansion of real charges must sum to a real value, up to
+    roundoff in its terms (a NaN residue fails too)."""
+    scale = float(np.abs(terms).sum())
+    if not abs(val.imag) <= 1e-10 * abs(val) + 1e-12 * (scale + 1e-300):
+        raise InvariantViolated(
+            f"imaginary residue {val.imag} too large for a real charge system"
+        )
+
+
 def eval_expansion(exp, r):
     """Evaluate a multipole or local expansion at a point.
 
@@ -383,10 +394,7 @@ def eval_expansion(exp, r):
     terms = exp.coeff * ytab * radial[:, None]
     val = complex(terms.sum())
     if exp.real_sources:
-        scale = float(np.abs(terms).sum())
-        assert abs(val.imag) <= 1e-10 * abs(val) + 1e-12 * (scale + 1e-300), (
-            f"imaginary residue {val.imag} too large for a real charge system"
-        )
+        _check_real(val, terms)
         return val.real
     return val
 
@@ -535,8 +543,7 @@ def eval_reaction_me(exp, medium, r, rel_tol=1e-11):
     terms = exp.coeff * basis
     val = complex(terms.sum())
     if exp.real_sources:
-        scale = float(np.abs(terms).sum())
-        assert abs(val.imag) <= 1e-10 * abs(val) + 1e-12 * (scale + 1e-300)
+        _check_real(val, terms)
         return val.real
     return val
 

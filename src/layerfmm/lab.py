@@ -408,7 +408,7 @@ def _reaction_me(config):
     if r_min <= config.a_s:
         raise ValueError("targets must lie outside the polarization circumsphere")
     errs_all = np.zeros((config.p_max + 1, len(targets)))
-    quad_stats = {"panels": 0, "gl_calls": 0}
+    quad_stats = {"panels": 0, "gl_calls": 0, "evals": 0, "bisections": 0}
     for t, r in enumerate(targets):
         basis, stats = xp.reaction_basis_table(
             medium, config.component, config.p_max, r, pol_center, config.quad_tol

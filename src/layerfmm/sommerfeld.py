@@ -13,13 +13,18 @@ becomes a 1-D radial integral
 
 with zeta > 0, so the integrand decays exponentially and there are no
 poles or principal values (Laplace case).  The engine uses composite
-32-point Gauss-Legendre panels with adaptive bisection driven by
-panel-pair disagreement; the upper limit is chosen from the analytic tail
-bound  M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} < tol/10.
+32-point Gauss-Legendre panels with adaptive bisection driven by the
+disagreement of each panel with the sum of its halves; the upper limit is
+chosen from the analytic tail bound
+M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} < tol/10.
 
 Families of integrals sharing (rho, zeta, sigma) - all coefficients of an
 expansion, or a whole M2L operator - are evaluated on shared nodes via
-``radial_table``, which is where all the speed comes from.
+``radial_table``.  Panels are evaluated in blocks: one density sweep and
+one Bessel call serve the whole-panel and half-panel rules of a block of
+panels, because a sweep's cost is mostly per call, not per node.
+Refinement is level-synchronous: each pass bisects its panels together,
+again in blocks.
 
 The module also provides the hyperbolic-contour identity check used to
 validate the branch conventions of the complex square root.
@@ -108,56 +113,113 @@ def _choose_kmax(bound, rho, zeta, powers, tol_tail):
     raise ToleranceNotMet("tail bound did not close", achieved=float(tails.max()))
 
 
-class _Panel:
-    __slots__ = ("lo", "hi", "left", "right", "err")
+#: Panels per evaluate call.  The whole-panel and half-panel rules of a
+#: block share one density sweep; the sweep's intermediates grow with the
+#: block, so larger blocks buy few calls at the cost of peak memory.
+_BLOCK = 8
 
-    def __init__(self, lo, hi, whole, evaluate):
-        mid = 0.5 * (lo + hi)
-        self.lo, self.hi = lo, hi
-        self.left = evaluate(lo, mid)
-        self.right = evaluate(mid, hi)
-        self.err = np.abs(whole - (self.left + self.right))
 
-    @property
-    def value(self):
-        return self.left + self.right
+def _split(evaluate, lo, hi, whole=None):
+    """Half-panel estimates of the panels [lo, hi] and the disagreement
+    of each panel's whole estimate with the sum of its halves.
+
+    Panels are evaluated _BLOCK per call.  When whole is None the whole
+    estimates are computed in the same call as the halves.  Returns
+    (left, right, err, number of evaluate calls).
+    """
+    mid = 0.5 * (lo + hi)
+    left = right = err = None
+    calls = 0
+    for s in range(0, len(lo), _BLOCK):
+        b = slice(s, s + _BLOCK)
+        n = len(lo[b])
+        if whole is None:
+            est = evaluate(
+                np.concatenate([lo[b], lo[b], mid[b]]),
+                np.concatenate([hi[b], mid[b], hi[b]]),
+            )
+            w, est = est[:n], est[n:]
+        else:
+            est = evaluate(
+                np.concatenate([lo[b], mid[b]]), np.concatenate([mid[b], hi[b]])
+            )
+            w = whole[b]
+        calls += 1
+        if left is None:
+            shape = (len(lo),) + est.shape[1:]
+            left = np.empty(shape, dtype=est.dtype)
+            right = np.empty(shape, dtype=est.dtype)
+            err = np.empty(shape)
+        left[b], right[b] = est[:n], est[n:]
+        err[b] = np.abs(w - (left[b] + right[b]))
+    return left, right, err, calls
 
 
 def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS):
     """Composite adaptive quadrature over initial panel edges.
 
-    evaluate(lo, hi) returns a Gauss-Legendre estimate of the integral of
-    a (vector-valued) integrand over [lo, hi]; a panel's error is the
-    disagreement between its estimate and the sum of its halves.  The
-    worst panel (relative to the entrywise tolerance) is bisected until
-    the accumulated error is below tol_abs everywhere.
+    evaluate(lo, hi) takes arrays of rule ends and returns Gauss-Legendre
+    estimates of the integral of a (vector-valued) integrand over each
+    [lo[i], hi[i]], stacked along the first axis.  A panel's error is the
+    disagreement between its estimate and the sum of its halves; the
+    initial panels are evaluated in blocks, whole and halves in one call.
+
+    Refinement is level-synchronous.  Each pass ranks the panels by their
+    worst entrywise error-to-tolerance ratio and bisects, together, the
+    shortest run of worst panels whose errors the tolerance cannot absorb:
+    the rest sum to at most tol_abs in every entry.  For a scalar integral
+    no fewer panels can do, so a pass never splits more panels than a
+    worst-first, one-at-a-time bisection would before it could stop.
+    Passes repeat until the accumulated error is below tol_abs everywhere,
+    or the panel budget is spent.
+
+    Returns (value, error estimate, stats); stats counts the final panels,
+    the 32-node rules (gl_calls), the evaluate calls (evals) and the
+    bisections.
     """
     tol_abs = np.asarray(tol_abs, dtype=float)
     safe_tol = np.where(tol_abs > 0, tol_abs, np.inf)
-    panels = [
-        _Panel(lo, hi, evaluate(lo, hi), evaluate)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
-    evals = 3 * (len(edges) - 1)
+    lo, hi = edges[:-1], edges[1:]
+    left, right, err, evals = _split(evaluate, lo, hi)
+    gl_calls = 3 * len(lo)
+    n_init = len(lo)
     while True:
-        err = np.sum([p.err for p in panels], axis=0)
-        if np.all(err <= safe_tol):
+        total = np.sum(err, axis=0)
+        if np.all(total <= safe_tol):
             break
-        if len(panels) >= max_panels:
+        if len(lo) >= max_panels:
             raise ToleranceNotMet(
                 f"panel budget {max_panels} exhausted",
-                achieved=float(np.max(err / safe_tol)),
+                achieved=float(np.max(total / safe_tol)),
             )
-        scores = [float(np.max(p.err / safe_tol)) for p in panels]
-        worst = int(np.argmax(scores))
-        p = panels.pop(worst)
-        mid = 0.5 * (p.lo + p.hi)
-        panels.append(_Panel(p.lo, mid, p.left, evaluate))
-        panels.append(_Panel(mid, p.hi, p.right, evaluate))
-        evals += 4
-    value = np.sum([p.value for p in panels], axis=0)
-    err = np.sum([p.err for p in panels], axis=0)
-    return value, err, {"panels": len(panels), "gl_calls": evals}
+        ratio = err.reshape(len(lo), -1) / safe_tol.reshape(-1)
+        order = np.argsort(-ratio.max(axis=1), kind="stable")
+        # rest[j]: what the panels ranked j and below leave, per entry
+        rest = np.cumsum(ratio[order[::-1]], axis=0)[::-1]
+        count = np.count_nonzero(np.any(rest > 1.0, axis=1))
+        pick = order[: min(max(count, 1), max_panels - len(lo))]
+        keep = np.ones(len(lo), dtype=bool)
+        keep[pick] = False
+        mid = 0.5 * (lo[pick] + hi[pick])
+        c_lo = np.concatenate([lo[pick], mid])
+        c_hi = np.concatenate([mid, hi[pick]])
+        c_left, c_right, c_err, calls = _split(
+            evaluate, c_lo, c_hi, np.concatenate([left[pick], right[pick]])
+        )
+        lo = np.concatenate([lo[keep], c_lo])
+        hi = np.concatenate([hi[keep], c_hi])
+        left = np.concatenate([left[keep], c_left])
+        right = np.concatenate([right[keep], c_right])
+        err = np.concatenate([err[keep], c_err])
+        evals += calls
+        gl_calls += 4 * len(pick)
+    value = np.sum(left + right, axis=0)
+    return value, total, {
+        "panels": len(lo),
+        "gl_calls": gl_calls,
+        "evals": evals,
+        "bisections": len(lo) - n_init,
+    }
 
 
 def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PANELS):
@@ -165,7 +227,9 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
 
     tol_abs is an entrywise absolute tolerance of shape
     (len(powers), len(orders)); entries set to inf do not drive
-    refinement.  Returns (values, error estimates, stats).
+    refinement.  Returns (values, error estimates, stats); besides the
+    counts of _adaptive_panels, stats["capped"] says whether the initial
+    panel count was cut to 512.
     """
     powers = np.asarray(powers, dtype=int)
     orders = np.asarray(orders, dtype=int)
@@ -179,6 +243,9 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
         return np.zeros(shape, dtype=complex), np.zeros(shape), {
             "panels": 0,
             "gl_calls": 0,
+            "evals": 0,
+            "bisections": 0,
+            "capped": False,
         }
 
     finite = np.isfinite(np.asarray(tol_abs, dtype=float))
@@ -187,19 +254,22 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
 
     def evaluate(lo, hi):
         half = 0.5 * (hi - lo)
-        k = 0.5 * (lo + hi) + half * _GL_NODES
-        core = density(k) * np.exp(-k * zeta) * _GL_WEIGHTS
-        jm = special.jv(orders[:, None], k[None, :] * rho)
-        kp = k[None, :] ** powers[:, None]
-        return half * np.einsum("pk,ok,k->po", kp, jm, core)
+        k = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+        core = density(k.ravel()).reshape(k.shape) * np.exp(-k * zeta) * _GL_WEIGHTS
+        jm = special.jv(orders[:, None, None], k * rho)
+        kp = k ** powers[:, None, None]
+        return half[:, None, None] * np.einsum("prk,ork,rk->rpo", kp, jm, core)
 
     width = kmax / 16.0
     if rho > 0:
         width = min(width, math.pi / rho)
-    n_init = min(max(int(math.ceil(kmax / width)), 4), 512)
+    n_uncapped = max(int(math.ceil(kmax / width)), 4)
+    n_init = min(n_uncapped, 512)
     edges = np.linspace(0.0, kmax, n_init + 1)
     quad_tol = 0.9 * np.asarray(tol_abs, dtype=float)
-    return _adaptive_panels(evaluate, edges, quad_tol, max_panels)
+    values, err, stats = _adaptive_panels(evaluate, edges, quad_tol, max_panels)
+    stats["capped"] = n_uncapped > n_init
+    return values, err, stats
 
 
 def radial_integral(spec, tol):
@@ -414,8 +484,8 @@ CAGNIARD_CATALOG = {
 def _scalar_adaptive(f, lo, hi, tol, n_init=16):
     def evaluate(a, b):
         half = 0.5 * (b - a)
-        x = 0.5 * (a + b) + half * _GL_NODES
-        return np.array([half * np.sum(f(x) * _GL_WEIGHTS)])
+        x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        return (half * np.sum(f(x) * _GL_WEIGHTS, axis=1))[:, None]
 
     edges = np.linspace(lo, hi, n_init + 1)
     value, _, _ = _adaptive_panels(evaluate, edges, np.array([tol]))

@@ -66,7 +66,7 @@ def test_key_inequality_random():
         med = random_medium(rng)
         k = rng.uniform(0, 50, 40) + 1j * rng.uniform(-50, 50, 40)
         k = np.abs(k.real) + 1j * k.imag
-        mats = interface_matrices(med, k)  # the tripwire asserts internally
+        mats = interface_matrices(med, k)  # the tripwire raises internally
         prod = 1.0
         for l in range(1, med.num_interfaces + 1):
             prod *= mats.gamma_plus[l] ** 2 - mats.gamma_minus[l] ** 2

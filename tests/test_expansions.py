@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,3 +444,58 @@ def test_reaction_potential_helper_absent_components(two_layer):
     assert total == pytest.approx(only, rel=1e-12)
     with pytest.raises(ComponentAbsent):
         eval_reaction_green(two_layer, 2, 1, 0, 0, r, rp)
+
+
+_OPTIMIZED_CHECKS = """
+import numpy as np
+from dataclasses import replace
+from layerfmm import (
+    ChargeSystem, LayeredMedium, eval_expansion, eval_reaction_me,
+    interface_matrices, me_from_charges, polarization_source,
+    reaction_me_from_charges,
+)
+from layerfmm.errors import InvariantViolated
+
+if __debug__:
+    raise SystemExit("run without -O")
+fired = []
+slab = LayeredMedium([0.0, -1.0], [1.0, 1.0, 1.0], [1.0, 3.0, 8.0])
+
+mats = interface_matrices(slab, np.array([0.5, 2.0]))
+mats.alpha[1][1, 0] = 10.0 * mats.alpha[1][1, 1]
+try:
+    mats._check_key_inequality()
+except InvariantViolated:
+    fired.append("key_inequality")
+
+free = ChargeSystem.free_space([1.0, -0.5], [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+exp = me_from_charges(free, [0.0, 0.0, 0.0], 4, radius=0.2)
+try:
+    eval_expansion(replace(exp, coeff=1j * exp.coeff), [1.0, 0.5, 0.2])
+except InvariantViolated:
+    fired.append("eval_expansion")
+
+charges = ChargeSystem.in_medium(slab, [1.0, -0.5], [[0, 0, -0.3], [0.1, 0, -0.6]])
+pol_c = polarization_source(slab, 1, 1, 1, 1, np.array([0, 0, -0.5]))
+rexp = reaction_me_from_charges(charges, slab, 1, 1, 1, 1, pol_c, 4, radius=0.4)
+try:
+    eval_reaction_me(replace(rexp, coeff=1j * rexp.coeff), slab, [0.2, 0.1, -0.4])
+except InvariantViolated:
+    fired.append("eval_reaction_me")
+print(" ".join(fired))
+"""
+
+
+def test_invariant_checks_fire_under_optimize():
+    """The key-inequality tripwire and the imaginary-residue checks are
+    explicit raises, so python -O (which strips asserts) keeps them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "key_inequality", "eval_expansion", "eval_reaction_me"
+    ]

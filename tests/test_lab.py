@@ -177,6 +177,8 @@ def test_cli_green_matches_library(tmp_path, two_layer):
         np.array([0.0, 0.0, 0.5]), 1e-10,
     )
     assert value == pytest.approx(lib, rel=1e-9)
+    for key in ("panels", "gl_calls", "evals"):
+        assert f"{key} = " in res.output
 
 
 def test_cli_me_free_space(tmp_path):

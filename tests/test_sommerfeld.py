@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from layerfmm import (
     ChargeSystem,
@@ -114,6 +115,130 @@ def test_radial_table_budget_exhaustion():
     with pytest.raises(ToleranceNotMet) as err:
         radial_table(dens, 50.0, 0.05, [0], [0], np.array([[1e-13]]), max_panels=4)
     assert err.value.achieved is not None
+
+
+def _gl_evaluate(f, calls=None):
+    """Array-form evaluate for a scalar integrand; records the number of
+    rules of each call in calls."""
+
+    def evaluate(lo, hi):
+        if calls is not None:
+            calls.append(len(lo))
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * sommerfeld._GL_NODES
+        return (half * (f(x) @ sommerfeld._GL_WEIGHTS))[:, None]
+
+    return evaluate
+
+
+def _greedy_panels(evaluate, edges, tol):
+    """Reference refinement for scalar integrands: one rule per evaluate
+    call, and the single worst panel bisected until the summed error
+    meets tol.  Returns (value, panels, gl_calls)."""
+
+    def rule(lo, hi):
+        return evaluate(np.array([lo]), np.array([hi]))[0, 0]
+
+    panels = []
+
+    def add(lo, hi, whole):
+        mid = 0.5 * (lo + hi)
+        left, right = rule(lo, mid), rule(mid, hi)
+        panels.append((lo, hi, left, right, abs(whole - (left + right))))
+
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        add(lo, hi, rule(lo, hi))
+    gl_calls = 3 * len(panels)
+    while sum(p[4] for p in panels) > tol:
+        worst = max(range(len(panels)), key=lambda i: panels[i][4])
+        lo, hi, left, right, _ = panels.pop(worst)
+        mid = 0.5 * (lo + hi)
+        add(lo, mid, left)
+        add(mid, hi, right)
+        gl_calls += 4
+    return sum(p[2] + p[3] for p in panels), len(panels), gl_calls
+
+
+def test_adaptive_panels_refines_a_peak():
+    """1/(x^2 + 1e-4) on [-1, 1] from 4 panels: the refinement path the
+    reaction tables never take.  Every bisection costs 4 rules."""
+    f = lambda x: 1.0 / (x * x + 1e-4)
+    edges = np.linspace(-1.0, 1.0, 5)
+    value, err, stats = sommerfeld._adaptive_panels(
+        _gl_evaluate(f), edges, np.array([1e-10])
+    )
+    assert abs(value[0] - 200.0 * math.atan(100.0)) <= 1e-10
+    assert err[0] <= 1e-10
+    assert stats["panels"] > 4
+    assert stats["bisections"] == stats["panels"] - 4
+    assert stats["gl_calls"] == 3 * 4 + 4 * (stats["panels"] - 4)
+    ref, panels, gl_calls = _greedy_panels(_gl_evaluate(f), edges, 1e-10)
+    assert (stats["panels"], stats["gl_calls"]) == (panels, gl_calls) == (10, 36)
+    assert value[0] == pytest.approx(ref, rel=1e-14)
+
+
+def test_adaptive_panels_match_greedy_on_oscillatory_tail():
+    """J_0(50 k) e^{-0.05 k} on 512 under-resolved panels needs several
+    passes; each pass bisects only panels a worst-first greedy bisection
+    splits too, so both end on the same panels."""
+    f = lambda k: special.j0(50.0 * k) * np.exp(-0.05 * k)
+    edges = np.linspace(0.0, 1200.0, 513)
+    calls = []
+    value, _, stats = sommerfeld._adaptive_panels(
+        _gl_evaluate(f, calls), edges, np.array([0.9e-10])
+    )
+    ref, panels, gl_calls = _greedy_panels(_gl_evaluate(f), edges, 0.9e-10)
+    assert (stats["panels"], stats["gl_calls"]) == (panels, gl_calls)
+    assert stats["evals"] == len(calls) < gl_calls // 10
+    assert abs(value[0] - ref) <= 1e-14
+    assert abs(value[0] - 1.0 / math.hypot(50.0, 0.05)) <= 1e-10
+
+
+def test_adaptive_panels_budget_spent_during_refinement():
+    """The budget error comes from a refinement pass, not only from an
+    initial panel count above max_panels."""
+    calls = []
+    f = lambda x: 1.0 / (x * x + 1e-4)
+    with pytest.raises(ToleranceNotMet) as err:
+        sommerfeld._adaptive_panels(
+            _gl_evaluate(f, calls), np.linspace(-1.0, 1.0, 5), np.array([1e-10]),
+            max_panels=7,
+        )
+    assert calls[0] == 3 * 4
+    assert sum(calls[1:]) == 4 * 3  # three bisections fill the budget of 7
+    assert err.value.achieved > 1.0
+
+
+def test_radial_table_block_size_invariance(three_layer, monkeypatch):
+    """A 17 x 17 table at rho/zeta = 12 does not depend on how many
+    panels share an evaluate call."""
+    dens = ReactionDensity(three_layer, 1, 1, 1, 1)
+    n = np.arange(17)
+    zeta = 0.5
+    scale = dens.bound * np.array([math.gamma(k + 1) / zeta ** (k + 1) for k in n])
+    tol = 1e-11 * np.repeat(scale[:, None], 17, axis=1)
+    vals, errs, stats = radial_table(dens, 6.0, zeta, n, n, tol)
+    monkeypatch.setattr(sommerfeld, "_BLOCK", 1)
+    vals1, errs1, stats1 = radial_table(dens, 6.0, zeta, n, n, tol)
+    np.testing.assert_allclose(vals1, vals, rtol=1e-13, atol=0)
+    assert stats1["panels"] == stats["panels"]
+    assert stats1["gl_calls"] == stats["gl_calls"]
+    assert stats1["evals"] == stats["panels"] > stats["evals"]
+
+
+def test_radial_table_stats_record():
+    """Stats carry the density sweeps, the bisections and whether the
+    initial panel count hit its cap, also on the zero-bound early return."""
+    tol = np.array([[1e-8]])
+    _, _, wide = radial_table(ConstantDensity(), 50.0, 0.05, [0], [0], tol)
+    _, _, near = radial_table(ConstantDensity(), 0.5, 0.5, [0], [0], tol)
+    _, _, zero = radial_table(ConstantDensity(0.0), 0.5, 0.5, [0], [0], tol)
+    assert wide["capped"] and not near["capped"] and not zero["capped"]
+    assert wide["panels"] == 512 + wide["bisections"]
+    assert near["evals"] == math.ceil(near["panels"] / sommerfeld._BLOCK)
+    assert zero == {
+        "panels": 0, "gl_calls": 0, "evals": 0, "bisections": 0, "capped": False
+    }
 
 
 def test_tail_truncation_insensitivity(two_layer, monkeypatch):
