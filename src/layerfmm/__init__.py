@@ -26,14 +26,9 @@ from .harmonics import (
     sph_harm_table,
 )
 from .sommerfeld import (
-    RadialIntegralSpec,
     bessel_j,
     cagniard_identity_check,
-    eval_me_basis,
     eval_reaction_green,
-    eval_reaction_le_coeff,
-    eval_reaction_m2l_entry,
-    radial_integral,
     sqrt_branch,
 )
 from .expansions import (
@@ -42,6 +37,9 @@ from .expansions import (
     HarmonicExpansion,
     direct_potential,
     eval_expansion,
+    eval_me_basis,
+    eval_reaction_le_coeff,
+    eval_reaction_m2l_entry,
     eval_reaction_me,
     le_from_charges,
     l2l,

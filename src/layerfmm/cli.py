@@ -18,11 +18,11 @@ import click
 import numpy as np
 
 from . import expansions as xp
-from .densities import density_bound, ReactionDensity, reaction_densities
+from .densities import density_bound, reaction_densities
 from .errors import ComponentAbsent
 from .lab import ExperimentConfig, run_experiment, run_property_suite
-from .medium import LayeredMedium, polarization_source, tau_map
-from .sommerfeld import eval_reaction_green, radial_table
+from .medium import LayeredMedium, polarization_source
+from .sommerfeld import _reaction_green, eval_reaction_green
 
 
 def _parse_vec(text):
@@ -90,14 +90,7 @@ def green(medium_path, component, source, target, tol):
     r = _parse_vec(target)
     ell = medium.layer_of(r[2])
     ellprime = medium.layer_of(rp[2])
-    dens = ReactionDensity(medium, a, b, ell, ellprime)
-    tau = tau_map(medium, a, b, ell, ellprime, r, rp)
-    rho = math.hypot(tau[0], tau[1])
-    vals, errs, stats = radial_table(
-        dens, rho, float(tau[2]), [0], [0], np.array([[tol * 4 * math.pi]])
-    )
-    value = vals[0, 0].real / (4 * math.pi)
-    err = errs[0, 0] / (4 * math.pi)
+    value, err, stats = _reaction_green(medium, a, b, ell, ellprime, r, rp, tol)
     click.echo(
         f"u^{a}{b}_({ell},{ellprime}) = {value:.15e}  "
         f"error_estimate = {err:.3e}  panels = {stats['panels']}  "

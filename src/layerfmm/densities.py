@@ -36,17 +36,6 @@ from .errors import (
 from .medium import component_exists, require_component
 
 
-@dataclass(frozen=True)
-class SpectralArgument:
-    """A spectral point k_rho restricted to the closed right half plane."""
-
-    k_rho: complex
-
-    def __post_init__(self):
-        if np.real(self.k_rho) < 0:
-            raise InvalidSpectralArgument(f"Re k_rho = {np.real(self.k_rho)} < 0")
-
-
 def _as_spectral_array(k_rho):
     k = np.asarray(k_rho, dtype=complex)
     if np.any(np.real(k) < 0):
@@ -293,11 +282,6 @@ class ReactionDensity:
     @property
     def bound(self):
         return density_bound(self.medium, self.ell, self.ellprime, self.a, self.b)
-
-    def describe(self):
-        return (
-            f"sigma^({self.a}{self.b})_({self.ell}{self.ellprime})"
-        )
 
 
 DENSITY_BOUND_KMAX = 1.0e3

@@ -13,10 +13,13 @@ separated by more than a_s + c a_t, c > 1.
 
 Reaction expansions reuse the identical coefficient formulas over the
 equivalent polarization coordinates of the sources; only the basis
-functions change, from solid harmonics to the Sommerfeld-type integrals
-provided by the sommerfeld module.  A reaction multipole expansion is
-therefore an ordinary coefficient table tagged with its component
-(a, b, l, l') and centered at a polarization center.
+functions change, from solid harmonics to Sommerfeld-type integrals.  A
+reaction multipole expansion is therefore an ordinary coefficient table
+tagged with its component (a, b, l, l') and centered at a polarization
+center.  Every reaction operator (basis function, LE coefficient, M2L
+entry) is assembled here, as a closed-form prefactor times a radial
+integral from the sommerfeld module's radial_table; the per-entry
+operators are single entries of the table builders.
 
 Operator weights combine factorial-bearing constants and radial powers in
 log space, which keeps everything finite through the supported orders.
@@ -42,7 +45,7 @@ from .errors import (
     RegionViolation,
 )
 from .harmonics import cartesian_to_spherical, constants, sph_harm_table
-from .medium import polarization_source, reflect, require_component
+from .medium import polarization_source, reflect, require_component, tau_map
 from .sommerfeld import radial_table
 
 
@@ -469,69 +472,98 @@ def reaction_me_from_charges(
     )
 
 
-def _integral_reference(bound, zeta, powers):
-    """Analytic magnitude bound M_sigma Gamma(n+1)/zeta^{n+1} used to
-    scale per-entry quadrature tolerances."""
-    powers = np.asarray(powers, dtype=float)
-    return bound * special.gamma(powers + 1.0) / zeta ** (powers + 1.0)
+def _kernel_vector(medium, component, r, center, form):
+    """Kernel argument vector of a reaction operator and the index its
+    basis sign alternates with ("n" or "m").
+
+    form="polarization": center is a polarization center (an ME center,
+    or a charge's polarization position for LE and M2L); the argument is
+    r - center, reflected in the xy-plane for a=2, and the basis sign
+    alternates with n for a=1, with m for a=2.  form="direct": center is
+    a physical source point in layer l'; the argument is tau^{ab}(r,
+    center) and b selects the sign instead.
+    """
+    a, b, ell, ellprime = component
+    r = np.asarray(r, dtype=float)
+    center = np.asarray(center, dtype=float)
+    if form == "polarization":
+        v = r - center if a == 1 else reflect(r - center)
+        return v, "n" if a == 1 else "m"
+    if form == "direct":
+        v = tau_map(medium, a, b, ell, ellprime, r, center)
+        return v, "m" if b == 1 else "n"
+    raise ValueError(f"unknown basis form {form!r}")
 
 
-def _table_tolerances(bound, zeta, powers, orders, rel_tol):
-    ref = _integral_reference(bound, zeta, powers)
-    tol = np.full((len(powers), len(orders)), np.inf)
-    for i, n in enumerate(powers):
-        for j, m in enumerate(orders):
-            if m <= n:
-                tol[i, j] = max(rel_tol * ref[i], 1e-300)
-    return tol
+def _reaction_table(medium, component, v, top, rel_tol):
+    """Radial integrals I(n, m), 0 <= n, m <= top, of the component's
+    density at kernel argument v, with the azimuth phi of v.
+
+    Each entry with m <= n is computed to rel_tol times its analytic
+    magnitude bound M_sigma Gamma(n+1)/zeta^{n+1}; entries with m > n do
+    not drive refinement.  Returns (table, phi, stats).
+    """
+    density = ReactionDensity(medium, *component)
+    rho = math.hypot(v[0], v[1])
+    phi = math.atan2(v[1], v[0]) if rho > 0 else 0.0
+    zeta = float(v[2])
+    if zeta <= 0:
+        raise CenterOnWrongSide(
+            f"target and expansion center on the wrong sides (zeta = {zeta})"
+        )
+    n = np.arange(top + 1)
+    ref = density.bound * special.gamma(n + 1.0) / zeta ** (n + 1.0)
+    tol = np.where(
+        n[None, :] <= n[:, None], np.maximum(rel_tol * ref[:, None], 1e-300), np.inf
+    )
+    table, _, stats = radial_table(density, rho, zeta, n, n, tol)
+    return table, phi, stats
+
+
+def _signed_order(table, n, m):
+    """table[n, |m|] with J_{-|m|} = (-1)^{|m|} J_{|m|} folded in, over
+    index arrays n and m."""
+    return table[n, np.abs(m)] * np.where(m < 0, (-1.0) ** np.abs(m), 1.0)
+
+
+def _alternating(k):
+    """(-1)^k over an integer array."""
+    return np.where(k % 2 == 0, 1.0, -1.0)
 
 
 def reaction_basis_table(medium, component, p, r, center, rel_tol=1e-11,
                          form="polarization"):
     """All multipole basis values F_nm^{ab}(r, center), n <= p, on shared
     quadrature nodes.  rel_tol is relative to each integral's analytic
-    magnitude bound.
-
-    form="polarization": center is a polarization center, kernel argument
-    r - center (reflected for a=2), sign alternating with n (a=1) or m
-    (a=2).  form="direct": center is the physical source center in layer
-    l', kernel argument tau^{ab}(r, center), sign selected by b.
+    magnitude bound.  form selects how center is read: a polarization
+    center ("polarization") or the physical source center in layer l'
+    ("direct"); see _kernel_vector.
     """
-    from .medium import tau_map
-
-    a, b, ell, ellprime = component
-    density = ReactionDensity(medium, a, b, ell, ellprime)
-    r = np.asarray(r, dtype=float)
-    if form == "polarization":
-        v = r - center if a == 1 else reflect(r - center)
-        sign_kind = "n" if a == 1 else "m"
-    elif form == "direct":
-        v = tau_map(medium, a, b, ell, ellprime, r, center)
-        sign_kind = "m" if b == 1 else "n"
-    else:
-        raise ValueError(f"unknown basis form {form!r}")
-    rho = math.hypot(v[0], v[1])
-    phi = math.atan2(v[1], v[0]) if rho > 0 else 0.0
-    zeta = float(v[2])
-    if zeta <= 0:
-        raise CenterOnWrongSide(
-            "target and expansion center on the wrong sides (zeta <= 0)"
-        )
-    powers = np.arange(p + 1)
-    orders = np.arange(p + 1)
-    tol = _table_tolerances(density.bound, zeta, powers, orders, rel_tol)
-    table, _, stats = radial_table(density, rho, zeta, powers, orders, tol)
+    v, alternate = _kernel_vector(medium, component, r, center, form)
+    table, phi, stats = _reaction_table(medium, component, v, p, rel_tol)
     cst = constants(p)
-    out = np.zeros((p + 1, 2 * p + 1), dtype=complex)
-    for n in range(p + 1):
-        for m in range(-n, n + 1):
-            sign = (-1.0) ** n if sign_kind == "n" else (-1.0) ** m
-            pref = sign * cst.c[n] ** 2 * cst.C(n, m) * (1j) ** m * np.exp(
-                1j * m * phi
-            )
-            val = table[n, abs(m)] * ((-1.0) ** abs(m) if m < 0 else 1.0)
-            out[n, m + p] = pref * val
-    return out, stats
+    ns, ms = _packed_indices(p)
+    sign = _alternating(ns if alternate == "n" else ms)
+    pref = (
+        sign * cst.c[ns] ** 2 * cst.c_table[ns, ms + p] * (1j) ** ms
+        * np.exp(1j * ms * phi)
+    )
+    return _unpack(pref * _signed_order(table, ns, ms), p), stats
+
+
+def eval_me_basis(
+    medium, a, b, ell, ellprime, n, m, r, center, rel_tol=1e-11,
+    form="polarization",
+):
+    """Multipole basis function F_nm^{ab}(r, center): entry (n, m) of
+    reaction_basis_table at p = n, with the same rel_tol (relative to the
+    integral's analytic magnitude bound, default 1e-11)."""
+    if abs(m) > n:
+        return 0.0 + 0.0j
+    table, _ = reaction_basis_table(
+        medium, (a, b, ell, ellprime), n, r, center, rel_tol, form
+    )
+    return complex(table[n, m + n])
 
 
 def eval_reaction_me(exp, medium, r, rel_tol=1e-11):
@@ -555,8 +587,8 @@ def reaction_le_from_charges(
     target center in layer l: per-charge Sommerfeld coefficient integrals,
     summed with the charge weights."""
     require_component(medium, a, b, ell, ellprime)
+    component = (a, b, ell, ellprime)
     center = np.asarray(center, dtype=float)
-    density = ReactionDensity(medium, a, b, ell, ellprime)
     img = polarization_coordinates(system, medium, a, b, ell, ellprime)
     if radius is not None:
         dist = np.linalg.norm(img - center, axis=1)
@@ -565,56 +597,49 @@ def reaction_le_from_charges(
                 "a polarization source lies inside the target radius"
             )
     cst = constants(p)
-    powers = np.arange(p + 1)
-    orders = np.arange(p + 1)
-    coeff = np.zeros((p + 1, 2 * p + 1), dtype=complex)
+    ns, ms = _packed_indices(p)
+    sign = 1.0 if a == 1 else _alternating(ns + ms)
+    flat = np.zeros(len(ns), dtype=complex)
     for qj, pos in zip(system.q, img):
-        w = center - pos
-        if a == 2:
-            w = reflect(w)
-        rho = math.hypot(w[0], w[1])
-        phi = math.atan2(w[1], w[0]) if rho > 0 else 0.0
-        zeta = float(w[2])
-        tol = _table_tolerances(density.bound, zeta, powers, orders, rel_tol)
-        table, _, _ = radial_table(density, rho, zeta, powers, orders, tol)
-        for n in range(p + 1):
-            for m in range(-n, n + 1):
-                sign = 1.0 if a == 1 else (-1.0) ** (n + m)
-                pref = (
-                    sign
-                    * cst.C(n, m)
-                    / (4.0 * math.pi)
-                    * (1j) ** m
-                    * np.exp(-1j * m * phi)
-                )
-                val = table[n, abs(m)] * ((-1.0) ** abs(m) if m < 0 else 1.0)
-                coeff[n, m + p] += qj * pref * val
-    return HarmonicExpansion("local", center, p, coeff, radius=radius)
+        w, _ = _kernel_vector(medium, component, center, pos, "polarization")
+        table, phi, _ = _reaction_table(medium, component, w, p, rel_tol)
+        pref = (
+            sign * cst.c_table[ns, ms + p] / (4.0 * math.pi) * (1j) ** ms
+            * np.exp(-1j * ms * phi)
+        )
+        flat += qj * pref * _signed_order(table, ns, ms)
+    return HarmonicExpansion("local", center, p, _unpack(flat, p), radius=radius)
+
+
+def eval_reaction_le_coeff(
+    medium, a, b, ell, ellprime, n, m, target_center, source_point,
+    rel_tol=1e-11,
+):
+    """Local-expansion coefficient (n, m) about target_center of the
+    reaction field of one unit source at a physical point in layer l':
+    reaction_le_from_charges of that charge at p = n, with the same
+    rel_tol (relative to the integral's analytic magnitude bound, default
+    1e-11)."""
+    if abs(m) > n:
+        return 0.0 + 0.0j
+    one = ChargeSystem([1.0], [source_point], [ellprime])
+    exp = reaction_le_from_charges(
+        one, medium, a, b, ell, ellprime, target_center, n, rel_tol=rel_tol
+    )
+    return complex(exp.coeff[n, m + n])
 
 
 def reaction_m2l_matrix(exp, medium, target_center, p, rel_tol=1e-11):
     """Dense reaction M2L operator mapping packed multipole coefficients
     (degree <= exp.p) to packed local coefficients (degree <= p)."""
     _require_kind(exp, "reaction_multipole")
-    a, b, ell, ellprime = exp.component
-    density = ReactionDensity(medium, a, b, ell, ellprime)
-    target_center = np.asarray(target_center, dtype=float)
-    v = target_center - exp.center
-    if a == 2:
-        v = reflect(v)
-    rho = math.hypot(v[0], v[1])
-    phi = math.atan2(v[1], v[0]) if rho > 0 else 0.0
-    zeta = float(v[2])
-    if zeta <= 0:
-        raise CenterOnWrongSide(
-            "target center and polarization center violate the side condition"
-        )
+    a = exp.component[0]
+    v, _ = _kernel_vector(medium, exp.component, target_center, exp.center,
+                          "polarization")
     pmax = max(p, exp.p)
-    powers = np.arange(2 * pmax + 1)
-    orders = np.arange(2 * pmax + 1)
-    tol = _table_tolerances(density.bound, zeta, powers, orders, rel_tol)
-    table, _, stats = radial_table(density, rho, zeta, powers, orders, tol)
-
+    table, phi, stats = _reaction_table(
+        medium, exp.component, v, 2 * pmax, rel_tol
+    )
     cst = constants(pmax)
     ns, ms = _packed_indices(p)
     nu, mu = _packed_indices(exp.p)
@@ -623,15 +648,34 @@ def reaction_m2l_matrix(exp, medium, target_center, p, rel_tol=1e-11):
     cvals_t = cst.c_table[ns, ms + pmax][:, None]
     cvals_s = cst.c_table[nu, mu + pmax][None, :]
     if a == 1:
-        sign = np.where(nu[None, :] % 2 == 0, 1.0, -1.0)
+        sign = _alternating(nu[None, :])
     else:
-        sign = np.where((ns[:, None] + ms[:, None] + mu[None, :]) % 2 == 0, 1.0, -1.0)
-    ivals = table[sn, np.abs(dm)] * np.where(dm < 0, (-1.0) ** np.abs(dm), 1.0)
+        sign = _alternating(ns[:, None] + ms[:, None] + mu[None, :])
     phase = (1j) ** dm * np.exp(1j * dm * phi)
     return (
-        sign * cst.c[nu[None, :]] ** 2 * cvals_t * cvals_s * phase * ivals,
+        sign * cst.c[nu[None, :]] ** 2 * cvals_t * cvals_s * phase
+        * _signed_order(table, sn, dm),
         stats,
     )
+
+
+def eval_reaction_m2l_entry(
+    medium, a, b, ell, ellprime, n, m, nprime, mprime, target_center,
+    source_center, rel_tol=1e-11,
+):
+    """Entry T^{ab}_{nm,n'm'} of the reaction multipole-to-local operator
+    between a polarization source center and a target center: one entry of
+    reaction_m2l_matrix at target degree n and source degree n', with the
+    same rel_tol (relative to each integral's analytic magnitude bound,
+    default 1e-11)."""
+    if abs(m) > n or abs(mprime) > nprime:
+        return 0.0 + 0.0j
+    exp = HarmonicExpansion(
+        "reaction_multipole", source_center, nprime,
+        np.zeros((nprime + 1, 2 * nprime + 1)), component=(a, b, ell, ellprime),
+    )
+    tmat, _ = reaction_m2l_matrix(exp, medium, target_center, n, rel_tol)
+    return complex(tmat[n * n + n + m, nprime * nprime + nprime + mprime])
 
 
 def m2l_reaction(exp, medium, target_center, p, rel_tol=1e-11, target_radius=None):

@@ -147,11 +147,6 @@ def homogeneous_medium():
     return LayeredMedium((), (1.0,), (1.0,))
 
 
-def layer_of(medium, z):
-    """Module-level alias of LayeredMedium.layer_of."""
-    return medium.layer_of(z)
-
-
 def reflect(r):
     """xy-plane reflection tau(r) = (x, y, -z)."""
     r = np.asarray(r, dtype=float)

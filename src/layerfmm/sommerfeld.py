@@ -5,43 +5,41 @@ After reducing the angular part of each 2-D spectral integral with
     int_0^{2pi} e^{i k rho cos(alpha - phi)} e^{i m alpha} d alpha
         = 2 pi i^m J_m(k rho) e^{i m phi},
 
-every quantity in this package (reaction Green's values, multipole basis
-functions, reaction local-expansion coefficients, reaction M2L entries)
-becomes a 1-D radial integral
+every reaction quantity in this package (Green's values, multipole basis
+functions, local-expansion coefficients, M2L entries) becomes a
+closed-form prefactor times a 1-D radial integral
 
     I(n, m; rho, zeta) = int_0^inf J_m(k rho) e^{-k zeta} sigma(k) k^n dk
 
 with zeta > 0, so the integrand decays exponentially and there are no
-poles or principal values (Laplace case).  The engine uses composite
-32-point Gauss-Legendre panels with adaptive bisection driven by the
-disagreement of each panel with the sum of its halves; the upper limit is
-chosen from the analytic tail bound
-M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} < tol/10.
+poles or principal values (Laplace case).  This module holds the engine,
+the reaction Green's function oracle built directly on it, and the
+hyperbolic-contour identity check used to validate the branch conventions
+of the complex square root; the expansions module assembles every
+operator prefactor.
 
-Families of integrals sharing (rho, zeta, sigma) - all coefficients of an
-expansion, or a whole M2L operator - are evaluated on shared nodes via
-``radial_table``.  Panels are evaluated in blocks: one density sweep and
-one Bessel call serve the whole-panel and half-panel rules of a block of
-panels, because a sweep's cost is mostly per call, not per node.
-Refinement is level-synchronous: each pass bisects its panels together,
-again in blocks.
-
-The module also provides the hyperbolic-contour identity check used to
-validate the branch conventions of the complex square root.
+The engine, ``radial_table``, evaluates a family of integrals sharing
+(rho, zeta, sigma) - all coefficients of an expansion, or a whole M2L
+operator - on shared nodes.  It uses composite 32-point Gauss-Legendre
+panels with adaptive bisection driven by the disagreement of each panel
+with the sum of its halves; the upper limit is chosen from the analytic
+tail bound M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} < tol/10.  Panels
+are evaluated in blocks: one density sweep and one Bessel call serve the
+whole-panel and half-panel rules of a block of panels, because a sweep's
+cost is mostly per call, not per node.  Refinement is level-synchronous:
+each pass bisects its panels together, again in blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .densities import ReactionDensity
 from .errors import ComponentAbsent, DomainError, ToleranceNotMet
-from .harmonics import constants
-from .medium import reflect, require_component, tau_map, polarization_source
+from .medium import tau_map
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -70,28 +68,6 @@ class ConstantDensity:
     @property
     def bound(self):
         return abs(self.value)
-
-
-@dataclass(frozen=True)
-class RadialIntegralSpec:
-    """One radial integral: order m, power n, geometry (rho, zeta), and a
-    density evaluator carrying a uniform bound."""
-
-    order: int
-    power: int
-    rho: float
-    zeta: float
-    density: object
-
-    def __post_init__(self):
-        if self.order < 0 or self.power < 0:
-            raise DomainError("order and power must be nonnegative")
-        if self.rho < 0:
-            raise DomainError("rho must be nonnegative")
-        if self.zeta <= 0:
-            raise DomainError(
-                "zeta must be strictly positive (decaying kernel required)"
-            )
 
 
 def _gamma_tail(nexp, x0, scale):
@@ -225,6 +201,8 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS):
 def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PANELS):
     """All integrals I(n, m) for n in powers, m in orders on shared nodes.
 
+    Requires zeta > 0, rho >= 0 and nonnegative powers and orders
+    (DomainError otherwise); the density must expose a uniform bound.
     tol_abs is an entrywise absolute tolerance of shape
     (len(powers), len(orders)); entries set to inf do not drive
     refinement.  Returns (values, error estimates, stats); besides the
@@ -235,6 +213,10 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     orders = np.asarray(orders, dtype=int)
     if zeta <= 0:
         raise DomainError("zeta must be positive")
+    if rho < 0:
+        raise DomainError("rho must be nonnegative")
+    if np.any(powers < 0) or np.any(orders < 0):
+        raise DomainError("powers and orders must be nonnegative")
     bound = getattr(density, "bound", None)
     if bound is None:
         raise TypeError("density evaluator must expose a uniform bound")
@@ -272,36 +254,25 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     return values, err, stats
 
 
-def radial_integral(spec, tol):
-    """Single radial integral per RadialIntegralSpec, absolute tolerance."""
-    if tol < MIN_TOL:
-        raise ValueError(f"tol {tol} below supported minimum {MIN_TOL}")
-    values, _, _ = radial_table(
-        spec.density,
-        spec.rho,
-        spec.zeta,
-        [spec.power],
-        [spec.order],
-        np.array([[tol]]),
+def _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol):
+    """u^{ab}_{l,l'}(r, r') = (1/4pi) I(0, 0; |transverse tau|, tau_z,
+    sigma^{ab}) to absolute tolerance tol (floored at MIN_TOL/4pi).
+    Returns (value, error estimate, stats of radial_table)."""
+    density = ReactionDensity(medium, a, b, ell, ellprime)
+    tau = tau_map(medium, a, b, ell, ellprime, r, rprime)
+    values, err, stats = radial_table(
+        density,
+        math.hypot(tau[0], tau[1]),
+        float(tau[2]),
+        [0],
+        [0],
+        np.array([[max(tol * 4.0 * math.pi, MIN_TOL)]]),
     )
-    return complex(values[0, 0])
-
-
-def _transverse(v):
-    """(rho, phi, zeta) of a kernel argument vector; zeta must be > 0."""
-    rho = math.hypot(v[0], v[1])
-    phi = math.atan2(v[1], v[0]) if rho > 0 else 0.0
-    zeta = float(v[2])
-    if zeta <= 0:
-        raise DomainError(
-            f"kernel argument has nonpositive decay depth zeta={zeta}"
-        )
-    return rho, phi, zeta
-
-
-def _signed_order_integral(table_value, m):
-    """Fold J_{-|m|} = (-1)^{|m|} J_{|m|} into a table looked up at |m|."""
-    return table_value * ((-1.0) ** (-m) if m < 0 else 1.0)
+    return (
+        float(np.real(values[0, 0])) / (4.0 * math.pi),
+        float(err[0, 0]) / (4.0 * math.pi),
+        stats,
+    )
 
 
 def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10):
@@ -309,13 +280,10 @@ def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10):
     in this package is tested against.
 
         u = (1/4pi) * I(0, 0; |transverse tau|, tau_z, sigma^{ab})
+
+    tol is an absolute tolerance on u.
     """
-    density = ReactionDensity(medium, a, b, ell, ellprime)
-    tau = tau_map(medium, a, b, ell, ellprime, r, rprime)
-    rho, _, zeta = _transverse(tau)
-    spec = RadialIntegralSpec(0, 0, rho, zeta, density)
-    val = radial_integral(spec, max(tol * 4.0 * math.pi, MIN_TOL))
-    return float(np.real(val)) / (4.0 * math.pi)
+    return _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol)[0]
 
 
 def eval_reaction_potential(medium, ell, ellprime, r, rprime, tol=1e-10):
@@ -330,126 +298,6 @@ def eval_reaction_potential(medium, ell, ellprime, r, rprime, tol=1e-10):
             except ComponentAbsent:
                 continue
     return total
-
-
-def _me_kernel_vector(medium, a, b, ell, ellprime, r, center, form):
-    """Kernel argument vector and Theorem-driven prefactor sign for one
-    multipole basis function.
-
-    form="polarization": center is an equivalent-polarization center
-    r_c^{ab}; the kernel argument is r - center (a=1) or its xy-plane
-    reflection (a=2), and the sign alternates with n for a=1, with m for
-    a=2.  form="direct": center is a physical source center in layer l';
-    the kernel argument is tau^{ab}(r, center) and the roles of the signs
-    are selected by b instead.
-    """
-    r = np.asarray(r, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if form == "polarization":
-        v = r - center if a == 1 else reflect(r - center)
-        sign_kind = "n" if a == 1 else "m"
-    elif form == "direct":
-        v = tau_map(medium, a, b, ell, ellprime, r, center)
-        sign_kind = "m" if b == 1 else "n"
-    else:
-        raise ValueError(f"unknown basis form {form!r}")
-    return v, sign_kind
-
-
-def eval_me_basis(
-    medium, a, b, ell, ellprime, n, m, r, center, tol=1e-10, form="polarization"
-):
-    """Multipole basis function F_nm^{ab}(r, center) for the reaction
-    component, via a radial integral of order |m| and power n."""
-    if abs(m) > n:
-        return 0.0 + 0.0j
-    require_component(medium, a, b, ell, ellprime)
-    density = ReactionDensity(medium, a, b, ell, ellprime)
-    v, sign_kind = _me_kernel_vector(medium, a, b, ell, ellprime, r, center, form)
-    rho, phi, zeta = _transverse(v)
-    cst = constants(n)
-    sign = (-1.0) ** n if sign_kind == "n" else (-1.0) ** m
-    pref = sign * cst.c[n] ** 2 * cst.C(n, m) * (1j) ** m * np.exp(1j * m * phi)
-    if pref == 0:
-        return 0.0 + 0.0j
-    spec = RadialIntegralSpec(abs(m), n, rho, zeta, density)
-    val = radial_integral(spec, max(tol / abs(pref), MIN_TOL))
-    return pref * _signed_order_integral(val, m)
-
-
-def eval_reaction_le_coeff(
-    medium, a, b, ell, ellprime, n, m, target_center, source_point, tol=1e-10
-):
-    """Local-expansion coefficient of the reaction field of one unit
-    source at a physical point, about target_center.  The source is moved
-    to its equivalent polarization position internally."""
-    if abs(m) > n:
-        return 0.0 + 0.0j
-    require_component(medium, a, b, ell, ellprime)
-    density = ReactionDensity(medium, a, b, ell, ellprime)
-    img = polarization_source(medium, a, b, ell, ellprime, source_point)
-    w = np.asarray(target_center, dtype=float) - img
-    if a == 2:
-        w = reflect(w)
-    rho, phi, zeta = _transverse(w)
-    cst = constants(n)
-    sign = 1.0 if a == 1 else (-1.0) ** (n + m)
-    pref = (
-        sign
-        * cst.C(n, m)
-        / (4.0 * math.pi)
-        * (1j) ** m
-        * np.exp(-1j * m * phi)
-    )
-    if pref == 0:
-        return 0.0 + 0.0j
-    spec = RadialIntegralSpec(abs(m), n, rho, zeta, density)
-    val = radial_integral(spec, max(tol / abs(pref), MIN_TOL))
-    return pref * _signed_order_integral(val, m)
-
-
-def eval_reaction_m2l_entry(
-    medium,
-    a,
-    b,
-    ell,
-    ellprime,
-    n,
-    m,
-    nprime,
-    mprime,
-    target_center,
-    source_center,
-    tol=1e-10,
-):
-    """Entry T^{ab}_{nm,n'm'} of the reaction multipole-to-local operator
-    between a polarization source center and a target center."""
-    if abs(m) > n or abs(mprime) > nprime:
-        return 0.0 + 0.0j
-    require_component(medium, a, b, ell, ellprime)
-    density = ReactionDensity(medium, a, b, ell, ellprime)
-    v = np.asarray(target_center, dtype=float) - np.asarray(
-        source_center, dtype=float
-    )
-    if a == 2:
-        v = reflect(v)
-    rho, phi, zeta = _transverse(v)
-    cst = constants(max(n, nprime))
-    sign = (-1.0) ** nprime if a == 1 else (-1.0) ** (n + m + mprime)
-    dm = mprime - m
-    pref = (
-        sign
-        * cst.c[nprime] ** 2
-        * cst.C(n, m)
-        * cst.C(nprime, mprime)
-        * (1j) ** dm
-        * np.exp(1j * dm * phi)
-    )
-    if pref == 0:
-        return 0.0 + 0.0j
-    spec = RadialIntegralSpec(abs(dm), n + nprime, rho, zeta, density)
-    val = radial_integral(spec, max(tol / abs(pref), MIN_TOL))
-    return pref * _signed_order_integral(val, dm)
 
 
 # ---------------------------------------------------------------------------

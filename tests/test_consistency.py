@@ -1,6 +1,9 @@
-"""Cross-checks between the per-coefficient operations and the batched
-table builders: both assemble the same prefactors around the shared
-quadrature engine, so they must agree entry by entry."""
+"""Cross-checks of the batched table builders against an independent
+scalar assembly of the paper's three operator formulas, and of the
+public per-entry operators against the builders they slice."""
+
+import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,10 +11,13 @@ import pytest
 from layerfmm import (
     ChargeSystem,
     LayeredMedium,
+    ReactionDensity,
     eval_me_basis,
     eval_reaction_le_coeff,
     eval_reaction_m2l_entry,
     polarization_source,
+    reflect,
+    tau_map,
 )
 from layerfmm.expansions import (
     _pack,
@@ -21,9 +27,79 @@ from layerfmm.expansions import (
     reaction_m2l_matrix,
     reaction_me_from_charges,
 )
+from layerfmm.harmonics import constants
+from layerfmm.sommerfeld import MIN_TOL, radial_table
 
 SLAB = LayeredMedium([0.0, -1.0], [1, 1, 1], [1.0, 3.0, 8.0])
 
+
+# ---------------------------------------------------------------------------
+# scalar reference: the three operator formulas written out entry by entry,
+# each with its own 1x1 radial table at absolute tolerance tol/|prefactor|
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _integral(comp, rho, zeta, n, m, tol):
+    values, _, _ = radial_table(
+        ReactionDensity(SLAB, *comp), rho, zeta, [n], [m], np.array([[tol]])
+    )
+    return complex(values[0, 0])
+
+
+def _entry(comp, v, n, m, weight, phase, tol):
+    """weight * e^{phase i m phi} * I(n, m; rho, zeta) at kernel argument
+    v, with J_{-|m|} = (-1)^m J_{|m|}; |weight| is |prefactor|."""
+    rho = math.hypot(v[0], v[1])
+    phi = math.atan2(v[1], v[0]) if rho > 0 else 0.0
+    value = _integral(
+        comp, rho, float(v[2]), n, abs(m), max(tol / abs(weight), MIN_TOL)
+    )
+    fold = (-1.0) ** m if m < 0 else 1.0
+    return weight * np.exp(phase * 1j * m * phi) * value * fold
+
+
+def ref_me_basis(comp, n, m, r, center, tol, form="polarization"):
+    a, b, ell, ellprime = comp
+    if form == "polarization":
+        v = r - center if a == 1 else reflect(r - center)
+        sign = (-1.0) ** n if a == 1 else (-1.0) ** m
+    else:
+        v = tau_map(SLAB, a, b, ell, ellprime, r, center)
+        sign = (-1.0) ** m if b == 1 else (-1.0) ** n
+    cst = constants(n)
+    weight = sign * cst.c[n] ** 2 * cst.C(n, m) * 1j ** m
+    return _entry(comp, v, n, m, weight, 1, tol)
+
+
+def ref_le_coeff(comp, n, m, target_center, source_point, tol):
+    a = comp[0]
+    w = target_center - polarization_source(SLAB, *comp, source_point)
+    if a == 2:
+        w = reflect(w)
+    sign = 1.0 if a == 1 else (-1.0) ** (n + m)
+    weight = sign * constants(n).C(n, m) / (4.0 * math.pi) * 1j ** m
+    return _entry(comp, w, n, m, weight, -1, tol)
+
+
+def ref_m2l_entry(comp, n, m, nprime, mprime, target_center, source_center,
+                  tol):
+    a = comp[0]
+    v = target_center - source_center
+    if a == 2:
+        v = reflect(v)
+    sign = (-1.0) ** nprime if a == 1 else (-1.0) ** (n + m + mprime)
+    dm = mprime - m
+    cst = constants(max(n, nprime))
+    weight = (
+        sign * cst.c[nprime] ** 2 * cst.C(n, m) * cst.C(nprime, mprime)
+        * 1j ** dm
+    )
+    return _entry(comp, v, n + nprime, dm, weight, 1, tol)
+
+
+# ---------------------------------------------------------------------------
+# builders against the scalar reference
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("component", [(1, 1), (2, 2), (1, 2), (2, 1)])
 def test_basis_table_matches_single_entries(component):
@@ -35,8 +111,8 @@ def test_basis_table_matches_single_entries(component):
     table, _ = reaction_basis_table(SLAB, (a, b, 1, 1), p, r, pol_c, 1e-12)
     for n in range(p + 1):
         for m in range(-n, n + 1):
-            single = eval_me_basis(SLAB, a, b, 1, 1, n, m, r, pol_c, 1e-12)
-            assert table[n, m + p] == pytest.approx(single, rel=1e-9, abs=1e-14)
+            ref = ref_me_basis((a, b, 1, 1), n, m, r, pol_c, 1e-12)
+            assert table[n, m + p] == pytest.approx(ref, rel=1e-9, abs=1e-14)
 
 
 def test_direct_basis_table_matches_single_entries():
@@ -48,10 +124,8 @@ def test_direct_basis_table_matches_single_entries():
     )
     for n in range(p + 1):
         for m in range(-n, n + 1):
-            single = eval_me_basis(
-                SLAB, 2, 1, 1, 1, n, m, r, csrc, 1e-12, form="direct"
-            )
-            assert table[n, m + p] == pytest.approx(single, rel=1e-9, abs=1e-14)
+            ref = ref_me_basis((2, 1, 1, 1), n, m, r, csrc, 1e-12, "direct")
+            assert table[n, m + p] == pytest.approx(ref, rel=1e-9, abs=1e-14)
 
 
 def test_le_builder_matches_single_coefficients():
@@ -64,11 +138,9 @@ def test_le_builder_matches_single_coefficients():
                                        rel_tol=1e-12)
         for n in range(p + 1):
             for m in range(-n, n + 1):
-                single = eval_reaction_le_coeff(
-                    SLAB, a, b, 1, 1, n, m, tc, src, 1e-12
-                )
+                ref = ref_le_coeff((a, b, 1, 1), n, m, tc, src, 1e-12)
                 assert exp.coeff[n, m + p] == pytest.approx(
-                    single, rel=1e-9, abs=1e-14
+                    ref, rel=1e-9, abs=1e-14
                 )
 
 
@@ -85,11 +157,67 @@ def test_m2l_matrix_matches_single_entries():
         ns, ms = _packed_indices(p)
         for i in range(len(ns)):
             for j in range(len(ns)):
-                single = eval_reaction_m2l_entry(
-                    SLAB, a, b, 1, 1, int(ns[i]), int(ms[i]),
-                    int(ns[j]), int(ms[j]), tc, pol_c, 1e-12,
+                ref = ref_m2l_entry(
+                    (a, b, 1, 1), int(ns[i]), int(ms[i]), int(ns[j]),
+                    int(ms[j]), tc, pol_c, 1e-12,
                 )
-                assert tmat[i, j] == pytest.approx(single, rel=1e-8, abs=1e-13)
+                assert tmat[i, j] == pytest.approx(ref, rel=1e-8, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# public per-entry operators against the builders they slice
+# ---------------------------------------------------------------------------
+
+def test_me_basis_slices_builder():
+    r = np.array([0.3, 0.25, -0.4])
+    csrc = np.array([0.05, -0.1, -0.55])
+    p = 4
+    for a, b in [(1, 1), (2, 1)]:
+        pol_c = polarization_source(SLAB, a, b, 1, 1, csrc)
+        table, _ = reaction_basis_table(SLAB, (a, b, 1, 1), p, r, pol_c, 1e-12)
+        for n, m in [(0, 0), (2, -1), (3, 2), (4, -4)]:
+            single = eval_me_basis(SLAB, a, b, 1, 1, n, m, r, pol_c, 1e-12)
+            assert single == pytest.approx(table[n, m + p], rel=1e-9, abs=1e-14)
+    table, _ = reaction_basis_table(
+        SLAB, (1, 2, 1, 1), p, r, csrc, 1e-12, form="direct"
+    )
+    single = eval_me_basis(SLAB, 1, 2, 1, 1, 3, -2, r, csrc, 1e-12, "direct")
+    assert single == pytest.approx(table[3, -2 + p], rel=1e-9, abs=1e-14)
+
+
+def test_le_coeff_slices_builder():
+    src = np.array([0.1, -0.05, -0.45])
+    one = ChargeSystem.in_medium(SLAB, [1.0], [src])
+    tc = np.array([0.5, 0.3, -0.3])
+    p = 4
+    for a, b in [(1, 2), (2, 1)]:
+        exp = reaction_le_from_charges(one, SLAB, a, b, 1, 1, tc, p,
+                                       rel_tol=1e-12)
+        for n, m in [(0, 0), (2, -1), (3, 3), (4, -2)]:
+            single = eval_reaction_le_coeff(
+                SLAB, a, b, 1, 1, n, m, tc, src, 1e-12
+            )
+            assert single == pytest.approx(
+                exp.coeff[n, m + p], rel=1e-9, abs=1e-14
+            )
+
+
+def test_m2l_entry_slices_builder():
+    src = np.array([0.02, 0.04, -0.52])
+    one = ChargeSystem.in_medium(SLAB, [1.0], [src])
+    tc = np.array([0.25, 0.15, -0.35])
+    p = 3
+    for a, b in [(1, 1), (2, 2)]:
+        pol_c = polarization_source(SLAB, a, b, 1, 1, np.array([0, 0, -0.5]))
+        exp = reaction_me_from_charges(one, SLAB, a, b, 1, 1, pol_c, p)
+        tmat, _ = reaction_m2l_matrix(exp, SLAB, tc, p, 1e-12)
+        for n, m, nprime, mprime in [(0, 0, 0, 0), (2, -1, 1, 1),
+                                     (1, 1, 3, -2), (3, -3, 2, 0)]:
+            single = eval_reaction_m2l_entry(
+                SLAB, a, b, 1, 1, n, m, nprime, mprime, tc, pol_c, 1e-12
+            )
+            want = tmat[n * n + n + m, nprime * nprime + nprime + mprime]
+            assert single == pytest.approx(want, rel=1e-8, abs=1e-13)
 
 
 def test_le_coeff_conjugate_symmetry():

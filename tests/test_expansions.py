@@ -339,6 +339,19 @@ def test_reaction_me_wrong_side_center(slab):
         )
 
 
+def test_reaction_le_wrong_side_center(slab):
+    """A target center beyond the interface the a=1 component decays from
+    is rejected as CenterOnWrongSide, by LE as by ME and M2L."""
+    one = ChargeSystem.in_medium(slab, [1.0], [[0.1, -0.05, -0.45]])
+    target = np.array([0.5, 0.3, -2.0])
+    with pytest.raises(CenterOnWrongSide):
+        reaction_le_from_charges(one, slab, 1, 1, 1, 1, target, 4)
+    center = polarization_source(slab, 1, 1, 1, 1, one.positions[0])
+    exp = reaction_me_from_charges(one, slab, 1, 1, 1, 1, center, 4)
+    with pytest.raises(CenterOnWrongSide):
+        m2l_reaction(exp, slab, target, 4)
+
+
 def test_reaction_le_bound(slab):
     rng = np.random.default_rng(11)
     sys_, _ = _slab_cloud(rng, slab)

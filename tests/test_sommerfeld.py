@@ -8,7 +8,6 @@ from scipy import special
 from layerfmm import (
     ChargeSystem,
     ReactionDensity,
-    RadialIntegralSpec,
     bessel_j,
     cagniard_identity_check,
     eval_me_basis,
@@ -16,7 +15,6 @@ from layerfmm import (
     eval_reaction_le_coeff,
     eval_reaction_m2l_entry,
     polarization_source,
-    radial_integral,
     sqrt_branch,
 )
 from layerfmm import sommerfeld
@@ -68,6 +66,12 @@ def test_bessel_against_mpmath():
         assert abs(got - ref) <= 1e-13 * max(abs(ref), 1e-3)
 
 
+def _single(m, n, rho, zeta, density, tol):
+    """One radial integral I(n, m) as a 1x1 table, absolute tolerance."""
+    values, _, _ = radial_table(density, rho, zeta, [n], [m], np.array([[tol]]))
+    return complex(values[0, 0])
+
+
 def test_radial_integral_lipschitz_closed_forms():
     """sigma == 1 reduces to classical Lipschitz integrals."""
     rho, zeta = 1.3, 0.7
@@ -79,8 +83,8 @@ def test_radial_integral_lipschitz_closed_forms():
         (1, 0): (1.0 - zeta / math.sqrt(r2)) / rho,
     }
     for (m, n), exact in cases.items():
-        spec = RadialIntegralSpec(m, n, rho, zeta, ConstantDensity())
-        assert radial_integral(spec, 1e-12).real == pytest.approx(exact, abs=1e-11)
+        got = _single(m, n, rho, zeta, ConstantDensity(), 1e-12)
+        assert got.real == pytest.approx(exact, abs=1e-11)
 
 
 def test_radial_integral_brute_force_cross_check():
@@ -88,26 +92,24 @@ def test_radial_integral_brute_force_cross_check():
     rho, zeta = 0.9, 1.1
     k = np.linspace(0.0, 400.0, 2_000_001)
     brute = np.trapezoid(bessel_j(1, k * rho) * np.exp(-k * zeta) * k, k)
-    spec = RadialIntegralSpec(1, 1, rho, zeta, ConstantDensity())
-    assert radial_integral(spec, 1e-12).real == pytest.approx(brute, abs=1e-9)
+    got = _single(1, 1, rho, zeta, ConstantDensity(), 1e-12)
+    assert got.real == pytest.approx(brute, abs=1e-9)
 
 
 def test_radial_integral_linearity():
-    spec1 = RadialIntegralSpec(2, 3, 0.8, 1.4, ConstantDensity(1.0))
-    spec2 = RadialIntegralSpec(2, 3, 0.8, 1.4, ConstantDensity(2.0))
-    v1 = radial_integral(spec1, 1e-12)
-    v2 = radial_integral(spec2, 1e-12)
+    v1 = _single(2, 3, 0.8, 1.4, ConstantDensity(1.0), 1e-12)
+    v2 = _single(2, 3, 0.8, 1.4, ConstantDensity(2.0), 1e-12)
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
 def test_radial_integral_validation():
-    with pytest.raises(DomainError):
-        RadialIntegralSpec(0, 0, 1.0, 0.0, ConstantDensity())
-    with pytest.raises(DomainError):
-        RadialIntegralSpec(0, -1, 1.0, 1.0, ConstantDensity())
-    spec = RadialIntegralSpec(0, 0, 1.0, 1.0, ConstantDensity())
-    with pytest.raises(ValueError):
-        radial_integral(spec, 1e-14)
+    """zeta = 0, a negative power, a negative order and a negative rho
+    are each outside the domain of radial_table."""
+    dens = ConstantDensity()
+    for m, n, rho, zeta in [(0, 0, 1.0, 0.0), (0, -1, 1.0, 1.0),
+                            (-1, 0, 1.0, 1.0), (0, 0, -1.0, 1.0)]:
+        with pytest.raises(DomainError):
+            _single(m, n, rho, zeta, dens, 1e-12)
 
 
 def test_radial_table_budget_exhaustion():
