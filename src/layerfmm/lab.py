@@ -408,12 +408,18 @@ def _reaction_me(config):
     if r_min <= config.a_s:
         raise ValueError("targets must lie outside the polarization circumsphere")
     errs_all = np.zeros((config.p_max + 1, len(targets)))
-    quad_stats = {"panels": 0, "gl_calls": 0, "evals": 0, "bisections": 0}
+    quad_stats = {
+        "panels": 0, "gl_calls": 0, "nodes": 0, "evals": 0, "bisections": 0,
+        "tol_use": 0.0,
+    }
     for t, r in enumerate(targets):
         basis, stats = xp.reaction_basis_table(
             medium, config.component, config.p_max, r, pol_center, config.quad_tol
         )
-        quad_stats = {k: quad_stats[k] + stats.get(k, 0) for k in quad_stats}
+        quad_stats = {
+            k: max(v, stats[k]) if k == "tol_use" else v + stats[k]
+            for k, v in quad_stats.items()
+        }
         per_n = np.real((exp.coeff * basis).sum(axis=1))
         errs_all[:, t] = np.abs(np.cumsum(per_n) - oracle[t])
     msig = density_bound(medium, ell, ellprime, a, b)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,8 +178,11 @@ def test_cli_green_matches_library(tmp_path, two_layer):
         np.array([0.0, 0.0, 0.5]), 1e-10,
     )
     assert value == pytest.approx(lib, rel=1e-9)
-    for key in ("panels", "gl_calls", "evals"):
+    for key in ("panels", "gl_calls", "nodes", "evals", "tol_use"):
         assert f"{key} = " in res.output
+    fields = dict(re.findall(r"(\w+) = (\S+)", res.output))
+    assert int(fields["nodes"]) == 32 * int(fields["gl_calls"])
+    assert 0.0 < float(fields["tol_use"]) < 1.0
 
 
 def test_cli_me_free_space(tmp_path):

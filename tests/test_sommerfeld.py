@@ -17,8 +17,9 @@ from layerfmm import (
     polarization_source,
     sqrt_branch,
 )
-from layerfmm import sommerfeld
+from layerfmm import LayeredMedium, sommerfeld
 from layerfmm.errors import ComponentAbsent, DomainError, ToleranceNotMet
+from layerfmm.expansions import _reaction_table
 from layerfmm.sommerfeld import CAGNIARD_CATALOG, ConstantDensity, radial_table
 
 
@@ -64,6 +65,27 @@ def test_bessel_against_mpmath():
         ref = float(mpmath.besselj(m, x))
         got = bessel_j(m, x)
         assert abs(got - ref) <= 1e-13 * max(abs(ref), 1e-3)
+
+
+def test_bessel_orders_match_jv():
+    """The j0/j1 plus upward-recurrence kernel of radial_table agrees
+    with special.jv to 5e-14 absolute: at x = 0, on both sides of the
+    switch x = max(orders), and out to x = 1e5."""
+    base = np.concatenate([np.geomspace(1e-8, 1e5, 4001), np.linspace(0.0, 60.0, 601)])
+    cases = [np.arange(2 * p + 1) for p in range(13)]
+    cases += [np.array([0]), np.array([0, 3, 7]), np.array([7, 3])]
+    for orders in cases:
+        top = float(orders.max())
+        switch = [np.nextafter(top, 0.0), top, np.nextafter(top, np.inf),
+                  top * (1.0 - 1e-3), top * (1.0 + 1e-3)]
+        x = np.concatenate([[0.0], switch, base])
+        got = sommerfeld._bessel_orders(orders, x)
+        assert got.shape == (len(orders), len(x))
+        assert np.max(np.abs(got - special.jv(orders[:, None], x))) <= 5e-14
+    x = np.linspace(0.0, 300.0, 24 * 32).reshape(24, 32)
+    orders = np.arange(17)
+    got = sommerfeld._bessel_orders(orders, x)
+    assert np.max(np.abs(got - special.jv(orders[:, None, None], x))) <= 5e-14
 
 
 def _single(m, n, rho, zeta, density, tol):
@@ -238,9 +260,28 @@ def test_radial_table_stats_record():
     assert wide["capped"] and not near["capped"] and not zero["capped"]
     assert wide["panels"] == 512 + wide["bisections"]
     assert near["evals"] == math.ceil(near["panels"] / sommerfeld._BLOCK)
+    assert near["nodes"] == 32 * near["gl_calls"]
+    assert 0.0 < near["tol_use"] < 1.0 and 0.0 < wide["tol_use"] < 1.0
     assert zero == {
-        "panels": 0, "gl_calls": 0, "evals": 0, "bisections": 0, "capped": False
+        "panels": 0, "gl_calls": 0, "nodes": 0, "evals": 0, "bisections": 0,
+        "tol_use": 0.0, "capped": False,
     }
+
+
+def test_radial_table_work_counts_and_repeat():
+    """The 17 x 17 M2L table of the p = 8 reaction operators at
+    rho/zeta = 20, zeta = 0.5: panels, rules and density sweeps are
+    pinned (changes to the integrand kernel must not move them), and two
+    identical calls agree bit for bit."""
+    stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
+    v = np.array([10.0, 0.0, 0.5])
+    table, _, stats = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
+    again, _, _ = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
+    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (512, 1536, 64)
+    assert stats["nodes"] == 49152
+    assert stats["bisections"] == 0 and stats["capped"]
+    assert 0.0 < stats["tol_use"] < 1.0
+    assert np.array_equal(table, again)
 
 
 def test_tail_truncation_insensitivity(two_layer, monkeypatch):
