@@ -19,10 +19,14 @@ import numpy as np
 
 from . import expansions as xp
 from .densities import density_bound, reaction_densities
-from .errors import ComponentAbsent
-from .lab import ExperimentConfig, run_experiment, run_property_suite
+from .lab import (
+    ExperimentConfig,
+    _reaction_oracle,
+    run_experiment,
+    run_property_suite,
+)
 from .medium import LayeredMedium, polarization_source
-from .sommerfeld import _reaction_green, eval_reaction_green
+from .sommerfeld import _reaction_green
 
 
 def _parse_vec(text):
@@ -121,23 +125,12 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
         targets = np.asarray(json.load(fh)["targets"], dtype=float)
     center = _parse_vec(center)
     comp = _parse_component(component)
-    lines = ["x,y,z,expansion,oracle,abs_error,bound"]
-
     if comp is None:
         system = xp.ChargeSystem.free_space(q, pos)
         exp = xp.me_from_charges(system, center, order)
-        qq = system.total_abs_charge
-        for r in targets:
-            val = xp.eval_expansion(exp, r)
-            ora = xp.direct_potential(system, r)
-            rr = float(np.linalg.norm(r - center))
-            bound = qq / (4 * math.pi * (rr - exp.radius)) * (exp.radius / rr) ** (
-                order + 1
-            )
-            lines.append(
-                f"{r[0]:.16e},{r[1]:.16e},{r[2]:.16e},"
-                f"{val:.16e},{ora:.16e},{abs(val - ora):.16e},{bound:.16e}"
-            )
+        msig = 1.0
+        values = [xp.eval_expansion(exp, r) for r in targets]
+        oracle = [xp.direct_potential(system, r) for r in targets]
     else:
         if medium_path is None:
             raise click.UsageError("reaction components need --medium")
@@ -146,30 +139,30 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
         system = xp.ChargeSystem.in_medium(medium, q, pos)
         ellprime = int(system.layers[0])
         ell = medium.layer_of(targets[0][2])
+        if any(medium.layer_of(r[2]) != ell for r in targets):
+            raise click.UsageError(f"every target must lie in layer {ell}")
         pol_center = polarization_source(medium, a, b, ell, ellprime, center)
         exp = xp.reaction_me_from_charges(
             system, medium, a, b, ell, ellprime, pol_center, order
         )
         msig = density_bound(medium, ell, ellprime, a, b)
-        qq = system.total_abs_charge
-        for r in targets:
-            val = xp.eval_reaction_me(exp, medium, r, tol)
-            try:
-                ora = sum(
-                    qj * eval_reaction_green(medium, a, b, ell, ellprime, r, pj)
-                    for qj, pj in zip(system.q, system.positions)
-                )
-            except ComponentAbsent:
-                ora = 0.0
-            rr = float(np.linalg.norm(r - pol_center))
-            bound = (
-                qq * msig / (4 * math.pi * (rr - exp.radius))
-                * (exp.radius / rr) ** (order + 1)
-            )
-            lines.append(
-                f"{r[0]:.16e},{r[1]:.16e},{r[2]:.16e},"
-                f"{val:.16e},{ora:.16e},{abs(val - ora):.16e},{bound:.16e}"
-            )
+        values = [xp.eval_reaction_me(exp, medium, r, tol) for r in targets]
+        # the oracle keeps eval_reaction_green's default absolute tolerance
+        oracle = _reaction_oracle(
+            medium, (a, b, ell, ellprime), system, targets, 1e-10
+        )
+    qq = system.total_abs_charge
+    lines = ["x,y,z,expansion,oracle,abs_error,bound"]
+    for r, val, ora in zip(targets, values, oracle):
+        rr = float(np.linalg.norm(r - exp.center))
+        bound = (
+            qq * msig / (4 * math.pi * (rr - exp.radius))
+            * (exp.radius / rr) ** (order + 1)
+        )
+        lines.append(
+            f"{r[0]:.16e},{r[1]:.16e},{r[2]:.16e},"
+            f"{val:.16e},{ora:.16e},{abs(val - ora):.16e},{bound:.16e}"
+        )
     text = "\n".join(lines) + "\n"
     if out == "-":
         click.echo(text, nl=False)

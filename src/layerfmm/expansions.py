@@ -73,7 +73,6 @@ class ChargeSystem:
     positions: np.ndarray
     layers: np.ndarray
     source_box: Box | None = None
-    target_box: Box | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(-1))
@@ -220,9 +219,7 @@ def le_from_charges(system, center, p, radius=None):
     rel = system.positions - center
     dist = np.linalg.norm(rel, axis=1)
     if radius is None:
-        radius = system.target_box.radius if system.target_box else float(
-            dist.min(initial=np.inf)
-        )
+        radius = float(dist.min(initial=np.inf))
     if np.any(dist < radius * (1 - 1e-12)):
         raise ChargeInsideBox(
             f"charge at distance {dist.min():.6g} inside target radius {radius:.6g}"

@@ -2,6 +2,14 @@
 brute-force oracles, check the theoretical bounds row by row, and fit the
 observed geometric decay rates.
 
+`run_experiment` dispatches on config.kind through `_BUILDERS`; the
+property-suite kinds are entries there as well.  A convergence builder
+places charges and targets, computes its errors[p] against an oracle
+that shares no code with the operator, and ends in `_geometric`: the
+bound Q M_sigma / D (inner/outer)^(p+1) at rate log(outer/inner), with
+M_sigma = 1 in free space, judged by `_verdict`, the one place that sets
+the noise floors, the row verdicts and the run metadata.
+
 Reports are deterministic: fixed seeds, quasi-uniform Fibonacci-sphere
 target sets, fixed reduction order, and fixed float formatting, so two
 runs with the same config produce byte-identical CSV/JSON.
@@ -56,6 +64,8 @@ class ExperimentConfig:
       reaction_*   charges in layer l' at source_center (radius a_s);
                    target_center/target_spread (and a_t, c for LE/M2L)
                    place the evaluation cloud in layer l
+      density_props, cagniard, addition_theorems
+                   run that property suite; no geometry
     """
 
     kind: str
@@ -75,22 +85,8 @@ class ExperimentConfig:
     medium: LayeredMedium | None = None
     component: tuple | None = None
 
-    KINDS = (
-        "me",
-        "le",
-        "m2m",
-        "l2l",
-        "m2l",
-        "reaction_me",
-        "reaction_le",
-        "reaction_m2l",
-        "density_props",
-        "cagniard",
-        "addition_theorems",
-    )
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in _BUILDERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.kind.endswith("m2l") and self.c <= 1.0:
             raise ValueError("m2l experiments need separation factor c > 1")
@@ -207,364 +203,59 @@ def fit_decay_rate(ps, errors, floor):
     return float(-slope)
 
 
-def _me_sweep_errors(exp, targets, oracle):
-    """Per-p max error of free-space multipole/local partial sums."""
-    errs = np.zeros((exp.p + 1, len(targets)))
+def _box_charges(config, layer=None):
+    """Charges in the ball of radius a_s at source_center (the system's
+    source_box), inside `layer` of the config's medium when one is given."""
+    box = xp.Box(np.asarray(config.source_center), config.a_s)
+    return generate_charges(config.seed, config.n_charges, box, config.medium, layer)
+
+
+def _shell_charges(config, rng, center, radius, widen):
+    """Charges at uniform directions about `center` with radii uniform in
+    [radius, widen * radius) and q uniform in [-1, 1], drawn from rng in
+    that order."""
+    direc = rng.normal(size=(config.n_charges, 3))
+    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+    radii = radius * rng.uniform(1.0, widen, config.n_charges)
+    positions = center + direc * radii[:, None]
+    return xp.ChargeSystem.free_space(
+        rng.uniform(-1.0, 1.0, config.n_charges), positions
+    )
+
+
+def _free_targets(config, system, center, radius):
+    """Targets on the sphere of `radius` about `center` and the direct
+    free-space potential there."""
+    targets = center + radius * fibonacci_sphere(config.n_targets)
+    return targets, np.array([xp.direct_potential(system, r) for r in targets])
+
+
+def _degree_terms(exp, targets):
+    """terms[t, n]: the degree-n part of a free-space multipole or local
+    expansion at each target."""
     ns = np.arange(exp.p + 1)
+    terms = np.zeros((len(targets), exp.p + 1))
     for t, r in enumerate(targets):
-        v = r - exp.center
-        rr, theta, phi = cartesian_to_spherical(v)
+        rr, theta, phi = cartesian_to_spherical(r - exp.center)
         ytab = sph_harm_table(exp.p, theta, phi)
         if exp.kind == "multipole":
             radial = rr ** (-ns - 1.0)
         else:
             radial = rr ** ns.astype(float)
-        per_n = np.real((exp.coeff * ytab).sum(axis=1) * radial)
-        partial = np.cumsum(per_n)
-        errs[:, t] = np.abs(partial - oracle[t])
-    return errs.max(axis=1)
+        terms[t] = np.real((exp.coeff * ytab).sum(axis=1) * radial)
+    return terms
 
 
-def _free_me(config):
-    box = xp.Box(np.asarray(config.source_center), config.a_s)
-    system = generate_charges(config.seed, config.n_charges, box)
-    exp = xp.me_from_charges(system, box.center, config.p_max)
-    targets = box.center + config.eval_radius * fibonacci_sphere(config.n_targets)
-    oracle = np.array([xp.direct_potential(system, r) for r in targets])
-    errors = _me_sweep_errors(exp, targets, oracle)
-    q = system.total_abs_charge
-    ps = list(range(config.p_min, config.p_max + 1))
-    errs = [float(errors[p]) for p in ps]
-    bounds = [
-        q / (4 * math.pi * (config.eval_radius - config.a_s))
-        * (config.a_s / config.eval_radius) ** (p + 1)
-        for p in ps
-    ]
-    meta = {
-        "Q": q,
-        "r_eval": config.eval_radius,
-        "a_s": config.a_s,
-        "oracle_scale": float(np.abs(oracle).max()),
-    }
-    return ps, errs, bounds, math.log(config.eval_radius / config.a_s), meta
+def _partial_sum_errors(terms, oracle):
+    """errors[p] = max over targets of |sum_{n <= p} terms[t, n] - oracle[t]|."""
+    return np.abs(np.cumsum(terms, axis=1) - oracle[:, None]).max(axis=0)
 
 
-def _free_le(config):
-    center = np.asarray(config.source_center, dtype=float)
-    rng = np.random.default_rng(config.seed)
-    direc = rng.normal(size=(config.n_charges, 3))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    radii = config.eval_radius * config.a_t * rng.uniform(1.0, 1.5, config.n_charges)
-    positions = center + direc * radii[:, None]
-    q = rng.uniform(-1.0, 1.0, config.n_charges)
-    system = xp.ChargeSystem.free_space(q, positions)
-    exp = xp.le_from_charges(system, center, config.p_max, radius=config.a_t)
-    r_t = 0.5 * config.a_t
-    targets = center + r_t * fibonacci_sphere(config.n_targets)
-    oracle = np.array([xp.direct_potential(system, r) for r in targets])
-    errors = _me_sweep_errors(exp, targets, oracle)
-    qq = system.total_abs_charge
-    ps = list(range(config.p_min, config.p_max + 1))
-    errs = [float(errors[p]) for p in ps]
-    bounds = [
-        qq / (4 * math.pi * (config.a_t - r_t)) * (r_t / config.a_t) ** (p + 1)
-        for p in ps
-    ]
-    meta = {
-        "Q": qq,
-        "r_t": r_t,
-        "a_t": config.a_t,
-        "oracle_scale": float(np.abs(oracle).max()),
-    }
-    return ps, errs, bounds, math.log(config.a_t / r_t), meta
-
-
-def _free_m2m(config):
-    box = xp.Box(np.asarray(config.source_center), config.a_s)
-    system = generate_charges(config.seed, config.n_charges, box)
-    exp = xp.me_from_charges(system, box.center, config.p_max)
-    r_ss = 0.5 * config.a_s
-    new_center = box.center - r_ss * _SKEW
-    shifted = xp.m2m(exp, new_center)
-    recomputed = xp.me_from_charges(
-        system, new_center, config.p_max, radius=config.a_s + r_ss
-    )
-    delta = np.abs(shifted.coeff - recomputed.coeff).max()
-    scale = np.abs(recomputed.coeff).max()
-    targets = new_center + config.eval_radius * fibonacci_sphere(config.n_targets)
-    oracle = np.array([xp.direct_potential(system, r) for r in targets])
-    errors = _me_sweep_errors(shifted, targets, oracle)
-    q = system.total_abs_charge
-    a_eff = config.a_s + r_ss
-    ps = list(range(config.p_min, config.p_max + 1))
-    errs = [float(errors[p]) for p in ps]
-    bounds = [
-        q
-        / (4 * math.pi * (config.eval_radius - a_eff))
-        * (a_eff / config.eval_radius) ** (p + 1)
-        for p in ps
-    ]
-    meta = {
-        "Q": q,
-        "shift": r_ss,
-        "recompute_rel_agreement": float(delta / scale),
-        "oracle_scale": float(np.abs(oracle).max()),
-    }
-    return ps, errs, bounds, math.log(config.eval_radius / a_eff), meta
-
-
-def _free_l2l(config):
-    center = np.asarray(config.source_center, dtype=float)
-    rng = np.random.default_rng(config.seed)
-    direc = rng.normal(size=(config.n_charges, 3))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    radii = 2.5 * config.a_t * rng.uniform(1.0, 1.4, config.n_charges)
-    system = xp.ChargeSystem.free_space(
-        rng.uniform(-1.0, 1.0, config.n_charges), center + direc * radii[:, None]
-    )
-    new_center = center + 0.3 * config.a_t * _SKEW
-    pts = center + 0.45 * config.a_t * fibonacci_sphere(50) * rng.uniform(
-        0.3, 1.0, (50, 1)
-    )
-    ps = list(range(config.p_min, config.p_max + 1))
-    errs, scales = [], []
-    for p in ps:
-        exp = xp.le_from_charges(system, center, p, radius=config.a_t)
-        shifted = xp.l2l(exp, new_center)
-        vals = np.array([xp.eval_expansion(exp, x) for x in pts])
-        vals_sh = np.array([xp.eval_expansion(shifted, x) for x in pts])
-        errs.append(float(np.abs(vals - vals_sh).max()))
-        scales.append(float(np.abs(vals).max()))
-    bounds = [1e-12 * s for s in scales]
-    meta = {
-        "Q": system.total_abs_charge,
-        "pointwise_scale": scales[-1],
-        "oracle_scale": scales[-1],
-    }
-    return ps, errs, bounds, float("nan"), meta
-
-
-def _free_m2l(config):
-    box = xp.Box(np.asarray(config.source_center), config.a_s)
-    system = generate_charges(config.seed, config.n_charges, box)
-    exp = xp.me_from_charges(system, box.center, config.p_max)
-    sep = config.a_s + config.c * config.a_t
-    target_center = box.center + sep * _SKEW
-    r_t = 0.9 * config.a_t
-    targets = target_center + r_t * fibonacci_sphere(config.n_targets)
-    oracle = np.array([xp.direct_potential(system, r) for r in targets])
-    ps = list(range(config.p_min, config.p_max + 1))
-    errs = []
-    for p in ps:
-        loc = xp.m2l_free(xp.truncated(exp, p), target_center, p)
-        vals = np.array([xp.eval_expansion(loc, r) for r in targets])
-        errs.append(float(np.abs(vals - oracle).max()))
-    q = system.total_abs_charge
-    ratio = (config.a_s + config.a_t) / (config.a_s + config.c * config.a_t)
-    bounds = [
-        q / (4 * math.pi * (config.c - 1) * config.a_t) * ratio ** (p + 1) for p in ps
-    ]
-    meta = {
-        "Q": q,
-        "c": config.c,
-        "separation": sep,
-        "oracle_scale": float(np.abs(oracle).max()),
-    }
-    return ps, errs, bounds, -math.log(ratio), meta
-
-
-def _reaction_oracle(config, system, targets):
-    a, b, ell, ellprime = config.component
-    out = np.zeros(len(targets))
-    for t, r in enumerate(targets):
-        total = 0.0
-        for qj, pos in zip(system.q, system.positions):
-            total += qj * eval_reaction_green(
-                config.medium, a, b, ell, ellprime, r, pos,
-                tol=min(1e-10, config.quad_tol),
-            )
-        out[t] = total
-    return out
-
-
-def _reaction_me(config):
-    a, b, ell, ellprime = config.component
-    medium = config.medium
-    box = xp.Box(np.asarray(config.source_center), config.a_s)
-    system = generate_charges(config.seed, config.n_charges, box, medium, ellprime)
-    pol_center = polarization_source(
-        medium, a, b, ell, ellprime, box.center
-    )
-    exp = xp.reaction_me_from_charges(
-        system, medium, a, b, ell, ellprime, pol_center, config.p_max,
-        radius=config.a_s,
-    )
-    tc = np.asarray(config.target_center, dtype=float)
-    spread = config.target_spread
-    check_box_in_layer(medium, tc, max(spread, 1e-9), ell)
-    targets = tc + spread * fibonacci_sphere(config.n_targets)
-    oracle = _reaction_oracle(config, system, targets)
-    r_min = float(np.linalg.norm(targets - pol_center, axis=1).min())
-    if r_min <= config.a_s:
-        raise ValueError("targets must lie outside the polarization circumsphere")
-    errs_all = np.zeros((config.p_max + 1, len(targets)))
-    quad_stats = {
-        "panels": 0, "gl_calls": 0, "nodes": 0, "evals": 0, "bisections": 0,
-        "tol_use": 0.0,
-    }
-    for t, r in enumerate(targets):
-        basis, stats = xp.reaction_basis_table(
-            medium, config.component, config.p_max, r, pol_center, config.quad_tol
-        )
-        quad_stats = {
-            k: max(v, stats[k]) if k == "tol_use" else v + stats[k]
-            for k, v in quad_stats.items()
-        }
-        per_n = np.real((exp.coeff * basis).sum(axis=1))
-        errs_all[:, t] = np.abs(np.cumsum(per_n) - oracle[t])
-    msig = density_bound(medium, ell, ellprime, a, b)
-    q = system.total_abs_charge
-    ps = list(range(config.p_min, config.p_max + 1))
-    errs = [float(errs_all[p].max()) for p in ps]
-    bounds = [
-        q * msig / (4 * math.pi * (r_min - config.a_s))
-        * (config.a_s / r_min) ** (p + 1)
-        for p in ps
-    ]
-    meta = {
-        "Q": q,
-        "M_sigma": msig,
-        "r_min": r_min,
-        "a_s": config.a_s,
-        "oracle_scale": float(np.abs(oracle).max()),
-        "quadrature": quad_stats,
-    }
-    return ps, errs, bounds, math.log(r_min / config.a_s), meta
-
-
-def _reaction_le(config):
-    a, b, ell, ellprime = config.component
-    medium = config.medium
-    box = xp.Box(np.asarray(config.source_center), config.a_s)
-    system = generate_charges(config.seed, config.n_charges, box, medium, ellprime)
-    tc = np.asarray(config.target_center, dtype=float)
-    check_box_in_layer(medium, tc, config.a_t, ell)
-    exp = xp.reaction_le_from_charges(
-        system, medium, a, b, ell, ellprime, tc, config.p_max,
-        radius=config.a_t, rel_tol=config.quad_tol,
-    )
-    r_t = 0.6 * config.a_t
-    targets = tc + r_t * fibonacci_sphere(config.n_targets)
-    oracle = _reaction_oracle(config, system, targets)
-    errors = _me_sweep_errors(exp, targets, oracle)
-    msig = density_bound(medium, ell, ellprime, a, b)
-    q = system.total_abs_charge
-    ps = list(range(config.p_min, config.p_max + 1))
-    errs = [float(errors[p]) for p in ps]
-    bounds = [
-        q * msig / (4 * math.pi * (config.a_t - r_t)) * (r_t / config.a_t) ** (p + 1)
-        for p in ps
-    ]
-    meta = {
-        "Q": q,
-        "M_sigma": msig,
-        "r_t": r_t,
-        "a_t": config.a_t,
-        "oracle_scale": float(np.abs(oracle).max()),
-    }
-    return ps, errs, bounds, math.log(config.a_t / r_t), meta
-
-
-def _reaction_m2l(config):
-    a, b, ell, ellprime = config.component
-    medium = config.medium
-    box = xp.Box(np.asarray(config.source_center), config.a_s)
-    system = generate_charges(config.seed, config.n_charges, box, medium, ellprime)
-    pol_center = polarization_source(medium, a, b, ell, ellprime, box.center)
-    exp = xp.reaction_me_from_charges(
-        system, medium, a, b, ell, ellprime, pol_center, config.p_max,
-        radius=config.a_s,
-    )
-    tc = np.asarray(config.target_center, dtype=float)
-    check_box_in_layer(medium, tc, config.a_t, ell)
-    sep = float(np.linalg.norm(tc - pol_center))
-    c_eff = (sep - config.a_s) / config.a_t
-    if c_eff <= 1.0:
-        raise ValueError(f"boxes not well separated: effective c = {c_eff:.3f}")
-    r_t = 0.9 * config.a_t
-    targets = tc + r_t * fibonacci_sphere(config.n_targets)
-    oracle = _reaction_oracle(config, system, targets)
-
-    tmat, quad_stats = xp.reaction_m2l_matrix(
-        exp, medium, tc, config.p_max, config.quad_tol
-    )
-    # group the operator by source degree nu so every rectangular
-    # truncation (n <= p, nu <= p) is a partial double sum
-    pm = config.p_max
-    ns, ms = xp._packed_indices(pm)
-    flat_m = xp._pack(exp.coeff, pm)
-    local_by_nu = np.zeros((pm + 1, pm + 1, 2 * pm + 1), dtype=complex)
-    contrib = tmat * flat_m[None, :]
-    for j, nu_j in enumerate(ns):
-        local_by_nu[nu_j][ns, ms + pm] += contrib[:, j]
-
-    errs_all = np.zeros((pm + 1, len(targets)))
-    nsr = np.arange(pm + 1)
-    for t, r in enumerate(targets):
-        v = r - tc
-        rr, theta, phi = cartesian_to_spherical(v)
-        ytab = sph_harm_table(pm, theta, phi)
-        radial = rr ** nsr.astype(float)
-        # term[nu, n] = Re sum_m local_by_nu[nu][n,m] Y r^n
-        term = np.real(
-            np.einsum("unm,nm,n->un", local_by_nu, ytab, radial)
-        )
-        grid = np.cumsum(np.cumsum(term, axis=0), axis=1)
-        errs_all[:, t] = np.abs(np.diag(grid) - oracle[t])
-    msig = density_bound(medium, ell, ellprime, a, b)
-    q = system.total_abs_charge
-    ps = list(range(config.p_min, config.p_max + 1))
-    errs = [float(errs_all[p].max()) for p in ps]
-    ratio = (config.a_s + config.a_t) / (config.a_s + c_eff * config.a_t)
-    bounds = [
-        q * msig / (2 * math.pi * (c_eff - 1) * config.a_t) * ratio ** (p + 1)
-        for p in ps
-    ]
-    meta = {
-        "Q": q,
-        "M_sigma": msig,
-        "c_eff": c_eff,
-        "separation": sep,
-        "oracle_scale": float(np.abs(oracle).max()),
-        "quadrature": quad_stats,
-    }
-    return ps, errs, bounds, -math.log(ratio), meta
-
-
-_BUILDERS = {
-    "me": _free_me,
-    "le": _free_le,
-    "m2m": _free_m2m,
-    "l2l": _free_l2l,
-    "m2l": _free_m2l,
-    "reaction_me": _reaction_me,
-    "reaction_le": _reaction_le,
-    "reaction_m2l": _reaction_m2l,
-}
-
-
-def run_experiment(config):
-    """Execute a convergence experiment and assemble its report."""
-    if config.kind in ("density_props", "cagniard", "addition_theorems"):
-        summary = run_property_suite(config.kind)
-        passed = all(entry["passed"] for entry in summary.values())
-        return ConvergenceReport(
-            config.kind, [], [], [], float("nan"), float("nan"), passed,
-            metadata={"suite": summary},
-        )
-    ps, errs, bounds, rate_theory, meta = _BUILDERS[config.kind](config)
-    scale = max(meta.get("Q", 1.0), 1.0)
-    oracle_scale = meta.get("oracle_scale", 1.0)
+def _verdict(config, ps, errs, bounds, rate_theory, meta):
+    """Judge error rows against their bounds and assemble the report: the
+    noise floors, the row verdicts, the rate fit and the run metadata."""
+    scale = max(meta["Q"], 1.0)
+    oracle_scale = meta["oracle_scale"]
     eps = float(np.finfo(float).eps)
     # fit_floor: where geometric decay drowns in evaluation noise (rate
     # fits exclude rows below it); eps_floor: the smallest error the
@@ -599,6 +290,287 @@ def run_experiment(config):
         config.kind, ps, errs, bounds, rate_fit, rate_theory, passed,
         degenerate=degenerate, metadata=meta, passed_rows=passed_rows,
     )
+
+
+def _geometric(config, errors, system, oracle, denom, inner, outer, meta,
+               msig=1.0):
+    """Certify the paper's bound shape, errors[p] <= Q M_sigma / denom *
+    (inner / outer)^(p+1) for p_min <= p <= p_max, at the rate
+    log(outer / inner); M_sigma is 1 in free space and is recorded for
+    the reaction kinds."""
+    q = system.total_abs_charge
+    ps = list(range(config.p_min, config.p_max + 1))
+    meta.update({"Q": q, "oracle_scale": float(np.abs(oracle).max())})
+    if config.kind.startswith("reaction"):
+        meta["M_sigma"] = msig
+    bounds = [q * msig / denom * (inner / outer) ** (p + 1) for p in ps]
+    errs = [float(errors[p]) for p in ps]
+    return _verdict(config, ps, errs, bounds, math.log(outer / inner), meta)
+
+
+def _free_me(config):
+    system = _box_charges(config)
+    center = system.source_box.center
+    exp = xp.me_from_charges(system, center, config.p_max)
+    r = config.eval_radius
+    targets, oracle = _free_targets(config, system, center, r)
+    errors = _partial_sum_errors(_degree_terms(exp, targets), oracle)
+    return _geometric(
+        config, errors, system, oracle, 4 * math.pi * (r - config.a_s),
+        config.a_s, r, {"r_eval": r, "a_s": config.a_s},
+    )
+
+
+def _free_le(config):
+    center = np.asarray(config.source_center, dtype=float)
+    system = _shell_charges(
+        config, np.random.default_rng(config.seed), center,
+        config.eval_radius * config.a_t, 1.5,
+    )
+    exp = xp.le_from_charges(system, center, config.p_max, radius=config.a_t)
+    r_t = 0.5 * config.a_t
+    targets, oracle = _free_targets(config, system, center, r_t)
+    errors = _partial_sum_errors(_degree_terms(exp, targets), oracle)
+    return _geometric(
+        config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t),
+        r_t, config.a_t, {"r_t": r_t, "a_t": config.a_t},
+    )
+
+
+def _free_m2m(config):
+    system = _box_charges(config)
+    center = system.source_box.center
+    r_ss = 0.5 * config.a_s
+    a_eff = config.a_s + r_ss
+    new_center = center - r_ss * _SKEW
+    shifted = xp.m2m(xp.me_from_charges(system, center, config.p_max), new_center)
+    recomputed = xp.me_from_charges(system, new_center, config.p_max, radius=a_eff)
+    delta = np.abs(shifted.coeff - recomputed.coeff).max()
+    scale = np.abs(recomputed.coeff).max()
+    r = config.eval_radius
+    targets, oracle = _free_targets(config, system, new_center, r)
+    errors = _partial_sum_errors(_degree_terms(shifted, targets), oracle)
+    return _geometric(
+        config, errors, system, oracle, 4 * math.pi * (r - a_eff), a_eff, r,
+        {"shift": r_ss, "recompute_rel_agreement": float(delta / scale)},
+    )
+
+
+def _free_l2l(config):
+    center = np.asarray(config.source_center, dtype=float)
+    rng = np.random.default_rng(config.seed)
+    system = _shell_charges(config, rng, center, 2.5 * config.a_t, 1.4)
+    new_center = center + 0.3 * config.a_t * _SKEW
+    pts = center + 0.45 * config.a_t * fibonacci_sphere(50) * rng.uniform(
+        0.3, 1.0, (50, 1)
+    )
+    ps = list(range(config.p_min, config.p_max + 1))
+    errs, scales = [], []
+    for p in ps:
+        exp = xp.le_from_charges(system, center, p, radius=config.a_t)
+        shifted = xp.l2l(exp, new_center)
+        vals = np.array([xp.eval_expansion(exp, x) for x in pts])
+        vals_sh = np.array([xp.eval_expansion(shifted, x) for x in pts])
+        errs.append(float(np.abs(vals - vals_sh).max()))
+        scales.append(float(np.abs(vals).max()))
+    meta = {
+        "Q": system.total_abs_charge,
+        "pointwise_scale": scales[-1],
+        "oracle_scale": scales[-1],
+    }
+    return _verdict(
+        config, ps, errs, [1e-12 * s for s in scales], float("nan"), meta
+    )
+
+
+def _free_m2l(config):
+    system = _box_charges(config)
+    center = system.source_box.center
+    exp = xp.me_from_charges(system, center, config.p_max)
+    sep = config.a_s + config.c * config.a_t
+    target_center = center + sep * _SKEW
+    targets, oracle = _free_targets(config, system, target_center, 0.9 * config.a_t)
+    errors = np.zeros(config.p_max + 1)
+    for p in range(config.p_min, config.p_max + 1):
+        loc = xp.m2l_free(xp.truncated(exp, p), target_center, p)
+        vals = np.array([xp.eval_expansion(loc, r) for r in targets])
+        errors[p] = np.abs(vals - oracle).max()
+    return _geometric(
+        config, errors, system, oracle, 4 * math.pi * (config.c - 1) * config.a_t,
+        config.a_s + config.a_t, sep, {"c": config.c, "separation": sep},
+    )
+
+
+def _reaction_oracle(medium, component, system, targets, tol):
+    """Reaction potential of the charges at each target, one
+    eval_reaction_green call per (target, charge) pair."""
+    out = np.zeros(len(targets))
+    for t, r in enumerate(targets):
+        total = 0.0
+        for qj, pos in zip(system.q, system.positions):
+            total += qj * eval_reaction_green(medium, *component, r, pos, tol=tol)
+        out[t] = total
+    return out
+
+
+def _reaction_setup(config, box_radius, cloud_radius, expand):
+    """Set-up shared by the reaction kinds.  Charges fill the ball of
+    radius a_s at source_center in layer l'; the box of radius box_radius
+    at target_center must lie in layer l, and the targets sit on the
+    sphere of radius cloud_radius about it.  expand(system, pol_center,
+    center, targets) builds the operator under test and raises the kind's
+    own geometry errors; it runs before the oracle, so a bad geometry
+    fails before the costly part.  Returns (system, targets, what expand
+    returned, oracle values, M_sigma)."""
+    medium = config.medium
+    a, b, ell, ellprime = config.component
+    system = _box_charges(config, ellprime)
+    pol_center = polarization_source(
+        medium, a, b, ell, ellprime, system.source_box.center
+    )
+    center = np.asarray(config.target_center, dtype=float)
+    check_box_in_layer(medium, center, box_radius, ell)
+    targets = center + cloud_radius * fibonacci_sphere(config.n_targets)
+    built = expand(system, pol_center, center, targets)
+    oracle = _reaction_oracle(
+        medium, config.component, system, targets, min(1e-10, config.quad_tol)
+    )
+    return system, targets, built, oracle, density_bound(medium, ell, ellprime, a, b)
+
+
+def _reaction_multipole(config, system, pol_center):
+    return xp.reaction_me_from_charges(
+        system, config.medium, *config.component, pol_center, config.p_max,
+        radius=config.a_s,
+    )
+
+
+def _sum_stats(records):
+    """Quadrature counters summed over tables, with the largest tol_use."""
+    keys = ("panels", "gl_calls", "nodes", "evals", "bisections")
+    out = {k: sum(rec[k] for rec in records) for k in keys}
+    out["tol_use"] = max([0.0] + [rec["tol_use"] for rec in records])
+    return out
+
+
+def _reaction_me(config):
+    def expand(system, pol_center, center, targets):
+        exp = _reaction_multipole(config, system, pol_center)
+        r_min = float(np.linalg.norm(targets - pol_center, axis=1).min())
+        if r_min <= config.a_s:
+            raise ValueError("targets must lie outside the polarization circumsphere")
+        return exp, r_min
+
+    spread = config.target_spread
+    system, targets, (exp, r_min), oracle, msig = _reaction_setup(
+        config, max(spread, 1e-9), spread, expand
+    )
+    terms, records = np.zeros((len(targets), config.p_max + 1)), []
+    for t, r in enumerate(targets):
+        basis, stats = xp.reaction_basis_table(
+            config.medium, config.component, config.p_max, r, exp.center,
+            config.quad_tol,
+        )
+        records.append(stats)
+        terms[t] = np.real((exp.coeff * basis).sum(axis=1))
+    meta = {"r_min": r_min, "a_s": config.a_s, "quadrature": _sum_stats(records)}
+    return _geometric(
+        config, _partial_sum_errors(terms, oracle), system, oracle,
+        4 * math.pi * (r_min - config.a_s), config.a_s, r_min, meta, msig,
+    )
+
+
+def _reaction_le(config):
+    r_t = 0.6 * config.a_t
+
+    def expand(system, pol_center, center, targets):
+        return xp.reaction_le_from_charges(
+            system, config.medium, *config.component, center, config.p_max,
+            radius=config.a_t, rel_tol=config.quad_tol,
+        )
+
+    system, targets, exp, oracle, msig = _reaction_setup(
+        config, config.a_t, r_t, expand
+    )
+    errors = _partial_sum_errors(_degree_terms(exp, targets), oracle)
+    return _geometric(
+        config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t), r_t,
+        config.a_t, {"r_t": r_t, "a_t": config.a_t}, msig,
+    )
+
+
+def _reaction_m2l(config):
+    def expand(system, pol_center, center, targets):
+        exp = _reaction_multipole(config, system, pol_center)
+        sep = float(np.linalg.norm(center - pol_center))
+        c_eff = (sep - config.a_s) / config.a_t
+        if c_eff <= 1.0:
+            raise ValueError(f"boxes not well separated: effective c = {c_eff:.3f}")
+        return exp, center, sep, c_eff
+
+    system, targets, (exp, tc, sep, c_eff), oracle, msig = _reaction_setup(
+        config, config.a_t, 0.9 * config.a_t, expand
+    )
+    pm = config.p_max
+    tmat, quad_stats = xp.reaction_m2l_matrix(
+        exp, config.medium, tc, pm, config.quad_tol
+    )
+    # group the operator by source degree nu so every rectangular
+    # truncation (n <= p, nu <= p) is a partial double sum
+    ns, ms = xp._packed_indices(pm)
+    flat_m = xp._pack(exp.coeff, pm)
+    local_by_nu = np.zeros((pm + 1, pm + 1, 2 * pm + 1), dtype=complex)
+    contrib = tmat * flat_m[None, :]
+    for j, nu_j in enumerate(ns):
+        local_by_nu[nu_j][ns, ms + pm] += contrib[:, j]
+
+    errs_all = np.zeros((pm + 1, len(targets)))
+    nsr = np.arange(pm + 1)
+    for t, r in enumerate(targets):
+        rr, theta, phi = cartesian_to_spherical(r - tc)
+        ytab = sph_harm_table(pm, theta, phi)
+        radial = rr ** nsr.astype(float)
+        # term[nu, n] = Re sum_m local_by_nu[nu][n,m] Y r^n
+        term = np.real(
+            np.einsum("unm,nm,n->un", local_by_nu, ytab, radial)
+        )
+        grid = np.cumsum(np.cumsum(term, axis=0), axis=1)
+        errs_all[:, t] = np.abs(np.diag(grid) - oracle[t])
+    meta = {"c_eff": c_eff, "separation": sep, "quadrature": quad_stats}
+    return _geometric(
+        config, errs_all.max(axis=1), system, oracle,
+        2 * math.pi * (c_eff - 1) * config.a_t, config.a_s + config.a_t,
+        config.a_s + c_eff * config.a_t, meta, msig,
+    )
+
+
+def _suite(config):
+    summary = run_property_suite(config.kind)
+    passed = all(entry["passed"] for entry in summary.values())
+    return ConvergenceReport(
+        config.kind, [], [], [], float("nan"), float("nan"), passed,
+        metadata={"suite": summary},
+    )
+
+
+_BUILDERS = {
+    "me": _free_me,
+    "le": _free_le,
+    "m2m": _free_m2m,
+    "l2l": _free_l2l,
+    "m2l": _free_m2l,
+    "reaction_me": _reaction_me,
+    "reaction_le": _reaction_le,
+    "reaction_m2l": _reaction_m2l,
+    "density_props": _suite,
+    "cagniard": _suite,
+    "addition_theorems": _suite,
+}
+
+
+def run_experiment(config):
+    """Execute the experiment of config.kind and return its report."""
+    return _BUILDERS[config.kind](config)
 
 
 # ---------------------------------------------------------------------------

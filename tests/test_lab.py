@@ -74,9 +74,37 @@ def test_me_experiment_report():
     assert report.metadata["seed"] == 0
 
 
-def test_report_byte_identical():
-    cfg = ExperimentConfig(kind="m2l", p_min=1, p_max=8, n_charges=10, seed=5,
-                           c=2.0, n_targets=16)
+SLAB = LayeredMedium([0.0, -1.0], [1.0, 1.0, 1.0], [1.0, 3.0, 8.0])
+#: one small config per convergence kind; reaction geometry as in the
+#: acceptance criteria 7 and 8
+SMALL = {
+    "me": dict(p_max=6, n_charges=6, seed=1, eval_radius=3.0, n_targets=16),
+    "le": dict(p_max=6, n_charges=6, seed=1, eval_radius=2.5, n_targets=16),
+    "m2m": dict(p_max=6, n_charges=6, seed=2, eval_radius=5.0, n_targets=16),
+    "l2l": dict(p_max=6, n_charges=6, seed=3),
+    "m2l": dict(p_max=8, n_charges=10, seed=5, c=2.0, n_targets=16),
+    "reaction_me": dict(
+        medium=SLAB, component=(1, 1, 1, 1), p_max=4, n_charges=3, seed=11,
+        a_s=0.3, source_center=(0.0, 0.0, -0.5),
+        target_center=(0.0, 0.0, -0.25), target_spread=0.05, quad_tol=1e-10,
+        n_targets=4,
+    ),
+    "reaction_le": dict(
+        medium=SLAB, component=(1, 1, 1, 1), p_max=4, n_charges=3, seed=13,
+        a_s=0.25, a_t=0.35, source_center=(0.0, 0.0, -0.5),
+        target_center=(0.9, 0.6, -0.45), quad_tol=1e-10, n_targets=4,
+    ),
+    "reaction_m2l": dict(
+        medium=SLAB, component=(1, 1, 1, 1), p_max=4, n_charges=3, seed=17,
+        a_s=0.3, a_t=0.15, c=3.0, source_center=(0.0, 0.0, -0.5),
+        target_center=(0.3375, 0.0, -0.83), quad_tol=1e-10, n_targets=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_report_byte_identical(kind):
+    cfg = ExperimentConfig(kind=kind, p_min=1, **SMALL[kind])
     r1 = run_experiment(cfg)
     r2 = run_experiment(cfg)
     assert r1.to_csv() == r2.to_csv()
@@ -115,6 +143,15 @@ def test_property_suite_selection():
     assert out["addition_theorems"]["passed"]
     with pytest.raises(ValueError):
         run_property_suite("bogus")
+
+
+def test_suite_kind_report():
+    report = run_experiment(ExperimentConfig(kind="cagniard"))
+    assert report.passed
+    assert set(report.metadata["suite"]) == {"cagniard"}
+    assert report.ps == report.errors == report.bounds == []
+    header = "# schema=1\np,max_error,bound,ratio,rate_fit,rate_theory\n"
+    assert report.to_csv() == header
 
 
 def test_config_validation():
@@ -224,6 +261,26 @@ def test_cli_me_reaction(tmp_path, two_layer):
     row = [float(v) for v in res.output.strip().splitlines()[1].split(",")]
     assert row[5] <= row[6]
     assert row[5] < 1e-8
+
+
+def test_cli_me_rejects_targets_in_two_layers(tmp_path, two_layer):
+    """u^11 from layer 0 has no value in layer 1: a target there is a usage
+    error, not a row."""
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(two_layer.to_dict()))
+    charges = {"charges": [[1.0, 0.05, -0.02, 0.45], [0.5, -0.04, 0.03, 0.55]]}
+    targets = {"targets": [[0.4, 0.3, 1.2], [0.4, 0.3, -0.2]]}
+    cpath = tmp_path / "charges.json"
+    tpath = tmp_path / "targets.json"
+    cpath.write_text(json.dumps(charges))
+    tpath.write_text(json.dumps(targets))
+    res = CliRunner().invoke(main, [
+        "me", "--medium", str(mpath), "--charges", str(cpath),
+        "--targets", str(tpath), "--component", "11",
+        "--center", "0,0,0.5", "--p", "10",
+    ])
+    assert res.exit_code == 2, res.output
+    assert "every target must lie in layer 0" in res.output
 
 
 def test_cli_lab_run_and_exit_code(tmp_path):
