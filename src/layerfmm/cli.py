@@ -36,6 +36,18 @@ def _parse_vec(text):
     return np.array(parts)
 
 
+def _require_outside(targets, exp):
+    """Usage error for a target not strictly outside the expansion's sphere,
+    where the expansion does not converge and the bound row is negative."""
+    for r in targets:
+        if np.linalg.norm(r - exp.center) <= exp.radius:
+            raise click.UsageError(
+                f"target {','.join(f'{v:g}' for v in r)} lies within radius "
+                f"{exp.radius:g} of the expansion center "
+                f"{','.join(f'{v:g}' for v in exp.center)}"
+            )
+
+
 def _parse_component(text):
     if text == "free":
         return None
@@ -115,7 +127,9 @@ def green(medium_path, component, source, target, tol):
 def me(medium_path, charges_path, component, center, order, targets_path, tol, out):
     """Multipole expansion vs brute-force oracle at target points.
 
-    Emits CSV: x, y, z, expansion, oracle, abs_error, bound.
+    Emits CSV: x, y, z, expansion, oracle, abs_error, bound.  A target
+    within the expansion radius, and for a reaction component charges or
+    targets in more than one layer, are usage errors.
     """
     with open(charges_path) as fh:
         cdata = json.load(fh)["charges"]
@@ -128,6 +142,7 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
     if comp is None:
         system = xp.ChargeSystem.free_space(q, pos)
         exp = xp.me_from_charges(system, center, order)
+        _require_outside(targets, exp)
         msig = 1.0
         values = [xp.eval_expansion(exp, r) for r in targets]
         oracle = [xp.direct_potential(system, r) for r in targets]
@@ -138,6 +153,8 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
         a, b = comp
         system = xp.ChargeSystem.in_medium(medium, q, pos)
         ellprime = int(system.layers[0])
+        if np.any(system.layers != ellprime):
+            raise click.UsageError(f"every charge must lie in layer {ellprime}")
         ell = medium.layer_of(targets[0][2])
         if any(medium.layer_of(r[2]) != ell for r in targets):
             raise click.UsageError(f"every target must lie in layer {ell}")
@@ -145,6 +162,7 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
         exp = xp.reaction_me_from_charges(
             system, medium, a, b, ell, ellprime, pol_center, order
         )
+        _require_outside(targets, exp)
         msig = density_bound(medium, ell, ellprime, a, b)
         values = [xp.eval_reaction_me(exp, medium, r, tol) for r in targets]
         # the oracle keeps eval_reaction_green's default absolute tolerance

@@ -22,8 +22,25 @@ The engine, ``radial_table``, evaluates a family of integrals sharing
 (rho, zeta, sigma) - all coefficients of an expansion, or a whole M2L
 operator - on shared nodes.  It uses composite 32-point Gauss-Legendre
 panels with adaptive bisection driven by the disagreement of each panel
-with the sum of its halves; the upper limit is chosen from the analytic
-tail bound M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} < tol/10.  Panels
+with the sum of its halves; the upper limit K is solved for from the
+analytic tail bound M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10
+(by gammainccinv, never below a baseline).
+
+The initial panels are as wide as the 32-point rule allows.  Their width
+is min(K/16, w), with w the power of two nearest 16 pi / rho, so a panel
+carries about 6 to 11 periods of e^{i k rho}.  The 32-point rule
+integrates e^{i x} to rounding over up to about 8 periods and loses
+accuracy beyond 11 (an error of 1.5e-11 of the span at 11.3 periods, 3e-4
+at 16).  The value kept is the sum of the halves, over which k rho changes
+by at most 8 sqrt2 pi (about 11 pi, 5.7 periods): exact to rounding.  The
+whole-versus-halves disagreement therefore measures the error of the
+whole rule and over-reads that of the halves.  Power-of-two widths put the
+edges of tables with different rho on one dyadic lattice.  When K / w
+exceeds 512 the initial grid is capped at 512 wider panels; on those the
+halves can be as wrong as the whole and agree with it by accident, so a
+capped table raises the estimate of every panel wider than 2w to at least
+twice the integrand's mass bound, 2 M_sigma int_panel k^n e^{-k zeta} dk,
+and bisection then resolves the panels wherever the mass matters.  Panels
 are evaluated in blocks: one density sweep and one Bessel ladder serve
 the whole-panel and half-panel rules of a block of panels, because a
 sweep's cost is mostly per call, not per node.  Refinement is
@@ -121,16 +138,29 @@ def _gamma_tail(nexp, x0, scale):
 
 
 def _choose_kmax(bound, rho, zeta, powers, tol_tail):
-    """Smallest doubling of the baseline K with all tails below tol_tail."""
+    """Upper limit K with bound * Gamma(n+1, K zeta) / zeta^{n+1} <= tol_tail
+    for every n in powers, and never below the baseline
+    max(60/zeta, 200/max(rho, zeta), (max n + 10)/zeta).
+
+    Each power's tail is solved for directly: Gamma(n+1, x) = Gamma(n+1)
+    Q(n+1, x), so x = Q^{-1}(n+1, tol_tail zeta^{n+1} / (bound
+    Gamma(n+1))) by gammainccinv, and K is the largest x / zeta.  The
+    baseline keeps K (and with it the panel count) from shrinking where the
+    tails are small anyway.  The inverse is accurate to about 1e-13
+    relative; K is raised by 1e-9 relative, which lowers every tail by more
+    than that (K zeta >= 60), and the tails are then checked once.
+    """
     kmax = max(60.0 / zeta, 200.0 / max(rho, zeta), (max(powers) + 10.0) / zeta)
     if bound == 0.0:
         return kmax
-    for _ in range(60):
-        tails = np.array([bound * _gamma_tail(n, kmax, zeta) for n in powers])
-        if np.all(tails <= tol_tail):
-            return kmax
-        kmax *= 2.0
-    raise ToleranceNotMet("tail bound did not close", achieved=float(tails.max()))
+    a = np.asarray(powers, dtype=float) + 1.0
+    target = tol_tail * zeta ** a / (bound * special.gamma(a))
+    x = special.gammainccinv(a, np.minimum(target, 1.0))
+    kmax = max(kmax, (1.0 + 1e-9) * float(np.max(x)) / zeta)
+    tails = bound * _gamma_tail(a - 1.0, kmax, zeta)
+    if not (math.isfinite(kmax) and np.all(tails <= tol_tail)):
+        raise ToleranceNotMet("tail bound did not close", achieved=float(tails.max()))
+    return kmax
 
 
 #: Panels per evaluate call.  The whole-panel and half-panel rules of a
@@ -175,7 +205,7 @@ def _split(evaluate, lo, hi, whole=None):
     return left, right, err, calls
 
 
-def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS):
+def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, floor=None):
     """Composite adaptive quadrature over initial panel edges.
 
     evaluate(lo, hi) takes arrays of rule ends and returns Gauss-Legendre
@@ -193,6 +223,9 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS):
     Passes repeat until the accumulated error is below tol_abs everywhere,
     or the panel budget is spent.
 
+    floor(lo, hi), if given, returns an a-priori error bound per panel
+    (shaped like the estimates); a panel's error is the larger of the two.
+
     Returns (value, error estimate, stats); stats counts the final panels,
     the 32-node rules (gl_calls), their nodes, the evaluate calls (evals)
     and the bisections, and tol_use is the worst ratio of the error
@@ -202,6 +235,8 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS):
     safe_tol = np.where(tol_abs > 0, tol_abs, np.inf)
     lo, hi = edges[:-1], edges[1:]
     left, right, err, evals = _split(evaluate, lo, hi)
+    if floor is not None:
+        err = np.maximum(err, floor(lo, hi))
     gl_calls = 3 * len(lo)
     n_init = len(lo)
     while True:
@@ -227,6 +262,8 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS):
         c_left, c_right, c_err, calls = _split(
             evaluate, c_lo, c_hi, np.concatenate([left[pick], right[pick]])
         )
+        if floor is not None:
+            c_err = np.maximum(c_err, floor(c_lo, c_hi))
         lo = np.concatenate([lo[keep], c_lo])
         hi = np.concatenate([hi[keep], c_hi])
         left = np.concatenate([left[keep], c_left])
@@ -256,6 +293,18 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     the counts of _adaptive_panels, tol_use (the worst ratio of the error
     estimate to tol_abs over the finite entries of tol_abs) and "capped",
     whether the initial panel count was cut to 512.
+
+    A tenth of the smallest finite tolerance goes to the tail beyond K
+    (_choose_kmax), nine tenths to the panels.  The initial panels are
+    min(K/16, w) wide, w the power of two nearest 16 pi / rho: on each
+    half-panel k rho changes by at most about 12 pi across the 32 nodes,
+    which the rule integrates to rounding, so the whole-versus-halves
+    disagreement over-reads the error of the halves it keeps (see the
+    module docstring).  Past 512 panels the grid is capped, and the error
+    of a capped panel wider than 2w is taken as at least twice its mass
+    bound M_sigma int k^n e^{-k zeta} dk, which bounds its rules and its
+    integral alike; bisection goes on until the mass left on such panels
+    fits the tolerance, or the panel budget is spent (ToleranceNotMet).
     """
     powers = np.asarray(powers, dtype=int)
     orders = np.asarray(orders, dtype=int)
@@ -298,13 +347,28 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
 
     width = kmax / 16.0
     if rho > 0:
-        width = min(width, math.pi / rho)
-    n_uncapped = max(int(math.ceil(kmax / width)), 4)
+        width = min(width, 2.0 ** round(math.log2(16.0 * math.pi / rho)))
+    n_uncapped = int(math.ceil(kmax / width))
     n_init = min(n_uncapped, 512)
-    edges = np.linspace(0.0, kmax, n_init + 1)
-    values, err, stats = _adaptive_panels(evaluate, edges, 0.9 * tol_abs, max_panels)
+    capped = n_uncapped > n_init
+    edges = max(width, kmax / n_init) * np.arange(n_init + 1)
+    floor = None
+    if capped:
+
+        def floor(lo, hi):
+            n = powers[None, :, None]
+            mass = bound * (
+                _gamma_tail(n, lo[:, None, None], zeta)
+                - _gamma_tail(n, hi[:, None, None], zeta)
+            )
+            wide = (hi - lo > 2.0 * width)[:, None, None]
+            return np.where(wide, 2.0 * mass, 0.0) * np.ones(len(orders))
+
+    values, err, stats = _adaptive_panels(
+        evaluate, edges, 0.9 * tol_abs, max_panels, floor
+    )
     stats["tol_use"] = float(np.max(err[finite] / tol_abs[finite]))
-    stats["capped"] = n_uncapped > n_init
+    stats["capped"] = capped
     return values, err, stats
 
 

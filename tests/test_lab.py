@@ -283,6 +283,43 @@ def test_cli_me_rejects_targets_in_two_layers(tmp_path, two_layer):
     assert "every target must lie in layer 0" in res.output
 
 
+def test_cli_me_rejects_charges_in_two_layers(tmp_path, two_layer):
+    """Reaction charges must share one source layer: a charge below the
+    interface is a usage error, not a traceback."""
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(two_layer.to_dict()))
+    charges = {"charges": [[1.0, 0.05, -0.02, 0.45], [0.5, -0.04, 0.03, -0.05]]}
+    targets = {"targets": [[0.4, 0.3, 1.2]]}
+    cpath = tmp_path / "charges.json"
+    tpath = tmp_path / "targets.json"
+    cpath.write_text(json.dumps(charges))
+    tpath.write_text(json.dumps(targets))
+    res = CliRunner().invoke(main, [
+        "me", "--medium", str(mpath), "--charges", str(cpath),
+        "--targets", str(tpath), "--component", "11",
+        "--center", "0,0,0.5", "--p", "10",
+    ])
+    assert res.exit_code == 2, res.output
+    assert "every charge must lie in layer 0" in res.output
+
+
+def test_cli_me_rejects_target_inside_the_sphere(tmp_path):
+    """A target within the expansion radius has no convergent expansion
+    and no positive bound: a usage error naming the target."""
+    charges = {"charges": [[1.0, 0.1, 0.0, 0.05], [-0.5, -0.1, 0.05, 0.0]]}
+    targets = {"targets": [[2.0, 0.0, 0.0], [0.05, 0.0, 0.0]]}
+    cpath = tmp_path / "charges.json"
+    tpath = tmp_path / "targets.json"
+    cpath.write_text(json.dumps(charges))
+    tpath.write_text(json.dumps(targets))
+    res = CliRunner().invoke(main, [
+        "me", "--charges", str(cpath), "--targets", str(tpath),
+        "--component", "free", "--center", "0,0,0", "--p", "10",
+    ])
+    assert res.exit_code == 2, res.output
+    assert "target 0.05,0,0 lies within radius" in res.output
+
+
 def test_cli_lab_run_and_exit_code(tmp_path):
     cfg = {
         "kind": "me", "p_min": 1, "p_max": 8, "n_charges": 8, "seed": 0,

@@ -277,11 +277,69 @@ def test_radial_table_work_counts_and_repeat():
     v = np.array([10.0, 0.0, 0.5])
     table, _, stats = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
     again, _, _ = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
-    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (512, 1536, 64)
-    assert stats["nodes"] == 49152
-    assert stats["bisections"] == 0 and stats["capped"]
+    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (58, 174, 8)
+    assert stats["nodes"] == 5568
+    assert stats["bisections"] == 0 and not stats["capped"]
     assert 0.0 < stats["tol_use"] < 1.0
     assert np.array_equal(table, again)
+
+
+def _relative_tol(zeta, rel_tol=1e-11, size=17):
+    """The expansion builders' tolerance table for sigma = 1: rel_tol times
+    Gamma(n+1)/zeta^{n+1} in row n."""
+    scale = [math.gamma(n + 1) / zeta ** (n + 1) for n in range(size)]
+    return rel_tol * np.repeat(np.array(scale)[:, None], size, axis=1)
+
+
+@pytest.mark.parametrize("zeta", [0.05, 0.5])
+@pytest.mark.parametrize("ratio", [0.5, 5.0, 20.0, 60.0, 200.0])
+def test_radial_table_diagonal_closed_form(zeta, ratio):
+    """For sigma = 1, I(n, n) = (2 rho)^n Gamma(n+1/2) / (sqrt(pi)
+    r^{2n+1}): the initial grid of the width rule meets every diagonal
+    tolerance of a 17 x 17 table, from rho/zeta = 0.5 to past the cap."""
+    rho = ratio * zeta
+    n = np.arange(17)
+    tol = _relative_tol(zeta)
+    values, _, _ = radial_table(ConstantDensity(), rho, zeta, n, n, tol)
+    r = math.hypot(rho, zeta)
+    exact = [
+        (2 * rho) ** k * math.gamma(k + 0.5) / (math.sqrt(math.pi) * r ** (2 * k + 1))
+        for k in n
+    ]
+    assert np.all(np.abs(np.diag(values) - exact) <= np.diag(tol))
+
+
+def test_radial_table_panels_continuous_in_zeta():
+    """The p = 8 table (powers and orders 0-16) at rho/zeta = 30 costs
+    about the same on both sides of zeta = 0.37, where doubling K once
+    doubled the panels, and the solved K meets the tail bound."""
+    n = np.arange(17)
+    panels = []
+    for zeta in (0.36, 0.38):
+        tol = _relative_tol(zeta)
+        _, _, stats = radial_table(ConstantDensity(), 30.0 * zeta, zeta, n, n, tol)
+        panels.append(stats["panels"])
+        tol_tail = 0.1 * tol.min()
+        kmax = sommerfeld._choose_kmax(1.0, 30.0 * zeta, zeta, n, tol_tail)
+        assert np.max(sommerfeld._gamma_tail(n, kmax, zeta)) <= tol_tail
+    assert abs(panels[0] - panels[1]) < 0.2 * max(panels)
+
+
+@pytest.mark.parametrize("rho, met", [
+    (200.0, True), (400.0, True), (500.0, True), (600.0, False),
+])
+def test_radial_table_capped_grid_is_honest(rho, met):
+    """At zeta = 0.05 these grids hit the 512-panel cap, whose panels are
+    too wide for the whole-versus-halves estimate: the result meets 1e-10
+    against 1/sqrt(rho^2 + zeta^2), or the table raises."""
+    tol = np.array([[1e-10]])
+    if not met:
+        with pytest.raises(ToleranceNotMet):
+            radial_table(ConstantDensity(), rho, 0.05, [0], [0], tol)
+        return
+    values, err, stats = radial_table(ConstantDensity(), rho, 0.05, [0], [0], tol)
+    assert stats["capped"] and err[0, 0] <= 1e-10
+    assert abs(values[0, 0] - 1.0 / math.hypot(rho, 0.05)) <= 1e-10
 
 
 def test_tail_truncation_insensitivity(two_layer, monkeypatch):
