@@ -19,6 +19,7 @@ import numpy as np
 
 from . import expansions as xp
 from .densities import density_bound, reaction_densities
+from .harmonics import MAX_ORDER
 from .lab import (
     ExperimentConfig,
     _reaction_oracle,
@@ -120,7 +121,7 @@ def green(medium_path, component, source, target, tol):
 @click.option("--charges", "charges_path", required=True, type=click.Path(exists=True))
 @click.option("--component", default="free")
 @click.option("--center", required=True, help="x,y,z of the source box center")
-@click.option("--p", "order", default=12, type=int)
+@click.option("--p", "order", default=12, type=click.IntRange(0, MAX_ORDER))
 @click.option("--targets", "targets_path", required=True, type=click.Path(exists=True))
 @click.option("--tol", default=1e-11, type=float)
 @click.option("--out", type=click.Path(), default="-")
@@ -144,7 +145,7 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
         exp = xp.me_from_charges(system, center, order)
         _require_outside(targets, exp)
         msig = 1.0
-        values = [xp.eval_expansion(exp, r) for r in targets]
+        values = xp.eval_expansion(exp, targets)
         oracle = [xp.direct_potential(system, r) for r in targets]
     else:
         if medium_path is None:

@@ -41,6 +41,7 @@ from .errors import (
     CenterOnWrongSide,
     ChargeInsideBox,
     ChargeOutsideBox,
+    DomainError,
     InvariantViolated,
     RegionViolation,
 )
@@ -135,15 +136,6 @@ class HarmonicExpansion:
             raise ValueError("coefficient table shape does not match p")
         object.__setattr__(self, "coeff", coeff)
 
-    def __add__(self, other):
-        if (
-            self.kind != other.kind
-            or self.p != other.p
-            or not np.array_equal(self.center, other.center)
-        ):
-            raise ValueError("can only add expansions of identical kind/center/p")
-        return replace(self, coeff=self.coeff + other.coeff)
-
     def conjugate_symmetry_defect(self):
         """max |C_{n,-m} - (-1)^m conj(C_{n,m})|, zero for real sources."""
         worst = 0.0
@@ -179,18 +171,14 @@ def _charge_moments(q, rel_positions, p, inverse=False):
 
     inverse=False: (1/(4 pi c_n^2)) sum_j q_j r_j^n conj(Y_n^m(dir_j))
     inverse=True : the same with r_j^{-n-1}.
+    One harmonics table serves all charges.
     """
     cst = constants(p)
-    coeff = np.zeros((p + 1, 2 * p + 1), dtype=complex)
+    r, theta, phi = cartesian_to_spherical(rel_positions)
     ns = np.arange(p + 1)
-    for qj, v in zip(q, rel_positions):
-        r, theta, phi = cartesian_to_spherical(v)
-        ytab = sph_harm_table(p, theta, phi)
-        if inverse:
-            radial = r ** (-ns - 1.0)
-        else:
-            radial = r ** ns.astype(float)
-        coeff += qj * radial[:, None] * np.conj(ytab)
+    radial = r[:, None] ** (-ns - 1.0 if inverse else ns.astype(float))
+    ytab = sph_harm_table(p, theta, phi)
+    coeff = ((q[:, None] * radial)[..., None] * np.conj(ytab)).sum(axis=0)
     return coeff / (4.0 * math.pi * cst.c**2)[:, None]
 
 
@@ -220,7 +208,7 @@ def le_from_charges(system, center, p, radius=None):
     dist = np.linalg.norm(rel, axis=1)
     if radius is None:
         radius = float(dist.min(initial=np.inf))
-    if np.any(dist < radius * (1 - 1e-12)):
+    if np.any(dist < radius * (1 - 1e-12)) or np.any(dist == 0.0):
         raise ChargeInsideBox(
             f"charge at distance {dist.min():.6g} inside target radius {radius:.6g}"
         )
@@ -355,48 +343,60 @@ def m2l_free(exp, target_center, p, target_radius=None):
 
 
 def _check_real(val, terms):
-    """An expansion of real charges must sum to a real value, up to
-    roundoff in its terms (a NaN residue fails too)."""
-    scale = float(np.abs(terms).sum())
-    if not abs(val.imag) <= 1e-10 * abs(val) + 1e-12 * (scale + 1e-300):
+    """An expansion of real charges must sum to a real value at each
+    point, up to roundoff in its terms (a NaN residue fails too); val has
+    the leading shape of terms[..., n, m]."""
+    val = np.asarray(val)
+    scale = np.abs(terms).sum(axis=(-2, -1))
+    real = np.abs(val.imag) <= 1e-10 * np.abs(val) + 1e-12 * (scale + 1e-300)
+    if not np.all(real):
         raise InvariantViolated(
-            f"imaginary residue {val.imag} too large for a real charge system"
+            f"imaginary residue {val.imag[~real][0]} too large for a real "
+            "charge system"
         )
 
 
-def eval_expansion(exp, r):
-    """Evaluate a multipole or local expansion at a point.
+def solid_harmonics(exp, points):
+    """The functions a free-space multipole or local expansion sums, at
+    points along the last axis of `points`: Y_n^m / r^{n+1} or r^n Y_n^m
+    about exp.center, shape points.shape[:-1] + (p+1, 2p+1); the terms of
+    the expansion are exp.coeff times these.
 
-    Outside the region of validity a RegionViolation warning is issued
-    and the value still returned, which diagnostic sweeps rely on.
+    A multipole expansion is singular at its center (DomainError).
+    Points outside the region of validity give a RegionViolation warning
+    and their values, which diagnostic sweeps rely on.
     """
-    r = np.asarray(r, dtype=float)
-    v = r - exp.center
+    v = np.asarray(points, dtype=float) - exp.center
     rr, theta, phi = cartesian_to_spherical(v)
-    ytab = sph_harm_table(exp.p, theta, phi)
+    rr = np.asarray(rr)
     ns = np.arange(exp.p + 1)
     if exp.kind == "multipole":
-        if exp.radius is not None and rr <= exp.radius:
+        if np.any(rr == 0.0):
+            raise DomainError("multipole expansion evaluated at its center")
+        if exp.radius is not None and np.any(rr <= exp.radius):
             warnings.warn("evaluation inside the source box", RegionViolation)
-        radial = rr ** (-ns - 1.0)
+        radial = rr[..., None] ** (-ns - 1.0)
     elif exp.kind == "local":
-        if exp.radius is not None and rr >= exp.radius:
+        if exp.radius is not None and np.any(rr >= exp.radius):
             warnings.warn("evaluation outside the target box", RegionViolation)
-        with np.errstate(invalid="ignore"):
-            radial = rr ** ns.astype(float)
-        if rr == 0.0:
-            radial = np.zeros(exp.p + 1)
-            radial[0] = 1.0
+        radial = rr[..., None] ** ns.astype(float)
     else:
         raise ValueError(
             "reaction multipole expansions are evaluated with eval_reaction_me"
         )
-    terms = exp.coeff * ytab * radial[:, None]
-    val = complex(terms.sum())
+    return sph_harm_table(exp.p, theta, phi) * radial[..., None]
+
+
+def eval_expansion(exp, r):
+    """Evaluate a multipole or local expansion at a point, or at each row
+    of an (N, 3) array of points (an array of N values), with the region
+    warnings of solid_harmonics."""
+    terms = exp.coeff * solid_harmonics(exp, r)
+    val = terms.sum(axis=(-2, -1))
     if exp.real_sources:
         _check_real(val, terms)
-        return val.real
-    return val
+        val = val.real
+    return val if val.ndim else val.item()
 
 
 def direct_potential(system, r):

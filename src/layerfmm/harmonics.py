@@ -56,50 +56,59 @@ def legendre_p(n, x):
     return p
 
 
+@lru_cache(maxsize=None)
+def _legendre_weights(n_max):
+    """alpha[n, m] and beta[n, m] of the three-term degree recurrence of
+    normalized_legendre (used for m <= n - 2)."""
+    n, m = np.arange(n_max + 1.0)[:, None], np.arange(n_max + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.sqrt((2 * n + 1) * (2 * n - 1) / ((n - m) * (n + m)))
+        beta = np.sqrt(
+            (2 * n + 1) * (n - m - 1) * (n + m - 1) / ((2 * n - 3) * (n - m) * (n + m))
+        )
+    return alpha, beta
+
+
 def normalized_legendre(n_max, x):
     """Table of normalized associated Legendre values Phat_n^m(x).
 
-    Returns an (n_max+1, n_max+1) array with entry [n, m] for 0 <= m <= n;
-    entries with m > n are zero.  Seeded on the diagonal and recurred
-    upward in degree, which is stable for all orders here (the
-    unnormalized P_n^m would overflow near n = 40).
+    Returns an array of shape x.shape + (n_max+1, n_max+1), entry
+    [..., n, m] for 0 <= m <= n; entries with m > n are zero.  Seeded on
+    the diagonal and recurred upward in degree, every order and point at
+    once, which is stable for all orders here (the unnormalized P_n^m
+    would overflow near n = 40).
     """
-    if abs(x) > 1.0:
-        raise DomainError(f"Legendre argument {x} outside [-1, 1]")
-    s = sqrt(max(0.0, 1.0 - x * x))
-    tab = np.zeros((n_max + 1, n_max + 1))
-    tab[0, 0] = sqrt(1.0 / (4.0 * pi))
-    for m in range(1, n_max + 1):
-        tab[m, m] = sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * tab[m - 1, m - 1]
-    for m in range(n_max):
-        tab[m + 1, m] = sqrt(2.0 * m + 3.0) * x * tab[m, m]
-    for m in range(n_max + 1):
-        for n in range(m + 2, n_max + 1):
-            alpha = sqrt((2.0 * n + 1.0) * (2.0 * n - 1.0) / ((n - m) * (n + m)))
-            beta = sqrt(
-                (2.0 * n + 1.0)
-                * (n - m - 1.0)
-                * (n + m - 1.0)
-                / ((2.0 * n - 3.0) * (n - m) * (n + m))
-            )
-            tab[n, m] = alpha * x * tab[n - 1, m] - beta * tab[n - 2, m]
+    x = np.asarray(x, dtype=float)
+    outside = np.abs(x) > 1.0
+    if np.any(outside):
+        raise DomainError(f"Legendre argument {x[outside][0]} outside [-1, 1]")
+    alpha, beta = _legendre_weights(n_max)
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    tab = np.zeros(x.shape + (n_max + 1, n_max + 1))
+    tab[..., 0, 0] = sqrt(1.0 / (4.0 * pi))
+    for n in range(1, n_max + 1):
+        corner = tab[..., n - 1, n - 1]
+        tab[..., n, n] = sqrt((2.0 * n + 1.0) / (2.0 * n)) * s * corner
+        tab[..., n, n - 1] = sqrt(2.0 * n + 1.0) * x * corner
+        tab[..., n, : n - 1] = (
+            alpha[n, : n - 1] * x[..., None] * tab[..., n - 1, : n - 1]
+            - beta[n, : n - 1] * tab[..., n - 2, : n - 1]
+        )
     return tab
 
 
 def sph_harm_table(n_max, theta, phi):
-    """All Y_n^m(theta, phi) for n <= n_max as an (n_max+1, 2 n_max+1)
-    complex array; entry [n, m + n_max] holds order m, zero for |m| > n."""
+    """All Y_n^m(theta, phi) for n <= n_max as a complex array of shape
+    theta.shape + (n_max+1, 2 n_max+1); entry [..., n, m + n_max] holds
+    order m, zero for |m| > n."""
     ph = normalized_legendre(n_max, np.cos(theta))
-    out = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
-    ms = np.arange(0, n_max + 1)
-    epos = np.exp(1j * ms * phi)
-    for n in range(n_max + 1):
-        vals = ph[n, : n + 1] * epos[: n + 1]
-        out[n, n_max : n_max + n + 1] = vals
-        # Y_n^{-m} = (-1)^m conj(Y_n^m)
-        signs = (-1.0) ** ms[1 : n + 1]
-        out[n, n_max - n : n_max] = (signs * np.conj(vals[1:]))[::-1]
-    return out
+    ms = np.arange(n_max + 1)
+    vals = ph * np.exp(1j * ms * np.asarray(phi)[..., None])[..., None, :]
+    # Y_n^{-m} = (-1)^m conj(Y_n^m), order -m in column n_max - m
+    neg = (-1.0) ** ms[:0:-1] * np.conj(vals[..., :0:-1])
+    out = np.concatenate([neg, vals], axis=-1)
+    inside = np.abs(np.arange(-n_max, n_max + 1)) <= ms[:, None]
+    return np.where(inside, out, 0.0)
 
 
 def sph_harm(n, m, theta, phi):
@@ -167,15 +176,19 @@ def constants(p_max):
 
 
 def cartesian_to_spherical(v):
-    """(r, theta, phi) of a 3-vector, phi in [0, 2 pi); all zero at r = 0."""
+    """(r, theta, phi) of 3-vectors along the last axis of v, phi in
+    [0, 2 pi), all zero at r = 0: floats for one vector, arrays of the
+    leading shape for a stack."""
     v = np.asarray(v, dtype=float)
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        return 0.0, 0.0, 0.0
-    theta = float(np.arccos(np.clip(v[2] / r, -1.0, 1.0)))
-    phi = float(np.arctan2(v[1], v[0]))
-    if phi < 0.0:
-        phi += 2.0 * pi
+    # r is rounded as np.linalg.norm rounds one vector: sqrt of its dot
+    r = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+    zero = r == 0.0
+    cos_theta = v[..., 2] / np.where(zero, 1.0, r)
+    theta = np.where(zero, 0.0, np.arccos(np.clip(cos_theta, -1.0, 1.0)))
+    phi = np.arctan2(v[..., 1], v[..., 0])
+    phi = np.where(zero, 0.0, np.where(phi < 0.0, phi + 2.0 * pi, phi))
+    if v.ndim == 1:
+        return float(r), float(theta), float(phi)
     return r, theta, phi
 
 

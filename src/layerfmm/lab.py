@@ -230,25 +230,11 @@ def _free_targets(config, system, center, radius):
     return targets, np.array([xp.direct_potential(system, r) for r in targets])
 
 
-def _degree_terms(exp, targets):
-    """terms[t, n]: the degree-n part of a free-space multipole or local
-    expansion at each target."""
-    ns = np.arange(exp.p + 1)
-    terms = np.zeros((len(targets), exp.p + 1))
-    for t, r in enumerate(targets):
-        rr, theta, phi = cartesian_to_spherical(r - exp.center)
-        ytab = sph_harm_table(exp.p, theta, phi)
-        if exp.kind == "multipole":
-            radial = rr ** (-ns - 1.0)
-        else:
-            radial = rr ** ns.astype(float)
-        terms[t] = np.real((exp.coeff * ytab).sum(axis=1) * radial)
-    return terms
-
-
-def _partial_sum_errors(terms, oracle):
-    """errors[p] = max over targets of |sum_{n <= p} terms[t, n] - oracle[t]|."""
-    return np.abs(np.cumsum(terms, axis=1) - oracle[:, None]).max(axis=0)
+def _partial_sum_errors(exp, basis, oracle):
+    """errors[p] = max over targets t of |Re sum_{n <= p} sum_m
+    exp.coeff[n, m] basis[t, n, m] - oracle[t]|."""
+    degree = np.real((exp.coeff * basis).sum(axis=-1))
+    return np.abs(np.cumsum(degree, axis=1) - oracle[:, None]).max(axis=0)
 
 
 def _verdict(config, ps, errs, bounds, rate_theory, meta):
@@ -314,7 +300,7 @@ def _free_me(config):
     exp = xp.me_from_charges(system, center, config.p_max)
     r = config.eval_radius
     targets, oracle = _free_targets(config, system, center, r)
-    errors = _partial_sum_errors(_degree_terms(exp, targets), oracle)
+    errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (r - config.a_s),
         config.a_s, r, {"r_eval": r, "a_s": config.a_s},
@@ -330,7 +316,7 @@ def _free_le(config):
     exp = xp.le_from_charges(system, center, config.p_max, radius=config.a_t)
     r_t = 0.5 * config.a_t
     targets, oracle = _free_targets(config, system, center, r_t)
-    errors = _partial_sum_errors(_degree_terms(exp, targets), oracle)
+    errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t),
         r_t, config.a_t, {"r_t": r_t, "a_t": config.a_t},
@@ -349,7 +335,8 @@ def _free_m2m(config):
     scale = np.abs(recomputed.coeff).max()
     r = config.eval_radius
     targets, oracle = _free_targets(config, system, new_center, r)
-    errors = _partial_sum_errors(_degree_terms(shifted, targets), oracle)
+    basis = xp.solid_harmonics(shifted, targets)
+    errors = _partial_sum_errors(shifted, basis, oracle)
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (r - a_eff), a_eff, r,
         {"shift": r_ss, "recompute_rel_agreement": float(delta / scale)},
@@ -369,8 +356,8 @@ def _free_l2l(config):
     for p in ps:
         exp = xp.le_from_charges(system, center, p, radius=config.a_t)
         shifted = xp.l2l(exp, new_center)
-        vals = np.array([xp.eval_expansion(exp, x) for x in pts])
-        vals_sh = np.array([xp.eval_expansion(shifted, x) for x in pts])
+        vals = xp.eval_expansion(exp, pts)
+        vals_sh = xp.eval_expansion(shifted, pts)
         errs.append(float(np.abs(vals - vals_sh).max()))
         scales.append(float(np.abs(vals).max()))
     meta = {
@@ -393,7 +380,7 @@ def _free_m2l(config):
     errors = np.zeros(config.p_max + 1)
     for p in range(config.p_min, config.p_max + 1):
         loc = xp.m2l_free(xp.truncated(exp, p), target_center, p)
-        vals = np.array([xp.eval_expansion(loc, r) for r in targets])
+        vals = xp.eval_expansion(loc, targets)
         errors[p] = np.abs(vals - oracle).max()
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (config.c - 1) * config.a_t,
@@ -465,17 +452,20 @@ def _reaction_me(config):
     system, targets, (exp, r_min), oracle, msig = _reaction_setup(
         config, max(spread, 1e-9), spread, expand
     )
-    terms, records = np.zeros((len(targets), config.p_max + 1)), []
-    for t, r in enumerate(targets):
-        basis, stats = xp.reaction_basis_table(
+    tables = [
+        xp.reaction_basis_table(
             config.medium, config.component, config.p_max, r, exp.center,
             config.quad_tol,
         )
-        records.append(stats)
-        terms[t] = np.real((exp.coeff * basis).sum(axis=1))
-    meta = {"r_min": r_min, "a_s": config.a_s, "quadrature": _sum_stats(records)}
+        for r in targets
+    ]
+    basis = np.array([table for table, _ in tables])
+    meta = {
+        "r_min": r_min, "a_s": config.a_s,
+        "quadrature": _sum_stats([stats for _, stats in tables]),
+    }
     return _geometric(
-        config, _partial_sum_errors(terms, oracle), system, oracle,
+        config, _partial_sum_errors(exp, basis, oracle), system, oracle,
         4 * math.pi * (r_min - config.a_s), config.a_s, r_min, meta, msig,
     )
 
@@ -492,7 +482,7 @@ def _reaction_le(config):
     system, targets, exp, oracle, msig = _reaction_setup(
         config, config.a_t, r_t, expand
     )
-    errors = _partial_sum_errors(_degree_terms(exp, targets), oracle)
+    errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t), r_t,
         config.a_t, {"r_t": r_t, "a_t": config.a_t}, msig,
@@ -515,30 +505,20 @@ def _reaction_m2l(config):
     tmat, quad_stats = xp.reaction_m2l_matrix(
         exp, config.medium, tc, pm, config.quad_tol
     )
-    # group the operator by source degree nu so every rectangular
-    # truncation (n <= p, nu <= p) is a partial double sum
+    # local coefficients by source degree nu, packed [i, nu], so every
+    # rectangular truncation (n <= p, nu <= p) is a partial double sum
     ns, ms = xp._packed_indices(pm)
-    flat_m = xp._pack(exp.coeff, pm)
-    local_by_nu = np.zeros((pm + 1, pm + 1, 2 * pm + 1), dtype=complex)
-    contrib = tmat * flat_m[None, :]
-    for j, nu_j in enumerate(ns):
-        local_by_nu[nu_j][ns, ms + pm] += contrib[:, j]
-
-    errs_all = np.zeros((pm + 1, len(targets)))
-    nsr = np.arange(pm + 1)
-    for t, r in enumerate(targets):
-        rr, theta, phi = cartesian_to_spherical(r - tc)
-        ytab = sph_harm_table(pm, theta, phi)
-        radial = rr ** nsr.astype(float)
-        # term[nu, n] = Re sum_m local_by_nu[nu][n,m] Y r^n
-        term = np.real(
-            np.einsum("unm,nm,n->un", local_by_nu, ytab, radial)
-        )
-        grid = np.cumsum(np.cumsum(term, axis=0), axis=1)
-        errs_all[:, t] = np.abs(np.diag(grid) - oracle[t])
+    degree = (ns[:, None] == np.arange(pm + 1)).astype(float)
+    by_nu = (tmat * xp._pack(exp.coeff, pm)) @ degree
+    loc = xp.HarmonicExpansion("local", tc, pm, xp._unpack(by_nu.sum(axis=1), pm))
+    basis = xp.solid_harmonics(loc, targets)[:, ns, ms + pm]
+    # term[t, n, nu] = Re sum over packed i of degree n of basis * by_nu
+    term = np.real(np.einsum("ti,iu,in->tnu", basis, by_nu, degree))
+    grid = np.cumsum(np.cumsum(term, axis=1), axis=2)
+    errs = np.abs(np.diagonal(grid, axis1=1, axis2=2) - oracle[:, None])
     meta = {"c_eff": c_eff, "separation": sep, "quadrature": quad_stats}
     return _geometric(
-        config, errs_all.max(axis=1), system, oracle,
+        config, errs.max(axis=0), system, oracle,
         2 * math.pi * (c_eff - 1) * config.a_t, config.a_s + config.a_t,
         config.a_s + c_eff * config.a_t, meta, msig,
     )
@@ -650,11 +630,10 @@ def _translation_theorem_residuals(rng, cap=24, samples=4):
             p_vec = rng.normal(size=3)
             p_vec /= np.linalg.norm(p_vec)
             p_vec *= {"outer_outer": 8.0, "outer_inner": 0.125, "inner": 0.7}[kind]
-            rho, t_q, p_q = cartesian_to_spherical(q)
-            r, t_p, p_p = cartesian_to_spherical(p_vec)
-            rp, t_s, p_s = cartesian_to_spherical(p_vec - q)
-            yq = sph_harm_table(cap + 4, t_q, p_q)
-            yp = sph_harm_table(cap + 4, t_p, p_p)
+            (rho, r, rp), (t_q, t_p, t_s), (p_q, p_p, p_s) = cartesian_to_spherical(
+                np.array([q, p_vec, p_vec - q])
+            )
+            yq, yp = sph_harm_table(cap + 4, np.array([t_q, t_p]), np.array([p_q, p_p]))
             off = cap + 4
             nprime = int(rng.integers(0, 5))
             mprime = int(rng.integers(-nprime, nprime + 1)) if nprime else 0

@@ -9,6 +9,7 @@ import pytest
 
 from layerfmm import (
     ChargeSystem,
+    HarmonicExpansion,
     LayeredMedium,
     density_bound,
     direct_potential,
@@ -31,10 +32,16 @@ from layerfmm.errors import (
     ChargeInsideBox,
     ChargeOutsideBox,
     ComponentAbsent,
+    DomainError,
     RegionViolation,
 )
-from layerfmm.expansions import Box, truncated
-from layerfmm.harmonics import cartesian_to_spherical, sph_harm, constants
+from layerfmm.expansions import Box, _charge_moments, truncated
+from layerfmm.harmonics import (
+    cartesian_to_spherical,
+    constants,
+    sph_harm,
+    sph_harm_table,
+)
 
 
 def _random_cloud(rng, n, radius, center=(0, 0, 0)):
@@ -118,6 +125,10 @@ def test_le_bound_and_inside_guard():
             assert abs(eval_expansion(exp, x) - direct_potential(sys_, x)) <= bound
     with pytest.raises(ChargeInsideBox):
         le_from_charges(sys_, np.zeros(3), 4, radius=2.5)
+    # no radius given and a charge at the center: no finite local expansion
+    at_center = ChargeSystem.free_space([1.0, -0.5], [[0, 0, 0], [0.3, 0.1, 0]])
+    with pytest.raises(ChargeInsideBox):
+        le_from_charges(at_center, np.zeros(3), 4)
 
 
 def test_m2m_zero_shift_identity():
@@ -255,6 +266,67 @@ def test_region_violation_warns():
     exp = me_from_charges(one, np.zeros(3), 6, radius=0.5)
     with pytest.warns(RegionViolation):
         eval_expansion(exp, np.array([0.4, 0, 0]))
+
+
+def test_eval_expansion_batch_matches_points():
+    rng = np.random.default_rng(31)
+    sys_ = _random_cloud(rng, 10, 1.0)
+    me = me_from_charges(sys_, np.zeros(3), 9)
+    loc = m2l_free(me, np.array([3.0, 1.0, -1.0]), 9, target_radius=1.0)
+    direc = rng.normal(size=(12, 3))
+    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+    for exp, pts in (
+        (me, direc * rng.uniform(2.0, 4.0, (12, 1))),
+        (loc, loc.center + direc * rng.uniform(0.0, 0.9, (12, 1))),
+    ):
+        pts[0] = exp.center + [0.0, 0.0, 0.0 if exp is loc else 2.5]
+        vals = eval_expansion(exp, pts)
+        assert vals.shape == (12,)
+        assert np.array_equal(vals, [eval_expansion(exp, x) for x in pts])
+        assert isinstance(eval_expansion(exp, pts[0]), float)
+    # a local expansion at its own center is its n = 0 term
+    assert eval_expansion(loc, loc.center) == pytest.approx(
+        loc.coeff[0, 9].real / math.sqrt(4 * math.pi), rel=1e-15
+    )
+    reaction = HarmonicExpansion(
+        "reaction_multipole", np.zeros(3), 2, np.zeros((3, 5)), component=(1, 1, 1, 1)
+    )
+    with pytest.raises(ValueError, match="eval_reaction_me"):
+        eval_expansion(reaction, pts)
+
+
+def test_multipole_at_its_center_is_a_domain_error():
+    rng = np.random.default_rng(32)
+    me = me_from_charges(_random_cloud(rng, 5, 1.0), np.zeros(3), 6)
+    with pytest.raises(DomainError):
+        eval_expansion(me, np.zeros(3))
+    with pytest.raises(DomainError):
+        eval_expansion(me, np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+def test_charge_moments_match_per_charge_accumulation_bitwise():
+    """One harmonics table for all charges gives the bits of adding the
+    charges' terms one at a time.  At p = 0 numpy rounds the single
+    column its own way (a pairwise sum over the charges, and another pow
+    loop for a one-entry exponent), so only rounding agreement is asked."""
+    rng = np.random.default_rng(33)
+    q = rng.uniform(-1, 1, 25)
+    rel = rng.normal(size=(25, 3))
+    for p in (0, 1, 3, 12):
+        for inverse in (False, True):
+            cst = constants(p)
+            ns = np.arange(p + 1)
+            want = np.zeros((p + 1, 2 * p + 1), dtype=complex)
+            for qj, v in zip(q, rel):
+                r, theta, phi = cartesian_to_spherical(v)
+                radial = r ** (-ns - 1.0) if inverse else r ** ns.astype(float)
+                want += qj * radial[:, None] * np.conj(sph_harm_table(p, theta, phi))
+            want /= (4.0 * math.pi * cst.c**2)[:, None]
+            got = _charge_moments(q, rel, p, inverse)
+            if p == 0:
+                np.testing.assert_allclose(got, want, rtol=1e-14)
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 def test_high_order_stability():

@@ -109,6 +109,64 @@ def test_normalized_legendre_large_degree_finite():
     assert np.abs(tab).max() < 10.0
 
 
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _legendre_loop(n_max, x):
+    """One-point reference: the recurrence entry by entry in plain floats."""
+    s = math.sqrt(max(0.0, 1.0 - x * x))
+    tab = np.zeros((n_max + 1, n_max + 1))
+    tab[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    for m in range(1, n_max + 1):
+        tab[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * tab[m - 1, m - 1]
+    for m in range(n_max):
+        tab[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * tab[m, m]
+    for m in range(n_max + 1):
+        for n in range(m + 2, n_max + 1):
+            alpha = math.sqrt((2.0 * n + 1.0) * (2.0 * n - 1.0) / ((n - m) * (n + m)))
+            beta = math.sqrt(
+                (2.0 * n + 1.0) * (n - m - 1.0) * (n + m - 1.0)
+                / ((2.0 * n - 3.0) * (n - m) * (n + m))
+            )
+            tab[n, m] = alpha * x * tab[n - 1, m] - beta * tab[n - 2, m]
+    return tab
+
+
+def test_batched_tables_match_single_calls_bitwise():
+    """Leading point axes give, point by point, the very bits of one-point
+    calls, the poles x = +-1 and the origin included."""
+    rng = np.random.default_rng(21)
+    xs = np.concatenate([rng.uniform(-1, 1, 13), [1.0, -1.0, 0.0]]).reshape(4, 4)
+    for n_max in (0, 1, 7, 30):
+        tab = normalized_legendre(n_max, xs)
+        assert tab.shape == (4, 4, n_max + 1, n_max + 1)
+        for idx in np.ndindex(xs.shape):
+            one = normalized_legendre(n_max, float(xs[idx]))
+            assert _bitwise(tab[idx], one)
+            assert _bitwise(one, _legendre_loop(n_max, float(xs[idx])))
+    with pytest.raises(DomainError):
+        normalized_legendre(4, np.array([0.5, 1.5]))
+
+    vs = rng.normal(size=(40, 3)) * 10 ** rng.uniform(-3, 3, (40, 1))
+    vs[:6] = [[0, 0, 0], [0, 0, 2.0], [0, 0, -0.5], [0, -1.0, 0], [-1.0, -0.0, 0],
+              [0, 0, 0]]
+    r, theta, phi = cartesian_to_spherical(vs)
+    for i, v in enumerate(vs):
+        one = cartesian_to_spherical(v)
+        assert all(type(c) is float for c in one)
+        assert _bitwise([r[i], theta[i], phi[i]], one)
+        assert _bitwise(one[0], np.linalg.norm(v))
+    assert (r[0], theta[0], phi[0]) == (0.0, 0.0, 0.0)
+
+    for n_max in (0, 5, 20):
+        ytab = sph_harm_table(n_max, theta, phi)
+        assert ytab.shape == (40, n_max + 1, 2 * n_max + 1)
+        for i in range(len(vs)):
+            assert _bitwise(ytab[i], sph_harm_table(n_max, theta[i], phi[i]))
+
+
 def test_constants_values():
     cst = constants(8)
     assert cst.c[0] == pytest.approx(1 / math.sqrt(4 * math.pi))

@@ -320,6 +320,23 @@ def test_cli_me_rejects_target_inside_the_sphere(tmp_path):
     assert "target 0.05,0,0 lies within radius" in res.output
 
 
+@pytest.mark.parametrize("order", ["-1", "61"])
+def test_cli_me_rejects_order_out_of_range(tmp_path, order):
+    """--p outside 0..60 is a usage error, not a traceback from the
+    constant tables."""
+    cpath = tmp_path / "charges.json"
+    tpath = tmp_path / "targets.json"
+    cpath.write_text(json.dumps({"charges": [[1.0, 0.1, 0.0, 0.05]]}))
+    tpath.write_text(json.dumps({"targets": [[2.0, 0.0, 0.0]]}))
+    res = CliRunner().invoke(main, [
+        "me", "--charges", str(cpath), "--targets", str(tpath),
+        "--component", "free", "--center", "0,0,0", "--p", order,
+    ])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--p'" in res.output
+    assert "0<=x<=60" in res.output
+
+
 def test_cli_lab_run_and_exit_code(tmp_path):
     cfg = {
         "kind": "me", "p_min": 1, "p_max": 8, "n_charges": 8, "seed": 0,
