@@ -4,7 +4,6 @@ exponential truncation-error bounds."""
 
 from .medium import (
     LayeredMedium,
-    LayerPoint,
     component_exists,
     homogeneous_medium,
     polarization_source,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,86 +44,107 @@ def _as_spectral_array(k_rho):
     return k
 
 
+@lru_cache(maxsize=64)
+def _geometry(medium):
+    """The k-independent data of the recursion for one medium, as tuples.
+
+    thick[l] = D_l (D_0 = D_L = 0); gamma_plus[l], gamma_minus[l] of
+    interface l (index 0 unused); c11[l] and t12[l] such that
+    T^{l,l+1}_11 = c11[l] e_{l+1} and T^{l,l+1}_12 = t12[l].
+    """
+    d = medium.interfaces
+    L = medium.num_interfaces
+    a, b = medium.a, medium.b
+    inner = range(1, L + 1)
+    return SimpleNamespace(
+        thick=tuple(d[l - 1] - d[l] if 0 < l < L else 0.0 for l in range(L + 1)),
+        gamma_plus=(0.0,) + tuple(a[l] / a[l - 1] + b[l] / b[l - 1] for l in inner),
+        gamma_minus=(0.0,) + tuple(a[l] / a[l - 1] - b[l] / b[l - 1] for l in inner),
+        c11=tuple(
+            (a[l + 1] * b[l] + a[l] * b[l + 1]) / (2 * a[l] * b[l]) for l in range(L)
+        ),
+        t12=tuple(
+            (a[l + 1] * b[l] - a[l] * b[l + 1]) / (2 * a[l] * b[l]) for l in range(L)
+        ),
+    )
+
+
 class InterfaceMatrices:
     """Rescaled transmission machinery at one (medium, k) pair.
 
     Holds, vectorized over k:
-        e[l]            exp(-k D_l), with D_0 = D_L = 0
-        ttilde[l]       rescaled transmission matrix between layers l-1, l
-        alpha[l]        cumulative product ttilde[1] ... ttilde[l]
-        s2e[l]          2 e_l S_breve^{(l)} (the only stable form of S)
+        e[l]            exp(-k D_l); e_0 = e_L = 1 exactly (the scalar 1.0)
+        alpha[l]        cumulative product ttilde[1] ... ttilde[l] of the
+                        rescaled transmission matrices between layers
+                        l-1, l; alpha[0] is the 2 x 2 identity
         t11[l], t12[l]  first-row entries of T^{l,l+1}
-    plus the closed-form C-ratio, which only ever decays for l1 <= l2.
+        gamma_plus[l], gamma_minus[l]
+    plus s2e(l) = 2 e_l S_breve^{(l)} (the only stable form of S) and the
+    closed-form C-ratio, which only ever decays for l1 <= l2.  The
+    k-independent parts come from a per-medium cache, and entries that
+    do not depend on k (t12, ttilde[l]_22 = gamma^+_l, row 2 of s2e, and
+    t11[L-1] = c11[L-1]) stay scalars that broadcast.  The key inequality
+    is checked on every construction.
     """
 
     def __init__(self, medium, k_rho):
         k = _as_spectral_array(k_rho)
+        geo = _geometry(medium)
         self.medium = medium
         self.k = k
-        d = medium.interfaces
-        L = medium.num_interfaces
-        a, b = medium.a, medium.b
+        self.gamma_plus = geo.gamma_plus
+        self.gamma_minus = geo.gamma_minus
+        e = [np.exp(-k * t) if t > 0.0 else 1.0 for t in geo.thick]
+        self.e = e
 
-        thick = np.zeros(L + 1)
-        for l in range(1, L):
-            thick[l] = d[l - 1] - d[l]
-        self.e = [np.exp(-k * thick[l]) for l in range(L + 1)]
+        # alpha[l] = alpha[l-1] ttilde[l], with ttilde[l] =
+        # [[g+ e_{l-1} e_l, g- e_{l-1}], [g- e_l, g+]]
+        self.alpha = [np.eye(2)]
+        for l in range(1, medium.num_interfaces + 1):
+            gp, gm = geo.gamma_plus[l], geo.gamma_minus[l]
+            t00, t01, t10 = gp * e[l - 1] * e[l], gm * e[l - 1], gm * e[l]
+            if l == 1:
+                p00, p01, p10, p11 = t00, t01, t10, gp
+            else:
+                p00, p01, p10, p11 = (
+                    p00 * t00 + p01 * t10,
+                    p00 * t01 + p01 * gp,
+                    p10 * t00 + p11 * t10,
+                    p10 * t01 + p11 * gp,
+                )
+            al = np.empty((2, 2) + k.shape, dtype=complex)
+            al[0, 0], al[0, 1], al[1, 0], al[1, 1] = p00, p01, p10, p11
+            self.alpha.append(al)
 
-        self.gamma_plus = np.zeros(L + 1)
-        self.gamma_minus = np.zeros(L + 1)
-        for l in range(1, L + 1):
-            self.gamma_plus[l] = a[l] / a[l - 1] + b[l] / b[l - 1]
-            self.gamma_minus[l] = a[l] / a[l - 1] - b[l] / b[l - 1]
-
-        ident = np.zeros((2, 2) + k.shape, dtype=complex)
-        ident[0, 0] = 1.0
-        ident[1, 1] = 1.0
-        self.alpha = [ident]
-        for l in range(1, L + 1):
-            gp, gm = self.gamma_plus[l], self.gamma_minus[l]
-            tt = np.empty((2, 2) + k.shape, dtype=complex)
-            tt[0, 0] = gp * self.e[l - 1] * self.e[l]
-            tt[0, 1] = gm * self.e[l - 1]
-            tt[1, 0] = gm * self.e[l]
-            tt[1, 1] = gp
-            prev = self.alpha[l - 1]
-            nxt = np.empty_like(prev)
-            nxt[0, 0] = prev[0, 0] * tt[0, 0] + prev[0, 1] * tt[1, 0]
-            nxt[0, 1] = prev[0, 0] * tt[0, 1] + prev[0, 1] * tt[1, 1]
-            nxt[1, 0] = prev[1, 0] * tt[0, 0] + prev[1, 1] * tt[1, 0]
-            nxt[1, 1] = prev[1, 0] * tt[0, 1] + prev[1, 1] * tt[1, 1]
-            self.alpha.append(nxt)
-
-        self.s2e = []
-        for l in range(L + 1):
-            m = np.empty((2, 2) + k.shape, dtype=complex)
-            m[0, 0] = self.e[l] / a[l]
-            m[0, 1] = self.e[l] / b[l]
-            m[1, 0] = np.broadcast_to(1.0 / a[l] + 0j, k.shape)
-            m[1, 1] = np.broadcast_to(-1.0 / b[l] + 0j, k.shape)
-            self.s2e.append(m)
-
-        self.t11 = []
-        self.t12 = []
-        for l in range(L):
-            self.t11.append(
-                (a[l + 1] * b[l] + a[l] * b[l + 1]) / (2 * a[l] * b[l]) * self.e[l + 1]
-            )
-            self.t12.append((a[l + 1] * b[l] - a[l] * b[l + 1]) / (2 * a[l] * b[l]))
+        self.t11 = [c * e[l + 1] for l, c in enumerate(geo.c11)]
+        self.t12 = geo.t12
 
         self._check_key_inequality()
 
+    def s2e(self, l):
+        """2 e_l S_breve^{(l)} as nested tuples; row 2 is constant."""
+        e = self.e[l]
+        a, b = self.medium.a[l], self.medium.b[l]
+        return ((e / a, e / b), (1.0 / a, -1.0 / b))
+
     def _check_key_inequality(self):
+        """|alpha_22|^2 - |alpha_21|^2 >= prod((g+)^2 - (g-)^2) for every l.
+
+        On the imaginary axis the two sides are equal and the left is a
+        difference of terms that can exceed the product by orders of
+        magnitude (many layers, high contrast), so the rounding slack is
+        1e-10 (|alpha_22|^2 + |alpha_21|^2), relative to those terms.
+        """
         prod = 1.0
         for l in range(1, self.medium.num_interfaces + 1):
             prod *= self.gamma_plus[l] ** 2 - self.gamma_minus[l] ** 2
-            al = self.alpha[l]
-            lhs = np.abs(al[1, 1]) ** 2 - np.abs(al[1, 0]) ** 2
-            if not np.all(lhs >= prod * (1.0 - 1e-10) - 1e-290):
+            row = np.abs(self.alpha[l][1])
+            sq = row * row
+            if not (sq[1] - sq[0] >= prod - 1e-10 * (sq[1] + sq[0])).all():
                 raise InvariantViolated(
                     "interface-matrix inequality violated; medium data corrupt"
                 )
-            if np.any(np.abs(al[1, 1]) < 1e-300):
+            if (row[1] < 1e-300).any():
                 raise DegenerateDenominator("|alpha_22| below 1e-300")
 
     def cratio(self, l1, l2):
@@ -131,7 +153,9 @@ class InterfaceMatrices:
         if l1 > l2:
             raise ValueError("C-ratio only used with l1 <= l2")
         if l1 == l2:
-            return np.ones_like(self.k)
+            return 1.0
+        if l2 == l1 + 1 and l1 >= 1:
+            return 2.0 * self.e[l1]  # d_{l1-1} - d_{l1} is D_{l1}
         d = self.medium.interfaces
         top = d[l1 - 1] if l1 >= 1 else d[0]
         return 2.0 ** (l2 - l1) * np.exp(-self.k * (top - d[l2 - 1]))
@@ -169,78 +193,43 @@ class ReactionDensitySet:
 def _row_bilinear(mats, lsub, lS, vec):
     """(alpha^{(lsub)} row 2) . (2 e S)^{(lS)} . vec, vectorized over k."""
     al = mats.alpha[lsub]
-    s = mats.s2e[lS]
-    r0 = al[1, 0] * s[0, 0] + al[1, 1] * s[1, 0]
-    r1 = al[1, 0] * s[0, 1] + al[1, 1] * s[1, 1]
+    s = mats.s2e(lS)
+    r0 = al[1, 0] * s[0][0] + al[1, 1] * s[1][0]
+    r1 = al[1, 0] * s[0][1] + al[1, 1] * s[1][1]
     return r0 * vec[0] + r1 * vec[1]
 
 
-def _density_sweep(medium, ellprime, k):
-    """All sigma^{ab}_{l, ellprime}(k) present for this source layer.
+def _chain(mats, ellprime, b, ell):
+    """(sigma^{1b}_{ell, ellprime}, sigma^{2b}_{ell, ellprime}) at mats.k.
 
-    Returns a dict keyed (a, b, ell).  Follows the bottom-seeded recursion;
-    the upward sweep updates the b=1 chain through sigma^{11} (the source
-    branch fires at l = l') and the b=2 chain through sigma^{12} (source
-    branch at l = l'-1), then converts to the a=2 members via the
-    alpha-ratio or the bracketed seed-corrected form below the source.
+    Follows the bottom-seeded recursion for one source side b: seeded at
+    the bottom layer, the upward sweep updates sigma^{1b} down to layer
+    ell and converts to sigma^{2b} via the alpha-ratio, or the
+    seed-corrected form below the source layer src (l' for b = 1, l'-1 for
+    b = 2).  For b = 1 the explicit source terms -S11^{(l')} a_{l'} +
+    S12^{(l')} b_{l'} at l = l' equal -1/2 + 1/2 and drop out; for b = 2
+    the source branch fires at l = l'-1.  Only the members that exist are
+    meaningful: sigma^{1b} needs ell < L, sigma^{2b} needs ell >= 1.
     """
+    medium = mats.medium
     L = medium.num_interfaces
-    mats = interface_matrices(medium, k)
     a_c, b_c = medium.a, medium.b
-    out = {}
-    zeros = np.zeros_like(k)
-
-    def alpha21_over22(l):
-        al = mats.alpha[l]
-        return al[1, 0] / al[1, 1]
-
-    if ellprime < L:  # b = 1 chain exists
-        vec = (-a_c[ellprime], b_c[ellprime])
-        seed_bil = _row_bilinear(mats, ellprime, ellprime, vec)
-        s21 = {L: -mats.cratio(ellprime + 1, L) / mats.alpha[L][1, 1] * seed_bil}
-        s11 = {L: zeros}
-        for l in range(L - 1, -1, -1):
-            # at l = l' the explicit source terms -S11^{(l')} a_{l'} +
-            # S12^{(l')} b_{l'} equal -1/2 + 1/2 and drop out
-            s11[l] = mats.t11[l] * s11[l + 1] + mats.t12[l] * s21[l + 1]
-            if l >= 1:
-                if l > ellprime:
-                    s21[l] = -(
-                        mats.cratio(ellprime + 1, l) * seed_bil
-                        + mats.alpha[l][1, 0] * s11[l]
-                    ) / mats.alpha[l][1, 1]
-                else:
-                    s21[l] = -alpha21_over22(l) * s11[l]
-        for l in range(L):
-            out[(1, 1, l)] = s11[l]
-        for l in range(1, L + 1):
-            out[(2, 1, l)] = s21[l]
-
-    if ellprime > 0:  # b = 2 chain exists
-        vec = (a_c[ellprime], b_c[ellprime])
-        seed_bil = _row_bilinear(mats, ellprime - 1, ellprime - 1, vec)
-        s22 = {L: -mats.cratio(ellprime, L) / mats.alpha[L][1, 1] * seed_bil}
-        s12 = {L: zeros}
-        for l in range(L - 1, -1, -1):
-            s12[l] = mats.t11[l] * s12[l + 1] + mats.t12[l] * s22[l + 1]
-            if l == ellprime - 1:
-                s12[l] = s12[l] + (
-                    a_c[ellprime] / (2 * a_c[l]) + b_c[ellprime] / (2 * b_c[l])
-                )
-            if l >= 1:
-                if l >= ellprime:
-                    s22[l] = -(
-                        mats.cratio(ellprime, l) * seed_bil
-                        + mats.alpha[l][1, 0] * s12[l]
-                    ) / mats.alpha[l][1, 1]
-                else:
-                    s22[l] = -alpha21_over22(l) * s12[l]
-        for l in range(L):
-            out[(1, 2, l)] = s12[l]
-        for l in range(1, L + 1):
-            out[(2, 2, l)] = s22[l]
-
-    return out
+    src = ellprime if b == 1 else ellprime - 1
+    vec = (-a_c[ellprime] if b == 1 else a_c[ellprime], b_c[ellprime])
+    seed = _row_bilinear(mats, src, src, vec)
+    s1 = 0.0
+    s2 = -mats.cratio(src + 1, L) / mats.alpha[L][1, 1] * seed
+    for l in range(L - 1, ell - 1, -1):
+        s1 = mats.t11[l] * s1 + mats.t12[l] * s2
+        if b == 2 and l == src:
+            s1 = s1 + (a_c[ellprime] / (2 * a_c[l]) + b_c[ellprime] / (2 * b_c[l]))
+        if l >= 1:
+            al = mats.alpha[l]
+            if l > src:
+                s2 = -(mats.cratio(src + 1, l) * seed + al[1, 0] * s1) / al[1, 1]
+            else:
+                s2 = -(al[1, 0] / al[1, 1]) * s1
+    return s1, s2
 
 
 def reaction_densities(medium, ell, ellprime, k_rho):
@@ -252,18 +241,22 @@ def reaction_densities(medium, ell, ellprime, k_rho):
     medium.check_layer(ellprime)
     k = _as_spectral_array(k_rho)
     scalar = np.ndim(k_rho) == 0 and np.ndim(k) == 0
-    sweep = _density_sweep(medium, ellprime, np.atleast_1d(k))
+    mats = interface_matrices(medium, np.atleast_1d(k))
     sigma = {}
-    for a in (1, 2):
-        for b in (1, 2):
+    for b in (1, 2):
+        chain = None
+        for a in (1, 2):
             if component_exists(medium, a, b, ell, ellprime):
-                val = sweep[(a, b, ell)]
+                if chain is None:
+                    chain = _chain(mats, ellprime, b, ell)
+                val = chain[a - 1]
                 sigma[(a, b)] = complex(val[0]) if scalar else val.reshape(k.shape)
     return ReactionDensitySet(sigma, ell, ellprime)
 
 
 class ReactionDensity:
-    """Callable sigma^{ab}_{l,l'} evaluator with a cached uniform bound."""
+    """Callable sigma^{ab}_{l,l'} evaluator with a cached uniform bound;
+    a call sweeps only the b chain, down to layer l."""
 
     def __init__(self, medium, a, b, ell, ellprime):
         require_component(medium, a, b, ell, ellprime)
@@ -274,10 +267,8 @@ class ReactionDensity:
         self.ellprime = ellprime
 
     def __call__(self, k):
-        k = np.atleast_1d(_as_spectral_array(k))
-        return _density_sweep(self.medium, self.ellprime, k)[
-            (self.a, self.b, self.ell)
-        ]
+        mats = interface_matrices(self.medium, np.atleast_1d(k))
+        return _chain(mats, self.ellprime, self.b, self.ell)[self.a - 1]
 
     @property
     def bound(self):

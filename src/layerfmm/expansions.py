@@ -436,7 +436,7 @@ def polarization_coordinates(system, medium, a, b, ell, ellprime):
             polarization_source(medium, a, b, ell, ellprime, pos)
             for pos in system.positions
         ]
-    )
+    ).reshape(len(system), 3)
 
 
 def reaction_me_from_charges(

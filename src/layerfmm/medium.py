@@ -91,20 +91,11 @@ class LayeredMedium:
                 break
         return lo
 
-    def locate(self, position):
-        """Build a LayerPoint, computing the layer index from z."""
-        position = np.asarray(position, dtype=float)
-        return LayerPoint(position, self.layer_of(position[2]))
-
     def check_layer(self, ell):
         if not 0 <= ell <= self.num_interfaces:
             raise IndexOutOfRange(
                 f"layer index {ell} outside 0..{self.num_interfaces}"
             )
-
-    def contains(self, point):
-        """True if the LayerPoint's stored layer matches its z-coordinate."""
-        return self.layer_of(point.position[2]) == point.layer
 
     @classmethod
     def from_dict(cls, data):
@@ -121,24 +112,6 @@ class LayeredMedium:
             "a": list(self.a),
             "b": list(self.b),
         }
-
-
-@dataclass(frozen=True)
-class LayerPoint:
-    """A point with an explicit layer index.
-
-    The index is stored rather than recomputed so that tests can evaluate
-    a component for an off-layer point deliberately; ``medium.contains``
-    checks consistency when it matters.
-    """
-
-    position: np.ndarray
-    layer: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "position", np.asarray(self.position, dtype=float).reshape(3)
-        )
 
 
 def homogeneous_medium():

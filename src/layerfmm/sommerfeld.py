@@ -48,9 +48,10 @@ level-synchronous: each pass bisects its panels together, again in
 blocks.
 
 The Bessel ladder (_bessel_orders) takes J_0 and J_1 from j0/j1 and the
-higher orders from the upward three-term recurrence wherever
-k rho >= max order, where it is stable; its absolute error of about
-1e-14 moves I(n, m) by at most 1e-14 M_sigma Gamma(n+1)/zeta^{n+1}.
+higher orders from the three-term recurrence in its stable direction:
+upward where k rho >= max order, downward from two jv seeds below.  Its
+absolute error of about 1e-14 moves I(n, m) by at most
+1e-14 M_sigma Gamma(n+1)/zeta^{n+1}.
 Every table tolerance of the expansion builders is relative to that same
 bound (rel_tol 1e-11 to 1e-12), so the Bessel error is far below it.  One
 batched matrix product per block contracts the powers, the density and
@@ -87,34 +88,54 @@ def _bessel_orders(orders, x):
     """J_m(x) for each m in orders, stacked along a new first axis.
 
     orders are nonnegative ints and x >= 0 an array of any shape.  J_0 and
-    J_1 come from special.j0 and special.j1.  Higher orders come from the
-    upward recurrence J_{m+1} = (2m/x) J_m - J_{m-1} on the nodes with
-    x >= max(orders), where every step has m < x and the recurrence is
-    stable, and from special.jv on the remaining nodes.
+    J_1 come from special.j0 and special.j1.  Higher orders come from a
+    three-term recurrence run in its stable direction:
+
+    - x >= top = max(orders): upward, J_{m+1} = (2m/x) J_m - J_{m-1},
+      where every step has m < x;
+    - 0 < x < top: downward from special.jv seeds J_top and J_{top-1},
+      J_{m-1} = 2m J_m / x - J_{m+1}, where J is the minimal solution
+      above x.  The product 2m J_m is formed before the division, so an
+      underflowed seed gives zeros, never NaN.  special.jv returns 0 below
+      about 1e-280; a J_top of 0 only drops a term far below rounding, but
+      where J_{top-1} is 0 too the node takes special.jv for every order;
+    - x = 0: J_m = 0 for m >= 2, as j0/j1 give J_0 = 1, J_1 = 0.
 
     The values stay within about 1.5e-14 absolute of special.jv (orders up
-    to 24, x up to 1e5; the tests require 5e-14).  In radial_table J_m
-    multiplies e^{-k zeta} sigma(k) k^n with |sigma| <= M_sigma, so an
-    absolute Bessel error eps moves I(n, m) by at most
-    eps M_sigma Gamma(n+1)/zeta^{n+1}.  The expansion builders' tolerances
-    are rel_tol times that same bound, with rel_tol 1e-11 by default and
-    1e-12 in the lab configurations, so the Bessel error sits 100 to 1000
-    times below them.  For the oracle's I(0, 0) the shift is at most
+    to 40, x from 1e-300 to 1e5; the tests require 5e-14).  In
+    radial_table J_m multiplies e^{-k zeta} sigma(k) k^n with
+    |sigma| <= M_sigma, so an absolute Bessel error eps moves I(n, m) by
+    at most eps M_sigma Gamma(n+1)/zeta^{n+1}.  The expansion builders'
+    tolerances are rel_tol times that same bound, with rel_tol 1e-11 by
+    default and 1e-12 in the lab configurations, so the Bessel error sits
+    100 to 1000 times below them.  For the oracle's I(0, 0) the shift is at most
     eps M_sigma / zeta.
     """
     top = int(np.max(orders))
-    ladder = np.empty((top + 1,) + x.shape)
-    ladder[0] = special.j0(x)
+    flat = x.ravel()
+    ladder = np.empty((top + 1, flat.size))
+    ladder[0] = special.j0(flat)
     if top >= 1:
-        ladder[1] = special.j1(x)
+        ladder[1] = special.j1(flat)
     if top >= 2:
-        up = x >= top
-        xu = x[up]
+        up = flat >= top
+        xs = flat[up]
+        sub = ladder[:, up]
         for m in range(1, top):
-            ladder[m + 1][up] = (2.0 * m / xu) * ladder[m][up] - ladder[m - 1][up]
-        rest = ~up
-        ladder[2:, rest] = special.jv(np.arange(2, top + 1)[:, None], x[rest])
-    return ladder[orders]
+            sub[m + 1] = (2.0 * m / xs) * sub[m] - sub[m - 1]
+        ladder[2:, up] = sub[2:]
+        down = ~up & (flat != 0.0)
+        xs = flat[down]
+        sub = np.empty((top + 1, xs.size))
+        sub[top - 1 :] = special.jv(np.arange(top - 1, top + 1)[:, None], xs)
+        for m in range(top - 1, 2, -1):
+            sub[m - 1] = (2.0 * m) * sub[m] / xs - sub[m + 1]
+        lost = sub[top - 1] == 0.0
+        if np.any(lost):
+            sub[2:, lost] = special.jv(np.arange(2, top + 1)[:, None], xs[lost])
+        ladder[2:, down] = sub[2:]
+        ladder[2:, flat == 0.0] = 0.0
+    return ladder[orders].reshape((len(orders),) + x.shape)
 
 
 class ConstantDensity:

@@ -12,6 +12,7 @@ from layerfmm.errors import (
     ComponentAbsent,
     IndexOutOfRange,
     InvalidSpectralArgument,
+    InvariantViolated,
 )
 
 from conftest import (
@@ -213,3 +214,43 @@ def test_density_evaluator_shape_and_bound(two_layer):
     assert out.shape == (7,)
     assert dens.bound > 0
     assert np.abs(out).max() <= dens.bound
+
+
+def test_single_chain_evaluator_matches_density_set():
+    """ReactionDensity sweeps only its own b chain, down to its target
+    layer; every present component is bitwise the value of the full
+    reaction_densities sweep."""
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        med = random_medium(rng)
+        L = med.num_interfaces
+        k = rng.uniform(0, 40, 24) + 1j * rng.uniform(-40, 40, 24)
+        k = np.abs(k.real) + 1j * k.imag
+        k[:2] = [0.0, 3.0j]
+        for ell in range(L + 1):
+            for ellp in range(L + 1):
+                dens = reaction_densities(med, ell, ellp, k)
+                for a, b in dens.components:
+                    one = ReactionDensity(med, a, b, ell, ellp)(k)
+                    assert np.array_equal(one, dens.get(a, b))
+
+
+@pytest.mark.parametrize("L", [3, 5, 6, 8, 10])
+@pytest.mark.parametrize("contrast", [1e2, 1e3])
+def test_key_inequality_accepts_many_layers_high_contrast(L, contrast):
+    """Valid media with up to 10 interfaces 0.3 apart and b up to 1e3
+    times a pass the key-inequality tripwire.  On the imaginary axis its
+    two sides are equal while |alpha_22|^2 exceeds their value by orders
+    of magnitude; a slack relative to the product alone refuses 3 of
+    these 20 media at L = 6, contrast 1e2, and 19 at L = 10, contrast
+    1e3."""
+    refused = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        b = contrast ** rng.uniform(0.0, 1.0, L + 1)
+        med = LayeredMedium(-0.3 * np.arange(L), np.ones(L + 1), b)
+        try:
+            density_bound(med, 0, 0, 1, 1)
+        except InvariantViolated:
+            refused += 1
+    assert refused == 0

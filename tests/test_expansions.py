@@ -520,6 +520,20 @@ def test_reaction_homogeneous_zero_field():
     assert val == 0.0
 
 
+@pytest.mark.parametrize("ab", [(1, 1), (2, 2)])
+def test_reaction_expansions_of_no_charges_are_zero(slab, ab):
+    """An empty ChargeSystem gives zero reaction ME and LE tables, as it
+    gives a zero free-space ME."""
+    empty = ChargeSystem(np.zeros(0), np.zeros((0, 3)), np.zeros(0, int))
+    free = me_from_charges(empty, [0.0, 0.0, 0.0], 4)
+    pol_c = polarization_source(slab, *ab, 1, 1, np.array([0, 0, -0.5]))
+    me = reaction_me_from_charges(empty, slab, *ab, 1, 1, pol_c, 4)
+    tc = np.array([0.9, 0.6, -0.45])
+    le = reaction_le_from_charges(empty, slab, *ab, 1, 1, tc, 4, radius=0.2)
+    for exp in (free, me, le):
+        assert exp.coeff.shape == (5, 9) and not np.any(exp.coeff)
+
+
 def test_reaction_potential_helper_absent_components(two_layer):
     from layerfmm.sommerfeld import eval_reaction_potential
 

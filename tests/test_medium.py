@@ -173,10 +173,7 @@ def test_reflection_algebra():
         np.testing.assert_allclose(reflect(reflect(r)), r, rtol=0, atol=0)
 
 
-def test_locate_and_box_checks(two_layer):
-    pt = two_layer.locate([0.0, 0.0, 2.0])
-    assert pt.layer == 0
-    assert two_layer.contains(pt)
+def test_box_in_layer_checks(two_layer):
     check_box_in_layer(two_layer, [0, 0, 1.0], 0.5, 0)
     with pytest.raises(BoxCrossesInterface):
         check_box_in_layer(two_layer, [0, 0, 0.3], 0.5, 0)

@@ -68,12 +68,16 @@ def test_bessel_against_mpmath():
 
 
 def test_bessel_orders_match_jv():
-    """The j0/j1 plus upward-recurrence kernel of radial_table agrees
-    with special.jv to 5e-14 absolute: at x = 0, on both sides of the
-    switch x = max(orders), and out to x = 1e5."""
-    base = np.concatenate([np.geomspace(1e-8, 1e5, 4001), np.linspace(0.0, 60.0, 601)])
+    """The Bessel kernel of radial_table (j0/j1, the upward recurrence
+    from x = max(orders) on, the downward one below it) agrees with
+    special.jv to 5e-14 absolute and is finite everywhere: at x = 0, on
+    both sides of the switch x = max(orders), and from x = 1e-300, where
+    the downward seeds underflow, out to x = 1e5."""
+    base = np.concatenate([
+        np.geomspace(1e-300, 1e5, 4001), np.linspace(0.0, 60.0, 601),
+    ])
     cases = [np.arange(2 * p + 1) for p in range(13)]
-    cases += [np.array([0]), np.array([0, 3, 7]), np.array([7, 3])]
+    cases += [np.array([0]), np.array([0, 3, 7]), np.array([7, 3]), np.arange(41)]
     for orders in cases:
         top = float(orders.max())
         switch = [np.nextafter(top, 0.0), top, np.nextafter(top, np.inf),
@@ -81,11 +85,24 @@ def test_bessel_orders_match_jv():
         x = np.concatenate([[0.0], switch, base])
         got = sommerfeld._bessel_orders(orders, x)
         assert got.shape == (len(orders), len(x))
+        assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - special.jv(orders[:, None], x))) <= 5e-14
     x = np.linspace(0.0, 300.0, 24 * 32).reshape(24, 32)
     orders = np.arange(17)
     got = sommerfeld._bessel_orders(orders, x)
     assert np.max(np.abs(got - special.jv(orders[:, None, None], x))) <= 5e-14
+
+
+def test_radial_table_on_axis_closed_form():
+    """At rho = 0 every node has k rho = 0, where J_0 = 1 and J_m = 0 for
+    m > 0: I(n, 0) = Gamma(n+1)/zeta^{n+1} and I(n, m > 0) = 0."""
+    zeta = 0.4
+    n = np.arange(13)
+    tol = _relative_tol(zeta, size=13)
+    values, _, _ = radial_table(ConstantDensity(1.0), 0.0, zeta, n, n, tol)
+    exact = [math.gamma(k + 1) / zeta ** (k + 1) for k in n]
+    assert np.all(np.abs(values[:, 0] - exact) <= tol[:, 0])
+    assert not np.any(values[:, 1:])
 
 
 def _single(m, n, rho, zeta, density, tol):
