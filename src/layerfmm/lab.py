@@ -389,15 +389,15 @@ def _free_m2l(config):
 
 
 def _reaction_oracle(medium, component, system, targets, tol):
-    """Reaction potential of the charges at each target, one
-    eval_reaction_green call per (target, charge) pair."""
-    out = np.zeros(len(targets))
-    for t, r in enumerate(targets):
-        total = 0.0
-        for qj, pos in zip(system.q, system.positions):
-            total += qj * eval_reaction_green(medium, *component, r, pos, tol=tol)
-        out[t] = total
-    return out
+    """Reaction potential of the charges at each target, with the summed
+    quadrature stats: one eval_reaction_green call over every (target,
+    charge) pair."""
+    n_t, n_c = len(targets), len(system)
+    values, stats = eval_reaction_green(
+        medium, *component, np.repeat(targets, n_c, axis=0),
+        np.tile(system.positions, (n_t, 1)), tol=tol, stats=True,
+    )
+    return values.reshape(n_t, n_c) @ system.q, _sum_stats([stats])
 
 
 def _reaction_setup(config, box_radius, cloud_radius, expand):
@@ -408,7 +408,8 @@ def _reaction_setup(config, box_radius, cloud_radius, expand):
     center, targets) builds the operator under test and raises the kind's
     own geometry errors; it runs before the oracle, so a bad geometry
     fails before the costly part.  Returns (system, targets, what expand
-    returned, oracle values, M_sigma)."""
+    returned, oracle values, M_sigma, metadata holding the oracle's
+    quadrature counters)."""
     medium = config.medium
     a, b, ell, ellprime = config.component
     system = _box_charges(config, ellprime)
@@ -419,10 +420,11 @@ def _reaction_setup(config, box_radius, cloud_radius, expand):
     check_box_in_layer(medium, center, box_radius, ell)
     targets = center + cloud_radius * fibonacci_sphere(config.n_targets)
     built = expand(system, pol_center, center, targets)
-    oracle = _reaction_oracle(
+    oracle, stats = _reaction_oracle(
         medium, config.component, system, targets, min(1e-10, config.quad_tol)
     )
-    return system, targets, built, oracle, density_bound(medium, ell, ellprime, a, b)
+    msig = density_bound(medium, ell, ellprime, a, b)
+    return system, targets, built, oracle, msig, {"oracle_quadrature": stats}
 
 
 def _reaction_multipole(config, system, pol_center):
@@ -449,21 +451,16 @@ def _reaction_me(config):
         return exp, r_min
 
     spread = config.target_spread
-    system, targets, (exp, r_min), oracle, msig = _reaction_setup(
+    system, targets, (exp, r_min), oracle, msig, meta = _reaction_setup(
         config, max(spread, 1e-9), spread, expand
     )
-    tables = [
-        xp.reaction_basis_table(
-            config.medium, config.component, config.p_max, r, exp.center,
-            config.quad_tol,
-        )
-        for r in targets
-    ]
-    basis = np.array([table for table, _ in tables])
-    meta = {
-        "r_min": r_min, "a_s": config.a_s,
-        "quadrature": _sum_stats([stats for _, stats in tables]),
-    }
+    basis, stats = xp.reaction_basis_table(
+        config.medium, config.component, config.p_max, targets, exp.center,
+        config.quad_tol,
+    )
+    meta.update(
+        {"r_min": r_min, "a_s": config.a_s, "quadrature": _sum_stats([stats])}
+    )
     return _geometric(
         config, _partial_sum_errors(exp, basis, oracle), system, oracle,
         4 * math.pi * (r_min - config.a_s), config.a_s, r_min, meta, msig,
@@ -476,16 +473,17 @@ def _reaction_le(config):
     def expand(system, pol_center, center, targets):
         return xp.reaction_le_from_charges(
             system, config.medium, *config.component, center, config.p_max,
-            radius=config.a_t, rel_tol=config.quad_tol,
+            radius=config.a_t, rel_tol=config.quad_tol, stats=True,
         )
 
-    system, targets, exp, oracle, msig = _reaction_setup(
+    system, targets, (exp, stats), oracle, msig, meta = _reaction_setup(
         config, config.a_t, r_t, expand
     )
     errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
+    meta.update({"r_t": r_t, "a_t": config.a_t, "quadrature": _sum_stats([stats])})
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t), r_t,
-        config.a_t, {"r_t": r_t, "a_t": config.a_t}, msig,
+        config.a_t, meta, msig,
     )
 
 
@@ -498,7 +496,7 @@ def _reaction_m2l(config):
             raise ValueError(f"boxes not well separated: effective c = {c_eff:.3f}")
         return exp, center, sep, c_eff
 
-    system, targets, (exp, tc, sep, c_eff), oracle, msig = _reaction_setup(
+    system, targets, (exp, tc, sep, c_eff), oracle, msig, meta = _reaction_setup(
         config, config.a_t, 0.9 * config.a_t, expand
     )
     pm = config.p_max
@@ -516,7 +514,7 @@ def _reaction_m2l(config):
     term = np.real(np.einsum("ti,iu,in->tnu", basis, by_nu, degree))
     grid = np.cumsum(np.cumsum(term, axis=1), axis=2)
     errs = np.abs(np.diagonal(grid, axis1=1, axis2=2) - oracle[:, None])
-    meta = {"c_eff": c_eff, "separation": sep, "quadrature": quad_stats}
+    meta.update({"c_eff": c_eff, "separation": sep, "quadrature": quad_stats})
     return _geometric(
         config, errs.max(axis=0), system, oracle,
         2 * math.pi * (c_eff - 1) * config.a_t, config.a_s + config.a_t,

@@ -170,14 +170,18 @@ def tau_map(medium, a, b, ell, ellprime, r, rprime):
         b=1: z' - d_{l'}    b=2: d_{l'-1} - z'
 
     It is strictly positive whenever r lies in layer l and r' in layer l'.
+    r and r' are points or arrays of points along the last axis, broadcast
+    against each other.
     """
     require_component(medium, a, b, ell, ellprime)
     r = np.asarray(r, dtype=float)
     rprime = np.asarray(rprime, dtype=float)
     d = medium.interfaces
-    zt = r[2] - d[ell] if a == 1 else d[ell - 1] - r[2]
-    zs = rprime[2] - d[ellprime] if b == 1 else d[ellprime - 1] - rprime[2]
-    return np.array([r[0] - rprime[0], r[1] - rprime[1], zt + zs])
+    zt = r[..., 2] - d[ell] if a == 1 else d[ell - 1] - r[..., 2]
+    zs = rprime[..., 2] - d[ellprime] if b == 1 else d[ellprime - 1] - rprime[..., 2]
+    dx = r[..., 0] - rprime[..., 0]
+    dy = r[..., 1] - rprime[..., 1]
+    return np.stack([dx, dy, zt + zs], axis=-1)
 
 
 def polarization_source(medium, a, b, ell, ellprime, rprime):
@@ -186,14 +190,16 @@ def polarization_source(medium, a, b, ell, ellprime, rprime):
     Mirrors/offsets the physical source so that
     tau^{1b}(r, r') = r - r'_{1b} and tau^{2b}(r, r') = reflect(r - r'_{2b}).
     The z-coordinate lands strictly below d_l for a=1 and strictly above
-    d_{l-1} for a=2 when r' lies in layer l'.
+    d_{l-1} for a=2 when r' lies in layer l'.  r' is a point or an array of
+    points along the last axis.
     """
     require_component(medium, a, b, ell, ellprime)
     rprime = np.asarray(rprime, dtype=float)
     d = medium.interfaces
-    zs = rprime[2] - d[ellprime] if b == 1 else d[ellprime - 1] - rprime[2]
-    z_img = d[ell] - zs if a == 1 else d[ell - 1] + zs
-    return np.array([rprime[0], rprime[1], z_img])
+    zs = rprime[..., 2] - d[ellprime] if b == 1 else d[ellprime - 1] - rprime[..., 2]
+    out = rprime.copy()
+    out[..., 2] = d[ell] - zs if a == 1 else d[ell - 1] + zs
+    return out
 
 
 def check_box_in_layer(medium, center, radius, ell):

@@ -20,11 +20,16 @@ operator prefactor.
 
 The engine, ``radial_table``, evaluates a family of integrals sharing
 (rho, zeta, sigma) - all coefficients of an expansion, or a whole M2L
-operator - on shared nodes.  It uses composite 32-point Gauss-Legendre
-panels with adaptive bisection driven by the disagreement of each panel
-with the sum of its halves; the upper limit K is solved for from the
-analytic tail bound M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10
-(by gammainccinv, never below a baseline).
+operator - on shared nodes.  sigma depends only on k and the medium, so
+its batched core ``_radial_tables`` serves many (rho, zeta) pairs of one
+component (the oracle's (target, charge) pairs, a basis table's targets,
+a local expansion's charges) on one grid, with one density sweep per block
+of panels and entrywise error control for every pair; radial_table is its
+one-pair view.  It uses composite 32-point Gauss-Legendre panels with
+adaptive bisection driven by the disagreement of each panel with the sum
+of its halves; the upper limit K is solved for from the analytic tail
+bound M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by
+gammainccinv, never below a baseline).
 
 The initial panels are as wide as the 32-point rule allows.  Their width
 is min(K/16, w), with w the power of two nearest 16 pi / rho, so a panel
@@ -35,7 +40,8 @@ at 16).  The value kept is the sum of the halves, over which k rho changes
 by at most 8 sqrt2 pi (about 11 pi, 5.7 periods): exact to rounding.  The
 whole-versus-halves disagreement therefore measures the error of the
 whole rule and over-reads that of the halves.  Power-of-two widths put the
-edges of tables with different rho on one dyadic lattice.  When K / w
+edges of tables with different rho on one dyadic lattice, which is what
+lets a batch share one grid.  When K / w
 exceeds 512 the initial grid is capped at 512 wider panels; on those the
 halves can be as wrong as the whole and agree with it by accident, so a
 capped table raises the estimate of every panel wider than 2w to at least
@@ -54,8 +60,9 @@ absolute error of about 1e-14 moves I(n, m) by at most
 1e-14 M_sigma Gamma(n+1)/zeta^{n+1}.
 Every table tolerance of the expansion builders is relative to that same
 bound (rel_tol 1e-11 to 1e-12), so the Bessel error is far below it.  One
-batched matrix product per block contracts the powers, the density and
-the Bessel values over the nodes of each rule.
+batched real matrix product per block contracts the Bessel values against
+the real and imaginary parts of k^n e^{-k zeta} sigma(k), whose powers
+come from a running product over n, over the nodes of each rule.
 """
 
 from __future__ import annotations
@@ -223,6 +230,8 @@ def _split(evaluate, lo, hi, whole=None):
             err = np.empty(shape)
         left[b], right[b] = est[:n], est[n:]
         err[b] = np.abs(w - (left[b] + right[b]))
+        # release this block's estimates before the next evaluate call
+        est = w = None
     return left, right, err, calls
 
 
@@ -303,6 +312,120 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, floor=None
     }
 
 
+#: Doubles a pair chunk's per-node arrays may hold in one evaluate call
+#: (512 KiB); larger batches are swept in chunks of pairs, so a block's peak
+#: memory does not grow with the batch.
+_CHUNK_DOUBLES = 1 << 16
+
+
+def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
+                   max_panels=MAX_PANELS):
+    """radial_table for a batch of (rho, zeta) pairs on one grid.
+
+    rhos and zetas have shape (B,), tol_abs and the returned values and
+    error estimates (B, len(powers), len(orders)); one stats record covers
+    the batch.  Each pair's K and width are those radial_table would
+    choose for it alone; the grid runs to the largest K in panels of the
+    smallest width, so no pair's panels are wider than its own.  A capped
+    grid floors each pair's panels by that pair's own mass bound.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    zetas = np.asarray(zetas, dtype=float)
+    powers = np.asarray(powers, dtype=int)
+    orders = np.asarray(orders, dtype=int)
+    if not np.all(zetas > 0):
+        raise DomainError("zeta must be positive")
+    if not np.all(rhos >= 0):
+        raise DomainError("rho must be nonnegative")
+    if np.any(powers < 0) or np.any(orders < 0):
+        raise DomainError("powers and orders must be nonnegative")
+    bound = getattr(density, "bound", None)
+    if bound is None:
+        raise TypeError("density evaluator must expose a uniform bound")
+    shape = (len(rhos), len(powers), len(orders))
+    tol_abs = np.asarray(tol_abs, dtype=float)
+    if tol_abs.shape != shape:
+        raise DomainError(
+            f"tol_abs of shape {tol_abs.shape[1:]} per pair, expected "
+            f"(len(powers), len(orders)) = {shape[1:]}"
+        )
+    if not np.all(tol_abs > 0):
+        raise DomainError("tol_abs entries must be positive or +inf")
+    finite = np.isfinite(tol_abs)
+    if not np.all(finite.any(axis=(1, 2))):
+        raise DomainError("tol_abs needs a finite entry for every pair")
+    if bound == 0.0 or not len(rhos):
+        return np.zeros(shape, dtype=complex), np.zeros(shape), {
+            "panels": 0,
+            "gl_calls": 0,
+            "nodes": 0,
+            "evals": 0,
+            "bisections": 0,
+            "tol_use": 0.0,
+            "capped": False,
+        }
+
+    kmax, width = 0.0, math.inf
+    for rho, zeta, tol, fin in zip(rhos, zetas, tol_abs, finite):
+        k_own = _choose_kmax(bound, rho, zeta, powers, 0.1 * float(np.min(tol[fin])))
+        w_own = k_own / 16.0
+        if rho > 0:
+            w_own = min(w_own, 2.0 ** round(math.log2(16.0 * math.pi / rho)))
+        kmax, width = max(kmax, k_own), min(width, w_own)
+    top = int(np.max(powers))
+    full = np.array_equal(powers, np.arange(top + 1))
+
+    def evaluate(lo, hi):
+        half = 0.5 * (hi - lo)
+        k = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+        dens = density(k.ravel()).reshape(k.shape) * (half[:, None] * _GL_WEIGHTS)
+        # (rules, re/im, nodes): the real Bessel block is contracted
+        # against both parts, never cast to complex
+        parts = np.stack([dens.real, dens.imag], axis=1)
+        k2 = np.stack([k, k], axis=1)
+        out = np.empty((len(lo),) + shape, dtype=complex)
+        per_pair = k.size * (2 * (top + len(powers) + 1) + len(orders))
+        step = max(1, _CHUNK_DOUBLES // per_pair)
+        for s in range(0, shape[0], step):
+            pairs = slice(s, s + step)
+            # k^n e^{-k zeta} sigma w by a running product over n
+            run = np.empty((top + 1, len(rhos[pairs])) + parts.shape)
+            run[0] = np.exp(-k * zetas[pairs, None, None])[:, :, None] * parts
+            for n in range(top):
+                np.multiply(run[n], k2, out=run[n + 1])
+            lhs = (run if full else run[powers]).transpose(1, 2, 0, 3, 4)
+            lhs = lhs.reshape(lhs.shape[:2] + (-1, k.shape[1]))
+            jm = _bessel_orders(orders, k * rhos[pairs, None, None])
+            # (pairs, rules, orders, nodes) @ (pairs, rules, nodes, powers x
+            # re/im): the re/im columns interleave into complex values
+            res = jm.transpose(1, 2, 0, 3) @ lhs.transpose(0, 1, 3, 2)
+            out[:, pairs] = res.view(complex).transpose(1, 0, 3, 2)
+        return out
+
+    n_uncapped = int(math.ceil(kmax / width))
+    n_init = min(n_uncapped, 512)
+    capped = n_uncapped > n_init
+    edges = max(width, kmax / n_init) * np.arange(n_init + 1)
+    floor = None
+    if capped:
+
+        def floor(lo, hi):
+            n = powers[None, None, :, None]
+            zeta = zetas[None, :, None, None]
+            lo, hi = lo[:, None, None, None], hi[:, None, None, None]
+            mass = bound * (_gamma_tail(n, lo, zeta) - _gamma_tail(n, hi, zeta))
+            return np.where(hi - lo > 2.0 * width, 2.0 * mass, 0.0) * np.ones(
+                len(orders)
+            )
+
+    values, err, stats = _adaptive_panels(
+        evaluate, edges, 0.9 * tol_abs, max_panels, floor
+    )
+    stats["tol_use"] = float(np.max(err[finite] / tol_abs[finite]))
+    stats["capped"] = capped
+    return values, err, stats
+
+
 def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PANELS):
     """All integrals I(n, m) for n in powers, m in orders on shared nodes.
 
@@ -310,10 +433,13 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     (DomainError otherwise); the density must expose a uniform bound.
     tol_abs is an entrywise absolute tolerance of shape
     (len(powers), len(orders)); entries set to inf do not drive
-    refinement.  Returns (values, error estimates, stats); stats holds
-    the counts of _adaptive_panels, tol_use (the worst ratio of the error
-    estimate to tol_abs over the finite entries of tol_abs) and "capped",
-    whether the initial panel count was cut to 512.
+    refinement, and at least one must be finite (DomainError for another
+    shape, or for an entry that is not > 0 or inf).  Returns (values,
+    error estimates, stats); stats holds the counts of _adaptive_panels,
+    tol_use (the worst ratio of the error estimate to tol_abs over the
+    finite entries of tol_abs) and "capped", whether the initial panel
+    count was cut to 512.  This is the one-pair view of _radial_tables,
+    which batches (rho, zeta) pairs on one grid.
 
     A tenth of the smallest finite tolerance goes to the tail beyond K
     (_choose_kmax), nine tenths to the panels.  The initial panels are
@@ -327,106 +453,52 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     integral alike; bisection goes on until the mass left on such panels
     fits the tolerance, or the panel budget is spent (ToleranceNotMet).
     """
-    powers = np.asarray(powers, dtype=int)
-    orders = np.asarray(orders, dtype=int)
-    if zeta <= 0:
-        raise DomainError("zeta must be positive")
-    if rho < 0:
-        raise DomainError("rho must be nonnegative")
-    if np.any(powers < 0) or np.any(orders < 0):
-        raise DomainError("powers and orders must be nonnegative")
-    bound = getattr(density, "bound", None)
-    if bound is None:
-        raise TypeError("density evaluator must expose a uniform bound")
-    if bound == 0.0:
-        shape = (len(powers), len(orders))
-        return np.zeros(shape, dtype=complex), np.zeros(shape), {
-            "panels": 0,
-            "gl_calls": 0,
-            "nodes": 0,
-            "evals": 0,
-            "bisections": 0,
-            "tol_use": 0.0,
-            "capped": False,
-        }
-
-    tol_abs = np.asarray(tol_abs, dtype=float)
-    finite = np.isfinite(tol_abs)
-    tol_tail = 0.1 * float(np.min(tol_abs[finite]))
-    kmax = _choose_kmax(bound, rho, zeta, powers, tol_tail)
-
-    def evaluate(lo, hi):
-        half = 0.5 * (hi - lo)
-        k = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
-        core = density(k.ravel()).reshape(k.shape) * np.exp(-k * zeta) * _GL_WEIGHTS
-        jm = _bessel_orders(orders, k * rho)
-        kp = k ** powers[:, None, None]
-        # (rules, powers, nodes) @ (rules, nodes, orders)
-        return half[:, None, None] * (
-            (kp * core).transpose(1, 0, 2) @ jm.transpose(1, 2, 0)
-        )
-
-    width = kmax / 16.0
-    if rho > 0:
-        width = min(width, 2.0 ** round(math.log2(16.0 * math.pi / rho)))
-    n_uncapped = int(math.ceil(kmax / width))
-    n_init = min(n_uncapped, 512)
-    capped = n_uncapped > n_init
-    edges = max(width, kmax / n_init) * np.arange(n_init + 1)
-    floor = None
-    if capped:
-
-        def floor(lo, hi):
-            n = powers[None, :, None]
-            mass = bound * (
-                _gamma_tail(n, lo[:, None, None], zeta)
-                - _gamma_tail(n, hi[:, None, None], zeta)
-            )
-            wide = (hi - lo > 2.0 * width)[:, None, None]
-            return np.where(wide, 2.0 * mass, 0.0) * np.ones(len(orders))
-
-    values, err, stats = _adaptive_panels(
-        evaluate, edges, 0.9 * tol_abs, max_panels, floor
+    values, err, stats = _radial_tables(
+        density, [rho], [zeta], powers, orders,
+        np.asarray(tol_abs, dtype=float)[None], max_panels,
     )
-    stats["tol_use"] = float(np.max(err[finite] / tol_abs[finite]))
-    stats["capped"] = capped
-    return values, err, stats
+    return values[0], err[0], stats
 
 
 def _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol):
     """u^{ab}_{l,l'}(r, r') = (1/4pi) I(0, 0; |transverse tau|, tau_z,
-    sigma^{ab}) to absolute tolerance tol (floored at MIN_TOL/4pi).
-    Returns (value, error estimate, stats of radial_table)."""
+    sigma^{ab}) to absolute tolerance tol (floored at MIN_TOL/4pi), for a
+    pair of points or for pairs of points along the last axis of r and r'
+    (broadcast), all on one grid.  Returns (values, error estimates,
+    stats), floats for one pair."""
     density = ReactionDensity(medium, a, b, ell, ellprime)
     tau = tau_map(medium, a, b, ell, ellprime, r, rprime)
-    values, err, stats = radial_table(
-        density,
-        math.hypot(tau[0], tau[1]),
-        float(tau[2]),
-        [0],
-        [0],
-        np.array([[max(tol * 4.0 * math.pi, MIN_TOL)]]),
+    rho = np.hypot(tau[..., 0], tau[..., 1])
+    tol_abs = np.full((rho.size, 1, 1), max(tol * 4.0 * math.pi, MIN_TOL))
+    values, err, stats = _radial_tables(
+        density, rho.ravel(), tau[..., 2].ravel(), [0], [0], tol_abs
     )
-    return (
-        float(np.real(values[0, 0])) / (4.0 * math.pi),
-        float(err[0, 0]) / (4.0 * math.pi),
-        stats,
-    )
+    values = np.real(values).reshape(rho.shape) / (4.0 * math.pi)
+    err = err.reshape(rho.shape) / (4.0 * math.pi)
+    if tau.ndim == 1:
+        return float(values), float(err), stats
+    return values, err, stats
 
 
-def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10):
+def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10,
+                        stats=False):
     """Reaction component u^{ab}_{l,l'}(r, r'): the oracle every expansion
     in this package is tested against.
 
         u = (1/4pi) * I(0, 0; |transverse tau|, tau_z, sigma^{ab})
 
-    tol is an absolute tolerance on u.
+    tol is an absolute tolerance on u.  r and r' are points (a float
+    back) or arrays of points along the last axis, broadcast against each
+    other (one value per pair, all pairs on one quadrature grid).  With
+    stats=True the quadrature stats come back as well: (values, stats).
     """
-    return _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol)[0]
+    values, _, quad = _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol)
+    return (values, quad) if stats else values
 
 
 def eval_reaction_potential(medium, ell, ellprime, r, rprime, tol=1e-10):
-    """Sum of all present reaction components for a (target, source) pair."""
+    """Sum of all present reaction components for a (target, source) pair,
+    or for pairs of points along the last axis as in eval_reaction_green."""
     total = 0.0
     for a in (1, 2):
         for b in (1, 2):

@@ -240,3 +240,72 @@ def test_packed_round_trip():
     flat = _pack(coeff, p)
     assert flat.shape == ((p + 1) ** 2,)
     np.testing.assert_array_equal(_unpack(flat, p), coeff)
+
+
+# ---------------------------------------------------------------------------
+# batched builders against their one-point calls
+# ---------------------------------------------------------------------------
+
+def _bound_scale(comp, p, zetas):
+    """M_sigma Gamma(n+1) / zeta^{n+1} per point and degree n, the scale
+    each builder's rel_tol is relative to."""
+    n = np.arange(p + 1)
+    msig = ReactionDensity(SLAB, *comp).bound
+    return msig * np.array(
+        [[math.gamma(k + 1) / z ** (k + 1) for k in n] for z in zetas]
+    )
+
+
+@pytest.mark.parametrize("component", [(1, 1), (2, 1)])
+def test_batched_basis_table_matches_per_target(component):
+    """reaction_basis_table on an (N, 3) array of targets (one on the
+    axis, rho/zeta up to about 5) agrees with its per-target calls to
+    twice the builder's rel_tol of each entry's bound."""
+    comp = component + (1, 1)
+    p, rel_tol = 6, 1e-11
+    pol_c = polarization_source(SLAB, *comp, np.array([0.05, -0.1, -0.55]))
+    targets = np.array([
+        [pol_c[0], pol_c[1], -0.3], [0.3, 0.25, -0.4], [2.0, -1.5, -0.1],
+        [-0.2, 0.1, -0.9],
+    ])
+    batch, stats = reaction_basis_table(SLAB, comp, p, targets, pol_c, rel_tol)
+    assert batch.shape == (len(targets), p + 1, 2 * p + 1) and stats["panels"] > 0
+    zetas = [abs(t[2] - pol_c[2]) for t in targets]
+    cst = constants(p)
+    weight = cst.c[:, None] ** 2 * np.abs(cst.c_table)
+    for i, r in enumerate(targets):
+        one, _ = reaction_basis_table(SLAB, comp, p, r, pol_c, rel_tol)
+        scale = weight * _bound_scale(comp, p, zetas)[i][:, None]
+        assert np.all(np.abs(batch[i] - one) <= 2 * rel_tol * scale)
+
+
+@pytest.mark.parametrize("component", [(1, 1), (2, 2)])
+def test_batched_le_matches_per_charge(component):
+    """reaction_le_from_charges over several charges (one table call)
+    agrees with the charge-weighted sum of one-charge expansions to twice
+    rel_tol of the summed entry bounds."""
+    comp = component + (1, 1)
+    p, rel_tol = 5, 1e-11
+    tc = np.array([0.5, 0.3, -0.3])
+    q = np.array([1.0, -0.5, 0.75, 0.2])
+    pos = np.array([
+        [0.5, 0.3, -0.6], [0.1, -0.05, -0.45], [-1.5, 2.0, -0.8], [0.4, 0.2, -0.2],
+    ])
+    system = ChargeSystem.in_medium(SLAB, q, pos)
+    batch, stats = reaction_le_from_charges(
+        system, SLAB, *comp, tc, p, rel_tol=rel_tol, stats=True
+    )
+    assert stats["panels"] > 0
+    total = np.zeros_like(batch.coeff)
+    for qj, x in zip(q, pos):
+        one = ChargeSystem.in_medium(SLAB, [1.0], [x])
+        total += qj * reaction_le_from_charges(
+            one, SLAB, *comp, tc, p, rel_tol=rel_tol
+        ).coeff
+    img = np.array([polarization_source(SLAB, *comp, x) for x in pos])
+    zetas = np.abs(tc[2] - img[:, 2])
+    cst = constants(p)
+    scale = (np.abs(q) @ _bound_scale(comp, p, zetas))[:, None] * np.abs(
+        cst.c_table
+    ) / (4 * math.pi)
+    assert np.all(np.abs(batch.coeff - total) <= 2 * rel_tol * scale)

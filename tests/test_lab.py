@@ -112,6 +112,22 @@ def test_report_byte_identical(kind):
     assert r1.to_csv().startswith("# schema=1\np,max_error,bound,ratio")
 
 
+@pytest.mark.parametrize("kind", ["reaction_me", "reaction_le", "reaction_m2l"])
+def test_reaction_reports_carry_quadrature_counters(kind):
+    """Each reaction report carries the counters of its expansion's
+    tables and of its oracle's one batched call: counts, no timings."""
+    report = run_experiment(ExperimentConfig(kind=kind, p_min=1, **SMALL[kind]))
+    keys = {"panels", "gl_calls", "nodes", "evals", "bisections", "tol_use"}
+    for name in ("quadrature", "oracle_quadrature"):
+        stats = report.metadata[name]
+        assert keys <= set(stats) and stats["panels"] > 0
+        assert stats["nodes"] == 32 * stats["gl_calls"]
+        assert 0.0 < stats["tol_use"] < 1.0
+    # one grid for all (target, charge) pairs: about a table's panels,
+    # not n_targets * n_charges of them
+    assert report.metadata["oracle_quadrature"]["panels"] < 64
+
+
 def test_l2l_experiment_exactness():
     cfg = ExperimentConfig(kind="l2l", p_min=2, p_max=8, n_charges=8, seed=2,
                            a_t=1.0)
@@ -261,6 +277,34 @@ def test_cli_me_reaction(tmp_path, two_layer):
     row = [float(v) for v in res.output.strip().splitlines()[1].split(",")]
     assert row[5] <= row[6]
     assert row[5] < 1e-8
+
+
+def test_cli_me_stats(tmp_path, two_layer):
+    """--stats prints the expansion's and the oracle's quadrature counters
+    to stderr and leaves the CSV on stdout as it was."""
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(two_layer.to_dict()))
+    cpath = tmp_path / "charges.json"
+    tpath = tmp_path / "targets.json"
+    cpath.write_text(json.dumps(
+        {"charges": [[1.0, 0.05, -0.02, 0.45], [0.5, -0.04, 0.03, 0.55]]}
+    ))
+    tpath.write_text(json.dumps({"targets": [[0.4, 0.3, 1.2], [-0.5, 0.2, 1.4]]}))
+    args = [
+        "me", "--medium", str(mpath), "--charges", str(cpath),
+        "--targets", str(tpath), "--component", "11", "--center", "0,0,0.5",
+        "--p", "8",
+    ]
+    plain = CliRunner().invoke(main, args)
+    res = CliRunner().invoke(main, args + ["--stats"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == plain.stdout
+    lines = res.stderr.strip().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["expansion", "oracle"]
+    for line in lines:
+        counts = dict(re.findall(r"(\w+) = (\S+)", line))
+        assert int(counts["panels"]) > 0 and float(counts["tol_use"]) < 1.0
+        assert int(counts["nodes"]) == 32 * int(counts["gl_calls"])
 
 
 def test_cli_me_rejects_targets_in_two_layers(tmp_path, two_layer):

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import random_medium
 from scipy import special
 
 from layerfmm import (
@@ -20,6 +21,7 @@ from layerfmm import (
 from layerfmm import LayeredMedium, sommerfeld
 from layerfmm.errors import ComponentAbsent, DomainError, ToleranceNotMet
 from layerfmm.expansions import _reaction_table
+from layerfmm.medium import component_exists
 from layerfmm.sommerfeld import CAGNIARD_CATALOG, ConstantDensity, radial_table
 
 
@@ -543,3 +545,125 @@ def test_density_regular_at_origin(two_layer):
     v1 = dens(np.array([1e-12]))[0]
     assert np.isfinite(v0)
     assert abs(v0 - v1) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the batched core: many (rho, zeta) pairs on one grid
+# ---------------------------------------------------------------------------
+
+#: a batch mixing rho = 0, rho/zeta from 0.5 to 60, and zeta from 0.2 to 2,
+#: so the pairs' own K differ tenfold
+MIXED_PAIRS = [(0.0, 2.0), (1.0, 2.0), (0.0, 0.2), (2.0, 0.2), (12.0, 0.2),
+               (3.0, 0.5)]
+
+
+def _random_component(rng):
+    """The density of a present component of a random medium."""
+    med = random_medium(rng)
+    L = med.num_interfaces
+    while True:
+        ell, ellp = (int(x) for x in rng.integers(0, L + 1, 2))
+        a, b = (int(x) for x in rng.integers(1, 3, 2))
+        if component_exists(med, a, b, ell, ellp):
+            return ReactionDensity(med, a, b, ell, ellp)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_matches_one_pair_calls(seed):
+    """On random media every pair of a mixed batch is within its own
+    tolerance of its one-pair radial_table call."""
+    dens = _random_component(np.random.default_rng(seed))
+    rhos, zetas = (np.array(v) for v in zip(*MIXED_PAIRS))
+    n = np.arange(9)
+    tol = np.stack([_relative_tol(z, 1e-10, 9) * dens.bound for z in zetas])
+    values, err, stats = sommerfeld._radial_tables(dens, rhos, zetas, n, n, tol)
+    assert values.shape == err.shape == tol.shape
+    assert np.all(err <= tol) and 0.0 < stats["tol_use"] < 1.0
+    for i, (rho, zeta) in enumerate(MIXED_PAIRS):
+        one, _, own = radial_table(dens, rho, zeta, n, n, tol[i])
+        assert np.all(np.abs(values[i] - one) <= tol[i])
+        assert own["panels"] <= stats["panels"]
+
+
+def test_batch_of_one_is_radial_table():
+    """radial_table is the one-pair view of the batched core: same values,
+    bit for bit, and the same work."""
+    dens = _random_component(np.random.default_rng(4))
+    n = np.arange(5)
+    tol = _relative_tol(0.3, 1e-11, 5)
+    one, err, stats = radial_table(dens, 4.0, 0.3, n, n, tol)
+    batch, berr, bstats = sommerfeld._radial_tables(
+        dens, [4.0], [0.3], n, n, tol[None]
+    )
+    assert np.array_equal(batch[0], one) and np.array_equal(berr[0], err)
+    assert bstats == stats
+
+
+def test_bisected_pair_meets_its_tolerance_in_a_batch():
+    """rho/zeta = 1000 needs bisection of a capped grid; next to two easy
+    pairs it still meets its tolerance against 1/sqrt(rho^2 + zeta^2), and
+    so do they."""
+    pairs = [(0.5, 0.5), (50.0, 0.05), (0.0, 1.0)]
+    tol = np.array([[[1e-8]], [[1e-8]], [[1e-10]]])
+    rhos, zetas = (np.array(v) for v in zip(*pairs))
+    values, err, stats = sommerfeld._radial_tables(
+        ConstantDensity(), rhos, zetas, [0], [0], tol
+    )
+    assert stats["capped"] and stats["bisections"] > 0
+    exact = 1.0 / np.hypot(rhos, zetas)
+    assert np.all(np.abs(values[:, 0, 0] - exact) <= tol[:, 0, 0])
+    assert np.all(err <= tol)
+
+
+def test_unmeetable_pair_fails_the_batch():
+    """A pair whose tolerance cannot be met (rho = 600 at zeta = 0.05, see
+    test_radial_table_capped_grid_is_honest) raises for the whole batch."""
+    with pytest.raises(ToleranceNotMet):
+        sommerfeld._radial_tables(
+            ConstantDensity(), [0.5, 600.0], [0.5, 0.05], [0], [0],
+            np.full((2, 1, 1), 1e-10),
+        )
+
+
+def test_empty_batch(three_layer):
+    values, err, stats = sommerfeld._radial_tables(
+        ConstantDensity(), [], [], [0, 1], [0], np.zeros((0, 2, 1))
+    )
+    assert values.shape == err.shape == (0, 2, 1) and stats["panels"] == 0
+    none = np.zeros((0, 3))
+    got = eval_reaction_green(three_layer, 1, 1, 1, 1, none, none)
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [
+    [[np.inf]], [[np.nan]], [[0.0]], [[-1e-10]], [[1e-10, 1e-10]], [1e-10],
+])
+def test_bad_tolerances_are_domain_errors(bad):
+    """A tolerance table must have shape (powers, orders), entries > 0 or
+    +inf, and a finite entry: else DomainError, for one pair and for one
+    pair of a batch."""
+    dens = ConstantDensity(1.0)
+    bad = np.array(bad)
+    with pytest.raises(DomainError):
+        radial_table(dens, 1.0, 1.0, [0], [0], bad)
+    with pytest.raises(DomainError):
+        sommerfeld._radial_tables(
+            dens, [1.0, 1.0], [1.0, 1.0], [0], [0],
+            np.stack([np.full(bad.shape, 1e-10), bad]),
+        )
+
+
+def test_oracle_batch_matches_pairs(three_layer):
+    """eval_reaction_green over arrays of points: one value per pair, each
+    within tol of its one-pair call, and the scalar call still a float."""
+    rng = np.random.default_rng(7)
+    r = np.column_stack([rng.uniform(-2, 2, (8, 2)), rng.uniform(-0.95, -0.05, 8)])
+    rp = np.column_stack([rng.uniform(-2, 2, (8, 2)), rng.uniform(-0.95, -0.05, 8)])
+    got, stats = eval_reaction_green(three_layer, 2, 1, 1, 1, r, rp, 1e-11, stats=True)
+    assert got.shape == (8,) and stats["panels"] > 0
+    for i in range(8):
+        one = eval_reaction_green(three_layer, 2, 1, 1, 1, r[i], rp[i], 1e-11)
+        assert isinstance(one, float) and abs(got[i] - one) <= 1e-11
+    fixed = eval_reaction_green(three_layer, 2, 1, 1, 1, r, rp[0], 1e-11)
+    assert abs(fixed[3] - eval_reaction_green(
+        three_layer, 2, 1, 1, 1, r[3], rp[0], 1e-11)) <= 1e-11
