@@ -23,9 +23,12 @@ The engine, ``radial_table``, evaluates a family of integrals sharing
 operator - on shared nodes.  sigma depends only on k and the medium, so
 its batched core ``_radial_tables`` serves many (rho, zeta) pairs of one
 component (the oracle's (target, charge) pairs, a basis table's targets,
-a local expansion's charges) on one grid, with one density sweep per block
-of panels and entrywise error control for every pair; radial_table is its
-one-pair view.  It uses composite 32-point Gauss-Legendre panels with
+a local expansion's charges) with one density sweep per block of panels
+and entrywise error control for every pair; radial_table is its one-pair
+view.  Pairs share a grid in groups: a group's grid has at most 4 times
+the panels each member would take alone, and a group holds at most 4096
+table entries, so neither the work per pair nor the memory grows without
+bound with a batch of unlike pairs.  It uses composite 32-point Gauss-Legendre panels with
 adaptive bisection driven by the disagreement of each panel with the sum
 of its halves; the upper limit K is solved for from the analytic tail
 bound M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by
@@ -313,21 +316,123 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, floor=None
 
 
 #: Doubles a pair chunk's per-node arrays may hold in one evaluate call
-#: (512 KiB); larger batches are swept in chunks of pairs, so a block's peak
-#: memory does not grow with the batch.
+#: (512 KiB); larger groups are swept in chunks of pairs, so a block's peak
+#: memory does not grow with the group.
 _CHUNK_DOUBLES = 1 << 16
+
+#: Pairs share a grid only while its panel count, the largest K over the
+#: smallest width, stays within this factor of every member's own K / w.
+_GRID_SPREAD = 4.0
+
+#: Table entries (pairs x powers x orders) one grid carries at most.
+#: _adaptive_panels keeps three arrays of them per panel, so a group never
+#: holds more than one pair's table at p = 63 does.
+_GROUP_ENTRIES = 4096
+
+
+def _own_grid(bound, rho, zeta, powers, tol_tail):
+    """(K, initial panel width) that radial_table chooses for one pair."""
+    kmax = _choose_kmax(bound, rho, zeta, powers, tol_tail)
+    width = kmax / 16.0
+    if rho > 0:
+        width = min(width, 2.0 ** round(math.log2(16.0 * math.pi / rho)))
+    return kmax, width
+
+
+def _group_pairs(kmax, width, entries, spread):
+    """Pair indices in groups that share one grid.  Pairs are taken by
+    increasing width, then K; a pair joins the open group while the
+    group's grid stays within spread times every member's own K / width
+    and the group's table stays within _GROUP_ENTRIES entries."""
+    groups = []
+    for i in np.lexsort((kmax, width)):
+        if groups:
+            k_hi = max(k_hi, kmax[i])
+            w_lo = min(w_lo, width[i])
+            n_lo = min(n_lo, kmax[i] / width[i])
+            group = groups[-1]
+            if k_hi / w_lo <= spread * n_lo and (
+                (len(group) + 1) * entries <= _GROUP_ENTRIES
+            ):
+                group.append(i)
+                continue
+        groups.append([i])
+        k_hi, w_lo, n_lo = kmax[i], width[i], kmax[i] / width[i]
+    return groups
+
+
+def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
+                 max_panels):
+    """The tables of a group of pairs on one grid: it runs to the largest
+    of their own K in panels of the smallest of their own widths.  Each
+    evaluate block sweeps the density once for all pairs.  A capped grid
+    floors each pair's panels wider than twice its own width by that
+    pair's mass bound."""
+    shape = (len(rhos), len(powers), len(orders))
+    top = int(np.max(powers))
+
+    def evaluate(lo, hi):
+        half = 0.5 * (hi - lo)
+        k = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+        dens = density(k.ravel()).reshape(k.shape) * (half[:, None] * _GL_WEIGHTS)
+        # (rules, re/im, nodes): the real Bessel block is contracted
+        # against both parts, never cast to complex
+        parts = np.stack([dens.real, dens.imag], axis=1)
+        k2 = np.stack([k, k], axis=1)
+        out = np.empty((len(lo),) + shape, dtype=complex)
+        per_pair = k.size * (2 * (top + len(powers) + 1) + len(orders))
+        step = max(1, _CHUNK_DOUBLES // per_pair)
+        for s in range(0, shape[0], step):
+            pairs = slice(s, s + step)
+            # k^n e^{-k zeta} sigma w by a running product over n
+            run = np.empty((top + 1, len(rhos[pairs])) + parts.shape)
+            run[0] = np.exp(-k * zetas[pairs, None, None])[:, :, None] * parts
+            for n in range(top):
+                np.multiply(run[n], k2, out=run[n + 1])
+            lhs = run[powers].transpose(1, 2, 0, 3, 4)
+            lhs = lhs.reshape(lhs.shape[:2] + (-1, k.shape[1]))
+            jm = _bessel_orders(orders, k * rhos[pairs, None, None])
+            # (pairs, rules, orders, nodes) @ (pairs, rules, nodes, powers x
+            # re/im): the re/im columns interleave into complex values
+            res = jm.transpose(1, 2, 0, 3) @ lhs.transpose(0, 1, 3, 2)
+            out[:, pairs] = res.view(complex).transpose(1, 0, 3, 2)
+        return out
+
+    k_hi, w_lo = float(np.max(kmax)), float(np.min(width))
+    n_uncapped = int(math.ceil(k_hi / w_lo))
+    n_init = min(n_uncapped, 512)
+    capped = n_uncapped > n_init
+    edges = max(w_lo, k_hi / n_init) * np.arange(n_init + 1)
+    floor = None
+    if capped:
+        bound = density.bound
+
+        def floor(lo, hi):
+            n = powers[None, None, :, None]
+            zeta = zetas[None, :, None, None]
+            lo, hi = lo[:, None, None, None], hi[:, None, None, None]
+            mass = bound * (_gamma_tail(n, lo, zeta) - _gamma_tail(n, hi, zeta))
+            wide = hi - lo > 2.0 * width[None, :, None, None]
+            return np.where(wide, 2.0 * mass, 0.0) * np.ones(len(orders))
+
+    values, err, stats = _adaptive_panels(
+        evaluate, edges, 0.9 * tol_abs, max_panels, floor
+    )
+    stats["capped"] = capped
+    return values, err, stats
 
 
 def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
-                   max_panels=MAX_PANELS):
-    """radial_table for a batch of (rho, zeta) pairs on one grid.
+                   max_panels=MAX_PANELS, spread=_GRID_SPREAD):
+    """radial_table for a batch of (rho, zeta) pairs.
 
     rhos and zetas have shape (B,), tol_abs and the returned values and
-    error estimates (B, len(powers), len(orders)); one stats record covers
+    error estimates (B, len(powers), len(orders)); one stats record sums
     the batch.  Each pair's K and width are those radial_table would
-    choose for it alone; the grid runs to the largest K in panels of the
-    smallest width, so no pair's panels are wider than its own.  A capped
-    grid floors each pair's panels by that pair's own mass bound.
+    choose for it alone.  Pairs are grouped (_group_pairs) so that no
+    pair's grid has more than spread times its own panel count and no
+    group holds more than _GROUP_ENTRIES table entries; each group shares
+    one grid (_grid_tables) and the panel budget max_panels.
     """
     rhos = np.asarray(rhos, dtype=float)
     zetas = np.asarray(zetas, dtype=float)
@@ -354,75 +459,26 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
     finite = np.isfinite(tol_abs)
     if not np.all(finite.any(axis=(1, 2))):
         raise DomainError("tol_abs needs a finite entry for every pair")
+    values = np.zeros(shape, dtype=complex)
+    err = np.zeros(shape)
+    stats = dict.fromkeys(("panels", "gl_calls", "nodes", "evals", "bisections"), 0)
+    stats.update(tol_use=0.0, capped=False)
     if bound == 0.0 or not len(rhos):
-        return np.zeros(shape, dtype=complex), np.zeros(shape), {
-            "panels": 0,
-            "gl_calls": 0,
-            "nodes": 0,
-            "evals": 0,
-            "bisections": 0,
-            "tol_use": 0.0,
-            "capped": False,
-        }
+        return values, err, stats
 
-    kmax, width = 0.0, math.inf
-    for rho, zeta, tol, fin in zip(rhos, zetas, tol_abs, finite):
-        k_own = _choose_kmax(bound, rho, zeta, powers, 0.1 * float(np.min(tol[fin])))
-        w_own = k_own / 16.0
-        if rho > 0:
-            w_own = min(w_own, 2.0 ** round(math.log2(16.0 * math.pi / rho)))
-        kmax, width = max(kmax, k_own), min(width, w_own)
-    top = int(np.max(powers))
-    full = np.array_equal(powers, np.arange(top + 1))
-
-    def evaluate(lo, hi):
-        half = 0.5 * (hi - lo)
-        k = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
-        dens = density(k.ravel()).reshape(k.shape) * (half[:, None] * _GL_WEIGHTS)
-        # (rules, re/im, nodes): the real Bessel block is contracted
-        # against both parts, never cast to complex
-        parts = np.stack([dens.real, dens.imag], axis=1)
-        k2 = np.stack([k, k], axis=1)
-        out = np.empty((len(lo),) + shape, dtype=complex)
-        per_pair = k.size * (2 * (top + len(powers) + 1) + len(orders))
-        step = max(1, _CHUNK_DOUBLES // per_pair)
-        for s in range(0, shape[0], step):
-            pairs = slice(s, s + step)
-            # k^n e^{-k zeta} sigma w by a running product over n
-            run = np.empty((top + 1, len(rhos[pairs])) + parts.shape)
-            run[0] = np.exp(-k * zetas[pairs, None, None])[:, :, None] * parts
-            for n in range(top):
-                np.multiply(run[n], k2, out=run[n + 1])
-            lhs = (run if full else run[powers]).transpose(1, 2, 0, 3, 4)
-            lhs = lhs.reshape(lhs.shape[:2] + (-1, k.shape[1]))
-            jm = _bessel_orders(orders, k * rhos[pairs, None, None])
-            # (pairs, rules, orders, nodes) @ (pairs, rules, nodes, powers x
-            # re/im): the re/im columns interleave into complex values
-            res = jm.transpose(1, 2, 0, 3) @ lhs.transpose(0, 1, 3, 2)
-            out[:, pairs] = res.view(complex).transpose(1, 0, 3, 2)
-        return out
-
-    n_uncapped = int(math.ceil(kmax / width))
-    n_init = min(n_uncapped, 512)
-    capped = n_uncapped > n_init
-    edges = max(width, kmax / n_init) * np.arange(n_init + 1)
-    floor = None
-    if capped:
-
-        def floor(lo, hi):
-            n = powers[None, None, :, None]
-            zeta = zetas[None, :, None, None]
-            lo, hi = lo[:, None, None, None], hi[:, None, None, None]
-            mass = bound * (_gamma_tail(n, lo, zeta) - _gamma_tail(n, hi, zeta))
-            return np.where(hi - lo > 2.0 * width, 2.0 * mass, 0.0) * np.ones(
-                len(orders)
-            )
-
-    values, err, stats = _adaptive_panels(
-        evaluate, edges, 0.9 * tol_abs, max_panels, floor
-    )
+    kmax, width = np.array([
+        _own_grid(bound, rho, zeta, powers, 0.1 * float(np.min(tol[fin])))
+        for rho, zeta, tol, fin in zip(rhos, zetas, tol_abs, finite)
+    ]).T
+    for group in _group_pairs(kmax, width, shape[1] * shape[2], spread):
+        values[group], err[group], own = _grid_tables(
+            density, rhos[group], zetas[group], kmax[group], width[group],
+            powers, orders, tol_abs[group], max_panels,
+        )
+        for key in ("panels", "gl_calls", "nodes", "evals", "bisections"):
+            stats[key] += own[key]
+        stats["capped"] |= own["capped"]
     stats["tol_use"] = float(np.max(err[finite] / tol_abs[finite]))
-    stats["capped"] = capped
     return values, err, stats
 
 
@@ -439,7 +495,7 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     tol_use (the worst ratio of the error estimate to tol_abs over the
     finite entries of tol_abs) and "capped", whether the initial panel
     count was cut to 512.  This is the one-pair view of _radial_tables,
-    which batches (rho, zeta) pairs on one grid.
+    which batches (rho, zeta) pairs on shared grids.
 
     A tenth of the smallest finite tolerance goes to the tail beyond K
     (_choose_kmax), nine tenths to the panels.  The initial panels are

@@ -599,20 +599,67 @@ def test_batch_of_one_is_radial_table():
     assert bstats == stats
 
 
-def test_bisected_pair_meets_its_tolerance_in_a_batch():
+@pytest.mark.parametrize("spread", [sommerfeld._GRID_SPREAD, math.inf])
+def test_bisected_pair_meets_its_tolerance_in_a_batch(spread):
     """rho/zeta = 1000 needs bisection of a capped grid; next to two easy
-    pairs it still meets its tolerance against 1/sqrt(rho^2 + zeta^2), and
-    so do they."""
+    pairs, grouped or all on one grid, it still meets its tolerance against
+    1/sqrt(rho^2 + zeta^2), and so do they."""
     pairs = [(0.5, 0.5), (50.0, 0.05), (0.0, 1.0)]
     tol = np.array([[[1e-8]], [[1e-8]], [[1e-10]]])
     rhos, zetas = (np.array(v) for v in zip(*pairs))
     values, err, stats = sommerfeld._radial_tables(
-        ConstantDensity(), rhos, zetas, [0], [0], tol
+        ConstantDensity(), rhos, zetas, [0], [0], tol, spread=spread
     )
     assert stats["capped"] and stats["bisections"] > 0
     exact = 1.0 / np.hypot(rhos, zetas)
     assert np.all(np.abs(values[:, 0, 0] - exact) <= tol[:, 0, 0])
     assert np.all(err <= tol)
+
+
+def test_grid_capped_only_as_a_batch():
+    """rho = 0 at zeta = 0.02 (K = 3000, width 187.5) and rho/zeta = 200
+    (K = 60, width 0.25) each take an uncapped grid alone.  Forced onto one
+    grid, 12,000 panels are capped to 512, and each pair is floored only on
+    panels wider than twice its own width, so both meet their tolerance
+    within the budget; grouped, each keeps its own grid."""
+    pairs = [(0.0, 0.02), (200.0, 1.0)]
+    rhos, zetas = (np.array(v) for v in zip(*pairs))
+    tol = np.full((2, 1, 1), 1e-10)
+    exact = 1.0 / np.hypot(rhos, zetas)
+    own = [radial_table(ConstantDensity(), rho, zeta, [0], [0], t)[2]
+           for rho, zeta, t in zip(rhos, zetas, tol)]
+    assert not any(st["capped"] for st in own)
+    values, err, stats = sommerfeld._radial_tables(
+        ConstantDensity(), rhos, zetas, [0], [0], tol, spread=math.inf
+    )
+    assert stats["capped"] and stats["panels"] < 1024
+    assert np.all(np.abs(values[:, 0, 0] - exact) <= tol[:, 0, 0])
+    values, err, stats = sommerfeld._radial_tables(
+        ConstantDensity(), rhos, zetas, [0], [0], tol
+    )
+    assert not stats["capped"]
+    assert stats["panels"] == sum(st["panels"] for st in own)
+    assert np.all(np.abs(values[:, 0, 0] - exact) <= tol[:, 0, 0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_groups_bound_each_pairs_grid_and_memory(seed):
+    """Every pair lands in exactly one group; a group's grid has at most
+    spread times each member's own panel count K / width, and a group of
+    more than one pair holds at most _GROUP_ENTRIES table entries."""
+    rng = np.random.default_rng(seed)
+    zetas = 10.0 ** rng.uniform(-2, 0.5, 200)
+    rhos = np.where(rng.random(200) < 0.2, 0.0, zetas * rng.uniform(0, 200, 200))
+    kmax, width = np.array([
+        sommerfeld._own_grid(1.0, rho, zeta, np.arange(5), 1e-12)
+        for rho, zeta in zip(rhos, zetas)
+    ]).T
+    groups = sommerfeld._group_pairs(kmax, width, 400, 4.0)
+    assert sorted(i for g in groups for i in g) == list(range(200))
+    for g in groups:
+        assert kmax[g].max() / width[g].min() <= 4.0 * np.min(kmax[g] / width[g])
+        assert len(g) == 1 or 400 * len(g) <= sommerfeld._GROUP_ENTRIES
+    assert len(groups) < 100
 
 
 def test_unmeetable_pair_fails_the_batch():
