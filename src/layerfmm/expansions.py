@@ -496,7 +496,7 @@ def _reaction_table(medium, component, v, top, rel_tol):
     Each entry with m <= n is computed to rel_tol times its analytic
     magnitude bound M_sigma Gamma(n+1)/zeta^{n+1}; entries with m > n do
     not drive refinement.  v is one vector (radial_table) or an (N, 3)
-    array of them, whose N tables share one quadrature grid
+    array of them, whose N tables share quadrature grids
     (_radial_tables).  Returns (table, phi, stats), with table of shape
     (N, top+1, top+1) and phi of shape (N,) for a batch.
     """
@@ -545,7 +545,7 @@ def reaction_basis_table(medium, component, p, r, center, rel_tol=1e-11,
     center ("polarization") or the physical source center in layer l'
     ("direct"); see _kernel_vector.  Returns (table, stats); table is
     (p+1, 2p+1) for one point r, and (N, p+1, 2p+1) for an (N, 3) array
-    of points, whose N tables share one quadrature grid and one stats
+    of points, whose N tables share quadrature grids and one stats
     record.
     """
     v, alternate = _kernel_vector(medium, component, r, center, form)
@@ -600,7 +600,7 @@ def reaction_le_from_charges(
 ):
     """Local expansion of the reaction field of far-away charges about a
     target center in layer l: per-charge Sommerfeld coefficient integrals,
-    all on one quadrature grid, summed with the charge weights.  With
+    on shared quadrature grids, summed with the charge weights.  With
     stats=True the quadrature stats come back as well: (expansion,
     stats)."""
     require_component(medium, a, b, ell, ellprime)

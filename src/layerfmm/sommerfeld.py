@@ -25,14 +25,15 @@ its batched core ``_radial_tables`` serves many (rho, zeta) pairs of one
 component (the oracle's (target, charge) pairs, a basis table's targets,
 a local expansion's charges) with one density sweep per block of panels
 and entrywise error control for every pair; radial_table is its one-pair
-view.  Pairs share a grid in groups: a group's grid has at most 4 times
-the panels each member would take alone, and a group holds at most 4096
-table entries, so neither the work per pair nor the memory grows without
-bound with a batch of unlike pairs.  It uses composite 32-point Gauss-Legendre panels with
-adaptive bisection driven by the disagreement of each panel with the sum
-of its halves; the upper limit K is solved for from the analytic tail
-bound M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by
-gammainccinv, never below a baseline).
+view.  Pairs share a grid in groups: a group's grid has at most 4
+times the panels each member would take alone, and a group holds at
+most 4096 table entries, so neither the work per pair nor the memory
+grows without bound with a batch of unlike pairs.  It uses composite
+32-point Gauss-Legendre panels with adaptive bisection driven by the
+disagreement of each panel with the sum of its halves; the upper limit
+K is solved for from the analytic tail bound
+M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by gammainccinv,
+never below a baseline).
 
 The initial panels are as wide as the 32-point rule allows.  Their width
 is min(K/16, w), with w the power of two nearest 16 pi / rho, so a panel
@@ -44,7 +45,7 @@ by at most 8 sqrt2 pi (about 11 pi, 5.7 periods): exact to rounding.  The
 whole-versus-halves disagreement therefore measures the error of the
 whole rule and over-reads that of the halves.  Power-of-two widths put the
 edges of tables with different rho on one dyadic lattice, which is what
-lets a batch share one grid.  When K / w
+lets the pairs of a batch share grids.  When K / w
 exceeds 512 the initial grid is capped at 512 wider panels; on those the
 halves can be as wrong as the whole and agree with it by accident, so a
 capped table raises the estimate of every panel wider than 2w to at least
@@ -339,22 +340,21 @@ def _own_grid(bound, rho, zeta, powers, tol_tail):
     return kmax, width
 
 
-def _group_pairs(kmax, width, entries, spread):
+def _group_pairs(kmax, width, entries):
     """Pair indices in groups that share one grid.  Pairs are taken by
     increasing width, then K; a pair joins the open group while the
-    group's grid stays within spread times every member's own K / width
-    and the group's table stays within _GROUP_ENTRIES entries."""
+    group's grid stays within _GRID_SPREAD times every member's own
+    K / width and the group's table stays within _GROUP_ENTRIES entries."""
     groups = []
     for i in np.lexsort((kmax, width)):
         if groups:
-            k_hi = max(k_hi, kmax[i])
-            w_lo = min(w_lo, width[i])
-            n_lo = min(n_lo, kmax[i] / width[i])
-            group = groups[-1]
-            if k_hi / w_lo <= spread * n_lo and (
-                (len(group) + 1) * entries <= _GROUP_ENTRIES
+            grid = (max(k_hi, kmax[i]), min(w_lo, width[i]),
+                    min(n_lo, kmax[i] / width[i]))
+            if grid[0] / grid[1] <= _GRID_SPREAD * grid[2] and (
+                (len(groups[-1]) + 1) * entries <= _GROUP_ENTRIES
             ):
-                group.append(i)
+                groups[-1].append(i)
+                k_hi, w_lo, n_lo = grid
                 continue
         groups.append([i])
         k_hi, w_lo, n_lo = kmax[i], width[i], kmax[i] / width[i]
@@ -423,14 +423,14 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
 
 
 def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
-                   max_panels=MAX_PANELS, spread=_GRID_SPREAD):
+                   max_panels=MAX_PANELS):
     """radial_table for a batch of (rho, zeta) pairs.
 
     rhos and zetas have shape (B,), tol_abs and the returned values and
     error estimates (B, len(powers), len(orders)); one stats record sums
     the batch.  Each pair's K and width are those radial_table would
     choose for it alone.  Pairs are grouped (_group_pairs) so that no
-    pair's grid has more than spread times its own panel count and no
+    pair's grid has more than _GRID_SPREAD times its own panel count and no
     group holds more than _GROUP_ENTRIES table entries; each group shares
     one grid (_grid_tables) and the panel budget max_panels.
     """
@@ -470,7 +470,7 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
         _own_grid(bound, rho, zeta, powers, 0.1 * float(np.min(tol[fin])))
         for rho, zeta, tol, fin in zip(rhos, zetas, tol_abs, finite)
     ]).T
-    for group in _group_pairs(kmax, width, shape[1] * shape[2], spread):
+    for group in _group_pairs(kmax, width, shape[1] * shape[2]):
         values[group], err[group], own = _grid_tables(
             density, rhos[group], zetas[group], kmax[group], width[group],
             powers, orders, tol_abs[group], max_panels,
@@ -520,7 +520,7 @@ def _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol):
     """u^{ab}_{l,l'}(r, r') = (1/4pi) I(0, 0; |transverse tau|, tau_z,
     sigma^{ab}) to absolute tolerance tol (floored at MIN_TOL/4pi), for a
     pair of points or for pairs of points along the last axis of r and r'
-    (broadcast), all on one grid.  Returns (values, error estimates,
+    (broadcast), on shared grids.  Returns (values, error estimates,
     stats), floats for one pair."""
     density = ReactionDensity(medium, a, b, ell, ellprime)
     tau = tau_map(medium, a, b, ell, ellprime, r, rprime)
@@ -545,7 +545,7 @@ def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10,
 
     tol is an absolute tolerance on u.  r and r' are points (a float
     back) or arrays of points along the last axis, broadcast against each
-    other (one value per pair, all pairs on one quadrature grid).  With
+    other (one value per pair, the pairs on shared quadrature grids).  With
     stats=True the quadrature stats come back as well: (values, stats).
     """
     values, _, quad = _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol)

@@ -600,15 +600,16 @@ def test_batch_of_one_is_radial_table():
 
 
 @pytest.mark.parametrize("spread", [sommerfeld._GRID_SPREAD, math.inf])
-def test_bisected_pair_meets_its_tolerance_in_a_batch(spread):
+def test_bisected_pair_meets_its_tolerance_in_a_batch(spread, monkeypatch):
     """rho/zeta = 1000 needs bisection of a capped grid; next to two easy
     pairs, grouped or all on one grid, it still meets its tolerance against
     1/sqrt(rho^2 + zeta^2), and so do they."""
     pairs = [(0.5, 0.5), (50.0, 0.05), (0.0, 1.0)]
     tol = np.array([[[1e-8]], [[1e-8]], [[1e-10]]])
     rhos, zetas = (np.array(v) for v in zip(*pairs))
+    monkeypatch.setattr(sommerfeld, "_GRID_SPREAD", spread)
     values, err, stats = sommerfeld._radial_tables(
-        ConstantDensity(), rhos, zetas, [0], [0], tol, spread=spread
+        ConstantDensity(), rhos, zetas, [0], [0], tol
     )
     assert stats["capped"] and stats["bisections"] > 0
     exact = 1.0 / np.hypot(rhos, zetas)
@@ -616,7 +617,7 @@ def test_bisected_pair_meets_its_tolerance_in_a_batch(spread):
     assert np.all(err <= tol)
 
 
-def test_grid_capped_only_as_a_batch():
+def test_grid_capped_only_as_a_batch(monkeypatch):
     """rho = 0 at zeta = 0.02 (K = 3000, width 187.5) and rho/zeta = 200
     (K = 60, width 0.25) each take an uncapped grid alone.  Forced onto one
     grid, 12,000 panels are capped to 512, and each pair is floored only on
@@ -629,9 +630,11 @@ def test_grid_capped_only_as_a_batch():
     own = [radial_table(ConstantDensity(), rho, zeta, [0], [0], t)[2]
            for rho, zeta, t in zip(rhos, zetas, tol)]
     assert not any(st["capped"] for st in own)
-    values, err, stats = sommerfeld._radial_tables(
-        ConstantDensity(), rhos, zetas, [0], [0], tol, spread=math.inf
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(sommerfeld, "_GRID_SPREAD", math.inf)
+        values, err, stats = sommerfeld._radial_tables(
+            ConstantDensity(), rhos, zetas, [0], [0], tol
+        )
     assert stats["capped"] and stats["panels"] < 1024
     assert np.all(np.abs(values[:, 0, 0] - exact) <= tol[:, 0, 0])
     values, err, stats = sommerfeld._radial_tables(
@@ -654,10 +657,11 @@ def test_groups_bound_each_pairs_grid_and_memory(seed):
         sommerfeld._own_grid(1.0, rho, zeta, np.arange(5), 1e-12)
         for rho, zeta in zip(rhos, zetas)
     ]).T
-    groups = sommerfeld._group_pairs(kmax, width, 400, 4.0)
+    groups = sommerfeld._group_pairs(kmax, width, 400)
+    spread = sommerfeld._GRID_SPREAD
     assert sorted(i for g in groups for i in g) == list(range(200))
     for g in groups:
-        assert kmax[g].max() / width[g].min() <= 4.0 * np.min(kmax[g] / width[g])
+        assert kmax[g].max() / width[g].min() <= spread * np.min(kmax[g] / width[g])
         assert len(g) == 1 or 400 * len(g) <= sommerfeld._GROUP_ENTRIES
     assert len(groups) < 100
 
