@@ -25,8 +25,8 @@ its batched core ``_radial_tables`` serves many (rho, zeta) pairs of one
 component (the oracle's (target, charge) pairs, a basis table's targets,
 a local expansion's charges) with one density sweep per block of panels
 and entrywise error control for every pair; radial_table is its one-pair
-view.  Pairs share a grid in groups: a group's grid has at most 4
-times the panels each member would take alone, and a group holds at
+view.  Pairs share a grid in groups: a group's grid has at most
+twice the panels each member would take alone, and a group holds at
 most 4096 table entries, so neither the work per pair nor the memory
 grows without bound with a batch of unlike pairs.  It uses composite
 32-point Gauss-Legendre panels with adaptive bisection driven by the
@@ -323,7 +323,7 @@ _CHUNK_DOUBLES = 1 << 16
 
 #: Pairs share a grid only while its panel count, the largest K over the
 #: smallest width, stays within this factor of every member's own K / w.
-_GRID_SPREAD = 4.0
+_GRID_SPREAD = 2.0
 
 #: Table entries (pairs x powers x orders) one grid carries at most.
 #: _adaptive_panels keeps three arrays of them per panel, so a group never
