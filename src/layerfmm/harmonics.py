@@ -56,17 +56,31 @@ def legendre_p(n, x):
     return p
 
 
+def _read_only(*arrays):
+    """Mark cached tables read-only, so no caller can corrupt a later call."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _legendre_weights(n_max):
-    """alpha[n, m] and beta[n, m] of the three-term degree recurrence of
-    normalized_legendre (used for m <= n - 2)."""
+    """Per degree n >= 1 of normalized_legendre: the diagonal factor and
+    the rows alpha[n, :n], beta[n, :n] of the three-term step, whose
+    alpha[n, n-1] = sqrt(2n+1), beta[n, n-1] = 0 fill column n-1 too."""
     n, m = np.arange(n_max + 1.0)[:, None], np.arange(n_max + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.sqrt((2 * n + 1) * (2 * n - 1) / ((n - m) * (n + m)))
         beta = np.sqrt(
             (2 * n + 1) * (n - m - 1) * (n + m - 1) / ((2 * n - 3) * (n - m) * (n + m))
         )
-    return alpha, beta
+    ks = np.arange(1, n_max + 1)
+    alpha[ks, ks - 1], beta[ks, ks - 1] = np.sqrt(2.0 * ks + 1.0), 0.0
+    _read_only(alpha, beta)
+    return tuple(
+        (sqrt((2.0 * k + 1.0) / (2.0 * k)), alpha[k, :k], beta[k, :k])
+        for k in range(1, n_max + 1)
+    )
 
 
 def normalized_legendre(n_max, x):
@@ -82,18 +96,13 @@ def normalized_legendre(n_max, x):
     outside = np.abs(x) > 1.0
     if np.any(outside):
         raise DomainError(f"Legendre argument {x[outside][0]} outside [-1, 1]")
-    alpha, beta = _legendre_weights(n_max)
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    s, xm = np.sqrt(np.maximum(0.0, 1.0 - x * x)), x[..., None]
     tab = np.zeros(x.shape + (n_max + 1, n_max + 1))
     tab[..., 0, 0] = sqrt(1.0 / (4.0 * pi))
-    for n in range(1, n_max + 1):
-        corner = tab[..., n - 1, n - 1]
-        tab[..., n, n] = sqrt((2.0 * n + 1.0) / (2.0 * n)) * s * corner
-        tab[..., n, n - 1] = sqrt(2.0 * n + 1.0) * x * corner
-        tab[..., n, : n - 1] = (
-            alpha[n, : n - 1] * x[..., None] * tab[..., n - 1, : n - 1]
-            - beta[n, : n - 1] * tab[..., n - 2, : n - 1]
-        )
+    # row n - 2 = -1 at n = 1 is still all zeros, and beta[1, 0] = 0
+    for n, (diag, alpha, beta) in enumerate(_legendre_weights(n_max), 1):
+        tab[..., n, n] = diag * s * tab[..., n - 1, n - 1]
+        tab[..., n, :n] = alpha * xm * tab[..., n - 1, :n] - beta * tab[..., n - 2, :n]
     return tab
 
 
@@ -172,7 +181,7 @@ def constants(p_max):
             # C_n^m = i^{-m} A_n^m / c_n^2
             a_nm = (-1.0) ** n * np.exp(log_abs_a[n, abs(m)])
             c_table[n, m + p_max] = (1j) ** (-m) * a_nm / c[n] ** 2
-    return HarmonicConstants(p_max, c, log_c, log_abs_a, c_table)
+    return HarmonicConstants(p_max, *_read_only(c, log_c, log_abs_a, c_table))
 
 
 def cartesian_to_spherical(v):

@@ -35,8 +35,17 @@ from layerfmm.errors import (
     DomainError,
     RegionViolation,
 )
-from layerfmm.expansions import Box, _charge_moments, truncated
+from layerfmm.expansions import (
+    Box,
+    _charge_moments,
+    _l2l_weights,
+    _m2l_weights,
+    _m2m_weights,
+    _packed_indices,
+    truncated,
+)
 from layerfmm.harmonics import (
+    _legendre_weights,
     cartesian_to_spherical,
     constants,
     sph_harm,
@@ -238,6 +247,74 @@ def test_m2l_free_separation_guard():
     exp = me_from_charges(one, np.zeros(3), 4, radius=1.0)
     with pytest.raises(BoxesNotSeparated):
         m2l_free(exp, np.array([0, 0, 1.5]), 4, target_radius=1.0)
+
+
+def test_m2l_free_coincident_centers_raise():
+    """Without radii the separation check cannot fire, yet coincident
+    centers have no translation: a typed error, not log(0)."""
+    one = ChargeSystem.free_space([1.0], [[0.1, 0, 0]])
+    exp = me_from_charges(one, np.zeros(3), 4)
+    with pytest.raises(BoxesNotSeparated):
+        m2l_free(exp, exp.center, 4)
+
+
+def test_translations_repeat_bitwise_across_cached_orders():
+    """m2m, l2l and m2l_free called in alternation, at more orders and
+    (p, p') pairs than their caches hold, return bitwise what their first
+    call returned: no call mutates a weight table another call reads."""
+    rng = np.random.default_rng(31)
+    cloud = _random_cloud(rng, 9, 0.5)
+    far = ChargeSystem.free_space([1.0, -0.4], [[6.0, 1.0, 0.5], [5.5, -1.0, 1.0]])
+    shifts = [rng.normal(size=3) * 0.3 for _ in range(3)]
+    calls = []
+    for p, p2 in [(3, 5), (8, 2), (5, 5), (0, 4), (12, 7)]:
+        me = me_from_charges(cloud, np.zeros(3), p)
+        le = le_from_charges(far, np.zeros(3), p)
+        for s in shifts:
+            calls += [
+                lambda me=me, s=s: m2m(me, s),
+                lambda le=le, s=s: l2l(le, s),
+                lambda me=me, p2=p2, s=s: m2l_free(me, 10 * s + [4.0, 0, 0], p2),
+            ]
+    first = [f().coeff.copy() for f in calls]
+    for _ in range(2):
+        for i in rng.permutation(len(calls)):
+            assert calls[i]().coeff.tobytes() == first[i].tobytes()
+
+
+def test_cached_tables_are_read_only():
+    """Every cached table refuses writes, so no caller can corrupt the
+    operators that read it later."""
+    cst = constants(4)
+    with pytest.raises(ValueError):
+        cst.c[0] = 5.0
+    tables = [cst.c, cst.log_c, cst.log_abs_a, cst.c_table, *_packed_indices(4)]
+    tables += [*_m2m_weights(3), *_l2l_weights(3), *_m2l_weights(3, 2)]
+    tables += [a for row in _legendre_weights(6) for a in row[1:]]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+
+
+def test_conjugate_symmetry_defect_is_the_worst_pair():
+    """The defect is the largest |C_{n,-m} - (-1)^m conj(C_{n,m})| over
+    n <= p, 0 < m <= n, as a loop over the pairs finds it."""
+    rng = np.random.default_rng(8)
+    for p in (0, 1, 6):
+        coeff = rng.normal(size=(p + 1, 2 * p + 1)) + 1j * rng.normal(
+            size=(p + 1, 2 * p + 1)
+        )
+        exp = HarmonicExpansion("multipole", np.zeros(3), p, coeff)
+        worst = max(
+            (
+                abs(coeff[n, p - m] - (-1.0) ** m * np.conj(coeff[n, p + m]))
+                for n in range(p + 1)
+                for m in range(1, n + 1)
+            ),
+            default=0.0,
+        )
+        assert exp.conjugate_symmetry_defect() == worst
 
 
 def test_superposition_linearity():

@@ -167,6 +167,20 @@ def test_batched_tables_match_single_calls_bitwise():
             assert _bitwise(ytab[i], sph_harm_table(n_max, theta[i], phi[i]))
 
 
+def test_merged_legendre_step_matches_the_loop_bitwise():
+    """The step that fills columns 0..n-1 of degree n at once (reading row
+    n - 2 = -1 at n = 1) gives, for one point and for a batch, the bits of
+    the entry-by-entry recurrence, at the poles, the origin and -0.0 too."""
+    rng = np.random.default_rng(22)
+    xs = np.concatenate([rng.uniform(-1, 1, 7), [1.0, -1.0, 0.0, -0.0]])
+    for n_max in (0, 1, 2, 20, 60):
+        tab = normalized_legendre(n_max, xs)
+        for i, x in enumerate(xs):
+            one = normalized_legendre(n_max, float(x))
+            assert _bitwise(tab[i], one)
+            assert _bitwise(one, _legendre_loop(n_max, float(x)))
+
+
 def test_constants_values():
     cst = constants(8)
     assert cst.c[0] == pytest.approx(1 / math.sqrt(4 * math.pi))
