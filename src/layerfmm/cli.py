@@ -113,7 +113,8 @@ def green(medium_path, component, source, target, tol):
         f"u^{a}{b}_({ell},{ellprime}) = {value:.15e}  "
         f"error_estimate = {err:.3e}  panels = {stats['panels']}  "
         f"gl_calls = {stats['gl_calls']}  nodes = {stats['nodes']}  "
-        f"evals = {stats['evals']}  tol_use = {stats['tol_use']:.3e}"
+        f"evals = {stats['evals']}  certified = {stats['certified']}  "
+        f"tol_use = {stats['tol_use']:.3e}"
     )
 
 

@@ -436,7 +436,7 @@ def _reaction_multipole(config, system, pol_center):
 
 def _sum_stats(records):
     """Quadrature counters summed over tables, with the largest tol_use."""
-    keys = ("panels", "gl_calls", "nodes", "evals", "bisections")
+    keys = ("panels", "gl_calls", "nodes", "evals", "bisections", "certified")
     out = {k: sum(rec[k] for rec in records) for k in keys}
     out["tol_use"] = max([0.0] + [rec["tol_use"] for rec in records])
     return out

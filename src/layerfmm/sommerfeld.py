@@ -23,39 +23,49 @@ The engine, ``radial_table``, evaluates a family of integrals sharing
 operator - on shared nodes.  sigma depends only on k and the medium, so
 its batched core ``_radial_tables`` serves many (rho, zeta) pairs of one
 component (the oracle's (target, charge) pairs, a basis table's targets,
-a local expansion's charges) with one density sweep per block of panels
+a local expansion's charges) with one density sweep per block of rules
 and entrywise error control for every pair; radial_table is its one-pair
 view.  Pairs share a grid in groups: a group's grid has at most
 twice the panels each member would take alone, and a group holds at
 most 4096 table entries, so neither the work per pair nor the memory
-grows without bound with a batch of unlike pairs.  It uses composite
-32-point Gauss-Legendre panels with adaptive bisection driven by the
-disagreement of each panel with the sum of its halves; the upper limit
-K is solved for from the analytic tail bound
+grows without bound with a batch of unlike pairs.  The upper limit K is
+solved for from the analytic tail bound
 M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by gammainccinv,
 never below a baseline).
 
-The initial panels are as wide as the 32-point rule allows.  Their width
-is min(K/16, w), with w the power of two nearest 16 pi / rho, so a panel
-carries about 6 to 11 periods of e^{i k rho}.  The 32-point rule
-integrates e^{i x} to rounding over up to about 8 periods and loses
-accuracy beyond 11 (an error of 1.5e-11 of the span at 11.3 periods, 3e-4
-at 16).  The value kept is the sum of the halves, over which k rho changes
-by at most 8 sqrt2 pi (about 11 pi, 5.7 periods): exact to rounding.  The
-whole-versus-halves disagreement therefore measures the error of the
-whole rule and over-reads that of the halves.  Power-of-two widths put the
-edges of tables with different rho on one dyadic lattice, which is what
-lets the pairs of a batch share grids.  When K / w
-exceeds 512 the initial grid is capped at 512 wider panels; on those the
-halves can be as wrong as the whole and agree with it by accident, so a
-capped table raises the estimate of every panel wider than 2w to at least
-twice the integrand's mass bound, 2 M_sigma int_panel k^n e^{-k zeta} dk,
-and bisection then resolves the panels wherever the mass matters.  Panels
-are evaluated in blocks: one density sweep and one Bessel ladder serve
-the whole-panel and half-panel rules of a block of panels, because a
-sweep's cost is mostly per call, not per node.  Refinement is
-level-synchronous: each pass bisects its panels together, again in
-blocks.
+The panels are composite 32-point Gauss-Legendre rules whose errors are
+proven, not estimated.  sigma is analytic and bounded by M_sigma on
+Re k >= 0, so the integrand k^n e^{-k zeta} sigma(k) J_m(k rho) is
+analytic there, and on any Bernstein ellipse of a panel that stays in
+Re k >= 0 it is bounded by M_sigma (c + h a)^n e^{-zeta (c - h a)}
+e^{rho h b} (|J_m(z)| <= e^{|Im z|}).  The rule then errs by at most
+h (64/15) M_E r^{-64} / (r^2 - 1) (Trefethen, ATAP Thm 19.3), minimised
+over a fixed grid of r and capped by the panel's mass bound
+(_panel_bounds).  A certified panel takes one rule; certified panels are
+bisected worst-first on their bounds alone, before any integrand value is
+computed, until the bounds fit the tolerance or the panel budget is spent
+(ToleranceNotMet).  Only the first panel [0, w] admits no ellipse in
+Re k >= 0: it keeps the sum of its two half-panel rules, with their
+disagreement with the whole-panel rule as its error, and is bisected on
+that estimate.  The bounds rest on M_sigma, which is density_bound's
+sampled estimate, so every density value the engine computes is checked
+against it (InvariantViolated); the bound covers the rule in exact
+arithmetic, and rounding of the sums (about 1e-16 of the integrand's
+mass) sits far below every tolerance (at least MIN_TOL).
+
+The initial panels are min(K/16, w) wide, with w the power of two nearest
+16 pi / rho, so a panel carries about 6 to 11 periods of e^{i k rho}; at
+rho = 500 a panel of width w = 1/8 (10 periods) is certified to about
+1.5e-15 M_sigma.  Power-of-two widths put the edges of tables with
+different rho on one dyadic lattice, which is what lets the pairs of a
+batch share grids.  When K / w exceeds 512 the initial grid is capped at
+512 wider panels, whose certificates (mostly their mass bounds, as h rho
+is large) drive bisection where the mass matters; the first capped panel
+is graded dyadically down to width w, where whole-versus-halves holds.
+Rules are evaluated _BLOCK per call: one density sweep and one Bessel
+ladder serve them, because a sweep's cost is mostly per call, not per
+node.  Refinement is level-synchronous: each pass bisects its panels
+together, again in blocks.
 
 The Bessel ladder (_bessel_orders) takes J_0 and J_1 from j0/j1 and the
 higher orders from the three-term recurrence in its stable direction:
@@ -77,13 +87,17 @@ import numpy as np
 from scipy import special
 
 from .densities import ReactionDensity
-from .errors import ComponentAbsent, DomainError, ToleranceNotMet
+from .errors import ComponentAbsent, DomainError, InvariantViolated, ToleranceNotMet
 from .medium import tau_map
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 MIN_TOL = 1e-13
-MAX_PANELS = 4096
+#: Panels a table may reach before it raises ToleranceNotMet.  A certified
+#: panel costs one rule, so a table at the budget runs about 8192 rules,
+#: fewer than the 4096 panels of three rules each that whole-versus-halves
+#: estimates cost.
+MAX_PANELS = 8192
 
 
 def bessel_j(m, x):
@@ -195,123 +209,188 @@ def _choose_kmax(bound, rho, zeta, powers, tol_tail):
     return kmax
 
 
-#: Panels per evaluate call.  The whole-panel and half-panel rules of a
-#: block share one density sweep; the sweep's intermediates grow with the
-#: block, so larger blocks buy few calls at the cost of peak memory.
-_BLOCK = 8
+#: Gauss-Legendre rules per evaluate call.  They share one density sweep;
+#: the sweep's intermediates grow with the call, so larger calls buy few
+#: sweeps at the cost of peak memory.
+_BLOCK = 24
 
 
-def _split(evaluate, lo, hi, whole=None):
-    """Half-panel estimates of the panels [lo, hi] and the disagreement
-    of each panel's whole estimate with the sum of its halves.
-
-    Panels are evaluated _BLOCK per call.  When whole is None the whole
-    estimates are computed in the same call as the halves.  Returns
-    (left, right, err, number of evaluate calls).
-    """
-    mid = 0.5 * (lo + hi)
-    left = right = err = None
-    calls = 0
+def _rules(evaluate, lo, hi):
+    """One rule on each [lo[i], hi[i]], _BLOCK rules per evaluate call.
+    Returns (estimates stacked along the first axis, or None for no rules;
+    number of evaluate calls)."""
+    out, calls = None, 0
     for s in range(0, len(lo), _BLOCK):
-        b = slice(s, s + _BLOCK)
-        n = len(lo[b])
-        if whole is None:
-            est = evaluate(
-                np.concatenate([lo[b], lo[b], mid[b]]),
-                np.concatenate([hi[b], mid[b], hi[b]]),
-            )
-            w, est = est[:n], est[n:]
-        else:
-            est = evaluate(
-                np.concatenate([lo[b], mid[b]]), np.concatenate([mid[b], hi[b]])
-            )
-            w = whole[b]
+        est = evaluate(lo[s : s + _BLOCK], hi[s : s + _BLOCK])
+        if out is None:
+            out = np.empty((len(lo),) + est.shape[1:], dtype=est.dtype)
+        out[s : s + _BLOCK] = est
         calls += 1
-        if left is None:
-            shape = (len(lo),) + est.shape[1:]
-            left = np.empty(shape, dtype=est.dtype)
-            right = np.empty(shape, dtype=est.dtype)
-            err = np.empty(shape)
-        left[b], right[b] = est[:n], est[n:]
-        err[b] = np.abs(w - (left[b] + right[b]))
         # release this block's estimates before the next evaluate call
-        est = w = None
-    return left, right, err, calls
+        est = None
+    return out, calls
 
 
-def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, floor=None):
+def _worst(err, safe_tol, room):
+    """Panels to bisect: ranked by their worst entrywise error-to-tolerance
+    ratio, the shortest run of worst panels whose errors the tolerance
+    cannot absorb (the rest sum to at most safe_tol in every entry); at
+    least one and at most room."""
+    ratio = err.reshape(len(err), -1) / safe_tol.reshape(-1)
+    order = np.argsort(-ratio.max(axis=1), kind="stable")
+    # rest[j]: what the panels ranked j and below leave, per entry
+    rest = np.cumsum(ratio[order[::-1]], axis=0)[::-1]
+    count = np.count_nonzero(np.any(rest > 1.0, axis=1))
+    return order[: min(max(count, 1), room)]
+
+
+def _bisect(lo, hi, pick):
+    """(kept panel mask, child lo, child hi): the picked panels' left
+    children, then their right children."""
+    keep = np.ones(len(lo), dtype=bool)
+    keep[pick] = False
+    mid = 0.5 * (lo[pick] + hi[pick])
+    return keep, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]])
+
+
+def _spent(total, safe_tol, max_panels):
+    return ToleranceNotMet(
+        f"panel budget {max_panels} exhausted",
+        achieved=float(np.max(total / safe_tol)),
+    )
+
+
+def _certified(certify, lo, hi):
+    """(bounds, mask of the panels with a finite bound in every entry);
+    no panel is certified without certify."""
+    if certify is None:
+        return None, np.zeros(len(lo), dtype=bool)
+    bound = certify(lo, hi)
+    return bound, np.isfinite(bound.reshape(len(lo), -1)).all(axis=1)
+
+
+def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=None):
     """Composite adaptive quadrature over initial panel edges.
 
     evaluate(lo, hi) takes arrays of rule ends and returns Gauss-Legendre
     estimates of the integral of a (vector-valued) integrand over each
-    [lo[i], hi[i]], stacked along the first axis.  A panel's error is the
-    disagreement between its estimate and the sum of its halves; the
-    initial panels are evaluated in blocks, whole and halves in one call.
+    [lo[i], hi[i]], stacked along the first axis; _BLOCK rules go to one
+    call.
 
-    Refinement is level-synchronous.  Each pass ranks the panels by their
-    worst entrywise error-to-tolerance ratio and bisects, together, the
-    shortest run of worst panels whose errors the tolerance cannot absorb:
-    the rest sum to at most tol_abs in every entry.  For a scalar integral
-    no fewer panels can do, so a pass never splits more panels than a
-    worst-first, one-at-a-time bisection would before it could stop.
-    Passes repeat until the accumulated error is below tol_abs everywhere,
-    or the panel budget is spent.
+    certify(lo, hi), if given, returns an a-priori bound on the rule error
+    of each panel (shaped like the estimates), inf where it has none; it
+    must bound every subpanel of a panel it bounds.  A panel with a finite
+    bound is certified: it takes one rule and the bound as its error.
+    Every other panel is estimated: the sum of its two half-panel rules is
+    kept, and their disagreement with the whole-panel rule is its error.
+    Certified panels are bisected on their bounds alone before any rule
+    runs, until they fit tol_abs or the panel budget is spent; then every
+    panel is evaluated, whole and halves for the estimated ones.
 
-    floor(lo, hi), if given, returns an a-priori error bound per panel
-    (shaped like the estimates); a panel's error is the larger of the two.
+    Refinement is level-synchronous.  Each pass bisects, together, the
+    panels _worst picks.  For a scalar integral no fewer panels can do, so
+    a pass never splits more panels than a worst-first, one-at-a-time
+    bisection would before it could stop.  The children of an estimated
+    panel take its halves as their whole rules, so a certified child needs
+    no new rule and an estimated one two; a child of a certified panel
+    takes one.  Passes repeat until the accumulated error is below tol_abs
+    everywhere, or the panel budget is spent (ToleranceNotMet).
 
-    Returns (value, error estimate, stats); stats counts the final panels,
-    the 32-node rules (gl_calls), their nodes, the evaluate calls (evals)
-    and the bisections, and tol_use is the worst ratio of the error
-    estimate to tol_abs over the entries with a finite positive tol_abs.
+    Returns (value, error, stats); stats counts the final panels, the
+    32-node rules (gl_calls), their nodes, the evaluate calls (evals), the
+    bisections and the certified panels, and tol_use is the worst ratio of
+    the error to tol_abs over the entries with a finite positive tol_abs.
     """
     tol_abs = np.asarray(tol_abs, dtype=float)
     safe_tol = np.where(tol_abs > 0, tol_abs, np.inf)
     lo, hi = edges[:-1], edges[1:]
-    left, right, err, evals = _split(evaluate, lo, hi)
-    if floor is not None:
-        err = np.maximum(err, floor(lo, hi))
-    gl_calls = 3 * len(lo)
     n_init = len(lo)
+    bound, proven = _certified(certify, lo, hi)
+    # estimated panels stay a prefix of the panel arrays, n_est long
+    n_est = n_init - int(np.count_nonzero(proven))
+    lo = np.concatenate([lo[~proven], lo[proven]])
+    hi = np.concatenate([hi[~proven], hi[proven]])
+    if bound is not None:
+        bound = bound[proven]
+        while len(lo) > n_est:
+            total = np.sum(bound, axis=0)
+            if np.all(total <= safe_tol):
+                break
+            if len(lo) >= max_panels:
+                raise _spent(total, safe_tol, max_panels)
+            pick = _worst(bound, safe_tol, max_panels - len(lo))
+            keep, c_lo, c_hi = _bisect(lo[n_est:], hi[n_est:], pick)
+            lo = np.concatenate([lo[:n_est], lo[n_est:][keep], c_lo])
+            hi = np.concatenate([hi[:n_est], hi[n_est:][keep], c_hi])
+            bound = np.concatenate([bound[keep], certify(c_lo, c_hi)])
+
+    mid = 0.5 * (lo[:n_est] + hi[:n_est])
+    est, evals = _rules(
+        evaluate,
+        np.concatenate([lo[:n_est], mid, lo]),
+        np.concatenate([mid, hi[:n_est], hi]),
+    )
+    gl_calls = len(est)
+    # the halves of the estimated panels; val is what each panel keeps
+    left, right = est[:n_est].copy(), est[n_est : 2 * n_est].copy()
+    val = est[2 * n_est :].copy()
+    err = np.abs(val[:n_est] - (left + right))
+    val[:n_est] = left + right
+    if bound is not None:
+        err = np.concatenate([err, bound])
+    est = bound = None
     while True:
         total = np.sum(err, axis=0)
         if np.all(total <= safe_tol):
             break
         if len(lo) >= max_panels:
-            raise ToleranceNotMet(
-                f"panel budget {max_panels} exhausted",
-                achieved=float(np.max(total / safe_tol)),
-            )
-        ratio = err.reshape(len(lo), -1) / safe_tol.reshape(-1)
-        order = np.argsort(-ratio.max(axis=1), kind="stable")
-        # rest[j]: what the panels ranked j and below leave, per entry
-        rest = np.cumsum(ratio[order[::-1]], axis=0)[::-1]
-        count = np.count_nonzero(np.any(rest > 1.0, axis=1))
-        pick = order[: min(max(count, 1), max_panels - len(lo))]
-        keep = np.ones(len(lo), dtype=bool)
-        keep[pick] = False
-        mid = 0.5 * (lo[pick] + hi[pick])
-        c_lo = np.concatenate([lo[pick], mid])
-        c_hi = np.concatenate([mid, hi[pick]])
-        c_left, c_right, c_err, calls = _split(
-            evaluate, c_lo, c_hi, np.concatenate([left[pick], right[pick]])
+            raise _spent(total, safe_tol, max_panels)
+        pick = _worst(err, safe_tol, max_panels - len(lo))
+        keep, c_lo, c_hi = _bisect(lo, hi, pick)
+        c_bound, c_proven = _certified(certify, c_lo, c_hi)
+        # an estimated parent's halves are its children's whole rules
+        from_est = np.tile(pick < n_est, 2)
+        parents = pick[pick < n_est]
+        c_val = np.empty((len(c_lo),) + val.shape[1:], dtype=val.dtype)
+        c_val[from_est] = np.concatenate([left[parents], right[parents]])
+        c_err = np.empty((len(c_lo),) + err.shape[1:])
+        split, fresh = ~c_proven, c_proven & ~from_est
+        c_mid = 0.5 * (c_lo[split] + c_hi[split])
+        n_split = len(c_mid)
+        est, calls = _rules(
+            evaluate,
+            np.concatenate([c_lo[split], c_mid, c_lo[fresh]]),
+            np.concatenate([c_mid, c_hi[split], c_hi[fresh]]),
         )
-        if floor is not None:
-            c_err = np.maximum(c_err, floor(c_lo, c_hi))
-        lo = np.concatenate([lo[keep], c_lo])
-        hi = np.concatenate([hi[keep], c_hi])
-        left = np.concatenate([left[keep], c_left])
-        right = np.concatenate([right[keep], c_right])
-        err = np.concatenate([err[keep], c_err])
-        evals += calls
-        gl_calls += 4 * len(pick)
-    value = np.sum(left + right, axis=0)
-    return value, total, {
+        if est is not None:
+            c_left, c_right = est[:n_split], est[n_split : 2 * n_split]
+            c_err[split] = np.abs(c_val[split] - (c_left + c_right))
+            c_val[split] = c_left + c_right
+            c_val[fresh] = est[2 * n_split :]
+            gl_calls += len(est)
+            evals += calls
+        else:
+            c_left = c_right = c_val[:0]
+        if c_bound is not None:
+            c_err[c_proven] = c_bound[c_proven]
+        keep_est, keep_cert = keep[:n_est], keep[n_est:]
+        left = np.concatenate([left[keep_est], c_left])
+        right = np.concatenate([right[keep_est], c_right])
+        # estimated panels (kept, then new) ahead of certified ones
+        lo, hi, val, err = (
+            np.concatenate([x[:n_est][keep_est], c[split],
+                            x[n_est:][keep_cert], c[c_proven]])
+            for x, c in ((lo, c_lo), (hi, c_hi), (val, c_val), (err, c_err))
+        )
+        n_est = len(left)
+        est = c_val = c_left = c_right = None
+    return np.sum(val, axis=0), total, {
         "panels": len(lo),
         "gl_calls": gl_calls,
         "nodes": gl_calls * len(_GL_NODES),
         "evals": evals,
         "bisections": len(lo) - n_init,
+        "certified": len(lo) - n_est,
         "tol_use": float(np.max(total / safe_tol)),
     }
 
@@ -361,20 +440,80 @@ def _group_pairs(kmax, width, entries):
     return groups
 
 
+#: Bernstein-ellipse parameters r tried for each panel's certificate,
+#: each clipped to the largest the panel admits.  Any admissible r gives a
+#: valid bound, so the least over a fixed log grid serves; near the best r
+#: the log bound is flat to second order, so the grid's step of 16% in r
+#: costs it less than a factor 1.2.
+_ELLIPSE_R = np.geomspace(1.02, 1000.0, 48)
+
+
+def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
+    """A-priori error bounds of the 32-point rule on the panels [lo, hi]
+    for every (pair, power): shape (panels, pairs, powers); inf where a
+    panel touches k = 0.
+
+    The panel [c - h, c + h] has Bernstein ellipses E_r, a = (r + 1/r)/2
+    and b = (r - 1/r)/2 its half-axes in units of h, that stay in
+    Re k >= 0 while c - h a >= 0.  On E_r, |k^n| <= (c + h a)^n,
+    |e^{-k zeta}| <= e^{-zeta (c - h a)}, |J_m(k rho)| <= e^{rho h b} and
+    |sigma| <= M_sigma (= bound), so the rule errs by at most
+    h (64/15) M_E r^{-64} / (r^2 - 1) with M_E the product of these
+    (Trefethen, Approximation Theory and Approximation Practice,
+    Thm 19.3).  The least over _ELLIPSE_R is capped by
+    2 M_sigma (2h) max_panel k^n e^{-k zeta}, which bounds |integral| +
+    |rule| outright (|J_m| <= 1 on the real axis, positive weights summing
+    to 2h).  Orders m do not enter.
+    """
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    q = c / h
+    r = np.minimum(_ELLIPSE_R[:, None], q + np.sqrt(np.maximum(q * q - 1.0, 0.0)))
+    ha, hb = 0.5 * h * (r + 1.0 / r), 0.5 * h * (r - 1.0 / r)
+    n = powers.astype(float)
+    zeta = zetas[:, None]
+    best = np.empty((len(lo), len(rhos), len(powers)))
+    step = max(1, _CHUNK_DOUBLES // (len(_ELLIPSE_R) * best[0].size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log bound = own(r, panel) + n log(c + h a) + rho h b - zeta (c - h a)
+        own = np.log(h * (64.0 / 15.0) * bound / (r * r - 1.0)) - 64.0 * np.log(r)
+        far = np.log(c + ha)
+        for s in range(0, len(lo), step):
+            p = slice(s, s + step)
+            geo = hb[:, p, None] * rhos - (c[p] - ha[:, p])[..., None] * zetas
+            geo += own[:, p, None]
+            total = geo[..., None] + (far[:, p, None] * n)[:, :, None, :]
+            best[p] = np.min(total, axis=0)
+        # k^n e^{-k zeta} peaks at n/zeta
+        peak = np.clip(n / zeta, lo[:, None, None], hi[:, None, None])
+        cap = np.log(4.0 * bound * h)[:, None, None] + n * np.log(peak) - zeta * peak
+    out = np.exp(np.minimum(best, cap))
+    out[lo <= 0.0] = np.inf
+    return out
+
+
 def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
                  max_panels):
     """The tables of a group of pairs on one grid: it runs to the largest
-    of their own K in panels of the smallest of their own widths.  Each
-    evaluate block sweeps the density once for all pairs.  A capped grid
-    floors each pair's panels wider than twice its own width by that
-    pair's mass bound."""
+    of their own K in panels of the smallest of their own widths, w.  Each
+    evaluate block sweeps the density once for all pairs, and checks every
+    density value against the bound the panel certificates rest on
+    (InvariantViolated otherwise).  Every panel but the first is certified
+    (_panel_bounds); a capped grid grades its first panel dyadically down
+    to width w, where whole-versus-halves holds."""
     shape = (len(rhos), len(powers), len(orders))
     top = int(np.max(powers))
+    bound = density.bound
 
     def evaluate(lo, hi):
         half = 0.5 * (hi - lo)
         k = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
-        dens = density(k.ravel()).reshape(k.shape) * (half[:, None] * _GL_WEIGHTS)
+        dens = density(k.ravel()).reshape(k.shape)
+        if not np.all(np.abs(dens) <= bound):
+            raise InvariantViolated(
+                f"|sigma| = {np.nanmax(np.abs(dens)):.6e} above its bound "
+                f"M_sigma = {bound:.6e}; the panel certificates do not hold"
+            )
+        dens = dens * (half[:, None] * _GL_WEIGHTS)
         # (rules, re/im, nodes): the real Bessel block is contracted
         # against both parts, never cast to complex
         parts = np.stack([dens.real, dens.imag], axis=1)
@@ -398,25 +537,21 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
             out[:, pairs] = res.view(complex).transpose(1, 0, 3, 2)
         return out
 
+    def certify(lo, hi):
+        out = _panel_bounds(bound, rhos, zetas, powers, lo, hi)
+        return np.broadcast_to(out[..., None], (len(lo),) + shape)
+
     k_hi, w_lo = float(np.max(kmax)), float(np.min(width))
     n_uncapped = int(math.ceil(k_hi / w_lo))
     n_init = min(n_uncapped, 512)
     capped = n_uncapped > n_init
-    edges = max(w_lo, k_hi / n_init) * np.arange(n_init + 1)
-    floor = None
+    step = max(w_lo, k_hi / n_init)
+    edges = step * np.arange(n_init + 1)
     if capped:
-        bound = density.bound
-
-        def floor(lo, hi):
-            n = powers[None, None, :, None]
-            zeta = zetas[None, :, None, None]
-            lo, hi = lo[:, None, None, None], hi[:, None, None, None]
-            mass = bound * (_gamma_tail(n, lo, zeta) - _gamma_tail(n, hi, zeta))
-            wide = hi - lo > 2.0 * width[None, :, None, None]
-            return np.where(wide, 2.0 * mass, 0.0) * np.ones(len(orders))
-
+        grade = step * 0.5 ** np.arange(math.ceil(math.log2(step / w_lo)), 0, -1)
+        edges = np.concatenate([[0.0], grade, edges[1:]])
     values, err, stats = _adaptive_panels(
-        evaluate, edges, 0.9 * tol_abs, max_panels, floor
+        evaluate, edges, 0.9 * tol_abs, max_panels, certify
     )
     stats["capped"] = capped
     return values, err, stats
@@ -461,7 +596,8 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
         raise DomainError("tol_abs needs a finite entry for every pair")
     values = np.zeros(shape, dtype=complex)
     err = np.zeros(shape)
-    stats = dict.fromkeys(("panels", "gl_calls", "nodes", "evals", "bisections"), 0)
+    counts = ("panels", "gl_calls", "nodes", "evals", "bisections", "certified")
+    stats = dict.fromkeys(counts, 0)
     stats.update(tol_use=0.0, capped=False)
     if bound == 0.0 or not len(rhos):
         return values, err, stats
@@ -475,7 +611,7 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
             density, rhos[group], zetas[group], kmax[group], width[group],
             powers, orders, tol_abs[group], max_panels,
         )
-        for key in ("panels", "gl_calls", "nodes", "evals", "bisections"):
+        for key in counts:
             stats[key] += own[key]
         stats["capped"] |= own["capped"]
     stats["tol_use"] = float(np.max(err[finite] / tol_abs[finite]))
@@ -486,28 +622,31 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     """All integrals I(n, m) for n in powers, m in orders on shared nodes.
 
     Requires zeta > 0, rho >= 0 and nonnegative powers and orders
-    (DomainError otherwise); the density must expose a uniform bound.
+    (DomainError otherwise); the density must expose a uniform bound
+    M_sigma, and a density value above it raises InvariantViolated.
     tol_abs is an entrywise absolute tolerance of shape
     (len(powers), len(orders)); entries set to inf do not drive
     refinement, and at least one must be finite (DomainError for another
     shape, or for an entry that is not > 0 or inf).  Returns (values,
-    error estimates, stats); stats holds the counts of _adaptive_panels,
-    tol_use (the worst ratio of the error estimate to tol_abs over the
-    finite entries of tol_abs) and "capped", whether the initial panel
-    count was cut to 512.  This is the one-pair view of _radial_tables,
-    which batches (rho, zeta) pairs on shared grids.
+    errors, stats); stats holds the counts of _adaptive_panels (panels,
+    gl_calls, nodes, evals, bisections, certified), tol_use (the worst
+    ratio of the error to tol_abs over the finite entries of tol_abs) and
+    "capped", whether the initial panel count was cut to 512.  This is the
+    one-pair view of _radial_tables, which batches (rho, zeta) pairs on
+    shared grids.
 
     A tenth of the smallest finite tolerance goes to the tail beyond K
     (_choose_kmax), nine tenths to the panels.  The initial panels are
-    min(K/16, w) wide, w the power of two nearest 16 pi / rho: on each
-    half-panel k rho changes by at most about 12 pi across the 32 nodes,
-    which the rule integrates to rounding, so the whole-versus-halves
-    disagreement over-reads the error of the halves it keeps (see the
-    module docstring).  Past 512 panels the grid is capped, and the error
-    of a capped panel wider than 2w is taken as at least twice its mass
-    bound M_sigma int k^n e^{-k zeta} dk, which bounds its rules and its
-    integral alike; bisection goes on until the mass left on such panels
-    fits the tolerance, or the panel budget is spent (ToleranceNotMet).
+    min(K/16, w) wide, w the power of two nearest 16 pi / rho.  Every
+    panel but the first is certified: one 32-point rule, and as its error
+    the Bernstein-ellipse bound of _panel_bounds, which rests on
+    |sigma| <= M_sigma on Re k >= 0 (M_sigma is density_bound's sampled
+    estimate for a reaction density).  The first panel [0, w] keeps the
+    sum of its half-panel rules, its error their disagreement with the
+    whole rule.  Past 512 panels the grid is capped; the wide capped
+    panels carry large certificates and are bisected, before any rule
+    runs, until the bounds fit the tolerance, or the panel budget is spent
+    (ToleranceNotMet).
     """
     values, err, stats = _radial_tables(
         density, [rho], [zeta], powers, orders,

@@ -80,6 +80,42 @@ def spectral_u_hat_recursion(med, ell, ellprime, z, zp, k):
     return val
 
 
+def slab_image_green(med, a, b, r, rp, tol=1e-15):
+    """u^{ab}_{1,1}(r, r') of a three-layer medium (a slab, layer 1, between
+    two half-spaces) as its geometric image series, for points along the
+    last axis of r and r' (broadcast); no quadrature.
+
+    With kappa_t = (b_1 - b_0)/(b_1 + b_0) and kappa_b = (b_1 - b_2)/
+    (b_1 + b_2) the reflections of the top and bottom interfaces, q =
+    kappa_t kappa_b and D the slab's thickness, the spectral reaction
+    weights are sigma^{11} = kappa_b/(1 - q e^{-2kD}), sigma^{22} =
+    kappa_t/(1 - q e^{-2kD}) and sigma^{12} = sigma^{21} = q e^{-kD}/(1 - q
+    e^{-2kD}).  Expanding 1/(1 - q e^{-2kD}) and integrating each term by
+    Lipschitz' formula gives images at depths zeta + 2jD (zeta + (2j+1)D
+    for 12 and 21), weight c q^j / (4 pi sqrt(rho^2 + depth^2)).  |q| < 1,
+    so the series is cut where c q^J / ((1 - |q|) zeta) / 4 pi <= tol.
+    Needs a = 1 in every layer (the interface conditions [u] = 0 and
+    [b du/dz] = 0)."""
+    if med.num_interfaces != 2 or any(x != 1.0 for x in med.a):
+        raise ValueError("slab_image_green needs a three-layer medium with a = 1")
+    (top, bot), bl = med.interfaces, med.b
+    kt, kb = (bl[1] - bl[0]) / (bl[1] + bl[0]), (bl[1] - bl[2]) / (bl[1] + bl[2])
+    q, thick = kt * kb, top - bot
+    r, rp = np.asarray(r, dtype=float), np.asarray(rp, dtype=float)
+    zt = r[..., 2] - bot if a == 1 else top - r[..., 2]
+    zs = rp[..., 2] - bot if b == 1 else top - rp[..., 2]
+    zeta = zt + zs
+    rho = np.hypot(r[..., 0] - rp[..., 0], r[..., 1] - rp[..., 1])
+    coef, shift = {(1, 1): (kb, 0.0), (2, 2): (kt, 0.0)}.get((a, b), (q, thick))
+    total = np.zeros(np.broadcast(rho, zeta).shape)
+    j = 0
+    while abs(coef) * abs(q) ** j / ((1 - abs(q)) * np.min(zeta)) > 4 * np.pi * tol:
+        depth = zeta + shift + 2 * j * thick
+        total = total + coef * q ** j / np.hypot(rho, depth)
+        j += 1
+    return total / (4 * np.pi)
+
+
 def random_medium(rng, L=None, min_gap=0.05):
     if L is None:
         L = int(rng.integers(1, 6))

@@ -267,6 +267,44 @@ def test_criterion_09_formulation_equivalence(capsys):
                 assert abs(v_polar - oracle) < 1e-6  # truncation at p=14
 
 
+#: (component, charge seed, count, source radius, target centre, target
+#: radius) of the criteria 7-8 configurations; criterion 9 adds the four
+#: components with targets in a box above the source box
+SLAB_ORACLE_CASES = [
+    ((1, 1), 11, 10, 0.3, (0.0, 0.0, -0.25), 0.05),
+    ((2, 2), 11, 10, 0.3, (0.15, 0.1, -0.3), 0.05),
+    ((1, 1), 13, 10, 0.25, (0.9, 0.6, -0.45), 0.6 * 0.35),
+    ((1, 1), 17, 10, 0.3, (0.3375, 0.0, -0.83), 0.9 * 0.15),
+]
+
+
+def test_criteria_07_09_oracle_matches_slab_images():
+    """The oracle of criteria 7-9 (eval_reaction_green, a Sommerfeld
+    quadrature) against the slab's geometric image series, which shares no
+    code with it: every (target, charge) pair of those geometries agrees
+    to 2e-12, the oracle's tolerance 1e-12 plus the series cut."""
+    from conftest import slab_image_green
+
+    cases = list(SLAB_ORACLE_CASES)
+    rng = np.random.default_rng(19)
+    box_targets = np.column_stack([
+        rng.uniform(-0.2, 0.2, (8, 2)), rng.uniform(-0.35, -0.15, 8),
+    ])
+    for ab in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        cases.append((ab, 23, 4, 0.25, box_targets, None))
+    for ab, seed, count, a_s, centre, radius in cases:
+        box = Box(np.array([0.0, 0.0, -0.5]), a_s)
+        charges = generate_charges(seed, count, box, SLAB, 1).positions
+        targets = centre
+        if radius is not None:
+            targets = np.asarray(centre) + radius * fibonacci_sphere(16)
+        r = np.repeat(targets, len(charges), axis=0)
+        rp = np.tile(charges, (len(targets), 1))
+        got = eval_reaction_green(SLAB, *ab, 1, 1, r, rp, 1e-12)
+        want = slab_image_green(SLAB, *ab, r, rp, 1e-14)
+        assert np.max(np.abs(got - want)) <= 2e-12, (ab, seed, centre)
+
+
 def test_criterion_10_harmonic_identities(capsys):
     with criterion(capsys, 10, "harmonic identities & references", 10):
         suite = run_property_suite("addition_theorems")["addition_theorems"]

@@ -631,6 +631,7 @@ from layerfmm import (
     reaction_me_from_charges,
 )
 from layerfmm.errors import InvariantViolated
+from layerfmm.sommerfeld import radial_table
 
 if __debug__:
     raise SystemExit("run without -O")
@@ -658,13 +659,25 @@ try:
     eval_reaction_me(replace(rexp, coeff=1j * rexp.coeff), slab, [0.2, 0.1, -0.4])
 except InvariantViolated:
     fired.append("eval_reaction_me")
+
+class UnderReported:
+    bound = 1.0
+
+    def __call__(self, k):
+        return np.full(np.shape(k), 2.0 + 0j)
+
+try:
+    radial_table(UnderReported(), 1.0, 0.5, [0], [0], np.array([[1e-10]]))
+except InvariantViolated:
+    fired.append("density_bound")
 print(" ".join(fired))
 """
 
 
 def test_invariant_checks_fire_under_optimize():
-    """The key-inequality tripwire and the imaginary-residue checks are
-    explicit raises, so python -O (which strips asserts) keeps them."""
+    """The key-inequality tripwire, the imaginary-residue checks and the
+    density-bound check under the panel certificates are explicit raises,
+    so python -O (which strips asserts) keeps them."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
@@ -673,5 +686,5 @@ def test_invariant_checks_fire_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "key_inequality", "eval_expansion", "eval_reaction_me"
+        "key_inequality", "eval_expansion", "eval_reaction_me", "density_bound"
     ]

@@ -117,11 +117,13 @@ def test_reaction_reports_carry_quadrature_counters(kind):
     """Each reaction report carries the counters of its expansion's
     tables and of its oracle's one batched call: counts, no timings."""
     report = run_experiment(ExperimentConfig(kind=kind, p_min=1, **SMALL[kind]))
-    keys = {"panels", "gl_calls", "nodes", "evals", "bisections", "tol_use"}
+    keys = {"panels", "gl_calls", "nodes", "evals", "bisections", "certified",
+            "tol_use"}
     for name in ("quadrature", "oracle_quadrature"):
         stats = report.metadata[name]
         assert keys <= set(stats) and stats["panels"] > 0
         assert stats["nodes"] == 32 * stats["gl_calls"]
+        assert 0 < stats["certified"] < stats["panels"]
         assert 0.0 < stats["tol_use"] < 1.0
     # one grid for all (target, charge) pairs: about a table's panels,
     # not n_targets * n_charges of them
@@ -231,10 +233,11 @@ def test_cli_green_matches_library(tmp_path, two_layer):
         np.array([0.0, 0.0, 0.5]), 1e-10,
     )
     assert value == pytest.approx(lib, rel=1e-9)
-    for key in ("panels", "gl_calls", "nodes", "evals", "tol_use"):
+    for key in ("panels", "gl_calls", "nodes", "evals", "certified", "tol_use"):
         assert f"{key} = " in res.output
     fields = dict(re.findall(r"(\w+) = (\S+)", res.output))
     assert int(fields["nodes"]) == 32 * int(fields["gl_calls"])
+    assert 0 < int(fields["certified"]) < int(fields["panels"])
     assert 0.0 < float(fields["tol_use"]) < 1.0
 
 
@@ -305,6 +308,7 @@ def test_cli_me_stats(tmp_path, two_layer):
         counts = dict(re.findall(r"(\w+) = (\S+)", line))
         assert int(counts["panels"]) > 0 and float(counts["tol_use"]) < 1.0
         assert int(counts["nodes"]) == 32 * int(counts["gl_calls"])
+        assert 0 < int(counts["certified"]) < int(counts["panels"])
 
 
 def test_cli_me_rejects_targets_in_two_layers(tmp_path, two_layer):

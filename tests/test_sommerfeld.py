@@ -19,7 +19,12 @@ from layerfmm import (
     sqrt_branch,
 )
 from layerfmm import LayeredMedium, sommerfeld
-from layerfmm.errors import ComponentAbsent, DomainError, ToleranceNotMet
+from layerfmm.errors import (
+    ComponentAbsent,
+    DomainError,
+    InvariantViolated,
+    ToleranceNotMet,
+)
 from layerfmm.expansions import _reaction_table
 from layerfmm.medium import component_exists
 from layerfmm.sommerfeld import CAGNIARD_CATALOG, ConstantDensity, radial_table
@@ -254,7 +259,9 @@ def test_adaptive_panels_budget_spent_during_refinement():
 
 def test_radial_table_block_size_invariance(three_layer, monkeypatch):
     """A 17 x 17 table at rho/zeta = 12 does not depend on how many
-    panels share an evaluate call."""
+    rules share an evaluate call: 29 panels, the first estimated by three
+    rules and 28 certified by one each, take 2 calls of _BLOCK = 24 rules
+    or 31 calls of one."""
     dens = ReactionDensity(three_layer, 1, 1, 1, 1)
     n = np.arange(17)
     zeta = 0.5
@@ -266,24 +273,31 @@ def test_radial_table_block_size_invariance(three_layer, monkeypatch):
     np.testing.assert_allclose(vals1, vals, rtol=1e-13, atol=0)
     assert stats1["panels"] == stats["panels"]
     assert stats1["gl_calls"] == stats["gl_calls"]
-    assert stats1["evals"] == stats["panels"] > stats["evals"]
+    assert (stats["panels"], stats["certified"], stats["evals"]) == (29, 28, 2)
+    assert stats1["evals"] == stats["gl_calls"] == 31
 
 
 def test_radial_table_stats_record():
-    """Stats carry the density sweeps, the bisections and whether the
-    initial panel count hit its cap, also on the zero-bound early return."""
+    """Stats carry the density sweeps, the bisections, the certified
+    panels and whether the initial panel count hit its cap, also on the
+    zero-bound early return.  A capped grid grades its first panel of
+    width K/512 down to the resolved width (two halvings at rho = 50), and
+    only the first panel takes three rules."""
     tol = np.array([[1e-8]])
     _, _, wide = radial_table(ConstantDensity(), 50.0, 0.05, [0], [0], tol)
     _, _, near = radial_table(ConstantDensity(), 0.5, 0.5, [0], [0], tol)
     _, _, zero = radial_table(ConstantDensity(0.0), 0.5, 0.5, [0], [0], tol)
     assert wide["capped"] and not near["capped"] and not zero["capped"]
-    assert wide["panels"] == 512 + wide["bisections"]
-    assert near["evals"] == math.ceil(near["panels"] / sommerfeld._BLOCK)
+    assert wide["panels"] == 514 + wide["bisections"]
+    for st in (wide, near):
+        assert st["certified"] == st["panels"] - 1
+        assert st["gl_calls"] == st["panels"] + 2
+    assert near["evals"] == math.ceil(near["gl_calls"] / sommerfeld._BLOCK)
     assert near["nodes"] == 32 * near["gl_calls"]
     assert 0.0 < near["tol_use"] < 1.0 and 0.0 < wide["tol_use"] < 1.0
     assert zero == {
         "panels": 0, "gl_calls": 0, "nodes": 0, "evals": 0, "bisections": 0,
-        "tol_use": 0.0, "capped": False,
+        "certified": 0, "tol_use": 0.0, "capped": False,
     }
 
 
@@ -291,13 +305,14 @@ def test_radial_table_work_counts_and_repeat():
     """The 17 x 17 M2L table of the p = 8 reaction operators at
     rho/zeta = 20, zeta = 0.5: panels, rules and density sweeps are
     pinned (changes to the integrand kernel must not move them), and two
-    identical calls agree bit for bit."""
+    identical calls agree bit for bit.  57 of the 58 panels are certified
+    and take one rule each; the first takes three."""
     stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
     v = np.array([10.0, 0.0, 0.5])
     table, _, stats = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
     again, _, _ = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
-    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (58, 174, 8)
-    assert stats["nodes"] == 5568
+    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (58, 60, 3)
+    assert stats["nodes"] == 1920 and stats["certified"] == 57
     assert stats["bisections"] == 0 and not stats["capped"]
     assert 0.0 < stats["tol_use"] < 1.0
     assert np.array_equal(table, again)
@@ -344,13 +359,19 @@ def test_radial_table_panels_continuous_in_zeta():
     assert abs(panels[0] - panels[1]) < 0.2 * max(panels)
 
 
+#: panels of the capped tables at zeta = 0.05, tolerance 1e-10: bisection
+#: of the 512 capped panels by their certificates alone
+CAPPED_PANELS = {200.0: 2098, 400.0: 3932, 500.0: 4629, 600.0: 5955}
+
+
 @pytest.mark.parametrize("rho, met", [
-    (200.0, True), (400.0, True), (500.0, True), (600.0, False),
+    (200.0, True), (400.0, True), (500.0, True), (600.0, True), (1000.0, False),
 ])
 def test_radial_table_capped_grid_is_honest(rho, met):
     """At zeta = 0.05 these grids hit the 512-panel cap, whose panels are
-    too wide for the whole-versus-halves estimate: the result meets 1e-10
-    against 1/sqrt(rho^2 + zeta^2), or the table raises."""
+    too wide for their certificates: the result meets 1e-10 against
+    1/sqrt(rho^2 + zeta^2) in a pinned panel count, or the table raises
+    when the certified panels need more than the panel budget."""
     tol = np.array([[1e-10]])
     if not met:
         with pytest.raises(ToleranceNotMet):
@@ -358,7 +379,99 @@ def test_radial_table_capped_grid_is_honest(rho, met):
         return
     values, err, stats = radial_table(ConstantDensity(), rho, 0.05, [0], [0], tol)
     assert stats["capped"] and err[0, 0] <= 1e-10
+    assert stats["panels"] == CAPPED_PANELS[rho]
+    assert stats["certified"] == stats["panels"] - 1
     assert abs(values[0, 0] - 1.0 / math.hypot(rho, 0.05)) <= 1e-10
+
+
+_X32, _W32 = np.polynomial.legendre.leggauss(32)
+_X64, _W64 = np.polynomial.legendre.leggauss(64)
+
+
+def _panel_rule(f, lo, hi, nodes, weights):
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return h * np.sum(weights * f(c + h * nodes))
+
+
+#: (rho, zeta, n, m, panel): rule errors from rounding to about 1e-1, ellipse
+#: bounds and mass caps, and rho = 0 panels with an incomplete-gamma value
+PANEL_CASES = [
+    (5.0, 0.5, 0, 0, (1.0, 3.0)), (20.0, 0.05, 3, 1, (2.0, 6.0)),
+    (50.0, 0.3, 8, 5, (0.5, 1.5)), (30.0, 0.5, 2, 2, (10.0, 12.0)),
+    (40.0, 0.2, 0, 0, (3.0, 5.0)), (12.0, 0.1, 1, 0, (1.0, 11.0)),
+    (0.0, 5.0, 0, 0, (0.1, 20.1)), (0.0, 5.0, 16, 0, (0.1, 20.1)),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_panel_certificate_bounds_the_rule_error(seed):
+    """On single panels the certificate is at least the error of the
+    32-point rule: against a 64-node rule on eight subpanels, and for
+    sigma = 1 at rho = 0 against the closed form Gamma(n+1) (Q(n+1,
+    lo zeta) - Q(n+1, hi zeta)) / zeta^{n+1}.  seed None is sigma = 1; a
+    seed draws a component of a random medium.  Rounding of the rule's
+    sum, 64 eps times its absolute sum, is allowed on top."""
+    if seed is None:
+        dens = ConstantDensity(1.0)
+    else:
+        dens = _random_component(np.random.default_rng(seed))
+    visible = 0
+    for rho, zeta, n, m, (lo, hi) in PANEL_CASES:
+        def f(k):
+            return k ** n * np.exp(-k * zeta) * dens(k) * special.jv(m, k * rho)
+
+        got = _panel_rule(f, lo, hi, _X32, _W32)
+        edges = np.linspace(lo, hi, 9)
+        ref = sum(_panel_rule(f, a, b, _X64, _W64)
+                  for a, b in zip(edges[:-1], edges[1:]))
+        refs = [ref]
+        if rho == 0.0 and seed is None:
+            a = n + 1.0
+            gap = special.gammaincc(a, lo * zeta) - special.gammaincc(a, hi * zeta)
+            refs.append(special.gamma(a) * gap / zeta ** a)
+        cert = sommerfeld._panel_bounds(
+            dens.bound, np.array([rho]), np.array([zeta]), np.array([n]),
+            np.array([lo]), np.array([hi]),
+        )[0, 0, 0]
+        slack = 64 * np.finfo(float).eps * _panel_rule(
+            lambda k: np.abs(f(k)), lo, hi, _X32, _W32
+        )
+        for want in refs:
+            assert abs(got - want) <= cert + slack, (rho, zeta, n, m, lo, hi)
+        visible += abs(got - ref) > 1e3 * slack
+    assert visible >= 3
+
+
+def test_panel_certificate_needs_room_from_zero():
+    """A panel touching k = 0 has no Bernstein ellipse in Re k >= 0, so no
+    certificate; one panel further out has one."""
+    bounds = sommerfeld._panel_bounds(
+        1.0, np.array([2.0]), np.array([0.5]), np.array([0, 3]),
+        np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+    )
+    assert np.all(np.isinf(bounds[0])) and np.all(bounds[1] < 1e-30)
+
+
+class _UnderReportedDensity:
+    """sigma = 1 + k/100 that claims |sigma| <= 1."""
+
+    bound = 1.0
+
+    def __call__(self, k):
+        return 1.0 + np.asarray(k, dtype=complex) / 100.0
+
+
+def test_density_above_its_bound_is_caught():
+    """Every certificate rests on |sigma| <= M_sigma: a density value above
+    the bound it reports raises InvariantViolated, for one pair and in a
+    batch, rather than a table certified on a false premise."""
+    with pytest.raises(InvariantViolated, match="above its bound"):
+        radial_table(_UnderReportedDensity(), 1.0, 0.5, [0], [0], np.array([[1e-10]]))
+    with pytest.raises(InvariantViolated):
+        sommerfeld._radial_tables(
+            _UnderReportedDensity(), [0.0, 3.0], [1.0, 0.5], [0, 1], [0],
+            np.full((2, 2, 1), 1e-10),
+        )
 
 
 def test_tail_truncation_insensitivity(two_layer, monkeypatch):
@@ -620,9 +733,9 @@ def test_bisected_pair_meets_its_tolerance_in_a_batch(spread, monkeypatch):
 def test_grid_capped_only_as_a_batch(monkeypatch):
     """rho = 0 at zeta = 0.02 (K = 3000, width 187.5) and rho/zeta = 200
     (K = 60, width 0.25) each take an uncapped grid alone.  Forced onto one
-    grid, 12,000 panels are capped to 512, and each pair is floored only on
-    panels wider than twice its own width, so both meet their tolerance
-    within the budget; grouped, each keeps its own grid."""
+    grid, 12,000 panels are capped to 512, and each pair's certificates
+    bisect only the panels too wide for that pair, so both meet their
+    tolerance within the budget; grouped, each keeps its own grid."""
     pairs = [(0.0, 0.02), (200.0, 1.0)]
     rhos, zetas = (np.array(v) for v in zip(*pairs))
     tol = np.full((2, 1, 1), 1e-10)
@@ -667,11 +780,11 @@ def test_groups_bound_each_pairs_grid_and_memory(seed):
 
 
 def test_unmeetable_pair_fails_the_batch():
-    """A pair whose tolerance cannot be met (rho = 600 at zeta = 0.05, see
+    """A pair whose tolerance cannot be met (rho = 1000 at zeta = 0.05, see
     test_radial_table_capped_grid_is_honest) raises for the whole batch."""
     with pytest.raises(ToleranceNotMet):
         sommerfeld._radial_tables(
-            ConstantDensity(), [0.5, 600.0], [0.5, 0.05], [0], [0],
+            ConstantDensity(), [0.5, 1000.0], [0.5, 0.05], [0], [0],
             np.full((2, 1, 1), 1e-10),
         )
 
