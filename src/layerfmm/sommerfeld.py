@@ -253,7 +253,7 @@ def _bisect(lo, hi, pick):
     return keep, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]])
 
 
-def _spent(total, safe_tol, max_panels):
+def _budget_error(total, safe_tol, max_panels):
     return ToleranceNotMet(
         f"panel budget {max_panels} exhausted",
         achieved=float(np.max(total / safe_tol)),
@@ -266,7 +266,7 @@ def _certified(certify, lo, hi):
     if certify is None:
         return None, np.zeros(len(lo), dtype=bool)
     bound = certify(lo, hi)
-    return bound, np.isfinite(bound.reshape(len(lo), -1)).all(axis=1)
+    return bound, np.isfinite(bound).reshape(len(lo), -1).all(axis=1)
 
 
 def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=None):
@@ -317,7 +317,7 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
             if np.all(total <= safe_tol):
                 break
             if len(lo) >= max_panels:
-                raise _spent(total, safe_tol, max_panels)
+                raise _budget_error(total, safe_tol, max_panels)
             pick = _worst(bound, safe_tol, max_panels - len(lo))
             keep, c_lo, c_hi = _bisect(lo[n_est:], hi[n_est:], pick)
             lo = np.concatenate([lo[:n_est], lo[n_est:][keep], c_lo])
@@ -333,18 +333,17 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
     gl_calls = len(est)
     # the halves of the estimated panels; val is what each panel keeps
     left, right = est[:n_est].copy(), est[n_est : 2 * n_est].copy()
-    val = est[2 * n_est :].copy()
+    val = est[2 * n_est :]
     err = np.abs(val[:n_est] - (left + right))
     val[:n_est] = left + right
     if bound is not None:
         err = np.concatenate([err, bound])
-    est = bound = None
     while True:
         total = np.sum(err, axis=0)
         if np.all(total <= safe_tol):
             break
         if len(lo) >= max_panels:
-            raise _spent(total, safe_tol, max_panels)
+            raise _budget_error(total, safe_tol, max_panels)
         pick = _worst(err, safe_tol, max_panels - len(lo))
         keep, c_lo, c_hi = _bisect(lo, hi, pick)
         c_bound, c_proven = _certified(certify, c_lo, c_hi)
@@ -383,7 +382,6 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
             for x, c in ((lo, c_lo), (hi, c_hi), (val, c_val), (err, c_err))
         )
         n_est = len(left)
-        est = c_val = c_left = c_right = None
     return np.sum(val, axis=0), total, {
         "panels": len(lo),
         "gl_calls": gl_calls,
@@ -444,7 +442,7 @@ def _group_pairs(kmax, width, entries):
 #: each clipped to the largest the panel admits.  Any admissible r gives a
 #: valid bound, so the least over a fixed log grid serves; near the best r
 #: the log bound is flat to second order, so the grid's step of 16% in r
-#: costs it less than a factor 1.2.
+#: costs it about a factor 1.2 at most where rho dominates.
 _ELLIPSE_R = np.geomspace(1.02, 1000.0, 48)
 
 
