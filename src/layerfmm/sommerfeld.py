@@ -38,10 +38,10 @@ proven, not estimated.  sigma is analytic and bounded by M_sigma on
 Re k >= 0, so the integrand k^n e^{-k zeta} sigma(k) J_m(k rho) is
 analytic there, and on any Bernstein ellipse of a panel that stays in
 Re k >= 0 it is bounded by M_sigma (c + h a)^n e^{-zeta (c - h a)}
-e^{rho h b} (|J_m(z)| <= e^{|Im z|}).  The rule then errs by at most
-h (64/15) M_E r^{-64} / (r^2 - 1) (Trefethen, ATAP Thm 19.3), minimised
-over a fixed grid of r and capped by the panel's mass bound
-(_panel_bounds).  A certified panel takes one rule; certified panels are
+e^{rho h b} (|J_m(z)| <= e^{|Im z|}).  The rule, exact to degree 63,
+then errs by at most h (64/15) M_E r^{-62} / (r^2 - 1) (Trefethen, ATAP
+Thm 19.3 with n + 1 = 32 nodes; _ellipse_log_bound), minimised over a
+fixed grid of r and capped by the panel's mass bound (_panel_bounds).  A certified panel takes one rule; certified panels are
 bisected worst-first on their bounds alone, before any integrand value is
 computed, until the bounds fit the tolerance or the panel budget is spent
 (ToleranceNotMet).  Only the first panel [0, w] admits no ellipse in
@@ -55,8 +55,8 @@ mass) sits far below every tolerance (at least MIN_TOL).
 
 The initial panels are min(K/16, w) wide, with w the power of two nearest
 16 pi / rho, so a panel carries about 6 to 11 periods of e^{i k rho}; at
-rho = 500 a panel of width w = 1/8 (10 periods) is certified to about
-1.5e-15 M_sigma.  Power-of-two widths put the edges of tables with
+rho = 500 and zeta = 0.05 a panel of width w = 1/8 (10 periods) around
+k = 20 is certified to about 8e-15 M_sigma.  Power-of-two widths put the edges of tables with
 different rho on one dyadic lattice, which is what lets the pairs of a
 batch share grids.  When K / w exceeds 512 the initial grid is capped at
 512 wider panels, whose certificates (mostly their mass bounds, as h rho
@@ -253,11 +253,18 @@ def _bisect(lo, hi, pick):
     return keep, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]])
 
 
-def _budget_error(total, safe_tol, max_panels):
-    return ToleranceNotMet(
-        f"panel budget {max_panels} exhausted",
-        achieved=float(np.max(total / safe_tol)),
-    )
+def _next_split(err, tol, n_panels, max_panels):
+    """(summed error, the panels _worst picks or None once the sum fits
+    tol everywhere); ToleranceNotMet once max_panels are spent."""
+    total = np.sum(err, axis=0)
+    if np.all(total <= tol):
+        return total, None
+    if n_panels >= max_panels:
+        raise ToleranceNotMet(
+            f"panel budget {max_panels} exhausted",
+            achieved=float(np.max(total / tol)),
+        )
+    return total, _worst(err, tol, max_panels - n_panels)
 
 
 def _certified(certify, lo, hi):
@@ -278,8 +285,10 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
     call.
 
     certify(lo, hi), if given, returns an a-priori bound on the rule error
-    of each panel (shaped like the estimates), inf where it has none; it
-    must bound every subpanel of a panel it bounds.  A panel with a finite
+    of each panel, inf where it has none; it must bound every subpanel of
+    a panel it bounds.  Its shape broadcasts to the estimates': an axis
+    the bound does not vary along may have length 1, and the bounds keep
+    that size until their panels are evaluated.  A panel with a finite
     bound is certified: it takes one rule and the bound as its error.
     Every other panel is estimated: the sum of its two half-panel rules is
     kept, and their disagreement with the whole-panel rule is its error.
@@ -312,13 +321,15 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
     hi = np.concatenate([hi[~proven], hi[proven]])
     if bound is not None:
         bound = bound[proven]
+        # along an axis the bounds do not vary on, the least tolerance
+        # decides for every entry
+        flat = [i for i, (b, t) in enumerate(zip(bound.shape[1:], safe_tol.shape))
+                if b == 1 < t]
+        bound_tol = np.min(safe_tol, axis=tuple(flat), keepdims=True)
         while len(lo) > n_est:
-            total = np.sum(bound, axis=0)
-            if np.all(total <= safe_tol):
+            _, pick = _next_split(bound, bound_tol, len(lo), max_panels)
+            if pick is None:
                 break
-            if len(lo) >= max_panels:
-                raise _budget_error(total, safe_tol, max_panels)
-            pick = _worst(bound, safe_tol, max_panels - len(lo))
             keep, c_lo, c_hi = _bisect(lo[n_est:], hi[n_est:], pick)
             lo = np.concatenate([lo[:n_est], lo[n_est:][keep], c_lo])
             hi = np.concatenate([hi[:n_est], hi[n_est:][keep], c_hi])
@@ -337,14 +348,11 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
     err = np.abs(val[:n_est] - (left + right))
     val[:n_est] = left + right
     if bound is not None:
-        err = np.concatenate([err, bound])
+        err = np.concatenate([err, np.broadcast_to(bound, val[n_est:].shape)])
     while True:
-        total = np.sum(err, axis=0)
-        if np.all(total <= safe_tol):
+        total, pick = _next_split(err, safe_tol, len(lo), max_panels)
+        if pick is None:
             break
-        if len(lo) >= max_panels:
-            raise _budget_error(total, safe_tol, max_panels)
-        pick = _worst(err, safe_tol, max_panels - len(lo))
         keep, c_lo, c_hi = _bisect(lo, hi, pick)
         c_bound, c_proven = _certified(certify, c_lo, c_hi)
         # an estimated parent's halves are its children's whole rules
@@ -403,8 +411,9 @@ _CHUNK_DOUBLES = 1 << 16
 _GRID_SPREAD = 2.0
 
 #: Table entries (pairs x powers x orders) one grid carries at most.
-#: _adaptive_panels keeps three arrays of them per panel, so a group never
-#: holds more than one pair's table at p = 63 does.
+#: _adaptive_panels keeps a complex value and a real error of every entry
+#: per panel (a bound waiting for its rule, one per pair and power), so a
+#: group holds no more per panel than one pair's table at p = 63 does.
 _GROUP_ENTRIES = 4096
 
 
@@ -446,6 +455,19 @@ def _group_pairs(kmax, width, entries):
 _ELLIPSE_R = np.geomspace(1.02, 1000.0, 48)
 
 
+def _ellipse_log_bound(h, r):
+    """log of h (64/15) r^{-(2N-2)} / (r^2 - 1) for the N = 32-point rule:
+    on a panel of half-width h the rule errs by at most M times this for an
+    integrand analytic inside the panel's Bernstein ellipse E_r and bounded
+    by M there.  The rule is exact to degree 2N - 1, so its error is at
+    most the sum over even k >= 2N of |a_k| |E(T_k)| <= 2 M r^{-k} (32/15),
+    which is (64/15) M r^{-2N} / (1 - r^{-2}) (Trefethen, Approximation
+    Theory and Approximation Practice, Thm 19.3, there with n + 1 = N
+    nodes and r^{-2n})."""
+    power = 2 * len(_GL_NODES) - 2
+    return np.log(h * (64.0 / 15.0) / (r * r - 1.0)) - power * np.log(r)
+
+
 def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
     """A-priori error bounds of the 32-point rule on the panels [lo, hi]
     for every (pair, power): shape (panels, pairs, powers); inf where a
@@ -456,9 +478,8 @@ def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
     Re k >= 0 while c - h a >= 0.  On E_r, |k^n| <= (c + h a)^n,
     |e^{-k zeta}| <= e^{-zeta (c - h a)}, |J_m(k rho)| <= e^{rho h b} and
     |sigma| <= M_sigma (= bound), so the rule errs by at most
-    h (64/15) M_E r^{-64} / (r^2 - 1) with M_E the product of these
-    (Trefethen, Approximation Theory and Approximation Practice,
-    Thm 19.3).  The least over _ELLIPSE_R is capped by
+    h (64/15) M_E r^{-62} / (r^2 - 1) with M_E the product of these
+    (_ellipse_log_bound).  The least over _ELLIPSE_R is capped by
     2 M_sigma (2h) max_panel k^n e^{-k zeta}, which bounds |integral| +
     |rule| outright (|J_m| <= 1 on the real axis, positive weights summing
     to 2h).  Orders m do not enter.
@@ -473,7 +494,7 @@ def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
     step = max(1, _CHUNK_DOUBLES // (len(_ELLIPSE_R) * best[0].size))
     with np.errstate(divide="ignore", invalid="ignore"):
         # log bound = own(r, panel) + n log(c + h a) + rho h b - zeta (c - h a)
-        own = np.log(h * (64.0 / 15.0) * bound / (r * r - 1.0)) - 64.0 * np.log(r)
+        own = _ellipse_log_bound(h, r) + math.log(bound)
         far = np.log(c + ha)
         for s in range(0, len(lo), step):
             p = slice(s, s + step)
@@ -536,8 +557,8 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
         return out
 
     def certify(lo, hi):
-        out = _panel_bounds(bound, rhos, zetas, powers, lo, hi)
-        return np.broadcast_to(out[..., None], (len(lo),) + shape)
+        # orders do not enter the bound
+        return _panel_bounds(bound, rhos, zetas, powers, lo, hi)[..., None]
 
     k_hi, w_lo = float(np.max(kmax)), float(np.min(width))
     n_uncapped = int(math.ceil(k_hi / w_lo))

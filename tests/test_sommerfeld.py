@@ -361,7 +361,7 @@ def test_radial_table_panels_continuous_in_zeta():
 
 #: panels of the capped tables at zeta = 0.05, tolerance 1e-10: bisection
 #: of the 512 capped panels by their certificates alone
-CAPPED_PANELS = {200.0: 2098, 400.0: 3932, 500.0: 4629, 600.0: 5955}
+CAPPED_PANELS = {200.0: 2124, 400.0: 3984, 500.0: 4953, 600.0: 6201}
 
 
 @pytest.mark.parametrize("rho, met", [
@@ -450,6 +450,24 @@ def test_panel_certificate_needs_room_from_zero():
         np.array([0.0, 1.0]), np.array([1.0, 2.0]),
     )
     assert np.all(np.isinf(bounds[0])) and np.all(bounds[1] < 1e-30)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 5.0, 10.0])
+def test_ellipse_term_bounds_the_worst_chebyshev_polynomial(r):
+    """T_64 is the first Chebyshev polynomial the 32-point rule misses, and
+    it misses it by about 1.56 on [-1, 1].  On the ellipse E_r, |T_64| <=
+    (r^64 + r^-64)/2 = M, so the ellipse term of _panel_bounds times M must
+    cover that error on any panel: the term is (64/15) r^-62 / (r^2 - 1)
+    and the bound 2.13 r^2 / (r^2 - 1) >= 1.56.  A term in r^-64 gives
+    2.13 / (r^2 - 1), too small from r = 2."""
+    big = 0.5 * (r ** 64 + r ** -64)
+    for lo, hi in [(-1.0, 1.0), (2.0, 2.5), (10.0, 30.0)]:
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t64 = np.polynomial.Chebyshev.basis(64, domain=[lo, hi])
+        exact = h * 2.0 / (1.0 - 64.0 ** 2)
+        miss = abs(_panel_rule(t64, lo, hi, _X32, _W32) - exact)
+        bound = big * np.exp(sommerfeld._ellipse_log_bound(h, r))
+        assert 1.5 * h <= miss <= bound
 
 
 class _UnderReportedDensity:
