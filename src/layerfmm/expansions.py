@@ -371,14 +371,21 @@ def _check_real(val, terms):
     """An expansion of real charges must sum to a real value at each
     point, up to roundoff in its terms (a NaN residue fails too); val has
     the leading shape of terms[..., n, m]."""
-    val = np.asarray(val)
     scale = np.abs(terms).sum(axis=(-2, -1))
     real = np.abs(val.imag) <= 1e-10 * np.abs(val) + 1e-12 * (scale + 1e-300)
-    if not np.all(real):
+    if not real.all():
         raise InvariantViolated(
-            f"imaginary residue {val.imag[~real][0]} too large for a real "
-            "charge system"
+            f"imaginary residue {np.asarray(val.imag)[~real][0]} too large for "
+            "a real charge system"
         )
+
+
+@lru_cache(maxsize=64)
+def _radial_powers(p):
+    """Read-only powers of r in the terms of degrees 0..p: n for a local
+    expansion, -n-1 for a multipole expansion."""
+    ns = np.arange(p + 1)
+    return _read_only(ns.astype(float), -ns - 1.0)
 
 
 def solid_harmonics(exp, points):
@@ -387,24 +394,25 @@ def solid_harmonics(exp, points):
     about exp.center, shape points.shape[:-1] + (p+1, 2p+1); the terms of
     the expansion are exp.coeff times these.
 
-    A multipole expansion is singular at its center (DomainError).
-    Points outside the region of validity give a RegionViolation warning
-    and their values, which diagnostic sweeps rely on.
+    A multipole expansion is singular at its center (DomainError), and a
+    point without a finite radius is a DomainError too.  Points outside
+    the region of validity give a RegionViolation warning and their
+    values, which diagnostic sweeps rely on.
     """
     v = np.asarray(points, dtype=float) - exp.center
     rr, theta, phi = cartesian_to_spherical(v)
     rr = np.asarray(rr)
-    ns = np.arange(exp.p + 1)
+    local, multipole = _radial_powers(exp.p)
     if exp.kind == "multipole":
-        if np.any(rr == 0.0):
+        if (rr == 0.0).any():
             raise DomainError("multipole expansion evaluated at its center")
-        if exp.radius is not None and np.any(rr <= exp.radius):
+        if exp.radius is not None and (rr <= exp.radius).any():
             warnings.warn("evaluation inside the source box", RegionViolation)
-        radial = rr[..., None] ** (-ns - 1.0)
+        radial = rr[..., None] ** multipole
     elif exp.kind == "local":
-        if exp.radius is not None and np.any(rr >= exp.radius):
+        if exp.radius is not None and (rr >= exp.radius).any():
             warnings.warn("evaluation outside the target box", RegionViolation)
-        radial = rr[..., None] ** ns.astype(float)
+        radial = rr[..., None] ** local
     else:
         raise ValueError(
             "reaction multipole expansions are evaluated with eval_reaction_me"

@@ -29,13 +29,21 @@ The translation constants
 
 feed every expansion operator; the factorials only ever appear through
 log-gamma so tables stay finite up to the supported order 60.
+
+normalized_legendre, sph_harm_table and cartesian_to_spherical take one
+point or a batch along leading axes, and each point of a batch gets the
+bits of a one-point call.  numpy's cost is per call, not per value, and
+an FMM pays for one point per target and per box pair, so one point has
+its own path: the Legendre recurrence on Python floats, and (r, theta,
+phi) from one dot product and two scalar ufuncs.  Batches keep the array
+code, where one call serves every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lgamma, log, pi, sqrt
+from math import isfinite, lgamma, log, pi, sqrt
 
 import numpy as np
 
@@ -46,7 +54,7 @@ MAX_ORDER = 60
 
 def legendre_p(n, x):
     """Legendre polynomial P_n(x) by the three-term recurrence."""
-    if abs(x) > 1.0:
+    if not abs(x) <= 1.0:
         raise DomainError(f"Legendre argument {x} outside [-1, 1]")
     if n == 0:
         return 1.0
@@ -83,6 +91,41 @@ def _legendre_weights(n_max):
     )
 
 
+#: one point runs the recurrence on floats up to this degree; past it the
+#: Python work per value outgrows numpy's per-call cost of the array one
+_FLOAT_MAX_DEGREE = 40
+
+
+@lru_cache(maxsize=None)
+def _legendre_lists(n_max):
+    """_legendre_weights as tuples of Python floats, for the one-point
+    recurrence, and the (n, m <= n) index arrays of the table it fills."""
+    rows = tuple(
+        (diag, tuple(alpha.tolist()), tuple(beta.tolist()))
+        for diag, alpha, beta in _legendre_weights(n_max)
+    )
+    return _read_only(*np.tril_indices(n_max + 1)), rows
+
+
+def _legendre_point(n_max, x):
+    """normalized_legendre at one float x: the array recurrence's products,
+    in its order, on Python floats."""
+    if not abs(x) <= 1.0:
+        raise DomainError(f"Legendre argument {x} outside [-1, 1]")
+    s = sqrt(max(0.0, 1.0 - x * x))
+    (ns, ms), weights = _legendre_lists(n_max)
+    prev2, prev = [0.0], [sqrt(1.0 / (4.0 * pi))]
+    flat = list(prev)
+    for diag, alpha, beta in weights:
+        row = [a * x * p1 - b * p2 for a, b, p1, p2 in zip(alpha, beta, prev, prev2)]
+        row.append(diag * s * prev[-1])
+        flat += row
+        prev2, prev = prev + [0.0], row
+    tab = np.zeros((n_max + 1, n_max + 1))
+    tab[ns, ms] = flat
+    return tab
+
+
 def normalized_legendre(n_max, x):
     """Table of normalized associated Legendre values Phat_n^m(x).
 
@@ -90,11 +133,23 @@ def normalized_legendre(n_max, x):
     [..., n, m] for 0 <= m <= n; entries with m > n are zero.  Seeded on
     the diagonal and recurred upward in degree, every order and point at
     once, which is stable for all orders here (the unnormalized P_n^m
-    would overflow near n = 40).
+    would overflow near n = 40).  An x outside [-1, 1], NaN included, is
+    a DomainError.
+
+    Two paths give the same bits.  A numpy call costs about a microsecond
+    whatever its length, so a batch runs the recurrence on arrays, a few
+    calls per degree for all its points.  One point (a 0-d x) with
+    n_max <= _FLOAT_MAX_DEGREE runs it on Python floats, with the same
+    products in the same order: its n_max (n_max + 3) / 2 values cost
+    less than the ten numpy calls per degree of 0-d arrays.  Past that
+    degree the values outweigh the calls, and one point takes the array
+    path as well.
     """
     x = np.asarray(x, dtype=float)
-    outside = np.abs(x) > 1.0
-    if np.any(outside):
+    if x.ndim == 0 and n_max <= _FLOAT_MAX_DEGREE:
+        return _legendre_point(n_max, float(x))
+    outside = ~(np.abs(x) <= 1.0)
+    if outside.any():
         raise DomainError(f"Legendre argument {x[outside][0]} outside [-1, 1]")
     s, xm = np.sqrt(np.maximum(0.0, 1.0 - x * x)), x[..., None]
     tab = np.zeros(x.shape + (n_max + 1, n_max + 1))
@@ -106,18 +161,28 @@ def normalized_legendre(n_max, x):
     return tab
 
 
+@lru_cache(maxsize=None)
+def _order_tables(n_max):
+    """Read-only per-n_max parts of sph_harm_table: i m for m = 0..n_max,
+    (-1)^m for m = n_max..1, and the mask |m| > n of its columns."""
+    ms = np.arange(n_max + 1)
+    outside = np.abs(np.arange(-n_max, n_max + 1)) > ms[:, None]
+    return _read_only(1j * ms, (-1.0) ** ms[:0:-1], outside)
+
+
 def sph_harm_table(n_max, theta, phi):
     """All Y_n^m(theta, phi) for n <= n_max as a complex array of shape
     theta.shape + (n_max+1, 2 n_max+1); entry [..., n, m + n_max] holds
     order m, zero for |m| > n."""
     ph = normalized_legendre(n_max, np.cos(theta))
-    ms = np.arange(n_max + 1)
-    vals = ph * np.exp(1j * ms * np.asarray(phi)[..., None])[..., None, :]
+    im, sign, outside = _order_tables(n_max)
+    out = np.empty(ph.shape[:-1] + (2 * n_max + 1,), dtype=complex)
+    vals = out[..., n_max:]
+    np.multiply(ph, np.exp(im * np.asarray(phi)[..., None])[..., None, :], out=vals)
     # Y_n^{-m} = (-1)^m conj(Y_n^m), order -m in column n_max - m
-    neg = (-1.0) ** ms[:0:-1] * np.conj(vals[..., :0:-1])
-    out = np.concatenate([neg, vals], axis=-1)
-    inside = np.abs(np.arange(-n_max, n_max + 1)) <= ms[:, None]
-    return np.where(inside, out, 0.0)
+    np.multiply(sign, np.conj(vals[..., :0:-1]), out=out[..., :n_max])
+    np.copyto(out, 0.0, where=outside)
+    return out
 
 
 def sph_harm(n, m, theta, phi):
@@ -184,20 +249,39 @@ def constants(p_max):
     return HarmonicConstants(p_max, *_read_only(c, log_c, log_abs_a, c_table))
 
 
+def _spherical_point(v):
+    """cartesian_to_spherical of one 3-vector, on floats where numpy's
+    per-call cost would dominate; r is sqrt(v . v) as np.linalg.norm
+    rounds it, theta and phi the batch's ufuncs on scalars."""
+    r = sqrt(np.dot(v, v))
+    if not isfinite(r):
+        raise DomainError(f"point {v} has no finite length")
+    if r == 0.0:
+        return 0.0, 0.0, 0.0
+    x, y, z = v.tolist()
+    theta = float(np.arccos(min(1.0, max(-1.0, z / r))))
+    phi = float(np.arctan2(y, x))
+    return r, theta, phi + 2.0 * pi if phi < 0.0 else phi
+
+
 def cartesian_to_spherical(v):
     """(r, theta, phi) of 3-vectors along the last axis of v, phi in
     [0, 2 pi), all zero at r = 0: floats for one vector, arrays of the
-    leading shape for a stack."""
+    leading shape for a stack.  A vector whose r is not finite (a NaN
+    or infinite coordinate) is a DomainError."""
     v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        return _spherical_point(v)
     # r is rounded as np.linalg.norm rounds one vector: sqrt of its dot
     r = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+    bad = ~np.isfinite(r)
+    if bad.any():
+        raise DomainError(f"point {v[bad][0]} has no finite length")
     zero = r == 0.0
     cos_theta = v[..., 2] / np.where(zero, 1.0, r)
     theta = np.where(zero, 0.0, np.arccos(np.clip(cos_theta, -1.0, 1.0)))
     phi = np.arctan2(v[..., 1], v[..., 0])
     phi = np.where(zero, 0.0, np.where(phi < 0.0, phi + 2.0 * pi, phi))
-    if v.ndim == 1:
-        return float(r), float(theta), float(phi)
     return r, theta, phi
 
 

@@ -42,10 +42,13 @@ from layerfmm.expansions import (
     _m2l_weights,
     _m2m_weights,
     _packed_indices,
+    _radial_powers,
     truncated,
 )
 from layerfmm.harmonics import (
+    _legendre_lists,
     _legendre_weights,
+    _order_tables,
     cartesian_to_spherical,
     constants,
     sph_harm,
@@ -291,6 +294,7 @@ def test_cached_tables_are_read_only():
     tables = [cst.c, cst.log_c, cst.log_abs_a, cst.c_table, *_packed_indices(4)]
     tables += [*_m2m_weights(3), *_l2l_weights(3), *_m2l_weights(3, 2)]
     tables += [a for row in _legendre_weights(6) for a in row[1:]]
+    tables += [*_legendre_lists(6)[0], *_order_tables(6), *_radial_powers(4)]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -346,30 +350,81 @@ def test_region_violation_warns():
 
 
 def test_eval_expansion_batch_matches_points():
-    rng = np.random.default_rng(31)
-    sys_ = _random_cloud(rng, 10, 1.0)
-    me = me_from_charges(sys_, np.zeros(3), 9)
-    loc = m2l_free(me, np.array([3.0, 1.0, -1.0]), 9, target_radius=1.0)
-    direc = rng.normal(size=(12, 3))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    for exp, pts in (
-        (me, direc * rng.uniform(2.0, 4.0, (12, 1))),
-        (loc, loc.center + direc * rng.uniform(0.0, 0.9, (12, 1))),
-    ):
-        pts[0] = exp.center + [0.0, 0.0, 0.0 if exp is loc else 2.5]
-        vals = eval_expansion(exp, pts)
-        assert vals.shape == (12,)
-        assert np.array_equal(vals, [eval_expansion(exp, x) for x in pts])
-        assert isinstance(eval_expansion(exp, pts[0]), float)
-    # a local expansion at its own center is its n = 0 term
-    assert eval_expansion(loc, loc.center) == pytest.approx(
-        loc.coeff[0, 9].real / math.sqrt(4 * math.pi), rel=1e-15
-    )
+    """One-point and batched calls give the same bits at every supported
+    order, on the axes (y = -0.0 on the negative x axis about the origin)
+    and at a local expansion's own center too."""
+    axes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, -0.0, 0.0]])
+    for p in (0, 1, 10, 30, 60):
+        rng = np.random.default_rng(31)
+        sys_ = _random_cloud(rng, 10, 1.0)
+        me = me_from_charges(sys_, np.zeros(3), p)
+        if p <= 30:
+            loc = m2l_free(me, np.array([3.0, 1.0, -1.0]), p, target_radius=1.0)
+        else:  # m2l_free weights at p = 60 would take 194 MB
+            loc = le_from_charges(sys_, np.array([3.0, 1.0, -1.0]), p, radius=1.0)
+        direc = rng.normal(size=(12, 3))
+        direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+        for exp, pts in (
+            (me, np.concatenate([direc * rng.uniform(2.0, 4.0, (12, 1)), 2.5 * axes])),
+            (loc, loc.center + np.concatenate(
+                [direc * rng.uniform(0.0, 0.9, (12, 1)), 0.5 * axes])),
+        ):
+            pts[0] = exp.center + [0.0, 0.0, 0.0 if exp is loc else 2.5]
+            vals = eval_expansion(exp, pts)
+            assert vals.shape == (15,)
+            ones = np.array([eval_expansion(exp, x) for x in pts])
+            assert vals.tobytes() == ones.tobytes(), p
+            assert isinstance(eval_expansion(exp, pts[0]), float)
+        # a local expansion at its own center is its n = 0 term
+        assert eval_expansion(loc, loc.center) == pytest.approx(
+            loc.coeff[0, p].real / math.sqrt(4 * math.pi), rel=1e-15
+        )
     reaction = HarmonicExpansion(
         "reaction_multipole", np.zeros(3), 2, np.zeros((3, 5)), component=(1, 1, 1, 1)
     )
     with pytest.raises(ValueError, match="eval_reaction_me"):
         eval_expansion(reaction, pts)
+
+
+BAD_POINTS = [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]]
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+def test_eval_expansion_at_a_non_finite_point_is_a_domain_error(bad):
+    """Not an imaginary-residue InvariantViolated: the point is refused
+    before any harmonic is formed, alone or in a batch."""
+    rng = np.random.default_rng(34)
+    sys_ = _random_cloud(rng, 5, 1.0)
+    me = me_from_charges(sys_, np.zeros(3), 6)
+    loc = le_from_charges(sys_, np.array([4.0, 0.0, 0.0]), 6, radius=1.0)
+    for exp in (me, loc):
+        with pytest.raises(DomainError, match="finite"):
+            eval_expansion(exp, exp.center + bad)
+        with pytest.raises(DomainError, match="finite"):
+            eval_expansion(exp, exp.center + np.array([[0.5, 0.0, 0.0], bad]))
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+def test_shifts_to_a_non_finite_center_are_domain_errors(bad):
+    rng = np.random.default_rng(35)
+    sys_ = _random_cloud(rng, 5, 1.0)
+    me = me_from_charges(sys_, np.zeros(3), 6, radius=1.0)
+    loc = le_from_charges(sys_, np.array([4.0, 0.0, 0.0]), 6, radius=1.0)
+    with pytest.raises(DomainError, match="finite"):
+        m2m(me, bad)
+    with pytest.raises(DomainError, match="finite"):
+        l2l(loc, bad)
+    with pytest.raises(DomainError, match="finite"):
+        m2l_free(me, bad, 6)
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+def test_charges_at_non_finite_positions_are_domain_errors(bad):
+    system = ChargeSystem.free_space([1.0, -0.5], [[0.1, 0.0, 0.2], bad])
+    with pytest.raises(DomainError, match="finite"):
+        me_from_charges(system, np.zeros(3), 4)
+    with pytest.raises(DomainError, match="finite"):
+        le_from_charges(system, np.array([5.0, 0.0, 0.0]), 4)
 
 
 def test_multipole_at_its_center_is_a_domain_error():

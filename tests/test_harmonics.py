@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from layerfmm.harmonics import (
+    _FLOAT_MAX_DEGREE,
     cartesian_to_spherical,
     constants,
     legendre_p,
@@ -134,6 +135,21 @@ def _legendre_loop(n_max, x):
     return tab
 
 
+def _sph_loop(n_max, theta, phi):
+    """One-point reference: Y_n^m = Phat_n^m(cos theta) e^{i m phi} entry
+    by entry in numpy complex scalars, then Y_n^{-m} = (-1)^m conj(Y_n^m)."""
+    ph = _legendre_loop(n_max, float(np.cos(theta)))
+    tab = np.zeros((n_max + 1, 2 * n_max + 1), dtype=complex)
+    for m in range(n_max + 1):
+        e = np.exp(np.complex128(1j * m) * np.float64(phi))
+        for n in range(m, n_max + 1):
+            y = np.float64(ph[n, m]) * e
+            tab[n, n_max + m] = y
+            if m:
+                tab[n, n_max - m] = (-1.0) ** m * np.conj(y)
+    return tab
+
+
 def test_batched_tables_match_single_calls_bitwise():
     """Leading point axes give, point by point, the very bits of one-point
     calls, the poles x = +-1 and the origin included."""
@@ -152,6 +168,9 @@ def test_batched_tables_match_single_calls_bitwise():
     vs = rng.normal(size=(40, 3)) * 10 ** rng.uniform(-3, 3, (40, 1))
     vs[:6] = [[0, 0, 0], [0, 0, 2.0], [0, 0, -0.5], [0, -1.0, 0], [-1.0, -0.0, 0],
               [0, 0, 0]]
+    # pole directions whose signed zeros give phi = pi (arctan2(-0.0, -0.0))
+    poles = [[-0.0, -0.0, 1.0], [0.0, -0.0, -3.0], [-0.0, 0.0, 0.5], [-0.0, -0.0, -1.0]]
+    vs = np.concatenate([vs, poles])
     r, theta, phi = cartesian_to_spherical(vs)
     for i, v in enumerate(vs):
         one = cartesian_to_spherical(v)
@@ -160,11 +179,16 @@ def test_batched_tables_match_single_calls_bitwise():
         assert _bitwise(one[0], np.linalg.norm(v))
     assert (r[0], theta[0], phi[0]) == (0.0, 0.0, 0.0)
 
-    for n_max in (0, 5, 20):
+    assert np.array_equal(theta[-4:], [0.0, np.pi, 0.0, np.pi])
+    assert np.array_equal(phi[-4:], [np.pi, 0.0, np.pi, np.pi])
+    for n_max in (0, 5, 20, 60):
         ytab = sph_harm_table(n_max, theta, phi)
-        assert ytab.shape == (40, n_max + 1, 2 * n_max + 1)
+        assert ytab.shape == (44, n_max + 1, 2 * n_max + 1)
         for i in range(len(vs)):
-            assert _bitwise(ytab[i], sph_harm_table(n_max, theta[i], phi[i]))
+            one = sph_harm_table(n_max, theta[i], phi[i])
+            assert _bitwise(ytab[i], one)
+            if i < 8 or i >= 40:  # the signed zeros at the poles too
+                assert _bitwise(one, _sph_loop(n_max, theta[i], phi[i]))
 
 
 def test_merged_legendre_step_matches_the_loop_bitwise():
@@ -173,12 +197,30 @@ def test_merged_legendre_step_matches_the_loop_bitwise():
     the entry-by-entry recurrence, at the poles, the origin and -0.0 too."""
     rng = np.random.default_rng(22)
     xs = np.concatenate([rng.uniform(-1, 1, 7), [1.0, -1.0, 0.0, -0.0]])
-    for n_max in (0, 1, 2, 20, 60):
+    # one point runs on floats up to _FLOAT_MAX_DEGREE, on arrays past it
+    for n_max in (0, 1, 2, 20, _FLOAT_MAX_DEGREE, _FLOAT_MAX_DEGREE + 1, 60):
         tab = normalized_legendre(n_max, xs)
         for i, x in enumerate(xs):
             one = normalized_legendre(n_max, float(x))
             assert _bitwise(tab[i], one)
             assert _bitwise(one, _legendre_loop(n_max, float(x)))
+
+
+def test_non_finite_arguments_are_domain_errors():
+    """NaN fails the Legendre domain check on the float and the array
+    path, and a vector with a NaN or infinite coordinate has no (r,
+    theta, phi), alone or in a stack."""
+    for n_max in (3, _FLOAT_MAX_DEGREE + 1):
+        for x in (math.nan, np.array(math.nan), np.array([0.5, math.nan])):
+            with pytest.raises(DomainError, match="outside"):
+                normalized_legendre(n_max, x)
+    with pytest.raises(DomainError):
+        legendre_p(3, math.nan)
+    for bad in ([math.nan, 0.0, 0.0], [0.0, math.inf, 1.0], [0.0, 0.0, -math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            cartesian_to_spherical(bad)
+        with pytest.raises(DomainError, match="finite"):
+            cartesian_to_spherical([[1.0, 2.0, 3.0], bad])
 
 
 def test_constants_values():
