@@ -91,11 +91,6 @@ def _legendre_weights(n_max):
     )
 
 
-#: one point runs the recurrence on floats up to this degree; past it the
-#: Python work per value outgrows numpy's per-call cost of the array one
-_FLOAT_MAX_DEGREE = 40
-
-
 @lru_cache(maxsize=None)
 def _legendre_lists(n_max):
     """_legendre_weights as tuples of Python floats, for the one-point
@@ -114,6 +109,7 @@ def _legendre_point(n_max, x):
         raise DomainError(f"Legendre argument {x} outside [-1, 1]")
     s = sqrt(max(0.0, 1.0 - x * x))
     (ns, ms), weights = _legendre_lists(n_max)
+    # prev2 is row n - 2 with the zero the array step reads at column n - 1
     prev2, prev = [0.0], [sqrt(1.0 / (4.0 * pi))]
     flat = list(prev)
     for diag, alpha, beta in weights:
@@ -138,15 +134,13 @@ def normalized_legendre(n_max, x):
 
     Two paths give the same bits.  A numpy call costs about a microsecond
     whatever its length, so a batch runs the recurrence on arrays, a few
-    calls per degree for all its points.  One point (a 0-d x) with
-    n_max <= _FLOAT_MAX_DEGREE runs it on Python floats, with the same
-    products in the same order: its n_max (n_max + 3) / 2 values cost
-    less than the ten numpy calls per degree of 0-d arrays.  Past that
-    degree the values outweigh the calls, and one point takes the array
-    path as well.
+    calls per degree for all its points, and one point (a 0-d x) runs it
+    on Python floats, with the same products in the same order: even at
+    n_max = 60 its values cost less than the ten numpy calls per degree
+    of 0-d arrays.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0 and n_max <= _FLOAT_MAX_DEGREE:
+    if x.ndim == 0:
         return _legendre_point(n_max, float(x))
     outside = ~(np.abs(x) <= 1.0)
     if outside.any():

@@ -5,7 +5,6 @@ import pytest
 from scipy import special
 
 from layerfmm.harmonics import (
-    _FLOAT_MAX_DEGREE,
     cartesian_to_spherical,
     constants,
     legendre_p,
@@ -197,8 +196,7 @@ def test_merged_legendre_step_matches_the_loop_bitwise():
     the entry-by-entry recurrence, at the poles, the origin and -0.0 too."""
     rng = np.random.default_rng(22)
     xs = np.concatenate([rng.uniform(-1, 1, 7), [1.0, -1.0, 0.0, -0.0]])
-    # one point runs on floats up to _FLOAT_MAX_DEGREE, on arrays past it
-    for n_max in (0, 1, 2, 20, _FLOAT_MAX_DEGREE, _FLOAT_MAX_DEGREE + 1, 60):
+    for n_max in (0, 1, 2, 20, 60):
         tab = normalized_legendre(n_max, xs)
         for i, x in enumerate(xs):
             one = normalized_legendre(n_max, float(x))
@@ -210,10 +208,9 @@ def test_non_finite_arguments_are_domain_errors():
     """NaN fails the Legendre domain check on the float and the array
     path, and a vector with a NaN or infinite coordinate has no (r,
     theta, phi), alone or in a stack."""
-    for n_max in (3, _FLOAT_MAX_DEGREE + 1):
-        for x in (math.nan, np.array(math.nan), np.array([0.5, math.nan])):
-            with pytest.raises(DomainError, match="outside"):
-                normalized_legendre(n_max, x)
+    for x in (math.nan, np.array(math.nan), np.array([0.5, math.nan])):
+        with pytest.raises(DomainError, match="outside"):
+            normalized_legendre(3, x)
     with pytest.raises(DomainError):
         legendre_p(3, math.nan)
     for bad in ([math.nan, 0.0, 0.0], [0.0, math.inf, 1.0], [0.0, 0.0, -math.inf]):
