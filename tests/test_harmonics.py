@@ -167,7 +167,8 @@ def test_batched_tables_match_single_calls_bitwise():
     vs = rng.normal(size=(40, 3)) * 10 ** rng.uniform(-3, 3, (40, 1))
     vs[:6] = [[0, 0, 0], [0, 0, 2.0], [0, 0, -0.5], [0, -1.0, 0], [-1.0, -0.0, 0],
               [0, 0, 0]]
-    # pole directions whose signed zeros give phi = pi (arctan2(-0.0, -0.0))
+    # pole directions with signed-zero x, y: arctan2(-0.0, -0.0) = -pi gives
+    # phi = pi, arctan2(-0.0, 0.0) = -0.0 stays -0.0
     poles = [[-0.0, -0.0, 1.0], [0.0, -0.0, -3.0], [-0.0, 0.0, 0.5], [-0.0, -0.0, -1.0]]
     vs = np.concatenate([vs, poles])
     r, theta, phi = cartesian_to_spherical(vs)
