@@ -25,10 +25,10 @@ its batched core ``_radial_tables`` serves many (rho, zeta) pairs of one
 component (the oracle's (target, charge) pairs, a basis table's targets,
 a local expansion's charges) with one density sweep per block of rules
 and entrywise error control for every pair; radial_table is its one-pair
-view.  Pairs share a grid in groups: a group's grid has at most
-twice the panels each member would take alone, and a group holds at
-most 4096 table entries, so neither the work per pair nor the memory
-grows without bound with a batch of unlike pairs.  The upper limit K is
+view.  Pairs share a grid in groups: a group's K / w, which tracks the
+panels its certificates need, is at most twice each member's own, and a
+group holds at most 4096 table entries, so neither the work per pair nor
+the memory grows without bound with a batch of unlike pairs.  The upper limit K is
 solved for from the analytic tail bound
 M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by gammainccinv,
 never below a baseline).
@@ -41,30 +41,36 @@ Re k >= 0 it is bounded by M_sigma (c + h a)^n e^{-zeta (c - h a)}
 e^{rho h b} (|J_m(z)| <= e^{|Im z|}).  The rule, exact to degree 63,
 then errs by at most h (64/15) M_E r^{-62} / (r^2 - 1) (Trefethen, ATAP
 Thm 19.3 with n + 1 = 32 nodes; _ellipse_log_bound), minimised over a
-fixed grid of r and capped by the panel's mass bound (_panel_bounds).  A certified panel takes one rule; certified panels are
-bisected worst-first on their bounds alone, before any integrand value is
-computed, until the bounds fit the tolerance or the panel budget is spent
-(ToleranceNotMet).  Only the first panel [0, w] admits no ellipse in
-Re k >= 0: it keeps the sum of its two half-panel rules, with their
-disagreement with the whole-panel rule as its error, and is bisected on
-that estimate.  The bounds rest on M_sigma, which is density_bound's
-sampled estimate, so every density value the engine computes is checked
-against it (InvariantViolated); the bound covers the rule in exact
-arithmetic, and rounding of the sums (about 1e-16 of the integrand's
-mass) sits far below every tolerance (at least MIN_TOL).
+fixed grid of r and capped by the panel's mass bound (_panel_bounds).  A
+certified panel takes one rule; certified panels are bisected worst-first
+on their bounds alone, before any integrand value is computed, until the
+bounds fit the tolerance or the panel budget is spent (ToleranceNotMet).
+Only the first panel [0, w] admits no ellipse in Re k >= 0: it keeps the
+sum of its two half-panel rules, with their disagreement with the
+whole-panel rule as its error, and is bisected on that estimate.  The
+bounds rest on M_sigma, which is density_bound's sampled estimate, so
+every density value the engine computes is checked against it
+(InvariantViolated); the bound covers the rule in exact arithmetic, and
+rounding of the sums (about 1e-16 of the integrand's mass) sits far
+below every tolerance (at least MIN_TOL).
 
-The initial panels are min(K/16, w) wide, with w the power of two nearest
-16 pi / rho, so a panel carries about 6 to 11 periods of e^{i k rho}; at
-rho = 500 and zeta = 0.05 a panel of width w = 1/8 (10 periods) around
-k = 20 is certified to about 8e-15 M_sigma.  Power-of-two widths put the edges of tables with
-different rho on one dyadic lattice, which is what lets the pairs of a
-batch share grids.  When K / w exceeds 512 the initial grid is capped at
-512 wider panels, whose certificates (mostly their mass bounds, as h rho
-is large) drive bisection where the mass matters; the first capped panel
-is graded dyadically down to width w, where whole-versus-halves holds.
-Rules are evaluated _BLOCK per call: one density sweep and one Bessel
-ladder serve them, because a sweep's cost is mostly per call, not per
-node.  Refinement is level-synchronous: each pass bisects its panels
+The initial grid is dyadic: its edges are 0, w, 2w, 4w, ... up to the
+first power-of-two multiple of w at or past K.  w is min(K/16, the power
+of two nearest 16 pi / rho), so the first panel carries about 6 to 11
+periods of e^{i k rho}; at rho = 500 and zeta = 0.05 a panel of width
+w = 1/8 (10 periods) around k = 20 is certified to about 8e-15 M_sigma.
+The grid only seeds the certificates, which set the panel count: each
+panel past [0, w] is bisected on its bound until the bounds fit, so the
+panels stay wide where the integrand's mass is small (mostly their mass
+bounds decide there, as h rho is large) and are split only where it is
+not.  The grid may end past K; the tail past its last edge is no larger
+than the tail past K, which _choose_kmax bounds.  Bisection keeps every
+edge on the dyadic lattice of w, and power-of-two widths put tables with
+different rho on one lattice, which is what lets the pairs of a batch
+share grids: a group's grid takes the smallest w and the largest K of its
+members.  Rules are evaluated _BLOCK per call: one density sweep and one
+Bessel ladder serve them, because a sweep's cost is mostly per call, not
+per node.  Refinement is level-synchronous: each pass bisects its panels
 together, again in blocks.
 
 The Bessel ladder (_bessel_orders) takes J_0 and J_1 from j0/j1 and the
@@ -406,8 +412,9 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
 #: memory does not grow with the group.
 _CHUNK_DOUBLES = 1 << 16
 
-#: Pairs share a grid only while its panel count, the largest K over the
-#: smallest width, stays within this factor of every member's own K / w.
+#: Pairs share a grid only while its largest K over its smallest width
+#: stays within this factor of every member's own K / w, which tracks the
+#: panels that member's certificates need.
 _GRID_SPREAD = 2.0
 
 #: Table entries (pairs x powers x orders) one grid carries at most.
@@ -512,13 +519,12 @@ def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
 
 def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
                  max_panels):
-    """The tables of a group of pairs on one grid: it runs to the largest
-    of their own K in panels of the smallest of their own widths, w.  Each
-    evaluate block sweeps the density once for all pairs, and checks every
-    density value against the bound the panel certificates rest on
-    (InvariantViolated otherwise).  Every panel but the first is certified
-    (_panel_bounds); a capped grid grades its first panel dyadically down
-    to width w, where whole-versus-halves holds."""
+    """The tables of a group of pairs on one grid: the dyadic grid of the
+    module docstring, from the smallest of their own widths w to past the
+    largest of their own K.  Each evaluate block sweeps the density once
+    for all pairs, and checks every density value against the bound the
+    panel certificates rest on (InvariantViolated otherwise).  Every panel
+    but the first, [0, w], is certified (_panel_bounds)."""
     shape = (len(rhos), len(powers), len(orders))
     top = int(np.max(powers))
     bound = density.bound
@@ -560,20 +566,10 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
         # orders do not enter the bound
         return _panel_bounds(bound, rhos, zetas, powers, lo, hi)[..., None]
 
-    k_hi, w_lo = float(np.max(kmax)), float(np.min(width))
-    n_uncapped = int(math.ceil(k_hi / w_lo))
-    n_init = min(n_uncapped, 512)
-    capped = n_uncapped > n_init
-    step = max(w_lo, k_hi / n_init)
-    edges = step * np.arange(n_init + 1)
-    if capped:
-        grade = step * 0.5 ** np.arange(math.ceil(math.log2(step / w_lo)), 0, -1)
-        edges = np.concatenate([[0.0], grade, edges[1:]])
-    values, err, stats = _adaptive_panels(
-        evaluate, edges, 0.9 * tol_abs, max_panels, certify
-    )
-    stats["capped"] = capped
-    return values, err, stats
+    w = float(np.min(width))
+    doublings = math.ceil(math.log2(float(np.max(kmax)) / w))
+    edges = np.concatenate([[0.0], w * 2.0 ** np.arange(doublings + 1)])
+    return _adaptive_panels(evaluate, edges, 0.9 * tol_abs, max_panels, certify)
 
 
 def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
@@ -617,7 +613,7 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
     err = np.zeros(shape)
     counts = ("panels", "gl_calls", "nodes", "evals", "bisections", "certified")
     stats = dict.fromkeys(counts, 0)
-    stats.update(tol_use=0.0, capped=False)
+    stats["tol_use"] = 0.0
     if bound == 0.0 or not len(rhos):
         return values, err, stats
 
@@ -632,7 +628,6 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
         )
         for key in counts:
             stats[key] += own[key]
-        stats["capped"] |= own["capped"]
     stats["tol_use"] = float(np.max(err[finite] / tol_abs[finite]))
     return values, err, stats
 
@@ -648,24 +643,22 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     refinement, and at least one must be finite (DomainError for another
     shape, or for an entry that is not > 0 or inf).  Returns (values,
     errors, stats); stats holds the counts of _adaptive_panels (panels,
-    gl_calls, nodes, evals, bisections, certified), tol_use (the worst
-    ratio of the error to tol_abs over the finite entries of tol_abs) and
-    "capped", whether the initial panel count was cut to 512.  This is the
-    one-pair view of _radial_tables, which batches (rho, zeta) pairs on
-    shared grids.
+    gl_calls, nodes, evals, bisections, certified) and tol_use (the worst
+    ratio of the error to tol_abs over the finite entries of tol_abs).
+    This is the one-pair view of _radial_tables, which batches (rho, zeta)
+    pairs on shared grids.
 
     A tenth of the smallest finite tolerance goes to the tail beyond K
-    (_choose_kmax), nine tenths to the panels.  The initial panels are
-    min(K/16, w) wide, w the power of two nearest 16 pi / rho.  Every
+    (_choose_kmax), nine tenths to the panels.  The initial grid is the
+    dyadic one of the module docstring: 0, w, 2w, 4w, ... past K.  Every
     panel but the first is certified: one 32-point rule, and as its error
     the Bernstein-ellipse bound of _panel_bounds, which rests on
     |sigma| <= M_sigma on Re k >= 0 (M_sigma is density_bound's sampled
     estimate for a reaction density).  The first panel [0, w] keeps the
     sum of its half-panel rules, its error their disagreement with the
-    whole rule.  Past 512 panels the grid is capped; the wide capped
-    panels carry large certificates and are bisected, before any rule
-    runs, until the bounds fit the tolerance, or the panel budget is spent
-    (ToleranceNotMet).
+    whole rule.  Certified panels are bisected on their bounds, before
+    any rule runs, until the bounds fit the tolerance, or the panel budget
+    is spent (ToleranceNotMet).
     """
     values, err, stats = _radial_tables(
         density, [rho], [zeta], powers, orders,

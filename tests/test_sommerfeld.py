@@ -258,37 +258,36 @@ def test_adaptive_panels_budget_spent_during_refinement():
 
 
 def test_radial_table_block_size_invariance(three_layer, monkeypatch):
-    """A 17 x 17 table at rho/zeta = 12 does not depend on how many
-    rules share an evaluate call: 29 panels, the first estimated by three
-    rules and 28 certified by one each, take 2 calls of _BLOCK = 24 rules
-    or 31 calls of one."""
+    """A 17 x 17 table at rho/zeta = 50 does not depend on how many
+    rules share an evaluate call: 66 panels, the first estimated by three
+    rules and 65 certified by one each, take 3 calls of _BLOCK = 24 rules
+    or 68 calls of one."""
     dens = ReactionDensity(three_layer, 1, 1, 1, 1)
     n = np.arange(17)
     zeta = 0.5
     scale = dens.bound * np.array([math.gamma(k + 1) / zeta ** (k + 1) for k in n])
     tol = 1e-11 * np.repeat(scale[:, None], 17, axis=1)
-    vals, errs, stats = radial_table(dens, 6.0, zeta, n, n, tol)
+    vals, errs, stats = radial_table(dens, 25.0, zeta, n, n, tol)
     monkeypatch.setattr(sommerfeld, "_BLOCK", 1)
-    vals1, errs1, stats1 = radial_table(dens, 6.0, zeta, n, n, tol)
+    vals1, errs1, stats1 = radial_table(dens, 25.0, zeta, n, n, tol)
     np.testing.assert_allclose(vals1, vals, rtol=1e-13, atol=0)
     assert stats1["panels"] == stats["panels"]
     assert stats1["gl_calls"] == stats["gl_calls"]
-    assert (stats["panels"], stats["certified"], stats["evals"]) == (29, 28, 2)
-    assert stats1["evals"] == stats["gl_calls"] == 31
+    assert (stats["panels"], stats["certified"], stats["evals"]) == (66, 65, 3)
+    assert stats1["evals"] == stats["gl_calls"] == 68
 
 
 def test_radial_table_stats_record():
-    """Stats carry the density sweeps, the bisections, the certified
-    panels and whether the initial panel count hit its cap, also on the
-    zero-bound early return.  A capped grid grades its first panel of
-    width K/512 down to the resolved width (two halvings at rho = 50), and
-    only the first panel takes three rules."""
+    """Stats carry the density sweeps, the bisections and the certified
+    panels, also on the zero-bound early return.  At rho = 50 the initial
+    grid is 0, w, 2w, ..., 2^11 w with w = 1, 12 panels, and only the
+    first panel takes three rules."""
     tol = np.array([[1e-8]])
     _, _, wide = radial_table(ConstantDensity(), 50.0, 0.05, [0], [0], tol)
     _, _, near = radial_table(ConstantDensity(), 0.5, 0.5, [0], [0], tol)
     _, _, zero = radial_table(ConstantDensity(0.0), 0.5, 0.5, [0], [0], tol)
-    assert wide["capped"] and not near["capped"] and not zero["capped"]
-    assert wide["panels"] == 514 + wide["bisections"]
+    assert wide["panels"] == 12 + wide["bisections"]
+    assert (wide["panels"], near["panels"]) == (410, 5)
     for st in (wide, near):
         assert st["certified"] == st["panels"] - 1
         assert st["gl_calls"] == st["panels"] + 2
@@ -297,7 +296,7 @@ def test_radial_table_stats_record():
     assert 0.0 < near["tol_use"] < 1.0 and 0.0 < wide["tol_use"] < 1.0
     assert zero == {
         "panels": 0, "gl_calls": 0, "nodes": 0, "evals": 0, "bisections": 0,
-        "certified": 0, "tol_use": 0.0, "capped": False,
+        "certified": 0, "tol_use": 0.0,
     }
 
 
@@ -305,15 +304,14 @@ def test_radial_table_work_counts_and_repeat():
     """The 17 x 17 M2L table of the p = 8 reaction operators at
     rho/zeta = 20, zeta = 0.5: panels, rules and density sweeps are
     pinned (changes to the integrand kernel must not move them), and two
-    identical calls agree bit for bit.  57 of the 58 panels are certified
+    identical calls agree bit for bit.  31 of the 32 panels are certified
     and take one rule each; the first takes three."""
     stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
     v = np.array([10.0, 0.0, 0.5])
     table, _, stats = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
     again, _, _ = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
-    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (58, 60, 3)
-    assert stats["nodes"] == 1920 and stats["certified"] == 57
-    assert stats["bisections"] == 0 and not stats["capped"]
+    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (32, 34, 2)
+    assert stats["nodes"] == 1088 and stats["certified"] == 31
     assert 0.0 < stats["tol_use"] < 1.0
     assert np.array_equal(table, again)
 
@@ -330,7 +328,7 @@ def _relative_tol(zeta, rel_tol=1e-11, size=17):
 def test_radial_table_diagonal_closed_form(zeta, ratio):
     """For sigma = 1, I(n, n) = (2 rho)^n Gamma(n+1/2) / (sqrt(pi)
     r^{2n+1}): the initial grid of the width rule meets every diagonal
-    tolerance of a 17 x 17 table, from rho/zeta = 0.5 to past the cap."""
+    tolerance of a 17 x 17 table, from rho/zeta = 0.5 to 200."""
     rho = ratio * zeta
     n = np.arange(17)
     tol = _relative_tol(zeta)
@@ -359,17 +357,17 @@ def test_radial_table_panels_continuous_in_zeta():
     assert abs(panels[0] - panels[1]) < 0.2 * max(panels)
 
 
-#: panels of the capped tables at zeta = 0.05, tolerance 1e-10: bisection
-#: of the 512 capped panels by their certificates alone
-CAPPED_PANELS = {200.0: 2124, 400.0: 3984, 500.0: 4953, 600.0: 6201}
+#: panels of the large-rho tables at zeta = 0.05, tolerance 1e-10:
+#: bisection of the dyadic grid's panels by their certificates alone
+LARGE_RHO_PANELS = {200.0: 1981, 400.0: 3953, 500.0: 4421, 600.0: 5736}
 
 
 @pytest.mark.parametrize("rho, met", [
     (200.0, True), (400.0, True), (500.0, True), (600.0, True), (1000.0, False),
 ])
-def test_radial_table_capped_grid_is_honest(rho, met):
-    """At zeta = 0.05 these grids hit the 512-panel cap, whose panels are
-    too wide for their certificates: the result meets 1e-10 against
+def test_radial_table_large_rho_is_honest(rho, met):
+    """At zeta = 0.05 the dyadic grid's panels past w are too wide for
+    their certificates: the result meets 1e-10 against
     1/sqrt(rho^2 + zeta^2) in a pinned panel count, or the table raises
     when the certified panels need more than the panel budget."""
     tol = np.array([[1e-10]])
@@ -378,8 +376,8 @@ def test_radial_table_capped_grid_is_honest(rho, met):
             radial_table(ConstantDensity(), rho, 0.05, [0], [0], tol)
         return
     values, err, stats = radial_table(ConstantDensity(), rho, 0.05, [0], [0], tol)
-    assert stats["capped"] and err[0, 0] <= 1e-10
-    assert stats["panels"] == CAPPED_PANELS[rho]
+    assert err[0, 0] <= 1e-10
+    assert stats["panels"] == LARGE_RHO_PANELS[rho]
     assert stats["certified"] == stats["panels"] - 1
     assert abs(values[0, 0] - 1.0 / math.hypot(rho, 0.05)) <= 1e-10
 
@@ -732,7 +730,7 @@ def test_batch_of_one_is_radial_table():
 
 @pytest.mark.parametrize("spread", [sommerfeld._GRID_SPREAD, math.inf])
 def test_bisected_pair_meets_its_tolerance_in_a_batch(spread, monkeypatch):
-    """rho/zeta = 1000 needs bisection of a capped grid; next to two easy
+    """rho/zeta = 1000 needs bisection of its initial grid; next to two easy
     pairs, grouped or all on one grid, it still meets its tolerance against
     1/sqrt(rho^2 + zeta^2), and so do they."""
     pairs = [(0.5, 0.5), (50.0, 0.05), (0.0, 1.0)]
@@ -742,36 +740,34 @@ def test_bisected_pair_meets_its_tolerance_in_a_batch(spread, monkeypatch):
     values, err, stats = sommerfeld._radial_tables(
         ConstantDensity(), rhos, zetas, [0], [0], tol
     )
-    assert stats["capped"] and stats["bisections"] > 0
+    assert stats["bisections"] > 0
     exact = 1.0 / np.hypot(rhos, zetas)
     assert np.all(np.abs(values[:, 0, 0] - exact) <= tol[:, 0, 0])
     assert np.all(err <= tol)
 
 
-def test_grid_capped_only_as_a_batch(monkeypatch):
+def test_unlike_pairs_forced_onto_one_grid(monkeypatch):
     """rho = 0 at zeta = 0.02 (K = 3000, width 187.5) and rho/zeta = 200
-    (K = 60, width 0.25) each take an uncapped grid alone.  Forced onto one
-    grid, 12,000 panels are capped to 512, and each pair's certificates
-    bisect only the panels too wide for that pair, so both meet their
-    tolerance within the budget; grouped, each keeps its own grid."""
+    (K = 60, width 0.25) are unlike pairs.  Forced onto one grid, 0, 0.25,
+    0.5, ..., 4096, each pair's certificates bisect only the panels too
+    wide for that pair, so both meet their tolerance within the budget;
+    grouped, each keeps its own grid."""
     pairs = [(0.0, 0.02), (200.0, 1.0)]
     rhos, zetas = (np.array(v) for v in zip(*pairs))
     tol = np.full((2, 1, 1), 1e-10)
     exact = 1.0 / np.hypot(rhos, zetas)
     own = [radial_table(ConstantDensity(), rho, zeta, [0], [0], t)[2]
            for rho, zeta, t in zip(rhos, zetas, tol)]
-    assert not any(st["capped"] for st in own)
     with monkeypatch.context() as patch:
         patch.setattr(sommerfeld, "_GRID_SPREAD", math.inf)
         values, err, stats = sommerfeld._radial_tables(
             ConstantDensity(), rhos, zetas, [0], [0], tol
         )
-    assert stats["capped"] and stats["panels"] < 1024
+    assert stats["panels"] < 1024
     assert np.all(np.abs(values[:, 0, 0] - exact) <= tol[:, 0, 0])
     values, err, stats = sommerfeld._radial_tables(
         ConstantDensity(), rhos, zetas, [0], [0], tol
     )
-    assert not stats["capped"]
     assert stats["panels"] == sum(st["panels"] for st in own)
     assert np.all(np.abs(values[:, 0, 0] - exact) <= tol[:, 0, 0])
 
@@ -799,7 +795,7 @@ def test_groups_bound_each_pairs_grid_and_memory(seed):
 
 def test_unmeetable_pair_fails_the_batch():
     """A pair whose tolerance cannot be met (rho = 1000 at zeta = 0.05, see
-    test_radial_table_capped_grid_is_honest) raises for the whole batch."""
+    test_radial_table_large_rho_is_honest) raises for the whole batch."""
     with pytest.raises(ToleranceNotMet):
         sommerfeld._radial_tables(
             ConstantDensity(), [0.5, 1000.0], [0.5, 0.05], [0], [0],
