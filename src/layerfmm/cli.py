@@ -22,6 +22,7 @@ from .densities import density_bound, reaction_densities
 from .harmonics import MAX_ORDER
 from .lab import (
     ExperimentConfig,
+    _eps_floor,
     _reaction_oracle,
     _sum_stats,
     run_experiment,
@@ -133,11 +134,13 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
        show_stats):
     """Multipole expansion vs brute-force oracle at target points.
 
-    Emits CSV: x, y, z, expansion, oracle, abs_error, bound.  A target
-    within the expansion radius, and for a reaction component charges or
-    targets in more than one layer, are usage errors.  With --stats a
-    reaction component also prints the summed quadrature counters of the
-    expansion's basis tables and of the oracle to stderr.
+    Emits CSV: x, y, z, expansion, oracle, abs_error, bound.  bound is
+    the truncation bound plus the smallest error the comparison with the
+    oracle can certify, as in the lab's row checks (lab._eps_floor).  A
+    target within the expansion radius, and for a reaction component
+    charges or targets in more than one layer, are usage errors.  With
+    --stats a reaction component also prints the summed quadrature
+    counters of the expansion's basis tables and of the oracle to stderr.
     """
     with open(charges_path) as fh:
         cdata = json.load(fh)["charges"]
@@ -187,10 +190,13 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
                     f"{name}: {counts}  tol_use = {rec['tol_use']:.3e}", err=True
                 )
     qq = system.total_abs_charge
+    floor = _eps_floor(
+        comp is not None, tol, float(np.max(np.abs(oracle), initial=0.0))
+    )
     lines = ["x,y,z,expansion,oracle,abs_error,bound"]
     for r, val, ora in zip(targets, values, oracle):
         rr = float(np.linalg.norm(r - exp.center))
-        bound = (
+        bound = floor + (
             qq * msig / (4 * math.pi * (rr - exp.radius))
             * (exp.radius / rr) ** (order + 1)
         )

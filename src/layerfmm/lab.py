@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expansions as xp
-from .densities import density_bound, interface_matrices, reaction_densities
+from .densities import InterfaceMatrices, density_bound, reaction_densities
 from .errors import ComponentAbsent
 from .harmonics import (
     cartesian_to_spherical,
@@ -237,23 +237,29 @@ def _partial_sum_errors(exp, basis, oracle):
     return np.abs(np.cumsum(degree, axis=1) - oracle[:, None]).max(axis=0)
 
 
+def _eps_floor(reaction, quad_tol, oracle_scale):
+    """The smallest error a measurement against an oracle of magnitude
+    oracle_scale can certify: 64 ulps of it, and for a reaction oracle
+    (a quadrature to relative tolerance quad_tol) 100 quad_tol of it.
+    Row checks add it to the bound."""
+    eps = float(np.finfo(float).eps)
+    if reaction:
+        return max(100.0 * quad_tol, 64.0 * eps) * max(oracle_scale, 1e-300)
+    return 64.0 * eps * oracle_scale
+
+
 def _verdict(config, ps, errs, bounds, rate_theory, meta):
     """Judge error rows against their bounds and assemble the report: the
     noise floors, the row verdicts, the rate fit and the run metadata."""
     scale = max(meta["Q"], 1.0)
-    oracle_scale = meta["oracle_scale"]
-    eps = float(np.finfo(float).eps)
+    reaction = config.kind.startswith("reaction")
+    eps_floor = _eps_floor(reaction, config.quad_tol, meta["oracle_scale"])
     # fit_floor: where geometric decay drowns in evaluation noise (rate
-    # fits exclude rows below it); eps_floor: the smallest error the
-    # measurement itself can certify, added to the bound in the row check
-    if config.kind.startswith("reaction"):
+    # fits exclude rows below it)
+    if reaction:
         fit_floor = 100.0 * config.quad_tol * scale
-        eps_floor = max(100.0 * config.quad_tol, 64.0 * eps) * max(
-            oracle_scale, 1e-300
-        )
     else:
-        fit_floor = 1e4 * eps * scale
-        eps_floor = 64.0 * eps * oracle_scale
+        fit_floor = 1e4 * float(np.finfo(float).eps) * scale
     degenerate = all(e <= fit_floor for e in errs)
     rate_fit = fit_decay_rate(ps, errs, fit_floor)
     passed_rows = [
@@ -571,7 +577,7 @@ def _suite_lemma21(samples=10_000, seed=7):
         batch = min(200, samples - n_done)
         k = rng.uniform(0, 50, batch) + 1j * rng.uniform(-50, 50, batch)
         k = np.abs(k.real) + 1j * k.imag
-        mats = interface_matrices(med, k)
+        mats = InterfaceMatrices(med, k)
         prod = 1.0
         for l in range(1, L + 1):
             prod *= mats.gamma_plus[l] ** 2 - mats.gamma_minus[l] ** 2
