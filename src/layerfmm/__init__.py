@@ -11,10 +11,10 @@ from .medium import (
     tau_map,
 )
 from .densities import (
+    InterfaceMatrices,
     ReactionDensity,
     ReactionDensitySet,
     density_bound,
-    interface_matrices,
     reaction_densities,
 )
 from .harmonics import (

@@ -161,10 +161,6 @@ class InterfaceMatrices:
         return 2.0 ** (l2 - l1) * np.exp(-self.k * (top - d[l2 - 1]))
 
 
-def interface_matrices(medium, k_rho):
-    return InterfaceMatrices(medium, k_rho)
-
-
 @dataclass(frozen=True)
 class ReactionDensitySet:
     """sigma^{ab} values for one (target layer, source layer) pair.
@@ -241,7 +237,7 @@ def reaction_densities(medium, ell, ellprime, k_rho):
     medium.check_layer(ellprime)
     k = _as_spectral_array(k_rho)
     scalar = np.ndim(k_rho) == 0 and np.ndim(k) == 0
-    mats = interface_matrices(medium, np.atleast_1d(k))
+    mats = InterfaceMatrices(medium, np.atleast_1d(k))
     sigma = {}
     for b in (1, 2):
         chain = None
@@ -267,7 +263,7 @@ class ReactionDensity:
         self.ellprime = ellprime
 
     def __call__(self, k):
-        mats = interface_matrices(self.medium, np.atleast_1d(k))
+        mats = InterfaceMatrices(self.medium, np.atleast_1d(k))
         return _chain(mats, self.ellprime, self.b, self.ell)[self.a - 1]
 
     @property

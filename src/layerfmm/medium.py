@@ -61,10 +61,6 @@ class LayeredMedium:
         return len(self.interfaces)
 
     @property
-    def num_layers(self):
-        return len(self.interfaces) + 1
-
-    @property
     def interface_tolerance(self):
         """Rejection band around interfaces: 1e-14 * (max|d| + 1)."""
         scale = max((abs(d) for d in self.interfaces), default=0.0)

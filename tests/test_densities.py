@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from layerfmm import (
+    InterfaceMatrices,
     LayeredMedium,
     ReactionDensity,
     density_bound,
-    interface_matrices,
     reaction_densities,
 )
 from layerfmm.errors import (
@@ -28,7 +28,7 @@ def test_interface_matrices_homogeneous_two_layer():
     transmission matrix is diag(2 e_0 e_1, 2)."""
     m = LayeredMedium([0.0], [1, 1], [1, 1])
     for k in (0.0, 0.5, 2.0 + 1.0j):
-        mats = interface_matrices(m, k)
+        mats = InterfaceMatrices(m, k)
         tt = mats.alpha[1]  # A^(1) = Ttilde^{01}
         e01 = mats.e[0] * mats.e[1]
         assert tt[0, 0] == pytest.approx(2.0 * complex(e01))
@@ -42,7 +42,7 @@ def test_interface_matrices_k_zero_product():
     symmetric gamma matrices."""
     rng = np.random.default_rng(0)
     med = random_medium(rng, L=3)
-    mats = interface_matrices(med, 0.0)
+    mats = InterfaceMatrices(med, 0.0)
     prod = np.eye(2)
     for l in range(1, 4):
         gp, gm = mats.gamma_plus[l], mats.gamma_minus[l]
@@ -54,7 +54,7 @@ def test_interface_matrices_k_zero_product():
 def test_interface_matrices_rejects_left_half_plane():
     m = LayeredMedium([0.0], [1, 1], [1, 2])
     with pytest.raises(InvalidSpectralArgument):
-        interface_matrices(m, -0.1)
+        InterfaceMatrices(m, -0.1)
     with pytest.raises(InvalidSpectralArgument):
         reaction_densities(m, 0, 0, -1e-8 + 3j)
 
@@ -67,7 +67,7 @@ def test_key_inequality_random():
         med = random_medium(rng)
         k = rng.uniform(0, 50, 40) + 1j * rng.uniform(-50, 50, 40)
         k = np.abs(k.real) + 1j * k.imag
-        mats = interface_matrices(med, k)  # the tripwire raises internally
+        mats = InterfaceMatrices(med, k)  # the tripwire raises internally
         prod = 1.0
         for l in range(1, med.num_interfaces + 1):
             prod *= mats.gamma_plus[l] ** 2 - mats.gamma_minus[l] ** 2

@@ -681,8 +681,8 @@ _OPTIMIZED_CHECKS = """
 import numpy as np
 from dataclasses import replace
 from layerfmm import (
-    ChargeSystem, LayeredMedium, eval_expansion, eval_reaction_me,
-    interface_matrices, me_from_charges, polarization_source,
+    ChargeSystem, InterfaceMatrices, LayeredMedium, eval_expansion,
+    eval_reaction_me, me_from_charges, polarization_source,
     reaction_me_from_charges,
 )
 from layerfmm.errors import InvariantViolated
@@ -693,7 +693,7 @@ if __debug__:
 fired = []
 slab = LayeredMedium([0.0, -1.0], [1.0, 1.0, 1.0], [1.0, 3.0, 8.0])
 
-mats = interface_matrices(slab, np.array([0.5, 2.0]))
+mats = InterfaceMatrices(slab, np.array([0.5, 2.0]))
 mats.alpha[1][1, 0] = 10.0 * mats.alpha[1][1, 1]
 try:
     mats._check_key_inequality()
