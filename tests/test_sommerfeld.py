@@ -304,14 +304,16 @@ def test_radial_table_work_counts_and_repeat():
     """The 17 x 17 M2L table of the p = 8 reaction operators at
     rho/zeta = 20, zeta = 0.5: panels, rules and density sweeps are
     pinned (changes to the integrand kernel must not move them), and two
-    identical calls agree bit for bit.  31 of the 32 panels are certified
-    and take one rule each; the first takes three."""
+    identical calls agree bit for bit.  The 7 panels of the dyadic grid
+    are bisected 25 times on their certificates alone; 31 of the 32
+    panels are certified and take one rule each, the first takes three."""
     stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
     v = np.array([10.0, 0.0, 0.5])
     table, _, stats = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
     again, _, _ = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
     assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (32, 34, 2)
     assert stats["nodes"] == 1088 and stats["certified"] == 31
+    assert stats["bisections"] == 25
     assert 0.0 < stats["tol_use"] < 1.0
     assert np.array_equal(table, again)
 
