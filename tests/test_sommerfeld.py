@@ -329,8 +329,8 @@ def _relative_tol(zeta, rel_tol=1e-11, size=17):
 @pytest.mark.parametrize("ratio", [0.5, 5.0, 20.0, 60.0, 200.0])
 def test_radial_table_diagonal_closed_form(zeta, ratio):
     """For sigma = 1, I(n, n) = (2 rho)^n Gamma(n+1/2) / (sqrt(pi)
-    r^{2n+1}): the initial grid of the width rule meets every diagonal
-    tolerance of a 17 x 17 table, from rho/zeta = 0.5 to 200."""
+    r^{2n+1}): the certified grid meets every diagonal tolerance of a
+    17 x 17 table, from rho/zeta = 0.5 to 200."""
     rho = ratio * zeta
     n = np.arange(17)
     tol = _relative_tol(zeta)
