@@ -367,9 +367,10 @@ LARGE_RHO_PANELS = {200.0: 1981, 400.0: 3953, 500.0: 4421, 600.0: 5736}
 @pytest.mark.parametrize("rho, met", [
     (200.0, True), (400.0, True), (500.0, True), (600.0, True), (1000.0, False),
 ])
-def test_radial_table_large_rho_is_honest(rho, met):
-    """At zeta = 0.05 the dyadic grid's panels past w are too wide for
-    their certificates: the result meets 1e-10 against
+def test_radial_table_capped_grid_is_honest(rho, met):
+    """At zeta = 0.05 these tables once hit the 512-panel cap; the dyadic
+    grid's panels past w are too wide for their certificates in the same
+    way: the result meets 1e-10 against
     1/sqrt(rho^2 + zeta^2) in a pinned panel count, or the table raises
     when the certified panels need more than the panel budget."""
     tol = np.array([[1e-10]])
@@ -748,9 +749,10 @@ def test_bisected_pair_meets_its_tolerance_in_a_batch(spread, monkeypatch):
     assert np.all(err <= tol)
 
 
-def test_unlike_pairs_forced_onto_one_grid(monkeypatch):
+def test_grid_capped_only_as_a_batch(monkeypatch):
     """rho = 0 at zeta = 0.02 (K = 3000, width 187.5) and rho/zeta = 200
-    (K = 60, width 0.25) are unlike pairs.  Forced onto one grid, 0, 0.25,
+    (K = 60, width 0.25) are unlike pairs; forced onto one grid they once
+    hit the 512-panel cap.  Now that grid is 0, 0.25,
     0.5, ..., 4096, each pair's certificates bisect only the panels too
     wide for that pair, so both meet their tolerance within the budget;
     grouped, each keeps its own grid."""
@@ -797,7 +799,7 @@ def test_groups_bound_each_pairs_grid_and_memory(seed):
 
 def test_unmeetable_pair_fails_the_batch():
     """A pair whose tolerance cannot be met (rho = 1000 at zeta = 0.05, see
-    test_radial_table_large_rho_is_honest) raises for the whole batch."""
+    test_radial_table_capped_grid_is_honest) raises for the whole batch."""
     with pytest.raises(ToleranceNotMet):
         sommerfeld._radial_tables(
             ConstantDensity(), [0.5, 1000.0], [0.5, 0.05], [0], [0],
