@@ -13,8 +13,9 @@ exponentials e_l = exp(-k D_l) ever appear:
     ratio formulas  sigma^{2b} = -(alpha_21/alpha_22) sigma^{1b}
     (plus a source correction while the sweep is below the source layer).
 
-Everything is vectorized over the spectral argument; k may be complex
-with Re k >= 0, where |e_l| <= 1 keeps every intermediate bounded.  The
+Everything is vectorized over the spectral argument k, Re k >= 0, where
+|e_l| <= 1 keeps every intermediate bounded; a real k (where sigma is
+real) sweeps in float64, any other in complex arithmetic.  The
 key inequality |alpha_22|^2 - |alpha_21|^2 >= prod((gamma^+)^2-(gamma^-)^2)
 guarantees the denominators stay away from zero; it is checked on every
 evaluation as a corruption tripwire.
@@ -38,7 +39,8 @@ from .medium import component_exists, require_component
 
 
 def _as_spectral_array(k_rho):
-    k = np.asarray(k_rho, dtype=complex)
+    k = np.asarray(k_rho)
+    k = k.astype(float if np.isrealobj(k) else complex, copy=False)
     if np.any(np.real(k) < 0):
         raise InvalidSpectralArgument("spectral argument requires Re k_rho >= 0")
     return k
@@ -112,7 +114,7 @@ class InterfaceMatrices:
                     p10 * t00 + p11 * t10,
                     p10 * t01 + p11 * gp,
                 )
-            al = np.empty((2, 2) + k.shape, dtype=complex)
+            al = np.empty((2, 2) + k.shape, dtype=k.dtype)
             al[0, 0], al[0, 1], al[1, 0], al[1, 1] = p00, p01, p10, p11
             self.alpha.append(al)
 

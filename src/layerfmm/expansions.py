@@ -24,7 +24,9 @@ operators are single entries of the table builders.
 Operator weights combine factorial-bearing constants and radial powers in
 log space, which keeps everything finite through the supported orders.
 m2m, l2l and m2l_free cache their last two orders' geometry-free weights,
-14 bytes an entry: 0.2, 2.7, 194 MB at p = 10, 20, 60 (m2l_free p <= 30).
+14 bytes an entry: 0.2, 2.7, 194 MB at p = 10, 20, 60 (m2l_free p <= 30);
+reaction_m2l_matrix its last two (p, p')'s, 24 bytes an entry: 0.35, 4.7,
+22 MB at p = p' = 10, 20, 30.
 """
 
 from __future__ import annotations
@@ -677,34 +679,45 @@ def eval_reaction_le_coeff(
     return complex(exp.coeff[n, m + n])
 
 
+@lru_cache(maxsize=2)
+def _reaction_m2l_weights(p, source_p):
+    """Read-only geometry-free parts of reaction_m2l_matrix at target
+    degree p and source degree source_p, 24 bytes an entry: the weight
+    c_n'^2 C_n^m C_n'^m' (complex128), the flat index of I(n + n',
+    |m' - m|) in the table (int32), that of the phase of m' - m (int16),
+    and for a = 1 and a = 2 whether the basis sign times the J_{-m} fold
+    is -1 (bool).  Negation commutes with rounding, so applying that sign
+    last gives the entries of the product taken in the per-call order."""
+    pmax = max(p, source_p)
+    cst = constants(pmax)
+    ns, ms = _packed_indices(p)
+    nu, mu = _packed_indices(source_p)
+    sn = ns[:, None] + nu[None, :]
+    dm = mu[None, :] - ms[:, None]
+    weight = (cst.c[nu[None, :]] ** 2 * cst.c_table[ns, ms + pmax][:, None]
+              * cst.c_table[nu, mu + pmax][None, :])
+    fold = (dm < 0) & (dm % 2 == 1)
+    signs = (nu[None, :], ns[:, None] + ms[:, None] + mu[None, :])
+    neg = [fold ^ (k % 2 == 1) for k in signs]
+    index = (sn * (2 * pmax + 1) + np.abs(dm)).astype(np.int32)
+    return _read_only(weight, index, (dm + p + source_p).astype(np.int16), *neg)
+
+
 def reaction_m2l_matrix(exp, medium, target_center, p, rel_tol=1e-11):
     """Dense reaction M2L operator mapping packed multipole coefficients
     (degree <= exp.p) to packed local coefficients (degree <= p)."""
     _require_kind(exp, "reaction_multipole")
-    a = exp.component[0]
     v, _ = _kernel_vector(medium, exp.component, target_center, exp.center,
                           "polarization")
-    pmax = max(p, exp.p)
     table, phi, stats = _reaction_table(
-        medium, exp.component, v, 2 * pmax, rel_tol
+        medium, exp.component, v, 2 * max(p, exp.p), rel_tol
     )
-    cst = constants(pmax)
-    ns, ms = _packed_indices(p)
-    nu, mu = _packed_indices(exp.p)
-    sn = ns[:, None] + nu[None, :]
-    dm = mu[None, :] - ms[:, None]
-    cvals_t = cst.c_table[ns, ms + pmax][:, None]
-    cvals_s = cst.c_table[nu, mu + pmax][None, :]
-    if a == 1:
-        sign = _alternating(nu[None, :])
-    else:
-        sign = _alternating(ns[:, None] + ms[:, None] + mu[None, :])
-    phase = (1j) ** dm * np.exp(1j * dm * phi)
-    return (
-        sign * cst.c[nu[None, :]] ** 2 * cvals_t * cvals_s * phase
-        * _signed_order(table, sn, dm),
-        stats,
-    )
+    weight, index, dm, *neg = _reaction_m2l_weights(p, exp.p)
+    d = np.arange(-(p + exp.p), p + exp.p + 1)
+    phase = np.take((1j) ** d * np.exp(1j * d * phi), dm)
+    out = np.take(table, index)
+    np.multiply(np.multiply(weight, phase, out=phase), out, out=out)
+    return np.negative(out, out=out, where=neg[exp.component[0] - 1]), stats
 
 
 def eval_reaction_m2l_entry(

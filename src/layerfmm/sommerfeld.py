@@ -36,12 +36,15 @@ never below a baseline).
 The panels are composite 32-point Gauss-Legendre rules whose errors are
 proven, not estimated.  sigma is analytic and bounded by M_sigma on
 Re k >= 0, so the integrand k^n e^{-k zeta} sigma(k) J_m(k rho) is
-analytic there, and on any Bernstein ellipse of a panel that stays in
-Re k >= 0 it is bounded by M_sigma (c + h a)^n e^{-zeta (c - h a)}
+analytic there.  On the Bernstein ellipse E_r of a panel [c - h, c + h],
+with half-axes h a and h b (a, b = (r +- 1/r)/2), that stays in Re k >= 0
+it is bounded by M_E = M_sigma (c + h a)^n e^{-zeta (c - h a)}
 e^{rho h b} (|J_m(z)| <= e^{|Im z|}).  The rule, exact to degree 63,
 then errs by at most h (64/15) M_E r^{-62} / (r^2 - 1) (Trefethen, ATAP
 Thm 19.3 with n + 1 = 32 nodes; _ellipse_log_bound), minimised over a
-fixed grid of r and capped by the panel's mass bound (_panel_bounds).  A
+fixed grid of r (orders m do not enter) and capped by the panel's mass
+bound 2 M_sigma (2h) max k^n e^{-k zeta}, which bounds |integral| +
+|rule| outright (|J_m| <= 1 on the real axis, weights summing to 2h).  A
 certified panel takes one rule; certified panels are bisected worst-first
 on their bounds alone, before any integrand value is computed, until the
 bounds fit the tolerance or the panel budget is spent (ToleranceNotMet).
@@ -76,13 +79,16 @@ together, again in blocks.
 The Bessel ladder (_bessel_orders) takes J_0 and J_1 from j0/j1 and the
 higher orders from the three-term recurrence in its stable direction:
 upward where k rho >= max order, downward from two jv seeds below.  Its
-absolute error of about 1e-14 moves I(n, m) by at most
-1e-14 M_sigma Gamma(n+1)/zeta^{n+1}.
-Every table tolerance of the expansion builders is relative to that same
-bound (rel_tol 1e-11 to 1e-12), so the Bessel error is far below it.  One
-batched real matrix product per block contracts the Bessel values against
-the real and imaginary parts of k^n e^{-k zeta} sigma(k), whose powers
-come from a running product over n, over the nodes of each rule.
+absolute error of about 2e-14 moves I(n, m) by at most
+2e-14 M_sigma Gamma(n+1)/zeta^{n+1}; every table tolerance of the
+expansion builders is relative to that same bound (rel_tol 1e-11 to
+1e-12), so the Bessel error sits 100 to 1000 times below it.  sigma is
+real on the real axis, where every node lies, so the contraction is real:
+one batched real matrix product per block contracts the Bessel values
+against k^n e^{-k zeta} sigma(k) times the weights, one column per power,
+the powers by a running product over n.  The tables are complex with
+imaginary part 0; a density value with a nonzero imaginary part raises
+DomainError (complex sigma, as in the Helmholtz case, is not supported).
 """
 
 from __future__ import annotations
@@ -128,19 +134,16 @@ def _bessel_orders(orders, x):
       J_{m-1} = 2m J_m / x - J_{m+1}, where J is the minimal solution
       above x.  The product 2m J_m is formed before the division, so an
       underflowed seed gives zeros, never NaN.  special.jv returns 0 below
-      about 1e-280; a J_top of 0 only drops a term far below rounding, but
-      where J_{top-1} is 0 too the node takes special.jv for every order;
+      about 1e-280, not always first in the higher order.  A J_top of 0
+      would put every lower order off by about x^2/(4 top^2) relative
+      (2.9e-8 at top 120, x = 0.34), so a node where either seed is 0
+      takes special.jv for every order;
     - x = 0: J_m = 0 for m >= 2, as j0/j1 give J_0 = 1, J_1 = 0.
 
-    The values stay within about 1.5e-14 absolute of special.jv (orders up
-    to 40, x from 1e-300 to 1e5; the tests require 5e-14).  In
-    radial_table J_m multiplies e^{-k zeta} sigma(k) k^n with
-    |sigma| <= M_sigma, so an absolute Bessel error eps moves I(n, m) by
-    at most eps M_sigma Gamma(n+1)/zeta^{n+1}.  The expansion builders'
-    tolerances are rel_tol times that same bound, with rel_tol 1e-11 by
-    default and 1e-12 in the lab configurations, so the Bessel error sits
-    100 to 1000 times below them.  For the oracle's I(0, 0) the shift is at most
-    eps M_sigma / zeta.
+    The values stay within about 2e-14 absolute of special.jv for orders
+    up to 120 and x from 1e-300 to 200, and up to 58 on to x = 1e5 (the
+    tests require 5e-14); the module docstring bounds its effect on
+    I(n, m).
     """
     top = int(np.max(orders))
     flat = x.ravel()
@@ -161,7 +164,7 @@ def _bessel_orders(orders, x):
         sub[top - 1 :] = special.jv(np.arange(top - 1, top + 1)[:, None], xs)
         for m in range(top - 1, 2, -1):
             sub[m - 1] = (2.0 * m) * sub[m] / xs - sub[m + 1]
-        lost = sub[top - 1] == 0.0
+        lost = (sub[top - 1] == 0.0) | (sub[top] == 0.0)
         if np.any(lost):
             sub[2:, lost] = special.jv(np.arange(2, top + 1)[:, None], xs[lost])
         ladder[2:, down] = sub[2:]
@@ -476,21 +479,9 @@ def _ellipse_log_bound(h, r):
 
 
 def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
-    """A-priori error bounds of the 32-point rule on the panels [lo, hi]
-    for every (pair, power): shape (panels, pairs, powers); inf where a
-    panel touches k = 0.
-
-    The panel [c - h, c + h] has Bernstein ellipses E_r, a = (r + 1/r)/2
-    and b = (r - 1/r)/2 its half-axes in units of h, that stay in
-    Re k >= 0 while c - h a >= 0.  On E_r, |k^n| <= (c + h a)^n,
-    |e^{-k zeta}| <= e^{-zeta (c - h a)}, |J_m(k rho)| <= e^{rho h b} and
-    |sigma| <= M_sigma (= bound), so the rule errs by at most
-    h (64/15) M_E r^{-62} / (r^2 - 1) with M_E the product of these
-    (_ellipse_log_bound).  The least over _ELLIPSE_R is capped by
-    2 M_sigma (2h) max_panel k^n e^{-k zeta}, which bounds |integral| +
-    |rule| outright (|J_m| <= 1 on the real axis, positive weights summing
-    to 2h).  Orders m do not enter.
-    """
+    """The module docstring's a-priori error bounds of the 32-point rule
+    on the panels [lo, hi], with M_sigma = bound, for every (pair, power):
+    shape (panels, pairs, powers); inf where a panel touches k = 0."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     q = c / h
     r = np.minimum(_ELLIPSE_R[:, None], q + np.sqrt(np.maximum(q * q - 1.0, 0.0)))
@@ -521,10 +512,10 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
                  max_panels):
     """The tables of a group of pairs on one grid: the dyadic grid of the
     module docstring, from the smallest of their own widths w to past the
-    largest of their own K.  Each evaluate block sweeps the density once
-    for all pairs, and checks every density value against the bound the
-    panel certificates rest on (InvariantViolated otherwise).  Every panel
-    but the first, [0, w], is certified (_panel_bounds)."""
+    largest of their own K, with its certificates.  Each evaluate block
+    sweeps the density once for all pairs, and checks every density value
+    against the bound the certificates rest on (InvariantViolated) and for
+    a zero imaginary part (DomainError)."""
     shape = (len(rhos), len(powers), len(orders))
     top = int(np.max(powers))
     bound = density.bound
@@ -538,28 +529,25 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
                 f"|sigma| = {np.nanmax(np.abs(dens)):.6e} above its bound "
                 f"M_sigma = {bound:.6e}; the panel certificates do not hold"
             )
+        if np.iscomplexobj(dens):
+            if np.any(dens.imag != 0.0):
+                raise DomainError("sigma must be real on the real axis")
+            dens = dens.real
         dens = dens * (half[:, None] * _GL_WEIGHTS)
-        # (rules, re/im, nodes): the real Bessel block is contracted
-        # against both parts, never cast to complex
-        parts = np.stack([dens.real, dens.imag], axis=1)
-        k2 = np.stack([k, k], axis=1)
         out = np.empty((len(lo),) + shape, dtype=complex)
-        per_pair = k.size * (2 * (top + len(powers) + 1) + len(orders))
+        per_pair = k.size * (top + len(powers) + 1 + len(orders))
         step = max(1, _CHUNK_DOUBLES // per_pair)
         for s in range(0, shape[0], step):
             pairs = slice(s, s + step)
             # k^n e^{-k zeta} sigma w by a running product over n
-            run = np.empty((top + 1, len(rhos[pairs])) + parts.shape)
-            run[0] = np.exp(-k * zetas[pairs, None, None])[:, :, None] * parts
+            run = np.empty((top + 1, len(rhos[pairs])) + k.shape)
+            run[0] = np.exp(-k * zetas[pairs, None, None]) * dens
             for n in range(top):
-                np.multiply(run[n], k2, out=run[n + 1])
-            lhs = run[powers].transpose(1, 2, 0, 3, 4)
-            lhs = lhs.reshape(lhs.shape[:2] + (-1, k.shape[1]))
+                np.multiply(run[n], k, out=run[n + 1])
             jm = _bessel_orders(orders, k * rhos[pairs, None, None])
-            # (pairs, rules, orders, nodes) @ (pairs, rules, nodes, powers x
-            # re/im): the re/im columns interleave into complex values
-            res = jm.transpose(1, 2, 0, 3) @ lhs.transpose(0, 1, 3, 2)
-            out[:, pairs] = res.view(complex).transpose(1, 0, 3, 2)
+            # (pairs, rules, orders, nodes) @ (pairs, rules, nodes, powers)
+            res = jm.transpose(1, 2, 0, 3) @ run[powers].transpose(1, 2, 3, 0)
+            out[:, pairs] = res.transpose(1, 0, 3, 2)
         return out
 
     def certify(lo, hi):
@@ -637,7 +625,8 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
 
     Requires zeta > 0, rho >= 0 and nonnegative powers and orders
     (DomainError otherwise); the density must expose a uniform bound
-    M_sigma, and a density value above it raises InvariantViolated.
+    M_sigma, and a density value above it raises InvariantViolated, one
+    with a nonzero imaginary part DomainError.
     tol_abs is an entrywise absolute tolerance of shape
     (len(powers), len(orders)); entries set to inf do not drive
     refinement, and at least one must be finite (DomainError for another
@@ -649,16 +638,8 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     pairs on shared grids.
 
     A tenth of the smallest finite tolerance goes to the tail beyond K
-    (_choose_kmax), nine tenths to the panels.  The initial grid is the
-    dyadic one of the module docstring: 0, w, 2w, 4w, ... past K.  Every
-    panel but the first is certified: one 32-point rule, and as its error
-    the Bernstein-ellipse bound of _panel_bounds, which rests on
-    |sigma| <= M_sigma on Re k >= 0 (M_sigma is density_bound's sampled
-    estimate for a reaction density).  The first panel [0, w] keeps the
-    sum of its half-panel rules, its error their disagreement with the
-    whole rule.  Certified panels are bisected on their bounds, before
-    any rule runs, until the bounds fit the tolerance, or the panel budget
-    is spent (ToleranceNotMet).
+    (_choose_kmax), nine tenths to the panels: the dyadic grid, its
+    certificates and their refinement of the module docstring.
     """
     values, err, stats = _radial_tables(
         density, [rho], [zeta], powers, orders,

@@ -254,3 +254,27 @@ def test_key_inequality_accepts_many_layers_high_contrast(L, contrast):
         except InvariantViolated:
             refused += 1
     assert refused == 0
+
+
+def test_real_axis_sweeps_in_float(three_layer):
+    """On real k, where sigma is real, a density sweeps in float64 and
+    returns float64; the complex path's imaginary part is exactly 0 there
+    and its real part within 4 ulp of max |sigma| of the float values
+    (2.25 ulp measured on the slab, 2 on the bench stack's pair).  On the
+    imaginary axis the sweep stays complex."""
+    stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
+    pairs = [(three_layer, ell, ellp) for ell in range(3) for ellp in range(3)]
+    pairs.append((stack, 2, 1))
+    k = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 767)])
+    mats = InterfaceMatrices(three_layer, k)
+    assert all(al.dtype == np.float64 for al in mats.alpha[1:])
+    for med, ell, ellp in pairs:
+        for a, b in reaction_densities(med, ell, ellp, k).components:
+            dens = ReactionDensity(med, a, b, ell, ellp)
+            real, cplx = dens(k), dens(k + 0j)
+            assert real.dtype == np.float64 and cplx.dtype == complex
+            assert not np.any(cplx.imag)
+            scale = np.max(np.abs(real))
+            assert np.max(np.abs(real - cplx.real)) <= 4 * np.finfo(float).eps * scale
+            assert dens(1j * k).dtype == complex
+    assert InterfaceMatrices(three_layer, 1j * k).alpha[1].dtype == complex

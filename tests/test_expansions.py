@@ -26,6 +26,7 @@ from layerfmm import (
     reaction_le_from_charges,
     reaction_me_from_charges,
 )
+from layerfmm import expansions
 from layerfmm.errors import (
     BoxesNotSeparated,
     CenterOnWrongSide,
@@ -43,6 +44,8 @@ from layerfmm.expansions import (
     _m2m_weights,
     _packed_indices,
     _radial_powers,
+    _reaction_m2l_weights,
+    reaction_m2l_matrix,
     truncated,
 )
 from layerfmm.harmonics import (
@@ -293,6 +296,7 @@ def test_cached_tables_are_read_only():
         cst.c[0] = 5.0
     tables = [cst.c, cst.log_c, cst.log_abs_a, cst.c_table, *_packed_indices(4)]
     tables += [*_m2m_weights(3), *_l2l_weights(3), *_m2l_weights(3, 2)]
+    tables += [*_reaction_m2l_weights(3, 5)]
     tables += [a for row in _legendre_weights(6) for a in row[1:]]
     tables += [*_legendre_lists(6)[0], *_order_tables(6), *_radial_powers(4)]
     for table in tables:
@@ -608,6 +612,64 @@ def test_reaction_m2l_bound_and_separation(slab):
         m2l_reaction(exp, slab, pol_c + 0.35 * direction, 4, target_radius=a_t)
 
 
+def _m2l_reference(a, table, phi, p, source_p):
+    """The reaction M2L matrix as the product its entries are defined by,
+    assembled per call: basis sign, c_n'^2, C_n^m C_n'^m', the phase
+    i^{m'-m} e^{i(m'-m) phi} and I(n + n', |m' - m|) with
+    J_{-m} = (-1)^m J_m folded in."""
+    pmax = max(p, source_p)
+    cst = constants(pmax)
+    ns, ms = _packed_indices(p)
+    nu, mu = _packed_indices(source_p)
+    n, m = ns[:, None], ms[:, None]
+    sn, dm = n + nu, mu - m
+    sign = (-1.0) ** nu if a == 1 else (-1.0) ** (n + m + mu)
+    fold = np.where(dm < 0, (-1.0) ** np.abs(dm), 1.0)
+    return (
+        sign * cst.c[nu] ** 2 * cst.c_table[n, m + pmax] * cst.c_table[nu, mu + pmax]
+        * ((1j) ** dm * np.exp(1j * dm * phi)) * (table[sn, np.abs(dm)] * fold)
+    )
+
+
+def _m2l_on_table(monkeypatch, slab, table, phi, a, p, source_p):
+    """reaction_m2l_matrix with _reaction_table returning table and phi."""
+    monkeypatch.setattr(expansions, "_reaction_table",
+                        lambda *args: (table, np.asarray(phi), {}))
+    exp = HarmonicExpansion(
+        "reaction_multipole", [0.0, 0.0, -1.5], source_p,
+        np.zeros((source_p + 1, 2 * source_p + 1)), component=(a, 1, 1, 1),
+    )
+    return reaction_m2l_matrix(exp, slab, [0.3, 0.2, -0.5], p)[0]
+
+
+@pytest.mark.parametrize("p, source_p", [(3, 5), (6, 2), (8, 8)])
+def test_reaction_m2l_weights_match_per_call_assembly(slab, monkeypatch, p, source_p):
+    """The cached geometry-free weights give the entries of the per-call
+    product for both a, on real tables (as the engine returns) and on
+    complex ones, at phi = 0 (exact phases) and at a generic phi."""
+    rng = np.random.default_rng(10 * p + source_p)
+    size = 2 * max(p, source_p) + 1
+    real = rng.standard_normal((size, size)) + 0j
+    tables = [real, real + 1j * rng.standard_normal((size, size))]
+    for table in tables:
+        for phi in (0.0, float(rng.uniform(0.0, 2.0 * math.pi))):
+            for a in (1, 2):
+                got = _m2l_on_table(monkeypatch, slab, table, phi, a, p, source_p)
+                assert np.array_equal(got, _m2l_reference(a, table, phi, p, source_p))
+
+
+def test_reaction_m2l_weights_serve_both_a(slab, monkeypatch):
+    """The weights do not depend on a, so the a = 1 and a = 2 components
+    of one (p, p') share one cached entry instead of evicting each
+    other."""
+    table = np.random.default_rng(3).standard_normal((9, 9)) + 0j
+    _reaction_m2l_weights.cache_clear()
+    for a in (1, 2, 1, 2):
+        _m2l_on_table(monkeypatch, slab, table, 0.7, a, 4, 3)
+    info = _reaction_m2l_weights.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
 def test_reaction_m2m_shift(slab):
     """Center shifting of a reaction multipole expansion is the plain
     free-space M2M over the polarization coordinates: shifting equals
@@ -685,7 +747,7 @@ from layerfmm import (
     eval_reaction_me, me_from_charges, polarization_source,
     reaction_me_from_charges,
 )
-from layerfmm.errors import InvariantViolated
+from layerfmm.errors import DomainError, InvariantViolated
 from layerfmm.sommerfeld import radial_table
 
 if __debug__:
@@ -725,14 +787,26 @@ try:
     radial_table(UnderReported(), 1.0, 0.5, [0], [0], np.array([[1e-10]]))
 except InvariantViolated:
     fired.append("density_bound")
+
+class NotReal:
+    bound = 1.0
+
+    def __call__(self, k):
+        return np.full(np.shape(k), 0.5 + 0.5j)
+
+try:
+    radial_table(NotReal(), 1.0, 0.5, [0], [0], np.array([[1e-10]]))
+except DomainError:
+    fired.append("complex_density")
 print(" ".join(fired))
 """
 
 
 def test_invariant_checks_fire_under_optimize():
-    """The key-inequality tripwire, the imaginary-residue checks and the
-    density-bound check under the panel certificates are explicit raises,
-    so python -O (which strips asserts) keeps them."""
+    """The key-inequality tripwire, the imaginary-residue checks, the
+    density-bound check under the panel certificates and the real-density
+    check of the real contraction are explicit raises, so python -O
+    (which strips asserts) keeps them."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
@@ -741,5 +815,6 @@ def test_invariant_checks_fire_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "key_inequality", "eval_expansion", "eval_reaction_me", "density_bound"
+        "key_inequality", "eval_expansion", "eval_reaction_me", "density_bound",
+        "complex_density",
     ]

@@ -79,17 +79,21 @@ def test_bessel_orders_match_jv():
     from x = max(orders) on, the downward one below it) agrees with
     special.jv to 5e-14 absolute and is finite everywhere: at x = 0, on
     both sides of the switch x = max(orders), and from x = 1e-300, where
-    the downward seeds underflow, out to x = 1e5."""
+    the downward seeds underflow, out to x = 1e5.  The orders 2p <= 120
+    of reaction M2L above 60 stop at x = 200: beyond, special.jv itself
+    errs by more (6.6e-14 at x ~ 6e3)."""
     base = np.concatenate([
         np.geomspace(1e-300, 1e5, 4001), np.linspace(0.0, 60.0, 601),
     ])
     cases = [np.arange(2 * p + 1) for p in range(13)]
     cases += [np.array([0]), np.array([0, 3, 7]), np.array([7, 3]), np.arange(41)]
+    cases += [np.arange(59), np.arange(81), np.arange(121)]
     for orders in cases:
         top = float(orders.max())
         switch = [np.nextafter(top, 0.0), top, np.nextafter(top, np.inf),
                   top * (1.0 - 1e-3), top * (1.0 + 1e-3)]
         x = np.concatenate([[0.0], switch, base])
+        x = x[x <= 200.0] if top > 60 else x
         got = sommerfeld._bessel_orders(orders, x)
         assert got.shape == (len(orders), len(x))
         assert np.all(np.isfinite(got))
@@ -98,6 +102,17 @@ def test_bessel_orders_match_jv():
     orders = np.arange(17)
     got = sommerfeld._bessel_orders(orders, x)
     assert np.max(np.abs(got - special.jv(orders[:, None, None], x))) <= 5e-14
+
+
+def test_bessel_orders_drop_no_underflowed_seed():
+    """special.jv underflows to 0 below about 1e-280, not always first in
+    the higher order: at top 58 it gives J_58 = 7e-302 where J_57 is 0
+    (x = 2.9e-4), and at top 80 to 120 J_top = 0 where J_{top-1} is not.
+    A ladder from a lost J_top put every lower order off by about
+    x^2/(4 top^2) relative: 2.9e-8 at top 120, order 2, x = 0.34, which
+    mpmath checks here."""
+    got = sommerfeld._bessel_orders(np.arange(121), np.array([0.34]))[2, 0]
+    assert abs(got - float(mpmath.besselj(2, 0.34))) <= 1e-17
 
 
 def test_radial_table_on_axis_closed_form():
@@ -491,6 +506,33 @@ def test_density_above_its_bound_is_caught():
             _UnderReportedDensity(), [0.0, 3.0], [1.0, 0.5], [0, 1], [0],
             np.full((2, 2, 1), 1e-10),
         )
+
+
+class _ComplexDensity:
+    """Within its bound, but not real on the real axis."""
+
+    bound = 1.0
+
+    def __call__(self, k):
+        return np.full(np.shape(k), 0.5 + 0.5j)
+
+
+def test_complex_density_is_a_domain_error():
+    """The contraction is real: a density value with a nonzero imaginary
+    part on the real nodes raises DomainError, for one pair and in a
+    batch, rather than losing its imaginary part.  One that is complex
+    with imaginary part 0 is taken by its real part."""
+    with pytest.raises(DomainError, match="real"):
+        radial_table(_ComplexDensity(), 1.0, 0.5, [0], [0], np.array([[1e-10]]))
+    with pytest.raises(DomainError, match="real"):
+        sommerfeld._radial_tables(
+            _ComplexDensity(), [0.0, 3.0], [1.0, 0.5], [0, 1], [0],
+            np.full((2, 2, 1), 1e-10),
+        )
+    values, _, _ = radial_table(ConstantDensity(1.0 + 0j), 0.0, 0.5, [0], [0],
+                                np.array([[1e-12]]))
+    assert values.dtype == complex and values[0, 0].imag == 0.0
+    assert abs(values[0, 0] - 2.0) <= 1e-12
 
 
 def test_tail_truncation_insensitivity(two_layer, monkeypatch):
