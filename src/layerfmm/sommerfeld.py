@@ -529,11 +529,9 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
                 f"|sigma| = {np.nanmax(np.abs(dens)):.6e} above its bound "
                 f"M_sigma = {bound:.6e}; the panel certificates do not hold"
             )
-        if np.iscomplexobj(dens):
-            if np.any(dens.imag != 0.0):
-                raise DomainError("sigma must be real on the real axis")
-            dens = dens.real
-        dens = dens * (half[:, None] * _GL_WEIGHTS)
+        if np.any(np.imag(dens)):
+            raise DomainError("sigma must be real on the real axis")
+        dens = np.real(dens) * (half[:, None] * _GL_WEIGHTS)
         out = np.empty((len(lo),) + shape, dtype=complex)
         per_pair = k.size * (top + len(powers) + 1 + len(orders))
         step = max(1, _CHUNK_DOUBLES // per_pair)
