@@ -269,6 +269,11 @@ class ReactionDensity:
         return _chain(mats, self.ellprime, self.b, self.ell)[self.a - 1]
 
     @property
+    def thickest(self):
+        """D_max, the thickest finite layer of the medium (0 with none)."""
+        return max(_geometry(self.medium).thick)
+
+    @property
     def bound(self):
         return density_bound(self.medium, self.ell, self.ellprime, self.a, self.b)
 

@@ -31,7 +31,8 @@ group holds at most 4096 table entries, so neither the work per pair nor
 the memory grows without bound with a batch of unlike pairs.  The upper limit K is
 solved for from the analytic tail bound
 M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by gammainccinv,
-never below a baseline).
+never below a baseline), tol the least finite tolerance of the pair; nine
+tenths of each tolerance go to the panels.
 
 The panels are composite 32-point Gauss-Legendre rules whose errors are
 proven, not estimated.  sigma is analytic and bounded by M_sigma on
@@ -59,9 +60,12 @@ below every tolerance (at least MIN_TOL).
 
 The initial grid is dyadic: its edges are 0, w, 2w, 4w, ... up to the
 first power-of-two multiple of w at or past K.  w is min(K/16, the power
-of two nearest 16 pi / rho), so the first panel carries about 6 to 11
+of two nearest 16 pi / rho, W), so the first panel carries about 6 to 11
 periods of e^{i k rho}; at rho = 500 and zeta = 0.05 a panel of width
 w = 1/8 (10 periods) around k = 20 is certified to about 8e-15 M_sigma.
+W = 8 / D_max (D_max the medium's thickest finite layer; no cap without
+one, as sigma is then constant) keeps [0, w] within the scale on which
+sigma varies, so its whole-versus-halves estimate seldom needs bisection.
 The grid only seeds the certificates, which set the panel count: each
 panel past [0, w] is bisected on its bound until the bounds fit, so the
 panels stay wide where the integrand's mass is small (mostly their mass
@@ -71,10 +75,10 @@ than the tail past K, which _choose_kmax bounds.  Bisection keeps every
 edge on the dyadic lattice of w, and power-of-two widths put tables with
 different rho on one lattice, which is what lets the pairs of a batch
 share grids: a group's grid takes the smallest w and the largest K of its
-members.  Rules are evaluated _BLOCK per call: one density sweep and one
-Bessel ladder serve them, because a sweep's cost is mostly per call, not
-per node.  Refinement is level-synchronous: each pass bisects its panels
-together, again in blocks.
+members.  Rules are evaluated _BLOCK (64) per call, one call for a p = 8
+reaction M2L table up to rho/zeta of about 60: one density sweep and one
+Bessel ladder serve them, as a sweep costs mostly per call, not per node.
+Refinement is level-synchronous: each pass bisects its panels together.
 
 The Bessel ladder (_bessel_orders) takes J_0 and J_1 from j0/j1 and the
 higher orders from the three-term recurrence in its stable direction:
@@ -99,8 +103,8 @@ import numpy as np
 from scipy import special
 
 from .densities import ReactionDensity
-from .errors import ComponentAbsent, DomainError, InvariantViolated, ToleranceNotMet
-from .medium import tau_map
+from .errors import DomainError, InvariantViolated, ToleranceNotMet
+from .medium import component_exists, tau_map
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -193,35 +197,36 @@ def _gamma_tail(nexp, x0, scale):
 
 
 def _choose_kmax(bound, rho, zeta, powers, tol_tail):
-    """Upper limit K with bound * Gamma(n+1, K zeta) / zeta^{n+1} <= tol_tail
-    for every n in powers, and never below the baseline
-    max(60/zeta, 200/max(rho, zeta), (max n + 10)/zeta).
-
-    Each power's tail is solved for directly: Gamma(n+1, x) = Gamma(n+1)
-    Q(n+1, x), so x = Q^{-1}(n+1, tol_tail zeta^{n+1} / (bound
-    Gamma(n+1))) by gammainccinv, and K is the largest x / zeta.  The
-    baseline keeps K (and with it the panel count) from shrinking where the
-    tails are small anyway.  The inverse is accurate to about 1e-13
-    relative; K is raised by 1e-9 relative, which lowers every tail by more
-    than that (K zeta >= 60), and the tails are then checked once.
-    """
-    kmax = max(60.0 / zeta, 200.0 / max(rho, zeta), (max(powers) + 10.0) / zeta)
+    """Upper limits K for a batch of pairs (rho, zeta, tol_tail: arrays of
+    one shape, or scalars for one pair), each with bound * Gamma(n+1, K
+    zeta) / zeta^{n+1} <= tol_tail for every n in powers and never below
+    max(60/zeta, 200/max(rho, zeta), (max n + 10)/zeta), which keeps K
+    from shrinking where the tails are small anyway.  Gamma(n+1, x) =
+    Gamma(n+1) Q(n+1, x), so x = Q^{-1}(n+1, tol_tail zeta^{n+1} / (bound
+    Gamma(n+1))) by one elementwise gammainccinv call for the batch (each K
+    is bitwise its one-pair solve), and K is the largest x / zeta.  The
+    inverse is accurate to about 1e-13 relative; K is raised by 1e-9
+    relative, which lowers every tail by more than that (K zeta >= 60),
+    and the tails are checked once."""
+    rho, zeta, tol = np.broadcast_arrays(*map(np.asarray, (rho, zeta, tol_tail)))
+    kmax = np.maximum(max(60.0, max(powers) + 10.0) / zeta,
+                      200.0 / np.maximum(rho, zeta))
     if bound == 0.0:
-        return kmax
-    a = np.asarray(powers, dtype=float) + 1.0
-    target = tol_tail * zeta ** a / (bound * special.gamma(a))
+        return kmax[()]
+    a, z, tol = np.asarray(powers) + 1.0, zeta[..., None], tol[..., None]
+    target = tol * z ** a / (bound * special.gamma(a))
     x = special.gammainccinv(a, np.minimum(target, 1.0))
-    kmax = max(kmax, (1.0 + 1e-9) * float(np.max(x)) / zeta)
-    tails = bound * _gamma_tail(a - 1.0, kmax, zeta)
-    if not (math.isfinite(kmax) and np.all(tails <= tol_tail)):
+    kmax = np.maximum(kmax, (1.0 + 1e-9) * np.max(x, axis=-1) / zeta)
+    tails = bound * _gamma_tail(a - 1.0, kmax[..., None], z)
+    if not (np.all(np.isfinite(kmax)) and np.all(tails <= tol)):
         raise ToleranceNotMet("tail bound did not close", achieved=float(tails.max()))
-    return kmax
+    return kmax[()]
 
 
 #: Gauss-Legendre rules per evaluate call.  They share one density sweep;
-#: the sweep's intermediates grow with the call, so larger calls buy few
+#: the sweep's intermediates grow with the call, so larger calls buy fewer
 #: sweeps at the cost of peak memory.
-_BLOCK = 24
+_BLOCK = 64
 
 
 def _rules(evaluate, lo, hi):
@@ -427,13 +432,13 @@ _GRID_SPREAD = 2.0
 _GROUP_ENTRIES = 4096
 
 
-def _own_grid(bound, rho, zeta, powers, tol_tail):
-    """(K, initial panel width) that radial_table chooses for one pair."""
+def _own_grid(bound, rho, zeta, powers, tol_tail, cap=math.inf):
+    """(K, initial panel width) radial_table chooses for each pair, as
+    _choose_kmax takes them; cap is the module docstring's W."""
     kmax = _choose_kmax(bound, rho, zeta, powers, tol_tail)
-    width = kmax / 16.0
-    if rho > 0:
-        width = min(width, 2.0 ** round(math.log2(16.0 * math.pi / rho)))
-    return kmax, width
+    with np.errstate(divide="ignore"):
+        near = 2.0 ** np.round(np.log2(16.0 * math.pi / np.asarray(rho, dtype=float)))
+    return kmax, np.minimum(kmax / 16.0, np.minimum(near, cap))
 
 
 def _group_pairs(kmax, width, entries):
@@ -564,11 +569,9 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
 
     rhos and zetas have shape (B,), tol_abs and the returned values and
     error estimates (B, len(powers), len(orders)); one stats record sums
-    the batch.  Each pair's K and width are those radial_table would
-    choose for it alone.  Pairs are grouped (_group_pairs) so that no
-    pair's grid has more than _GRID_SPREAD times its own panel count and no
-    group holds more than _GROUP_ENTRIES table entries; each group shares
-    one grid (_grid_tables) and the panel budget max_panels.
+    the batch.  Each pair's K and width are its own (_own_grid, one call
+    for the batch); each group of pairs (_group_pairs) shares one grid
+    (_grid_tables) and the panel budget max_panels.
     """
     rhos = np.asarray(rhos, dtype=float)
     zetas = np.asarray(zetas, dtype=float)
@@ -603,10 +606,10 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
     if bound == 0.0 or not len(rhos):
         return values, err, stats
 
-    kmax, width = np.array([
-        _own_grid(bound, rho, zeta, powers, 0.1 * float(np.min(tol[fin])))
-        for rho, zeta, tol, fin in zip(rhos, zetas, tol_abs, finite)
-    ]).T
+    thick = getattr(density, "thickest", 0.0)
+    tol_tail = 0.1 * np.min(np.where(finite, tol_abs, np.inf), axis=(1, 2))
+    kmax, width = _own_grid(bound, rhos, zetas, powers, tol_tail,
+                            8.0 / thick if thick > 0.0 else math.inf)
     for group in _group_pairs(kmax, width, shape[1] * shape[2]):
         values[group], err[group], own = _grid_tables(
             density, rhos[group], zetas[group], kmax[group], width[group],
@@ -634,10 +637,6 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     ratio of the error to tol_abs over the finite entries of tol_abs).
     This is the one-pair view of _radial_tables, which batches (rho, zeta)
     pairs on shared grids.
-
-    A tenth of the smallest finite tolerance goes to the tail beyond K
-    (_choose_kmax), nine tenths to the panels: the dyadic grid, its
-    certificates and their refinement of the module docstring.
     """
     values, err, stats = _radial_tables(
         density, [rho], [zeta], powers, orders,
@@ -685,16 +684,9 @@ def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10,
 def eval_reaction_potential(medium, ell, ellprime, r, rprime, tol=1e-10):
     """Sum of all present reaction components for a (target, source) pair,
     or for pairs of points along the last axis as in eval_reaction_green."""
-    total = 0.0
-    for a in (1, 2):
-        for b in (1, 2):
-            try:
-                total += eval_reaction_green(
-                    medium, a, b, ell, ellprime, r, rprime, tol
-                )
-            except ComponentAbsent:
-                continue
-    return total
+    return sum((eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol)
+                for a in (1, 2) for b in (1, 2)
+                if component_exists(medium, a, b, ell, ellprime)), 0.0)
 
 
 # ---------------------------------------------------------------------------

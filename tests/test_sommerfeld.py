@@ -275,7 +275,7 @@ def test_adaptive_panels_budget_spent_during_refinement():
 def test_radial_table_block_size_invariance(three_layer, monkeypatch):
     """A 17 x 17 table at rho/zeta = 50 does not depend on how many
     rules share an evaluate call: 66 panels, the first estimated by three
-    rules and 65 certified by one each, take 3 calls of _BLOCK = 24 rules
+    rules and 65 certified by one each, take 2 calls of _BLOCK = 64 rules
     or 68 calls of one."""
     dens = ReactionDensity(three_layer, 1, 1, 1, 1)
     n = np.arange(17)
@@ -288,7 +288,7 @@ def test_radial_table_block_size_invariance(three_layer, monkeypatch):
     np.testing.assert_allclose(vals1, vals, rtol=1e-13, atol=0)
     assert stats1["panels"] == stats["panels"]
     assert stats1["gl_calls"] == stats["gl_calls"]
-    assert (stats["panels"], stats["certified"], stats["evals"]) == (66, 65, 3)
+    assert (stats["panels"], stats["certified"], stats["evals"]) == (66, 65, 2)
     assert stats1["evals"] == stats["gl_calls"] == 68
 
 
@@ -321,16 +321,61 @@ def test_radial_table_work_counts_and_repeat():
     pinned (changes to the integrand kernel must not move them), and two
     identical calls agree bit for bit.  The 7 panels of the dyadic grid
     are bisected 25 times on their certificates alone; 31 of the 32
-    panels are certified and take one rule each, the first takes three."""
+    panels are certified and take one rule each, the first takes three;
+    all 34 rules take one density sweep."""
     stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
     v = np.array([10.0, 0.0, 0.5])
     table, _, stats = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
     again, _, _ = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
-    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (32, 34, 2)
+    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (32, 34, 1)
     assert stats["nodes"] == 1088 and stats["certified"] == 31
     assert stats["bisections"] == 25
     assert 0.0 < stats["tol_use"] < 1.0
     assert np.array_equal(table, again)
+
+
+@pytest.mark.parametrize("ratio", [0.6, 1.0, 2.0, 5.0, 15.0, 30.0])
+def test_reaction_m2l_table_takes_one_sweep(ratio):
+    """Every p = 8 reaction M2L table of the bench medium STACK at zeta =
+    0.5 and rho/zeta from 0.6 to 30 makes one density sweep: its first
+    panel [0, W] with W = 8 / D_max = 8 meets its estimate unbisected, and
+    its 9 to 39 rules fit one block of _BLOCK = 64."""
+    stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
+    v = np.array([0.5 * ratio, 0.0, 0.5])
+    for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        _, _, stats = _reaction_table(stack, (a, b, 2, 1), v, 16, 1e-11)
+        assert stats["evals"] == 1 and stats["bisections"] < stats["panels"]
+        assert 0.0 < stats["tol_use"] < 1.0
+
+
+def test_width_cap_follows_the_thickest_layer(two_layer, three_layer, monkeypatch):
+    """W = 8 / D_max caps the first panel of a density whose medium has a
+    finite layer (the slab: D = 1, so w = 8 at rho = 0.5, where K/16 =
+    25); the grid of ConstantDensity and of a one-interface medium, where
+    sigma is constant, keeps w = min(K/16, the power of two nearest
+    16 pi / rho)."""
+    grids = []
+    own = sommerfeld._own_grid
+
+    def spy(*args):
+        grids.append(own(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(sommerfeld, "_own_grid", spy)
+    assert ReactionDensity(two_layer, 1, 1, 0, 0).thickest == 0.0
+    assert ReactionDensity(three_layer, 1, 1, 1, 1).thickest == 1.0
+    cases = [(ConstantDensity(), math.inf),
+             (ReactionDensity(two_layer, 1, 1, 0, 0), math.inf),
+             (ReactionDensity(three_layer, 1, 1, 1, 1), 8.0)]
+    rhos = (0.5, 5.0, 50.0)
+    for dens, _ in cases:
+        for rho in rhos:
+            radial_table(dens, rho, 0.5, [0], [0], np.array([[1e-10]]))
+    expect = [(rho, cap) for _, cap in cases for rho in rhos]
+    for (kmax, width), (rho, cap) in zip(grids, expect, strict=True):
+        near = 2.0 ** round(math.log2(16.0 * math.pi / rho))
+        assert width[0] == min(kmax[0] / 16.0, near, cap)
+    assert grids[6][1][0] == 8.0 < grids[6][0][0] / 16.0
 
 
 def _relative_tol(zeta, rel_tol=1e-11, size=17):
@@ -540,13 +585,21 @@ def test_tail_truncation_insensitivity(two_layer, monkeypatch):
     r, rp = np.array([0.4, 0.2, 1.1]), np.array([-0.2, 0.1, 0.6])
     base = eval_reaction_green(two_layer, 1, 1, 0, 0, r, rp, 1e-12)
     orig = sommerfeld._choose_kmax
+    seen = []
 
     def doubled(bound, rho, zeta, powers, tol_tail):
-        return 2.0 * orig(bound, rho, zeta, powers, tol_tail)
+        seen.append((np.shape(rho), orig(bound, rho, zeta, powers, tol_tail)))
+        return 2.0 * seen[-1][1]
 
     monkeypatch.setattr(sommerfeld, "_choose_kmax", doubled)
     again = eval_reaction_green(two_layer, 1, 1, 0, 0, r, rp, 1e-12)
     assert abs(base - again) < 1e-12
+    # the batch's K comes as an array, one per pair, and every K doubles
+    rows = np.stack([r, rp + 0.1, r - 0.2])
+    eval_reaction_green(two_layer, 1, 1, 0, 0, rows, rp, 1e-12)
+    assert [shape for shape, _ in seen] == [(1,), (3,)]
+    assert np.all(doubled(1.0, [0.5, 2.0], [0.3, 0.1], [0, 2], 1e-12)
+                  == 2.0 * orig(1.0, [0.5, 2.0], [0.3, 0.1], [0, 2], 1e-12))
 
 
 def test_reaction_green_image_charge(two_layer):
@@ -822,14 +875,18 @@ def test_grid_capped_only_as_a_batch(monkeypatch):
 def test_groups_bound_each_pairs_grid_and_memory(seed):
     """Every pair lands in exactly one group; a group's grid has at most
     spread times each member's own panel count K / width, and a group of
-    more than one pair holds at most _GROUP_ENTRIES table entries."""
+    more than one pair holds at most _GROUP_ENTRIES table entries.  The
+    batch's K and widths, one solve, are bitwise each pair's own."""
     rng = np.random.default_rng(seed)
     zetas = 10.0 ** rng.uniform(-2, 0.5, 200)
     rhos = np.where(rng.random(200) < 0.2, 0.0, zetas * rng.uniform(0, 200, 200))
-    kmax, width = np.array([
-        sommerfeld._own_grid(1.0, rho, zeta, np.arange(5), 1e-12)
-        for rho, zeta in zip(rhos, zetas)
-    ]).T
+    kmax, width = sommerfeld._own_grid(1.0, rhos, zetas, np.arange(5), 1e-12)
+    for powers in ([0], np.arange(5), np.arange(13), np.arange(17)):
+        tol = 10.0 ** rng.uniform(-14, -6, 200)
+        batch = sommerfeld._own_grid(1.0, rhos, zetas, powers, tol)
+        one = np.array([sommerfeld._own_grid(1.0, rho, zeta, powers, t)
+                        for rho, zeta, t in zip(rhos, zetas, tol)]).T
+        assert np.array_equal(np.array(batch), one)
     groups = sommerfeld._group_pairs(kmax, width, 400)
     spread = sommerfeld._GRID_SPREAD
     assert sorted(i for g in groups for i in g) == list(range(200))
