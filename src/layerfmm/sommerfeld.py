@@ -76,7 +76,7 @@ edge on the dyadic lattice of w, and power-of-two widths put tables with
 different rho on one lattice, which is what lets the pairs of a batch
 share grids: a group's grid takes the smallest w and the largest K of its
 members.  Rules are evaluated _BLOCK (64) per call, one call for a p = 8
-reaction M2L table up to rho/zeta of about 60: one density sweep and one
+reaction M2L table below rho/zeta of about 60: one density sweep and one
 Bessel ladder serve them, as a sweep costs mostly per call, not per node.
 Refinement is level-synchronous: each pass bisects its panels together.
 
@@ -208,17 +208,17 @@ def _choose_kmax(bound, rho, zeta, powers, tol_tail):
     inverse is accurate to about 1e-13 relative; K is raised by 1e-9
     relative, which lowers every tail by more than that (K zeta >= 60),
     and the tails are checked once."""
-    rho, zeta, tol = np.broadcast_arrays(*map(np.asarray, (rho, zeta, tol_tail)))
+    zeta, tol = np.asarray(zeta, dtype=float), np.asarray(tol_tail)[..., None]
     kmax = np.maximum(max(60.0, max(powers) + 10.0) / zeta,
                       200.0 / np.maximum(rho, zeta))
     if bound == 0.0:
         return kmax[()]
-    a, z, tol = np.asarray(powers) + 1.0, zeta[..., None], tol[..., None]
+    a, z = np.asarray(powers) + 1.0, zeta[..., None]
     target = tol * z ** a / (bound * special.gamma(a))
     x = special.gammainccinv(a, np.minimum(target, 1.0))
-    kmax = np.maximum(kmax, (1.0 + 1e-9) * np.max(x, axis=-1) / zeta)
+    kmax = np.maximum(kmax, (1.0 + 1e-9) * x.max(axis=-1) / zeta)
     tails = bound * _gamma_tail(a - 1.0, kmax[..., None], z)
-    if not (np.all(np.isfinite(kmax)) and np.all(tails <= tol)):
+    if not (np.isfinite(kmax).all() and (tails <= tol).all()):
         raise ToleranceNotMet("tail bound did not close", achieved=float(tails.max()))
     return kmax[()]
 
