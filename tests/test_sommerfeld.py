@@ -338,14 +338,14 @@ def test_radial_table_work_counts_and_repeat():
 def test_reaction_m2l_table_takes_one_sweep(ratio):
     """Every p = 8 reaction M2L table of the bench medium STACK at zeta =
     0.5 and rho/zeta from 0.6 to 30 makes one density sweep: its first
-    panel [0, W] with W = 8 / D_max = 8 meets its estimate unbisected, and
-    its 9 to 39 rules fit one block of _BLOCK = 64."""
+    panel [0, w], w at most W = 8 / D_max = 8, meets its estimate without
+    a bisection (which would take another sweep), and its 9 to 39 rules
+    fit one block of _BLOCK = 64."""
     stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
     v = np.array([0.5 * ratio, 0.0, 0.5])
     for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
         _, _, stats = _reaction_table(stack, (a, b, 2, 1), v, 16, 1e-11)
-        assert stats["evals"] == 1 and stats["bisections"] < stats["panels"]
-        assert 0.0 < stats["tol_use"] < 1.0
+        assert stats["evals"] == 1 and 0.0 < stats["tol_use"] < 1.0
 
 
 def test_width_cap_follows_the_thickest_layer(two_layer, three_layer, monkeypatch):
