@@ -23,6 +23,7 @@ evaluation as a corruption tripwire.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -277,12 +278,66 @@ class ReactionDensity:
     def bound(self):
         return density_bound(self.medium, self.ell, self.ellprime, self.a, self.b)
 
+    @property
+    def limit(self):
+        """(sigma_inf, delta, M_g) of the sommerfeld module docstring's
+        split, from the pass that estimates the bound."""
+        return _density_bounds(self.medium, self.ell, self.ellprime, self.a, self.b,
+                               DENSITY_BOUND_KMAX)[1:]
+
 
 DENSITY_BOUND_KMAX = 1.0e3
 DENSITY_BOUND_SAFETY = 1.05
 
 
+def _sampled_sup(f, rays, values):
+    """1.05 times the largest of values (f on rays), refined four times on
+    65 points around the largest sample on its ray."""
+    best_val, best_ray, best_idx = 0.0, None, None
+    for ray, vals in zip(rays, values):
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_ray, best_idx = float(vals[i]), ray, i
+    if best_val == 0.0:
+        return 0.0
+    lo = best_ray[max(best_idx - 1, 0)]
+    hi = best_ray[min(best_idx + 1, len(best_ray) - 1)]
+    for _ in range(4):
+        fine = np.linspace(lo, hi, 65)
+        vals = f(fine)
+        i = int(np.argmax(vals))
+        best_val = max(best_val, float(vals[i]))
+        lo = fine[max(i - 1, 0)]
+        hi = fine[min(i + 1, len(fine) - 1)]
+    return DENSITY_BOUND_SAFETY * best_val
+
+
 @lru_cache(maxsize=512)
+def _density_bounds(medium, ell, ellprime, a, b, k_max=DENSITY_BOUND_KMAX):
+    """(M_sigma, sigma_inf, delta, M_g) of one component in one pass:
+    sigma_inf is the recursion at k = inf (every e_l = 0), delta = D_min
+    (inf with no finite layer, where sigma is constant and M_g = 0), and
+    M_g samples |sigma - sigma_inf| e^{delta k} as M_sigma samples |sigma|,
+    but on the real ray only up to 30/delta, past which sigma - sigma_inf
+    is rounding noise."""
+    density = ReactionDensity(medium, a, b, ell, ellprime)
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, k_max, 800)])
+    rays = [grid + 0j, 1j * grid, -1j * grid]
+    sigma = [density(ray) for ray in rays]
+    bound = _sampled_sup(lambda k: np.abs(density(k)), rays, [np.abs(x) for x in sigma])
+    limit = float(density(np.array([np.inf]))[0])
+    delta = min((t for t in _geometry(medium).thick if t > 0.0), default=math.inf)
+    if delta == math.inf:
+        return bound, limit, delta, 0.0
+
+    def remainder(k):
+        return np.abs(density(k) - limit) * np.exp(delta * k.real)
+
+    rays[0] = np.concatenate([[0.0], np.geomspace(1e-6, 30.0 / delta, 800)])
+    values = [remainder(rays[0])] + [np.abs(x - limit) for x in sigma[1:]]
+    return bound, limit, delta, _sampled_sup(remainder, rays, values)
+
+
 def density_bound(medium, ell, ellprime, a, b, k_max=DENSITY_BOUND_KMAX):
     """Estimated sup of |sigma^{ab}| over the closed right half plane.
 
@@ -292,29 +347,4 @@ def density_bound(medium, ell, ellprime, a, b, k_max=DENSITY_BOUND_KMAX):
     maximum, and multiply by a 1.05 safety factor.  The error theorems
     only need *some* valid bound; the slack absorbs grid error.
     """
-    density = ReactionDensity(medium, a, b, ell, ellprime)
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, k_max, 800)])
-    rays = [grid + 0j, 1j * grid, -1j * grid]
-
-    best_val, best_ray, best_idx = 0.0, None, None
-    for ray in rays:
-        vals = np.abs(density(ray))
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_ray, best_idx = float(vals[i]), ray, i
-
-    if best_val == 0.0:
-        return 0.0
-
-    # local refinement around the coarse maximum on its ray
-    lo = best_ray[max(best_idx - 1, 0)]
-    hi = best_ray[min(best_idx + 1, len(best_ray) - 1)]
-    for _ in range(4):
-        fine = np.linspace(lo, hi, 65)
-        vals = np.abs(density(fine))
-        i = int(np.argmax(vals))
-        best_val = max(best_val, float(vals[i]))
-        lo = fine[max(i - 1, 0)]
-        hi = fine[min(i + 1, len(fine) - 1)]
-
-    return DENSITY_BOUND_SAFETY * best_val
+    return _density_bounds(medium, ell, ellprime, a, b, k_max)[0]

@@ -13,91 +13,102 @@ closed-form prefactor times a 1-D radial integral
 
 with zeta > 0, so the integrand decays exponentially and there are no
 poles or principal values (Laplace case).  This module holds the engine,
-the reaction Green's function oracle built directly on it, and the
-hyperbolic-contour identity check used to validate the branch conventions
-of the complex square root; the expansions module assembles every
-operator prefactor.
+the reaction Green's function oracle built on it, and the hyperbolic-
+contour identity check of the complex square root's branch conventions;
+the expansions module assembles every operator prefactor.
 
 The engine, ``radial_table``, evaluates a family of integrals sharing
-(rho, zeta, sigma) - all coefficients of an expansion, or a whole M2L
-operator - on shared nodes.  sigma depends only on k and the medium, so
-its batched core ``_radial_tables`` serves many (rho, zeta) pairs of one
-component (the oracle's (target, charge) pairs, a basis table's targets,
-a local expansion's charges) with one density sweep per block of rules
-and entrywise error control for every pair; radial_table is its one-pair
-view.  Pairs share a grid in groups: a group's K / w, which tracks the
-panels its certificates need, is at most twice each member's own, and a
-group holds at most 4096 table entries, so neither the work per pair nor
-the memory grows without bound with a batch of unlike pairs.  The upper limit K is
-solved for from the analytic tail bound
-M_sigma * Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by gammainccinv,
+(rho, zeta, sigma) - an expansion's coefficients, or an M2L operator - on
+shared nodes; its batched core ``_radial_tables`` serves many (rho, zeta)
+pairs of one component (the oracle's point pairs, a basis table's
+targets, a local expansion's charges) with one density sweep per block of
+rules and entrywise error control.  Pairs share a grid in groups: a
+group's K / w, which tracks the panels its certificates need, is at most
+twice each member's own, and a group holds at most 4096 table entries.
+
+The split.  sigma depends on k only through the e_l = exp(-k D_l), so it
+tends to sigma_inf (the recursion at every e_l = 0) and sigma - sigma_inf
+= O(e^{-delta k}), delta = D_min the thinnest finite layer.  A density
+exposing limit = (sigma_inf, delta, M_g), as ReactionDensity does, gives
+
+    I = sigma_inf I_inf + int_0^inf J_m(k rho) e^{-k zeta} (sigma - sigma_inf) k^n dk,
+
+I_inf the integral at sigma = 1.  g = (sigma - sigma_inf) e^{delta k} is
+analytic on Re k > 0, bounded on both edges of each quadrant (the real
+ray, and the imaginary axis, where |e^{delta k}| = 1) and of exponential
+type, so by Phragmen-Lindelof its sup on the edges bounds it inside; M_g
+estimates that sup by sampling, as M_sigma estimates sigma's.  The
+remainder's integrand is e^{-k (zeta + delta)} g k^n J_m, so the K solve,
+the grid and the certificates below take (M, zeta) = (M_g, zeta + delta);
+every node is checked for |sigma - sigma_inf| <= M_g e^{-delta k} plus
+rounding (InvariantViolated).  Over one interface sigma is constant and a
+table is its closed form, with no panel.  Densities without limit
+(ConstantDensity) are integrated whole, with M = M_sigma.
+
+I_inf in closed form, r = hypot(rho, zeta), c = zeta/r, s = rho/r: for
+m <= n it is (n-m)! P_n^m(c) / r^{n+1} (Ferrers, no Condon-Shortley
+phase), run as D_n^m = (n-m)! P_n^m / ((2n-1)!! s^m) down in m from
+D_n^n = 1 by D^{m-1} = (2m c D^m - (n-m) s^2 D^{m+1}) / (n+m), exact at
+c = 1, with s^m and r^{n+1} applied once at the end; for m > n it is run
+up in n by I(n+1, m) = ((2n+1) zeta I(n, m) + (m^2 - n^2) I(n-1, m)) / r^2
+from I(0, m) = t^m / r and I(1, m) = I(0, m)(m + c)/r, t = rho/(r + zeta),
+a sum of positive terms.  Both stay within (n + 2) eps n!/zeta^{n+1} of
+the integral for n, m <= 120 (tested against 400 digits), which the
+returned error carries times |sigma_inf|; a 1 x 1 table is 1/r.
+
+K solves M Gamma(n+1, K zeta) / zeta^{n+1} <= tol/10 (by gammainccinv,
 never below a baseline), tol the least finite tolerance of the pair; nine
-tenths of each tolerance go to the panels.
-
-The panels are composite 32-point Gauss-Legendre rules whose errors are
-proven, not estimated.  sigma is analytic and bounded by M_sigma on
-Re k >= 0, so the integrand k^n e^{-k zeta} sigma(k) J_m(k rho) is
-analytic there.  On the Bernstein ellipse E_r of a panel [c - h, c + h],
-with half-axes h a and h b (a, b = (r +- 1/r)/2), that stays in Re k >= 0
-it is bounded by M_E = M_sigma (c + h a)^n e^{-zeta (c - h a)}
-e^{rho h b} (|J_m(z)| <= e^{|Im z|}).  The rule, exact to degree 63,
-then errs by at most h (64/15) M_E r^{-62} / (r^2 - 1) (Trefethen, ATAP
-Thm 19.3 with n + 1 = 32 nodes; _ellipse_log_bound), minimised over a
-fixed grid of r (orders m do not enter) and capped by the panel's mass
-bound 2 M_sigma (2h) max k^n e^{-k zeta}, which bounds |integral| +
-|rule| outright (|J_m| <= 1 on the real axis, weights summing to 2h).  A
-certified panel takes one rule; certified panels are bisected worst-first
-on their bounds alone, before any integrand value is computed, until the
-bounds fit the tolerance or the panel budget is spent (ToleranceNotMet).
-Only the first panel [0, w] admits no ellipse in Re k >= 0: it keeps the
-sum of its two half-panel rules, with their disagreement with the
-whole-panel rule as its error, and is bisected on that estimate.  The
-bounds rest on M_sigma, which is density_bound's sampled estimate, so
-every density value the engine computes is checked against it
+tenths of each tolerance go to the panels: composite 32-point Gauss-
+Legendre rules whose errors are proven, not estimated.  The integrand is
+analytic on Re k >= 0, so on the Bernstein ellipse E_r of a panel
+[c - h, c + h], half-axes h a and h b (a, b = (r +- 1/r)/2), in Re k >= 0
+it is bounded by M_E = M (c + h a)^n e^{-zeta (c - h a)} e^{rho h b}
+(|J_m(z)| <= e^{|Im z|}).  The rule, exact to degree 63, errs by at most
+h (64/15) M_E r^{-62} / (r^2 - 1) (Trefethen, ATAP Thm 19.3 with 32
+nodes; _ellipse_log_bound), least over a fixed grid of r and capped by
+the panel's mass bound 2 M (2h) max k^n e^{-k zeta} (|J_m| <= 1 on the
+real axis, weights summing to 2h).  A certified panel takes one rule;
+certified panels are bisected worst-first on their bounds alone, before
+any integrand value is computed, until the bounds fit or the panel budget
+is spent (ToleranceNotMet).  Only [0, w] admits no ellipse in Re k >= 0:
+it keeps the sum of its half-panel rules, their disagreement with the
+whole-panel rule as its error, and is bisected on that estimate.  M is
+an estimate, so every density value is checked against M_sigma
 (InvariantViolated); the bound covers the rule in exact arithmetic, and
-rounding of the sums (about 1e-16 of the integrand's mass) sits far
-below every tolerance (at least MIN_TOL).
+rounding of the sums (about 1e-16 of the integrand's mass) sits far below
+every tolerance (at least MIN_TOL).
 
-The initial grid is dyadic: its edges are 0, w, 2w, 4w, ... up to the
-first power-of-two multiple of w at or past K.  w is min(K/16, the power
-of two nearest 16 pi / rho, W), so the first panel carries about 6 to 11
-periods of e^{i k rho}; at rho = 500 and zeta = 0.05 a panel of width
-w = 1/8 (10 periods) around k = 20 is certified to about 8e-15 M_sigma.
-W = 8 / D_max (D_max the medium's thickest finite layer; no cap without
-one, as sigma is then constant) keeps [0, w] within the scale on which
-sigma varies, so its whole-versus-halves estimate seldom needs bisection.
-The grid only seeds the certificates, which set the panel count: each
-panel past [0, w] is bisected on its bound until the bounds fit, so the
-panels stay wide where the integrand's mass is small (mostly their mass
-bounds decide there, as h rho is large) and are split only where it is
-not.  The grid may end past K; the tail past its last edge is no larger
-than the tail past K, which _choose_kmax bounds.  Bisection keeps every
-edge on the dyadic lattice of w, and power-of-two widths put tables with
-different rho on one lattice, which is what lets the pairs of a batch
-share grids: a group's grid takes the smallest w and the largest K of its
-members.  Rules are evaluated _BLOCK (64) per call, one call for a p = 8
-reaction M2L table below rho/zeta of about 60: one density sweep and one
-Bessel ladder serve them, as a sweep costs mostly per call, not per node.
-Refinement is level-synchronous: each pass bisects its panels together.
+The initial grid is dyadic: edges 0, w, 2w, 4w, ... up to the first
+power-of-two multiple of w at or past K, w = min(K/16, the power of two
+nearest 16 pi / rho, W), so [0, w] carries about 6 to 11 periods of
+e^{i k rho}.  W = 8 / D_max (D_max the medium's thickest finite layer;
+no cap without one) keeps [0, w] within the scale on which sigma varies,
+so its estimate seldom needs bisection.  The certificates set the panel
+count: panels stay wide where the mass is small (their mass bounds decide
+there) and are split only where it is not.  The tail past the grid's end
+is no larger than past K.  Bisection keeps every edge on the dyadic
+lattice of w, and power-of-two widths put tables with different rho on
+one lattice, so a group's grid takes its members' smallest w and largest
+K.  Rules are evaluated _BLOCK (64) per call, one call for a p = 8
+reaction M2L table below rho/zeta of about 60, as a sweep costs mostly
+per call, not per node.  Refinement is level-synchronous.
 
 The Bessel ladder (_bessel_orders) takes J_0 and J_1 from j0/j1 and the
-higher orders from the three-term recurrence in its stable direction:
-upward where k rho >= max order, downward from two jv seeds below.  Its
-absolute error of about 2e-14 moves I(n, m) by at most
-2e-14 M_sigma Gamma(n+1)/zeta^{n+1}; every table tolerance of the
-expansion builders is relative to that same bound (rel_tol 1e-11 to
-1e-12), so the Bessel error sits 100 to 1000 times below it.  sigma is
-real on the real axis, where every node lies, so the contraction is real:
-one batched real matrix product per block contracts the Bessel values
-against k^n e^{-k zeta} sigma(k) times the weights, one column per power,
-the powers by a running product over n.  The tables are complex with
-imaginary part 0; a density value with a nonzero imaginary part raises
-DomainError (complex sigma, as in the Helmholtz case, is not supported).
+higher orders from the three-term recurrence in its stable direction.
+Its absolute error of about 2e-14 moves I(n, m) by at most 2e-14 M
+Gamma(n+1)/zeta^{n+1}, 100 to 1000 times below every tolerance of the
+expansion builders (rel_tol 1e-11 to 1e-12 of that same bound).  sigma is
+real on the real axis, so one batched real matrix product per block
+contracts the Bessel values against k^n e^{-k zeta} sigma(k) times the
+weights, one column per power (a running product over n).  The tables are
+complex with imaginary part 0; a density value with a nonzero imaginary
+part raises DomainError (complex sigma, as for Helmholtz, is unsupported).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -109,10 +120,8 @@ from .medium import component_exists, tau_map
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 MIN_TOL = 1e-13
-#: Panels a table may reach before it raises ToleranceNotMet.  A certified
-#: panel costs one rule, so a table at the budget runs about 8192 rules,
-#: fewer than the 4096 panels of three rules each that whole-versus-halves
-#: estimates cost.
+#: Panels a table may reach before it raises ToleranceNotMet: about 8192
+#: rules at one a certified panel, fewer than 4096 estimated panels cost.
 MAX_PANELS = 8192
 
 
@@ -126,29 +135,20 @@ def bessel_j(m, x):
 
 
 def _bessel_orders(orders, x):
-    """J_m(x) for each m in orders, stacked along a new first axis.
-
-    orders are nonnegative ints and x >= 0 an array of any shape.  J_0 and
-    J_1 come from special.j0 and special.j1.  Higher orders come from a
-    three-term recurrence run in its stable direction:
-
-    - x >= top = max(orders): upward, J_{m+1} = (2m/x) J_m - J_{m-1},
-      where every step has m < x;
-    - 0 < x < top: downward from special.jv seeds J_top and J_{top-1},
-      J_{m-1} = 2m J_m / x - J_{m+1}, where J is the minimal solution
-      above x.  The product 2m J_m is formed before the division, so an
-      underflowed seed gives zeros, never NaN.  special.jv returns 0 below
-      about 1e-280, not always first in the higher order.  A J_top of 0
-      would put every lower order off by about x^2/(4 top^2) relative
-      (2.9e-8 at top 120, x = 0.34), so a node where either seed is 0
-      takes special.jv for every order;
-    - x = 0: J_m = 0 for m >= 2, as j0/j1 give J_0 = 1, J_1 = 0.
-
-    The values stay within about 2e-14 absolute of special.jv for orders
-    up to 120 and x from 1e-300 to 200, and up to 58 on to x = 1e5 (the
-    tests require 5e-14); the module docstring bounds its effect on
-    I(n, m).
-    """
+    """J_m(x) for each m in orders (nonnegative ints), stacked along a new
+    first axis, x >= 0 of any shape.  J_0, J_1 come from special.j0/j1,
+    higher orders from the three-term recurrence in its stable direction:
+    upward, J_{m+1} = (2m/x) J_m - J_{m-1}, where x >= top = max(orders);
+    downward from special.jv seeds J_top, J_{top-1} by J_{m-1} = 2m J_m / x
+    - J_{m+1} below (J is the minimal solution above x; 2m J_m is formed
+    before the division, so an underflowed seed gives zeros, never NaN).
+    special.jv returns 0 below about 1e-280, not always first in the higher
+    order, and a J_top of 0 would put every lower order off by about
+    x^2/(4 top^2) relative (2.9e-8 at top 120, x = 0.34), so a node where
+    either seed is 0 takes special.jv for every order.  At x = 0, J_m = 0
+    for m >= 2.  The values stay within about 2e-14 absolute of special.jv
+    for orders up to 120 and x from 1e-300 to 200, and up to 58 on to
+    x = 1e5 (the tests require 5e-14)."""
     top = int(np.max(orders))
     flat = x.ravel()
     ladder = np.empty((top + 1, flat.size))
@@ -190,6 +190,11 @@ class ConstantDensity:
         return abs(self.value)
 
 
+#: Gamma(n+1) for n = 0 ... 171 (inf from n = 171 on), the special.gamma
+#: values _choose_kmax takes, looked up rather than recomputed
+_GAMMA = special.gamma(np.arange(1.0, 173.0))
+
+
 def _gamma_tail(nexp, x0, scale):
     """int_{x0}^inf u^nexp e^{-u scale} du."""
     a = nexp + 1.0
@@ -200,13 +205,10 @@ def _choose_kmax(bound, rho, zeta, powers, tol_tail):
     """Upper limits K for a batch of pairs (rho, zeta, tol_tail: arrays of
     one shape, or scalars for one pair), each with bound * Gamma(n+1, K
     zeta) / zeta^{n+1} <= tol_tail for every n in powers and never below
-    max(60/zeta, 200/max(rho, zeta), (max n + 10)/zeta), which keeps K
-    from shrinking where the tails are small anyway.  Gamma(n+1, x) =
-    Gamma(n+1) Q(n+1, x), so x = Q^{-1}(n+1, tol_tail zeta^{n+1} / (bound
-    Gamma(n+1))) by one elementwise gammainccinv call for the batch (each K
-    is bitwise its one-pair solve), and K is the largest x / zeta.  The
-    inverse is accurate to about 1e-13 relative; K is raised by 1e-9
-    relative, which lowers every tail by more than that (K zeta >= 60),
+    max(60/zeta, 200/max(rho, zeta), (max n + 10)/zeta).  As Gamma(n+1, x)
+    = Gamma(n+1) Q(n+1, x), one elementwise gammainccinv call solves the
+    batch (each K bitwise its one-pair solve); K is raised by 1e-9
+    relative, more than the inverse's error of about 1e-13 (K zeta >= 60),
     and the tails are checked once."""
     zeta, tol = np.asarray(zeta, dtype=float), np.asarray(tol_tail)[..., None]
     kmax = np.maximum(max(60.0, max(powers) + 10.0) / zeta,
@@ -214,18 +216,19 @@ def _choose_kmax(bound, rho, zeta, powers, tol_tail):
     if bound == 0.0:
         return kmax[()]
     a, z = np.asarray(powers) + 1.0, zeta[..., None]
-    target = tol * z ** a / (bound * special.gamma(a))
-    x = special.gammainccinv(a, np.minimum(target, 1.0))
+    gamma, za = _GAMMA[np.minimum(powers, 171)], z ** a
+    x = special.gammainccinv(a, np.minimum(tol * za / (bound * gamma), 1.0))
     kmax = np.maximum(kmax, (1.0 + 1e-9) * x.max(axis=-1) / zeta)
-    tails = bound * _gamma_tail(a - 1.0, kmax[..., None], z)
+    # bound * _gamma_tail(n, K, zeta), with the Gamma(n+1) and zeta^{n+1}
+    # above
+    tails = bound * (special.gammaincc(a, kmax[..., None] * z) * gamma / za)
     if not (np.isfinite(kmax).all() and (tails <= tol).all()):
         raise ToleranceNotMet("tail bound did not close", achieved=float(tails.max()))
     return kmax[()]
 
 
-#: Gauss-Legendre rules per evaluate call.  They share one density sweep;
-#: the sweep's intermediates grow with the call, so larger calls buy fewer
-#: sweeps at the cost of peak memory.
+#: Gauss-Legendre rules per evaluate call, which share one density sweep:
+#: larger calls buy fewer sweeps at the cost of peak memory.
 _BLOCK = 64
 
 
@@ -293,31 +296,22 @@ def _certified(certify, lo, hi):
 def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=None):
     """Composite adaptive quadrature over initial panel edges.
 
-    evaluate(lo, hi) takes arrays of rule ends and returns Gauss-Legendre
-    estimates of the integral of a (vector-valued) integrand over each
-    [lo[i], hi[i]], stacked along the first axis; _BLOCK rules go to one
-    call.
-
-    certify(lo, hi), if given, returns an a-priori bound on the rule error
-    of each panel, inf where it has none; it must bound every subpanel of
-    a panel it bounds.  Its shape broadcasts to the estimates': an axis
-    the bound does not vary along may have length 1, and the bounds keep
-    that size until their panels are evaluated.  A panel with a finite
-    bound is certified: it takes one rule and the bound as its error.
-    Every other panel is estimated: the sum of its two half-panel rules is
-    kept, and their disagreement with the whole-panel rule is its error.
-    Certified panels are bisected on their bounds alone before any rule
-    runs, until they fit tol_abs or the panel budget is spent; then every
-    panel is evaluated, whole and halves for the estimated ones.
-
-    Refinement is level-synchronous.  Each pass bisects, together, the
-    panels _worst picks.  For a scalar integral no fewer panels can do, so
-    a pass never splits more panels than a worst-first, one-at-a-time
-    bisection would before it could stop.  The children of an estimated
-    panel take its halves as their whole rules, so a certified child needs
-    no new rule and an estimated one two; a child of a certified panel
-    takes one.  Passes repeat until the accumulated error is below tol_abs
-    everywhere, or the panel budget is spent (ToleranceNotMet).
+    evaluate(lo, hi) returns Gauss-Legendre estimates of a (vector-valued)
+    integral over each [lo[i], hi[i]], stacked along the first axis,
+    _BLOCK rules a call.  certify(lo, hi), if given, returns an a-priori
+    bound on each panel's rule error, inf where it has none, which must
+    bound every subpanel too; an axis it does not vary along may have
+    length 1 until the panels are evaluated.  A panel with a finite bound
+    is certified: one rule, the bound as its error.  Every other panel is
+    estimated: it keeps the sum of its half-panel rules, their disagreement
+    with the whole-panel rule as its error.  Certified panels are bisected
+    on their bounds alone before any rule runs; then every panel is
+    evaluated.  Refinement is level-synchronous: each pass bisects the
+    panels _worst picks, never more than a worst-first, one-at-a-time
+    bisection would before it could stop (for a scalar integral).  An
+    estimated panel's halves are its children's whole rules.  Passes repeat
+    until the error is below tol_abs everywhere, or the panel budget is
+    spent (ToleranceNotMet).
 
     Returns (value, error, stats); stats counts the final panels, the
     32-node rules (gl_calls), their nodes, the evaluate calls (evals), the
@@ -416,8 +410,7 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
 
 
 #: Doubles a pair chunk's per-node arrays may hold in one evaluate call
-#: (512 KiB); larger groups are swept in chunks of pairs, so a block's peak
-#: memory does not grow with the group.
+#: (512 KiB), so a block's peak memory does not grow with the group.
 _CHUNK_DOUBLES = 1 << 16
 
 #: Pairs share a grid only while its largest K over its smallest width
@@ -436,9 +429,10 @@ def _own_grid(bound, rho, zeta, powers, tol_tail, cap=math.inf):
     """(K, initial panel width) radial_table chooses for each pair, as
     _choose_kmax takes them; cap is the module docstring's W."""
     kmax = _choose_kmax(bound, rho, zeta, powers, tol_tail)
-    with np.errstate(divide="ignore"):
-        near = 2.0 ** np.round(np.log2(16.0 * math.pi / np.asarray(rho, dtype=float)))
-    return kmax, np.minimum(kmax / 16.0, np.minimum(near, cap))
+    rho = np.asarray(rho, dtype=float)
+    near = np.divide(16.0 * math.pi, rho, out=np.full(rho.shape, math.inf),
+                     where=rho > 0.0)
+    return kmax, np.minimum(kmax / 16.0, np.minimum(2.0 ** np.round(np.log2(near)), cap))
 
 
 def _group_pairs(kmax, width, entries):
@@ -462,23 +456,73 @@ def _group_pairs(kmax, width, entries):
     return groups
 
 
-#: Bernstein-ellipse parameters r tried for each panel's certificate,
-#: each clipped to the largest the panel admits.  Any admissible r gives a
-#: valid bound, so the least over a fixed log grid serves; near the best r
-#: the log bound is flat to second order, so the grid's step of 16% in r
-#: costs it about a factor 1.2 at most where rho dominates.
+@lru_cache(maxsize=16)
+def _image_plan(powers, orders):
+    """The k-free parts of _image_table for tuples of powers and orders:
+    top, the factors of the two runs by step i (m = n - i going down, 0
+    once m < 1), (2n-1)!! and -(n+1) by lane, where each entry sits in the
+    runs, the order its m <= n entries scale by, and (n+2) eps n! by power."""
+    p, o = np.array(powers)[:, None], np.array(orders)
+    top = int(max(p.max(), o.max()))
+    i, n = np.arange(top)[:, None], np.arange(top + 1.0)
+    m = n - i
+    live, low = m >= 1, o <= p
+    plan = (top, np.where(live, 2.0 * m, 0.0) / np.where(live, n + m, 1.0),
+            np.where(live, -i, 0.0) / np.where(live, n + m, 1.0),
+            2.0 * i + 1.0, n * n - i * i,
+            np.array([float(math.prod(range(1, 2 * k, 2))) for k in range(top + 1)]),
+            -(n + 1.0),
+            (np.where(low, p - o, p) + 1, np.where(low, 0, 1), slice(None),
+             np.where(low, p, o)),
+            np.where(low, o, 0),
+            (p[:, 0] + 2.0) * np.finfo(float).eps * _GAMMA[np.minimum(p[:, 0], 171)],
+            -(p[:, 0] + 1.0))
+    for x in plan[1:7] + plan[7][:2] + plan[7][3:] + plan[8:]:
+        x.flags.writeable = False
+    return plan
+
+
+def _image_table(rhos, zetas, powers, orders):
+    """(I_inf by pair, power and order; its rounding bound by pair and
+    power), the module docstring's closed form: both runs are three-term
+    recurrences of top steps, one lane per n or m, in one loop."""
+    (top, down, drop, odd, gap, dfact, lift, where, order, rounding,
+     lower) = _image_plan(tuple(powers.tolist()), tuple(orders.tolist()))
+    r, rounding = np.hypot(rhos, zetas), rounding * zetas[:, None] ** lower
+    if top == 0:
+        return (1.0 / r)[:, None, None] * np.ones(order.shape), rounding
+    c, s, inv = zetas / r, rhos / r, 1.0 / r
+    # run[i + 1] = (D_n^{n-i} by n, I(i, m) by m), each by [pair, lane]
+    run = np.empty((top + 2, 2, len(r), top + 1))
+    run[0], run[1, 0] = 0.0, 1.0
+    run[1, 1] = (rhos * inv / (1.0 + c))[:, None] ** -(lift + 1.0) * inv[:, None]
+    step_a, step_b = np.empty((2, top, 2, len(r), top + 1))
+    np.multiply(down[:, None], c[:, None], out=step_a[:, 0])
+    np.multiply(drop[:, None], (s * s)[:, None], out=step_b[:, 0])
+    np.multiply(odd[:, None], (c * inv)[:, None], out=step_a[:, 1])
+    np.multiply(gap[:, None], (inv * inv)[:, None], out=step_b[:, 1])
+    step_a[0, 1] = (-1.0 - lift + c[:, None]) * inv[:, None]
+    for i in range(top):
+        nxt = run[i + 2]
+        np.multiply(step_a[i], run[i + 1], out=nxt)
+        nxt += step_b[i] * run[i]
+    # (2n-1)!! / r^{n+1} on the lanes of D
+    run[1:, 0] *= dfact * r[:, None] ** lift
+    return run[where].transpose(2, 0, 1) * s[:, None, None] ** order, rounding
+
+
+#: Bernstein-ellipse parameters r tried for each panel's certificate, each
+#: clipped to the largest the panel admits; near the best r the log bound is
+#: flat to second order, so the 16% steps cost at most a factor 1.2.
 _ELLIPSE_R = np.geomspace(1.02, 1000.0, 48)
 
 
 def _ellipse_log_bound(h, r):
-    """log of h (64/15) r^{-(2N-2)} / (r^2 - 1) for the N = 32-point rule:
-    on a panel of half-width h the rule errs by at most M times this for an
-    integrand analytic inside the panel's Bernstein ellipse E_r and bounded
-    by M there.  The rule is exact to degree 2N - 1, so its error is at
-    most the sum over even k >= 2N of |a_k| |E(T_k)| <= 2 M r^{-k} (32/15),
-    which is (64/15) M r^{-2N} / (1 - r^{-2}) (Trefethen, Approximation
-    Theory and Approximation Practice, Thm 19.3, there with n + 1 = N
-    nodes and r^{-2n})."""
+    """log of h (64/15) r^{-(2N-2)} / (r^2 - 1), which times M bounds the
+    N = 32-point rule's error on a panel of half-width h for an integrand
+    bounded by M in its Bernstein ellipse E_r: exact to degree 2N - 1, it
+    errs by at most sum_{even k >= 2N} 2 M r^{-k} (32/15) (Trefethen, ATAP
+    Thm 19.3, there with n + 1 = N nodes and r^{-2n})."""
     power = 2 * len(_GL_NODES) - 2
     return np.log(h * (64.0 / 15.0) / (r * r - 1.0)) - power * np.log(r)
 
@@ -513,17 +557,20 @@ def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
     return out
 
 
-def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
+def _grid_tables(density, split, rhos, zetas, kmax, width, powers, orders, tol_abs,
                  max_panels):
-    """The tables of a group of pairs on one grid: the dyadic grid of the
-    module docstring, from the smallest of their own widths w to past the
-    largest of their own K, with its certificates.  Each evaluate block
-    sweeps the density once for all pairs, and checks every density value
-    against the bound the certificates rest on (InvariantViolated) and for
-    a zero imaginary part (DomainError)."""
+    """The tables of a group of pairs on the module docstring's dyadic grid,
+    from their smallest own w to past their largest own K, of sigma or,
+    with split = (sigma_inf, delta, M_g), of sigma - sigma_inf.  Each
+    evaluate block sweeps the density once for all pairs and checks every
+    value against the bounds the certificates rest on (InvariantViolated)
+    and for a zero imaginary part (DomainError)."""
     shape = (len(rhos), len(powers), len(orders))
     top = int(np.max(powers))
     bound = density.bound
+    limit, delta, rem_bound = split or (0.0, 0.0, bound)
+    # rounding of sigma - sigma_inf where the remainder vanishes
+    noise = 4.0 * np.finfo(float).eps * (abs(limit) + bound)
 
     def evaluate(lo, hi):
         half = 0.5 * (hi - lo)
@@ -536,7 +583,15 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
             )
         if np.any(np.imag(dens)):
             raise DomainError("sigma must be real on the real axis")
-        dens = np.real(dens) * (half[:, None] * _GL_WEIGHTS)
+        dens = np.real(dens)
+        if split is not None:
+            dens = dens - limit
+            if not np.all(np.abs(dens) <= rem_bound * np.exp(-delta * k) + noise):
+                raise InvariantViolated(
+                    f"|sigma - sigma_inf| above M_g e^(-delta k) with M_g = "
+                    f"{rem_bound:.6e}; the panel certificates do not hold"
+                )
+        dens = dens * (half[:, None] * _GL_WEIGHTS)
         out = np.empty((len(lo),) + shape, dtype=complex)
         per_pair = k.size * (top + len(powers) + 1 + len(orders))
         step = max(1, _CHUNK_DOUBLES // per_pair)
@@ -555,7 +610,7 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
 
     def certify(lo, hi):
         # orders do not enter the bound
-        return _panel_bounds(bound, rhos, zetas, powers, lo, hi)[..., None]
+        return _panel_bounds(rem_bound, rhos, zetas + delta, powers, lo, hi)[..., None]
 
     w = float(np.min(width))
     doublings = math.ceil(math.log2(float(np.max(kmax)) / w))
@@ -565,14 +620,11 @@ def _grid_tables(density, rhos, zetas, kmax, width, powers, orders, tol_abs,
 
 def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
                    max_panels=MAX_PANELS):
-    """radial_table for a batch of (rho, zeta) pairs.
-
-    rhos and zetas have shape (B,), tol_abs and the returned values and
-    error estimates (B, len(powers), len(orders)); one stats record sums
-    the batch.  Each pair's K and width are its own (_own_grid, one call
-    for the batch); each group of pairs (_group_pairs) shares one grid
-    (_grid_tables) and the panel budget max_panels.
-    """
+    """radial_table for (rho, zeta) pairs of shape (B,); tol_abs, values
+    and errors have shape (B, len(powers), len(orders)), and one stats
+    record sums the batch.  Each pair's K and width are its own (one
+    _own_grid call); each group of pairs (_group_pairs) shares one grid
+    (_grid_tables) and the panel budget max_panels."""
     rhos = np.asarray(rhos, dtype=float)
     zetas = np.asarray(zetas, dtype=float)
     powers = np.asarray(powers, dtype=int)
@@ -606,17 +658,24 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
     if bound == 0.0 or not len(rhos):
         return values, err, stats
 
-    thick = getattr(density, "thickest", 0.0)
-    tol_tail = 0.1 * np.min(np.where(finite, tol_abs, np.inf), axis=(1, 2))
-    kmax, width = _own_grid(bound, rhos, zetas, powers, tol_tail,
-                            8.0 / thick if thick > 0.0 else math.inf)
-    for group in _group_pairs(kmax, width, shape[1] * shape[2]):
-        values[group], err[group], own = _grid_tables(
-            density, rhos[group], zetas[group], kmax[group], width[group],
-            powers, orders, tol_abs[group], max_panels,
-        )
-        for key in counts:
-            stats[key] += own[key]
+    split = getattr(density, "limit", None)
+    limit, delta, rem_bound = split or (0.0, 0.0, bound)
+    if rem_bound > 0.0:
+        thick = getattr(density, "thickest", 0.0)
+        tol_tail = 0.1 * np.min(np.where(finite, tol_abs, np.inf), axis=(1, 2))
+        kmax, width = _own_grid(rem_bound, rhos, zetas + delta, powers, tol_tail,
+                                8.0 / thick if thick > 0.0 else math.inf)
+        for group in _group_pairs(kmax, width, shape[1] * shape[2]):
+            values[group], err[group], own = _grid_tables(
+                density, split, rhos[group], zetas[group], kmax[group],
+                width[group], powers, orders, tol_abs[group], max_panels,
+            )
+            for key in counts:
+                stats[key] += own[key]
+    if limit != 0.0:
+        image, rounding = _image_table(rhos, zetas, powers, orders)
+        values += limit * image
+        err += abs(limit) * rounding[..., None]
     stats["tol_use"] = float(np.max(err[finite] / tol_abs[finite]))
     return values, err, stats
 
@@ -625,18 +684,18 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     """All integrals I(n, m) for n in powers, m in orders on shared nodes.
 
     Requires zeta > 0, rho >= 0 and nonnegative powers and orders
-    (DomainError otherwise); the density must expose a uniform bound
-    M_sigma, and a density value above it raises InvariantViolated, one
-    with a nonzero imaginary part DomainError.
-    tol_abs is an entrywise absolute tolerance of shape
-    (len(powers), len(orders)); entries set to inf do not drive
-    refinement, and at least one must be finite (DomainError for another
-    shape, or for an entry that is not > 0 or inf).  Returns (values,
-    errors, stats); stats holds the counts of _adaptive_panels (panels,
-    gl_calls, nodes, evals, bisections, certified) and tol_use (the worst
-    ratio of the error to tol_abs over the finite entries of tol_abs).
-    This is the one-pair view of _radial_tables, which batches (rho, zeta)
-    pairs on shared grids.
+    (DomainError otherwise), and a density exposing a uniform bound
+    M_sigma (and, to have its limit split off, limit = (sigma_inf, delta,
+    M_g)); a density value above its bounds raises InvariantViolated, one
+    with a nonzero imaginary part DomainError.  tol_abs is an entrywise
+    absolute tolerance of shape (len(powers), len(orders)); inf entries do
+    not drive refinement, and at least one must be finite (DomainError for
+    another shape, or for an entry not > 0 or inf).  Returns (values,
+    errors, stats); stats counts the quadrature (_adaptive_panels: panels,
+    gl_calls, nodes, evals, bisections, certified) of sigma, or of the
+    remainder sigma - sigma_inf when split (all 0 where it vanishes), and
+    tol_use is the worst ratio of the error to the finite tol_abs.  This
+    is the one-pair view of _radial_tables.
     """
     values, err, stats = _radial_tables(
         density, [rho], [zeta], powers, orders,

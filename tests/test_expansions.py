@@ -798,15 +798,28 @@ try:
     radial_table(NotReal(), 1.0, 0.5, [0], [0], np.array([[1e-10]]))
 except DomainError:
     fired.append("complex_density")
+
+class UnderReportedRemainder:
+    bound = 2.0
+    limit = (1.0, 1.0, 0.5)
+
+    def __call__(self, k):
+        return 1.0 + np.exp(-np.asarray(k, dtype=float))
+
+try:
+    radial_table(UnderReportedRemainder(), 1.0, 0.5, [0], [0], np.array([[1e-10]]))
+except InvariantViolated:
+    fired.append("remainder_bound")
 print(" ".join(fired))
 """
 
 
 def test_invariant_checks_fire_under_optimize():
     """The key-inequality tripwire, the imaginary-residue checks, the
-    density-bound check under the panel certificates and the real-density
-    check of the real contraction are explicit raises, so python -O
-    (which strips asserts) keeps them."""
+    density-bound check under the panel certificates, the real-density
+    check of the real contraction and the remainder-bound check of the
+    split tables are explicit raises, so python -O (which strips asserts)
+    keeps them."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
@@ -816,5 +829,5 @@ def test_invariant_checks_fire_under_optimize():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
         "key_inequality", "eval_expansion", "eval_reaction_me", "density_bound",
-        "complex_density",
+        "complex_density", "remainder_bound",
     ]

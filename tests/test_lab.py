@@ -215,11 +215,13 @@ def test_cli_density_csv(tmp_path, two_layer):
     assert first[1] == pytest.approx((1 - 4) / (1 + 4), abs=1e-12)
 
 
-def test_cli_green_matches_library(tmp_path, two_layer):
+def test_cli_green_matches_library(tmp_path, three_layer):
+    """Above the slab sigma^11 has a limit and a remainder, so the counters
+    cover the remainder's panels."""
     from layerfmm import eval_reaction_green
 
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps(two_layer.to_dict()))
+    mpath.write_text(json.dumps(three_layer.to_dict()))
     runner = CliRunner()
     res = runner.invoke(main, [
         "green", "--medium", str(mpath), "--component", "11",
@@ -229,7 +231,7 @@ def test_cli_green_matches_library(tmp_path, two_layer):
     assert res.exit_code == 0, res.output
     value = float(res.output.split("=")[1].split()[0])
     lib = eval_reaction_green(
-        two_layer, 1, 1, 0, 0, np.array([0.3, 0.2, 1.0]),
+        three_layer, 1, 1, 0, 0, np.array([0.3, 0.2, 1.0]),
         np.array([0.0, 0.0, 0.5]), 1e-10,
     )
     assert value == pytest.approx(lib, rel=1e-9)
@@ -282,11 +284,12 @@ def test_cli_me_reaction(tmp_path, two_layer):
     assert row[5] < 1e-8
 
 
-def test_cli_me_stats(tmp_path, two_layer):
+def test_cli_me_stats(tmp_path, three_layer):
     """--stats prints the expansion's and the oracle's quadrature counters
-    to stderr and leaves the CSV on stdout as it was."""
+    to stderr and leaves the CSV on stdout as it was.  Above the slab the
+    counters cover the remainder sigma - sigma_inf."""
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps(two_layer.to_dict()))
+    mpath.write_text(json.dumps(three_layer.to_dict()))
     cpath = tmp_path / "charges.json"
     tpath = tmp_path / "targets.json"
     cpath.write_text(json.dumps(

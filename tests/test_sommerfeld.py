@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import mpmath
@@ -272,12 +274,13 @@ def test_adaptive_panels_budget_spent_during_refinement():
     assert err.value.achieved > 1.0
 
 
-def test_radial_table_block_size_invariance(three_layer, monkeypatch):
+def test_radial_table_block_size_invariance(monkeypatch):
     """A 17 x 17 table at rho/zeta = 50 does not depend on how many
     rules share an evaluate call: 66 panels, the first estimated by three
     rules and 65 certified by one each, take 2 calls of _BLOCK = 64 rules
-    or 68 calls of one."""
-    dens = ReactionDensity(three_layer, 1, 1, 1, 1)
+    or 68 calls of one.  The density is ConstantDensity, which exposes no
+    limit, so the whole table is quadrature."""
+    dens = ConstantDensity()
     n = np.arange(17)
     zeta = 0.5
     scale = dens.bound * np.array([math.gamma(k + 1) / zeta ** (k + 1) for k in n])
@@ -319,17 +322,18 @@ def test_radial_table_work_counts_and_repeat():
     """The 17 x 17 M2L table of the p = 8 reaction operators at
     rho/zeta = 20, zeta = 0.5: panels, rules and density sweeps are
     pinned (changes to the integrand kernel must not move them), and two
-    identical calls agree bit for bit.  The 7 panels of the dyadic grid
-    are bisected 25 times on their certificates alone; 31 of the 32
-    panels are certified and take one rule each, the first takes three;
-    all 34 rules take one density sweep."""
+    identical calls agree bit for bit.  sigma_inf = 0 and delta = 1 here,
+    so the remainder decays like e^{-1.5 k}: the 5 panels of its dyadic
+    grid (K = 61.8, w = K/16) are bisected twice on their certificates
+    alone; 6 of the 7 panels are certified and take one rule each, the
+    first takes three; all 9 rules take one density sweep."""
     stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
     v = np.array([10.0, 0.0, 0.5])
     table, _, stats = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
     again, _, _ = _reaction_table(stack, (1, 1, 2, 1), v, 16, 1e-11)
-    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (32, 34, 1)
-    assert stats["nodes"] == 1088 and stats["certified"] == 31
-    assert stats["bisections"] == 25
+    assert (stats["panels"], stats["gl_calls"], stats["evals"]) == (7, 9, 1)
+    assert stats["nodes"] == 288 and stats["certified"] == 6
+    assert stats["bisections"] == 2
     assert 0.0 < stats["tol_use"] < 1.0
     assert np.array_equal(table, again)
 
@@ -350,10 +354,10 @@ def test_reaction_m2l_table_takes_one_sweep(ratio):
 
 def test_width_cap_follows_the_thickest_layer(two_layer, three_layer, monkeypatch):
     """W = 8 / D_max caps the first panel of a density whose medium has a
-    finite layer (the slab: D = 1, so w = 8 at rho = 0.5, where K/16 =
-    25); the grid of ConstantDensity and of a one-interface medium, where
-    sigma is constant, keeps w = min(K/16, the power of two nearest
-    16 pi / rho)."""
+    finite layer (the slab: D = 1, so w = 8 at rho = 0.5, where the
+    remainder's K/16 = 8.3); the grid of ConstantDensity keeps w = min(K/16,
+    the power of two nearest 16 pi / rho), and a one-interface medium,
+    where sigma is constant, takes no grid: its table is the closed form."""
     grids = []
     own = sommerfeld._own_grid
 
@@ -365,17 +369,18 @@ def test_width_cap_follows_the_thickest_layer(two_layer, three_layer, monkeypatc
     assert ReactionDensity(two_layer, 1, 1, 0, 0).thickest == 0.0
     assert ReactionDensity(three_layer, 1, 1, 1, 1).thickest == 1.0
     cases = [(ConstantDensity(), math.inf),
-             (ReactionDensity(two_layer, 1, 1, 0, 0), math.inf),
+             (ReactionDensity(two_layer, 1, 1, 0, 0), None),
              (ReactionDensity(three_layer, 1, 1, 1, 1), 8.0)]
     rhos = (0.5, 5.0, 50.0)
-    for dens, _ in cases:
+    for dens, cap in cases:
         for rho in rhos:
-            radial_table(dens, rho, 0.5, [0], [0], np.array([[1e-10]]))
-    expect = [(rho, cap) for _, cap in cases for rho in rhos]
+            _, _, stats = radial_table(dens, rho, 0.5, [0], [0], np.array([[1e-10]]))
+            assert (stats["panels"] == 0) == (cap is None)
+    expect = [(rho, cap) for _, cap in cases if cap is not None for rho in rhos]
     for (kmax, width), (rho, cap) in zip(grids, expect, strict=True):
         near = 2.0 ** round(math.log2(16.0 * math.pi / rho))
         assert width[0] == min(kmax[0] / 16.0, near, cap)
-    assert grids[6][1][0] == 8.0 < grids[6][0][0] / 16.0
+    assert grids[3][1][0] == 8.0 < grids[3][0][0] / 16.0
 
 
 def _relative_tol(zeta, rel_tol=1e-11, size=17):
@@ -443,6 +448,203 @@ def test_radial_table_capped_grid_is_honest(rho, met):
     assert stats["panels"] == LARGE_RHO_PANELS[rho]
     assert stats["certified"] == stats["panels"] - 1
     assert abs(values[0, 0] - 1.0 / math.hypot(rho, 0.05)) <= 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _image_polynomial(n, m):
+    """Integer coefficients of Q_{n,m}(c), lowest first: Q_{0,m} = 1 and
+    Q_{n+1,m} = (m + (n+1) c) Q_{n,m} - (1 - c^2) Q'_{n,m}, the zeta-
+    derivative route to I_inf(n, m) = t^m r^{-n-1} Q_{n,m}(zeta/r)."""
+    if n == 0:
+        return (1,)
+    q = _image_polynomial(n - 1, m)
+    out = [0] * (len(q) + 1)
+    for j, coef in enumerate(q):
+        out[j] += m * coef
+        out[j + 1] += (n + j) * coef
+        if j:
+            out[j - 1] -= j * coef
+    return tuple(out)
+
+
+def _image_reference(n, m, rho, zeta):
+    """int_0^inf J_m(k rho) e^{-k zeta} k^n dk to 400 digits."""
+    with mpmath.workdps(400):
+        rho, zeta = mpmath.mpf(rho), mpmath.mpf(zeta)
+        r = mpmath.sqrt(rho * rho + zeta * zeta)
+        poly = mpmath.polyval(list(reversed(_image_polynomial(n, m))), zeta / r)
+        return (rho / (r + zeta)) ** m * poly / r ** (n + 1)
+
+
+#: (rho, zeta) of the closed-form checks: rho = 0, rho/zeta from 1e-4 to 1e4
+IMAGE_PAIRS = [(0.0, 1.0), (1e-4, 1.0), (0.05, 1.0), (0.3, 1.3), (0.5, 0.5),
+               (2.0, 0.9), (7.0, 1.1), (90.0, 1.5), (500.0, 5.0), (2e4, 2.0)]
+IMAGE_INDICES = [0, 1, 2, 3, 5, 8, 12, 16, 17, 24, 25, 40, 60, 80, 100, 119, 120]
+
+
+def test_image_table_matches_mpmath():
+    """The closed form I_inf(n, m) of the limit term, for n, m <= 120 with
+    m > n, rho = 0 and rho/zeta up to 1e4, is within 1e-14 n!/zeta^{n+1} of
+    a 400-digit evaluation and within its own rounding bound; the 400-digit
+    route matches mpmath's quadrature of the integral itself."""
+    for n, m in [(0, 0), (2, 1), (1, 3), (3, 3)]:
+        direct = mpmath.quad(lambda k: mpmath.besselj(m, 0.5 * k) * mpmath.exp(-0.5 * k)
+                             * k ** n, [0, mpmath.inf])
+        assert abs(direct - _image_reference(n, m, 0.5, 0.5)) <= 1e-14
+    rhos, zetas = (np.array(v) for v in zip(*IMAGE_PAIRS))
+    top = np.arange(121)
+    values, rounding = sommerfeld._image_table(rhos, zetas, top, top)
+    for i, (rho, zeta) in enumerate(IMAGE_PAIRS):
+        for n in IMAGE_INDICES:
+            scale = math.factorial(n) / mpmath.mpf(zeta) ** (n + 1)
+            for m in IMAGE_INDICES:
+                miss = abs(values[i, n, m] - _image_reference(n, m, rho, zeta))
+                assert miss <= 1e-14 * scale and miss <= rounding[i, n]
+    one, tiny = sommerfeld._image_table(rhos, zetas, np.array([0]), np.array([0]))
+    assert np.array_equal(one[:, 0, 0], 1.0 / np.hypot(rhos, zetas))
+    assert np.all(tiny[:, 0] == 2.0 * np.finfo(float).eps / zetas)
+
+
+class _Unsplit:
+    """A density with its bound but without its limit: the engine then
+    integrates sigma whole, as before the split."""
+
+    def __init__(self, density):
+        self.density, self.bound = density, density.bound
+
+    def __call__(self, k):
+        return self.density(k)
+
+
+def _expansion_tol(bound, zetas, size, rel_tol=1e-10):
+    """_reaction_table's tolerances: rel_tol M_sigma n!/zeta^{n+1} where
+    m <= n, inf above."""
+    n = np.arange(size)
+    ref = bound * special.gamma(n + 1.0) / zetas[:, None] ** (n + 1.0)
+    return np.where(n <= n[:, None], rel_tol * ref[:, :, None], np.inf), ref
+
+
+def test_split_tables_match_the_unsplit_engine():
+    """Every present component of six random media (seed 7), each at one of
+    rho/zeta = 0.5, 6 and 60 in turn: the split
+    table (sigma_inf I_inf plus the remainder's quadrature) and the whole-
+    sigma quadrature agree within the sum of their returned errors where
+    the tolerance is finite, and within that plus 1e-12 M_sigma
+    n!/zeta^{n+1} where it is inf (m > n), at rho/zeta from 0.5 to 60.
+    Both also get 1e-15 M_sigma n!/zeta^{n+1} for the rounding of the rule
+    sums, which the returned errors leave out (the module docstring puts
+    it near 1e-16 of the integrand's mass): where a certificate is far
+    below it the two differ by rounding alone."""
+    rng = np.random.default_rng(7)
+    zetas = np.full(1, 0.5)
+    ratios = itertools.cycle([0.5, 6.0, 60.0])
+    n = np.arange(9)
+    checked = 0
+    for _ in range(6):
+        med = random_medium(rng)
+        L = med.num_interfaces
+        for comp in itertools.product((1, 2), (1, 2), range(L + 1), range(L + 1)):
+            if not component_exists(med, *comp):
+                continue
+            dens = ReactionDensity(med, *comp)
+            rhos = zetas * next(ratios)
+            tol, ref = _expansion_tol(dens.bound, zetas, len(n))
+            split, err, _ = sommerfeld._radial_tables(dens, rhos, zetas, n, n, tol)
+            whole, werr, _ = sommerfeld._radial_tables(_Unsplit(dens), rhos, zetas,
+                                                       n, n, tol)
+            slack = np.where(np.isfinite(tol), 1e-15, 1e-12 + 1e-15) * ref[:, :, None]
+            assert np.all(np.abs(split - whole) <= err + werr + slack)
+            checked += 1
+    assert checked == 288
+
+
+def test_remainder_bound_holds_on_dense_samples():
+    """|sigma - sigma_inf| e^{delta k} stays at or below M_g on 4,001
+    points of the real ray [0, 30/delta] for every present component of
+    six random media (seed 7), and also on 20,001 points of the imaginary
+    axis i[-10^3, 10^3] for the bench media STACK and the slab.  (On the
+    imaginary axis of random media M_g, like M_sigma, is only an
+    estimate; ROADMAP item 2.)"""
+    stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
+    slab = LayeredMedium([0.0, -1.0], [1.0] * 3, [1.0, 3.0, 8.0])
+    rng = np.random.default_rng(7)
+    media = [(stack, True), (slab, True)] + [(random_medium(rng), False)
+                                              for _ in range(6)]
+    imaginary = 1j * np.linspace(-1e3, 1e3, 20001)
+    for med, both in media:
+        L = med.num_interfaces
+        for comp in itertools.product((1, 2), (1, 2), range(L + 1), range(L + 1)):
+            if not component_exists(med, *comp):
+                continue
+            dens = ReactionDensity(med, *comp)
+            limit, delta, rem_bound = dens.limit
+            if rem_bound == 0.0:
+                continue
+            k = np.linspace(0.0, 30.0 / delta, 4001)
+            assert np.all(np.abs(dens(k) - limit) * np.exp(delta * k) <= rem_bound)
+            if both:
+                assert np.all(np.abs(dens(imaginary) - limit) <= rem_bound)
+
+
+class _UnderReportedRemainder:
+    """sigma = 1 + e^{-k}, which claims |sigma - 1| <= 0.5 e^{-k}."""
+
+    bound = 2.0
+    limit = (1.0, 1.0, 0.5)
+
+    def __call__(self, k):
+        return 1.0 + np.exp(-np.asarray(k, dtype=float))
+
+
+def test_remainder_above_its_bound_is_caught():
+    """The remainder's certificates rest on |sigma - sigma_inf| <= M_g
+    e^{-delta k}: a density whose M_g is under-reported raises
+    InvariantViolated, for one pair and in a batch."""
+    with pytest.raises(InvariantViolated, match="sigma_inf"):
+        radial_table(_UnderReportedRemainder(), 1.0, 0.5, [0], [0],
+                     np.array([[1e-10]]))
+    with pytest.raises(InvariantViolated, match="sigma_inf"):
+        sommerfeld._radial_tables(
+            _UnderReportedRemainder(), [0.0, 3.0], [1.0, 0.5], [0, 1], [0],
+            np.full((2, 2, 1), 1e-10),
+        )
+
+
+def test_one_interface_table_is_the_closed_form(two_layer):
+    """Over one interface sigma is constant: every table is sigma_inf
+    I_inf with no panel, and I(0, 0) is the image charge sigma_inf / r."""
+    dens = ReactionDensity(two_layer, 1, 1, 0, 0)
+    limit, delta, rem_bound = dens.limit
+    assert (limit, delta, rem_bound) == (pytest.approx(-0.6), math.inf, 0.0)
+    n = np.arange(9)
+    tol, _ = _expansion_tol(dens.bound, np.array([0.3]), len(n))
+    values, err, stats = radial_table(dens, 2.0, 0.3, n, n, tol[0])
+    image, rounding = sommerfeld._image_table(np.array([2.0]), np.array([0.3]), n, n)
+    assert np.array_equal(values, limit * image[0])
+    assert np.array_equal(err, abs(limit) * np.broadcast_to(rounding[0, :, None], err.shape))
+    assert stats["panels"] == stats["gl_calls"] == stats["evals"] == 0
+    assert values[0, 0] == limit / math.hypot(2.0, 0.3)
+
+
+def test_large_rho_reaction_tables_meet_their_tolerance():
+    """On STACK at zeta = 0.05 the remainder decays like e^{-1.05 k}: at
+    rho = 600 the split table agrees with the whole-sigma quadrature (5,842
+    panels) within both errors in under 300 panels, and rho = 1000, where
+    the whole-sigma quadrature exceeds its panel budget, meets 1e-10 in
+    under 1,000."""
+    stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
+    tol = np.array([[1e-10]])
+    for comp in ((1, 1, 2, 1), (2, 1, 2, 1)):
+        dens = ReactionDensity(stack, *comp)
+        split, err, stats = radial_table(dens, 600.0, 0.05, [0], [0], tol)
+        whole, werr, wstats = radial_table(_Unsplit(dens), 600.0, 0.05, [0], [0], tol)
+        assert abs(split[0, 0] - whole[0, 0]) <= err[0, 0] + werr[0, 0]
+        assert stats["panels"] < 300 < wstats["panels"]
+        _, err, stats = radial_table(dens, 1000.0, 0.05, [0], [0], tol)
+        assert err[0, 0] <= 1e-10 and stats["panels"] < 1000
+    with pytest.raises(ToleranceNotMet):
+        radial_table(_Unsplit(ReactionDensity(stack, 1, 1, 2, 1)), 1000.0, 0.05,
+                     [0], [0], tol)
 
 
 _X32, _W32 = np.polynomial.legendre.leggauss(32)
@@ -580,10 +782,12 @@ def test_complex_density_is_a_domain_error():
     assert abs(values[0, 0] - 2.0) <= 1e-12
 
 
-def test_tail_truncation_insensitivity(two_layer, monkeypatch):
-    """Doubling the quadrature cutoff changes the Green value below tol."""
-    r, rp = np.array([0.4, 0.2, 1.1]), np.array([-0.2, 0.1, 0.6])
-    base = eval_reaction_green(two_layer, 1, 1, 0, 0, r, rp, 1e-12)
+def test_tail_truncation_insensitivity(three_layer, monkeypatch):
+    """Doubling the quadrature cutoff changes the Green value below tol.
+    Inside the slab sigma^11 has a limit and a remainder, so the cutoff is
+    the remainder's."""
+    r, rp = np.array([0.4, 0.2, -0.3]), np.array([-0.2, 0.1, -0.6])
+    base = eval_reaction_green(three_layer, 1, 1, 1, 1, r, rp, 1e-12)
     orig = sommerfeld._choose_kmax
     seen = []
 
@@ -592,11 +796,11 @@ def test_tail_truncation_insensitivity(two_layer, monkeypatch):
         return 2.0 * seen[-1][1]
 
     monkeypatch.setattr(sommerfeld, "_choose_kmax", doubled)
-    again = eval_reaction_green(two_layer, 1, 1, 0, 0, r, rp, 1e-12)
+    again = eval_reaction_green(three_layer, 1, 1, 1, 1, r, rp, 1e-12)
     assert abs(base - again) < 1e-12
     # the batch's K comes as an array, one per pair, and every K doubles
     rows = np.stack([r, rp + 0.1, r - 0.2])
-    eval_reaction_green(two_layer, 1, 1, 0, 0, rows, rp, 1e-12)
+    eval_reaction_green(three_layer, 1, 1, 1, 1, rows, rp, 1e-12)
     assert [shape for shape, _ in seen] == [(1,), (3,)]
     assert np.all(doubled(1.0, [0.5, 2.0], [0.3, 0.1], [0, 2], 1e-12)
                   == 2.0 * orig(1.0, [0.5, 2.0], [0.3, 0.1], [0, 2], 1e-12))
@@ -876,7 +1080,9 @@ def test_groups_bound_each_pairs_grid_and_memory(seed):
     """Every pair lands in exactly one group; a group's grid has at most
     spread times each member's own panel count K / width, and a group of
     more than one pair holds at most _GROUP_ENTRIES table entries.  The
-    batch's K and widths, one solve, are bitwise each pair's own."""
+    batch's K and widths, one solve, are bitwise each pair's own, and the
+    widths bitwise min(K/16, 2^round(log2(16 pi / rho))) with inf at rho = 0,
+    the division the width rule once made under np.errstate."""
     rng = np.random.default_rng(seed)
     zetas = 10.0 ** rng.uniform(-2, 0.5, 200)
     rhos = np.where(rng.random(200) < 0.2, 0.0, zetas * rng.uniform(0, 200, 200))
@@ -887,6 +1093,9 @@ def test_groups_bound_each_pairs_grid_and_memory(seed):
         one = np.array([sommerfeld._own_grid(1.0, rho, zeta, powers, t)
                         for rho, zeta, t in zip(rhos, zetas, tol)]).T
         assert np.array_equal(np.array(batch), one)
+        with np.errstate(divide="ignore"):
+            near = 2.0 ** np.round(np.log2(16.0 * math.pi / rhos))
+        assert np.array_equal(batch[1], np.minimum(batch[0] / 16.0, near))
     groups = sommerfeld._group_pairs(kmax, width, 400)
     spread = sommerfeld._GRID_SPREAD
     assert sorted(i for g in groups for i in g) == list(range(200))
