@@ -190,8 +190,7 @@ class ConstantDensity:
         return abs(self.value)
 
 
-#: Gamma(n+1) for n = 0 ... 171 (inf from n = 171 on), the special.gamma
-#: values _choose_kmax takes, looked up rather than recomputed
+#: special.gamma(n + 1) for n = 0 ... 171 (inf at 171), looked up, not recomputed
 _GAMMA = special.gamma(np.arange(1.0, 173.0))
 
 
@@ -430,9 +429,9 @@ def _own_grid(bound, rho, zeta, powers, tol_tail, cap=math.inf):
     _choose_kmax takes them; cap is the module docstring's W."""
     kmax = _choose_kmax(bound, rho, zeta, powers, tol_tail)
     rho = np.asarray(rho, dtype=float)
-    near = np.divide(16.0 * math.pi, rho, out=np.full(rho.shape, math.inf),
-                     where=rho > 0.0)
-    return kmax, np.minimum(kmax / 16.0, np.minimum(2.0 ** np.round(np.log2(near)), cap))
+    near = 2.0 ** np.round(np.log2(np.divide(
+        16.0 * math.pi, rho, out=np.full(rho.shape, math.inf), where=rho > 0.0)))
+    return kmax, np.minimum(kmax / 16.0, np.minimum(near, cap))
 
 
 def _group_pairs(kmax, width, entries):
@@ -458,18 +457,22 @@ def _group_pairs(kmax, width, entries):
 
 @lru_cache(maxsize=16)
 def _image_plan(powers, orders):
-    """The k-free parts of _image_table for tuples of powers and orders:
-    top, the factors of the two runs by step i (m = n - i going down, 0
-    once m < 1), (2n-1)!! and -(n+1) by lane, where each entry sits in the
-    runs, the order its m <= n entries scale by, and (n+2) eps n! by power."""
+    """The k-free parts of _image_table for tuples of powers and orders,
+    read-only: top; the runs' factors by step i (m = n - i going down, 0
+    once m < 1); the lanes n, 1/n (0 at n = 0), (2n-1)!! and -(n+1); where
+    each entry sits in the runs and the order its m <= n entries scale by;
+    and (n+2) eps n! and -(n+1) by power."""
     p, o = np.array(powers)[:, None], np.array(orders)
     top = int(max(p.max(), o.max()))
     i, n = np.arange(top)[:, None], np.arange(top + 1.0)
     m = n - i
     live, low = m >= 1, o <= p
-    plan = (top, np.where(live, 2.0 * m, 0.0) / np.where(live, n + m, 1.0),
-            np.where(live, -i, 0.0) / np.where(live, n + m, 1.0),
-            2.0 * i + 1.0, n * n - i * i,
+    over = np.where(live, n + m, 1.0)
+    steps = (np.where(live, 2.0 * m, 0.0) / over, 2.0 * i + 0.0 * n + 1.0,
+             np.where(live, -i, 0.0) / over, n * n - i * i)
+    plan = (top, np.stack(steps[:2], axis=1)[:, :, None],
+            np.stack(steps[2:], axis=1)[:, :, None],
+            n, np.divide(1.0, n, out=np.zeros_like(n), where=n > 0),
             np.array([float(math.prod(range(1, 2 * k, 2))) for k in range(top + 1)]),
             -(n + 1.0),
             (np.where(low, p - o, p) + 1, np.where(low, 0, 1), slice(None),
@@ -483,25 +486,23 @@ def _image_plan(powers, orders):
 
 
 def _image_table(rhos, zetas, powers, orders):
-    """(I_inf by pair, power and order; its rounding bound by pair and
-    power), the module docstring's closed form: both runs are three-term
-    recurrences of top steps, one lane per n or m, in one loop."""
-    (top, down, drop, odd, gap, dfact, lift, where, order, rounding,
+    """(I_inf by pair, power and order; its rounding bound by pair and power):
+    the module docstring's closed form, both runs in one loop of top steps,
+    the one up in n from I(-1, m) = t^m / m (0 at m = 0) and I(0, m)."""
+    (top, step_a, step_b, lanes, inv_lanes, dfact, lift, where, order, rounding,
      lower) = _image_plan(tuple(powers.tolist()), tuple(orders.tolist()))
     r, rounding = np.hypot(rhos, zetas), rounding * zetas[:, None] ** lower
     if top == 0:
         return (1.0 / r)[:, None, None] * np.ones(order.shape), rounding
     c, s, inv = zetas / r, rhos / r, 1.0 / r
+    # the runs' pair factors: c and zeta/r^2 by step_a, s^2 and 1/r^2 by step_b
+    factor = np.array([c, c * inv, s * s, inv * inv])[:, :, None]
+    step_a, step_b = step_a * factor[:2], step_b * factor[2:]
     # run[i + 1] = (D_n^{n-i} by n, I(i, m) by m), each by [pair, lane]
     run = np.empty((top + 2, 2, len(r), top + 1))
-    run[0], run[1, 0] = 0.0, 1.0
-    run[1, 1] = (rhos * inv / (1.0 + c))[:, None] ** -(lift + 1.0) * inv[:, None]
-    step_a, step_b = np.empty((2, top, 2, len(r), top + 1))
-    np.multiply(down[:, None], c[:, None], out=step_a[:, 0])
-    np.multiply(drop[:, None], (s * s)[:, None], out=step_b[:, 0])
-    np.multiply(odd[:, None], (c * inv)[:, None], out=step_a[:, 1])
-    np.multiply(gap[:, None], (inv * inv)[:, None], out=step_b[:, 1])
-    step_a[0, 1] = (-1.0 - lift + c[:, None]) * inv[:, None]
+    run[0, 0], run[1, 0] = 0.0, 1.0
+    t_m = (s / (1.0 + c))[:, None] ** lanes
+    run[0, 1], run[1, 1] = t_m * inv_lanes, t_m * inv[:, None]
     for i in range(top):
         nxt = run[i + 2]
         np.multiply(step_a[i], run[i + 1], out=nxt)

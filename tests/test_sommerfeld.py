@@ -621,7 +621,8 @@ def test_one_interface_table_is_the_closed_form(two_layer):
     values, err, stats = radial_table(dens, 2.0, 0.3, n, n, tol[0])
     image, rounding = sommerfeld._image_table(np.array([2.0]), np.array([0.3]), n, n)
     assert np.array_equal(values, limit * image[0])
-    assert np.array_equal(err, abs(limit) * np.broadcast_to(rounding[0, :, None], err.shape))
+    assert np.array_equal(err, abs(limit) * np.broadcast_to(rounding[0, :, None],
+                                                            err.shape))
     assert stats["panels"] == stats["gl_calls"] == stats["evals"] == 0
     assert values[0, 0] == limit / math.hypot(2.0, 0.3)
 
