@@ -502,7 +502,8 @@ def test_image_table_matches_mpmath():
                 assert miss <= 1e-14 * scale and miss <= rounding[i, n]
     one, tiny = sommerfeld._image_table(rhos, zetas, np.array([0]), np.array([0]))
     assert np.array_equal(one[:, 0, 0], 1.0 / np.hypot(rhos, zetas))
-    assert np.all(tiny[:, 0] == 2.0 * np.finfo(float).eps / zetas)
+    np.testing.assert_allclose(tiny[:, 0], 2.0 * np.finfo(float).eps / zetas,
+                               rtol=1e-15)
 
 
 class _Unsplit:
@@ -526,12 +527,11 @@ def _expansion_tol(bound, zetas, size, rel_tol=1e-10):
 
 def test_split_tables_match_the_unsplit_engine():
     """Every present component of six random media (seed 7), each at one of
-    rho/zeta = 0.5, 6 and 60 in turn: the split
-    table (sigma_inf I_inf plus the remainder's quadrature) and the whole-
-    sigma quadrature agree within the sum of their returned errors where
-    the tolerance is finite, and within that plus 1e-12 M_sigma
-    n!/zeta^{n+1} where it is inf (m > n), at rho/zeta from 0.5 to 60.
-    Both also get 1e-15 M_sigma n!/zeta^{n+1} for the rounding of the rule
+    rho/zeta = 0.5, 6 and 60 in turn: the split table (sigma_inf I_inf
+    plus the remainder's quadrature) and the whole-sigma quadrature agree
+    within the sum of their returned errors where the tolerance is finite,
+    and within that plus 1e-12 M_sigma n!/zeta^{n+1} where it is inf
+    (m > n).  Both also get 1e-15 M_sigma n!/zeta^{n+1} for the rounding of the rule
     sums, which the returned errors leave out (the module docstring puts
     it near 1e-16 of the integrand's mass): where a certificate is far
     below it the two differ by rounding alone."""
