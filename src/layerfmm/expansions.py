@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .densities import ReactionDensity
 from .errors import (
@@ -51,7 +50,7 @@ from .errors import (
 )
 from .harmonics import _read_only, cartesian_to_spherical, constants, sph_harm_table
 from .medium import polarization_source, reflect, require_component, tau_map
-from .sommerfeld import _radial_tables, radial_table
+from .sommerfeld import _GAMMA, _radial_tables, radial_table
 
 
 @dataclass(frozen=True)
@@ -545,7 +544,7 @@ def _reaction_table(medium, component, v, top, rel_tol):
             f"(zeta = {float(np.min(zeta))})"
         )
     n = np.arange(top + 1)
-    ref = density.bound * special.gamma(n + 1.0) / zeta[..., None] ** (n + 1.0)
+    ref = density.bound * _GAMMA[n] / zeta[..., None] ** (n + 1.0)
     tol = np.where(
         n[None, :] <= n[:, None],
         np.maximum(rel_tol * ref[..., :, None], 1e-300),

@@ -38,7 +38,9 @@ from .medium import (
     check_box_in_layer,
     polarization_source,
 )
-from .sommerfeld import CAGNIARD_CATALOG, cagniard_identity_check, eval_reaction_green
+from .sommerfeld import (
+    CAGNIARD_CATALOG, QUAD_COUNTS, cagniard_identity_check, eval_reaction_green,
+)
 
 CSV_SCHEMA = 1
 #: skew unit vector used for deterministic center placement
@@ -442,8 +444,7 @@ def _reaction_multipole(config, system, pol_center):
 
 def _sum_stats(records):
     """Quadrature counters summed over tables, with the largest tol_use."""
-    keys = ("panels", "gl_calls", "nodes", "evals", "bisections", "certified")
-    out = {k: sum(rec[k] for rec in records) for k in keys}
+    out = {k: sum(rec[k] for rec in records) for k in QUAD_COUNTS}
     out["tol_use"] = max([0.0] + [rec["tol_use"] for rec in records])
     return out
 

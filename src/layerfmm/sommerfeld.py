@@ -70,9 +70,10 @@ the panel's mass bound 2 M (2h) max k^n e^{-k zeta} (|J_m| <= 1 on the
 real axis, weights summing to 2h).  A certified panel takes one rule;
 certified panels are bisected worst-first on their bounds alone, before
 any integrand value is computed, until the bounds fit or the panel budget
-is spent (ToleranceNotMet).  Only [0, w] admits no ellipse in Re k >= 0:
-it keeps the sum of its half-panel rules, their disagreement with the
-whole-panel rule as its error, and is bisected on that estimate.  M is
+is spent (ToleranceNotMet), and their rules run only then, on the panels
+the bounds keep.  Only [0, w] admits no ellipse in Re k >= 0: it keeps
+the sum of its half-panel rules, their disagreement with the whole-panel
+rule as its error, and is bisected on that estimate.  M is
 an estimate, so every density value is checked against M_sigma
 (InvariantViolated); the bound covers the rule in exact arithmetic, and
 rounding of the sums (about 1e-16 of the integrand's mass) sits far below
@@ -121,8 +122,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 MIN_TOL = 1e-13
 #: Panels a table may reach before it raises ToleranceNotMet: about 8192
-#: rules at one a certified panel, fewer than 4096 estimated panels cost.
+#: rules at one a certified panel; an estimated panel costs three, as did
+#: each estimated panel bisected on the way to it, so about 6 x 8192.
 MAX_PANELS = 8192
+#: The counters of a quadrature's stats, which sum over tables; tol_use,
+#: the one other key, takes the largest.
+QUAD_COUNTS = ("panels", "gl_calls", "nodes", "evals", "bisections", "certified")
 
 
 def bessel_j(m, x):
@@ -232,19 +237,18 @@ _BLOCK = 64
 
 
 def _rules(evaluate, lo, hi):
-    """One rule on each [lo[i], hi[i]], _BLOCK rules per evaluate call.
-    Returns (estimates stacked along the first axis, or None for no rules;
-    number of evaluate calls)."""
-    out, calls = None, 0
-    for s in range(0, len(lo), _BLOCK):
+    """One rule on each [lo[i], hi[i]] (at least one), _BLOCK rules per
+    evaluate call.  Returns (estimates stacked along the first axis, number
+    of evaluate calls)."""
+    starts = range(0, len(lo), _BLOCK)
+    for s in starts:
         est = evaluate(lo[s : s + _BLOCK], hi[s : s + _BLOCK])
-        if out is None:
+        if not s:
             out = np.empty((len(lo),) + est.shape[1:], dtype=est.dtype)
         out[s : s + _BLOCK] = est
-        calls += 1
         # release this block's estimates before the next evaluate call
         est = None
-    return out, calls
+    return out, len(starts)
 
 
 def _worst(err, safe_tol, room):
@@ -283,34 +287,26 @@ def _next_split(err, tol, n_panels, max_panels):
     return total, _worst(err, tol, max_panels - n_panels)
 
 
-def _certified(certify, lo, hi):
-    """(bounds, mask of the panels with a finite bound in every entry);
-    no panel is certified without certify."""
-    if certify is None:
-        return None, np.zeros(len(lo), dtype=bool)
-    bound = certify(lo, hi)
-    return bound, np.isfinite(bound).reshape(len(lo), -1).all(axis=1)
-
-
 def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=None):
     """Composite adaptive quadrature over initial panel edges.
 
     evaluate(lo, hi) returns Gauss-Legendre estimates of a (vector-valued)
-    integral over each [lo[i], hi[i]], stacked along the first axis,
-    _BLOCK rules a call.  certify(lo, hi), if given, returns an a-priori
-    bound on each panel's rule error, inf where it has none, which must
-    bound every subpanel too; an axis it does not vary along may have
-    length 1 until the panels are evaluated.  A panel with a finite bound
-    is certified: one rule, the bound as its error.  Every other panel is
+    integral over each [lo[i], hi[i]], each of tol_abs's shape, stacked
+    along the first axis, _BLOCK rules a call.  certify(lo, hi), if given,
+    returns an a-priori bound on each panel's rule error, broadcastable to
+    tol_abs's shape, inf where it has none, which must bound every
+    subpanel too.  A panel with a finite bound is certified: one rule, the
+    bound as its error, known before the rule runs.  Every other panel is
     estimated: it keeps the sum of its half-panel rules, their disagreement
-    with the whole-panel rule as its error.  Certified panels are bisected
-    on their bounds alone before any rule runs; then every panel is
-    evaluated.  Refinement is level-synchronous: each pass bisects the
-    panels _worst picks, never more than a worst-first, one-at-a-time
-    bisection would before it could stop (for a scalar integral).  An
-    estimated panel's halves are its children's whole rules.  Passes repeat
-    until the error is below tol_abs everywhere, or the panel budget is
-    spent (ToleranceNotMet).
+    with the whole-panel rule as its error, and counts no error until its
+    three rules have run.  One loop: while the known errors miss tol_abs,
+    a pass bisects the panels _worst picks, never more than a worst-first,
+    one-at-a-time bisection would before it could stop (for a scalar
+    integral); once they fit, a pass runs the rules of every panel not yet
+    evaluated.  So certified panels are bisected on their bounds alone, and
+    their rules run only once the bounds fit.  The loop ends when the
+    errors fit and every panel is evaluated, or the panel budget is spent
+    (ToleranceNotMet).
 
     Returns (value, error, stats); stats counts the final panels, the
     32-node rules (gl_calls), their nodes, the evaluate calls (evals), the
@@ -319,91 +315,54 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
     """
     tol_abs = np.asarray(tol_abs, dtype=float)
     safe_tol = np.where(tol_abs > 0, tol_abs, np.inf)
-    lo, hi = edges[:-1], edges[1:]
-    n_init = len(lo)
-    bound, proven = _certified(certify, lo, hi)
-    # estimated panels stay a prefix of the panel arrays, n_est long
-    n_est = n_init - int(np.count_nonzero(proven))
-    lo = np.concatenate([lo[~proven], lo[proven]])
-    hi = np.concatenate([hi[~proven], hi[proven]])
-    if bound is not None:
-        bound = bound[proven]
-        # along an axis the bounds do not vary on, the least tolerance
-        # decides for every entry
-        flat = [i for i, (b, t) in enumerate(zip(bound.shape[1:], safe_tol.shape))
-                if b == 1 < t]
-        bound_tol = np.min(safe_tol, axis=tuple(flat), keepdims=True)
-        while len(lo) > n_est:
-            _, pick = _next_split(bound, bound_tol, len(lo), max_panels)
-            if pick is None:
-                break
-            keep, c_lo, c_hi = _bisect(lo[n_est:], hi[n_est:], pick)
-            lo = np.concatenate([lo[:n_est], lo[n_est:][keep], c_lo])
-            hi = np.concatenate([hi[:n_est], hi[n_est:][keep], c_hi])
-            bound = np.concatenate([bound[keep], certify(c_lo, c_hi)])
 
-    mid = 0.5 * (lo[:n_est] + hi[:n_est])
-    est, evals = _rules(
-        evaluate,
-        np.concatenate([lo[:n_est], mid, lo]),
-        np.concatenate([mid, hi[:n_est], hi]),
-    )
-    gl_calls = len(est)
-    # the halves of the estimated panels; val is what each panel keeps
-    left, right = est[:n_est].copy(), est[n_est : 2 * n_est].copy()
-    val = est[2 * n_est :]
-    err = np.abs(val[:n_est] - (left + right))
-    val[:n_est] = left + right
-    if bound is not None:
-        err = np.concatenate([err, np.broadcast_to(bound, val[n_est:].shape)])
+    def fresh(lo, hi):
+        # (errors known before any rule runs, mask of the panels with a
+        # finite bound in every entry) of new panels
+        err = np.zeros((len(lo),) + safe_tol.shape)
+        if certify is None:
+            return err, np.zeros(len(lo), dtype=bool)
+        bound = certify(lo, hi)
+        cert = np.isfinite(bound).reshape(len(lo), -1).all(axis=1)
+        err[cert] = bound[cert]
+        return err, cert
+
+    lo, hi = edges[:-1], edges[1:]
+    err, cert = fresh(lo, hi)
+    val, todo = np.zeros(err.shape), np.ones(len(lo), dtype=bool)
+    gl_calls = evals = 0
     while True:
         total, pick = _next_split(err, safe_tol, len(lo), max_panels)
-        if pick is None:
-            break
-        keep, c_lo, c_hi = _bisect(lo, hi, pick)
-        c_bound, c_proven = _certified(certify, c_lo, c_hi)
-        # an estimated parent's halves are its children's whole rules
-        from_est = np.tile(pick < n_est, 2)
-        parents = pick[pick < n_est]
-        c_val = np.empty((len(c_lo),) + val.shape[1:], dtype=val.dtype)
-        c_val[from_est] = np.concatenate([left[parents], right[parents]])
-        c_err = np.empty((len(c_lo),) + err.shape[1:])
-        split, fresh = ~c_proven, c_proven & ~from_est
-        c_mid = 0.5 * (c_lo[split] + c_hi[split])
-        n_split = len(c_mid)
-        est, calls = _rules(
-            evaluate,
-            np.concatenate([c_lo[split], c_mid, c_lo[fresh]]),
-            np.concatenate([c_mid, c_hi[split], c_hi[fresh]]),
-        )
-        if est is not None:
-            c_left, c_right = est[:n_split], est[n_split : 2 * n_split]
-            c_err[split] = np.abs(c_val[split] - (c_left + c_right))
-            c_val[split] = c_left + c_right
-            c_val[fresh] = est[2 * n_split :]
-            gl_calls += len(est)
-            evals += calls
+        if pick is not None:
+            keep, c_lo, c_hi = _bisect(lo, hi, pick)
+            c_err, c_cert = fresh(c_lo, c_hi)
+            lo, hi, val, err, cert, todo = (
+                np.concatenate([x[keep], c]) for x, c in (
+                    (lo, c_lo), (hi, c_hi), (val, np.zeros(c_err.shape, val.dtype)),
+                    (err, c_err), (cert, c_cert), (todo, np.ones(len(c_lo), bool)))
+            )
+        elif todo.any():
+            est = todo & ~cert
+            mid = 0.5 * (lo[est] + hi[est])
+            rules, calls = _rules(evaluate, np.concatenate([lo[est], mid, lo[todo]]),
+                                  np.concatenate([mid, hi[est], hi[todo]]))
+            n_est = len(mid)
+            val = val.astype(rules.dtype, copy=False)
+            val[todo] = rules[2 * n_est :]
+            halves = rules[:n_est] + rules[n_est : 2 * n_est]
+            err[est] = np.abs(val[est] - halves)
+            val[est] = halves
+            todo[:] = False
+            gl_calls, evals = gl_calls + len(rules), evals + calls
         else:
-            c_left = c_right = c_val[:0]
-        if c_bound is not None:
-            c_err[c_proven] = c_bound[c_proven]
-        keep_est, keep_cert = keep[:n_est], keep[n_est:]
-        left = np.concatenate([left[keep_est], c_left])
-        right = np.concatenate([right[keep_est], c_right])
-        # estimated panels (kept, then new) ahead of certified ones
-        lo, hi, val, err = (
-            np.concatenate([x[:n_est][keep_est], c[split],
-                            x[n_est:][keep_cert], c[c_proven]])
-            for x, c in ((lo, c_lo), (hi, c_hi), (val, c_val), (err, c_err))
-        )
-        n_est = len(left)
+            break
     return np.sum(val, axis=0), total, {
         "panels": len(lo),
         "gl_calls": gl_calls,
         "nodes": gl_calls * len(_GL_NODES),
         "evals": evals,
-        "bisections": len(lo) - n_init,
-        "certified": len(lo) - n_est,
+        "bisections": len(lo) - len(edges) + 1,
+        "certified": int(np.count_nonzero(cert)),
         "tol_use": float(np.max(total / safe_tol)),
     }
 
@@ -419,8 +378,8 @@ _GRID_SPREAD = 2.0
 
 #: Table entries (pairs x powers x orders) one grid carries at most.
 #: _adaptive_panels keeps a complex value and a real error of every entry
-#: per panel (a bound waiting for its rule, one per pair and power), so a
-#: group holds no more per panel than one pair's table at p = 63 does.
+#: per panel, the error of full shape from the start, so a group holds no
+#: more per panel than one pair's table at p = 63 does.
 _GROUP_ENTRIES = 4096
 
 
@@ -558,18 +517,18 @@ def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
     return out
 
 
-def _grid_tables(density, split, rhos, zetas, kmax, width, powers, orders, tol_abs,
-                 max_panels):
+def _grid_tables(density, limit, delta, rem_bound, rhos, zetas, kmax, width, powers,
+                 orders, tol_abs, max_panels):
     """The tables of a group of pairs on the module docstring's dyadic grid,
-    from their smallest own w to past their largest own K, of sigma or,
-    with split = (sigma_inf, delta, M_g), of sigma - sigma_inf.  Each
-    evaluate block sweeps the density once for all pairs and checks every
-    value against the bounds the certificates rest on (InvariantViolated)
-    and for a zero imaginary part (DomainError)."""
+    from their smallest own w to past their largest own K, of sigma -
+    limit: (limit, delta, rem_bound) is the density's (sigma_inf, delta,
+    M_g), or (0, 0, M_sigma) for a density integrated whole.  Each evaluate
+    block sweeps the density once for all pairs and checks every value
+    against the bounds the certificates rest on (InvariantViolated) and for
+    a zero imaginary part (DomainError)."""
     shape = (len(rhos), len(powers), len(orders))
     top = int(np.max(powers))
     bound = density.bound
-    limit, delta, rem_bound = split or (0.0, 0.0, bound)
     # rounding of sigma - sigma_inf where the remainder vanishes
     noise = 4.0 * np.finfo(float).eps * (abs(limit) + bound)
 
@@ -584,14 +543,12 @@ def _grid_tables(density, split, rhos, zetas, kmax, width, powers, orders, tol_a
             )
         if np.any(np.imag(dens)):
             raise DomainError("sigma must be real on the real axis")
-        dens = np.real(dens)
-        if split is not None:
-            dens = dens - limit
-            if not np.all(np.abs(dens) <= rem_bound * np.exp(-delta * k) + noise):
-                raise InvariantViolated(
-                    f"|sigma - sigma_inf| above M_g e^(-delta k) with M_g = "
-                    f"{rem_bound:.6e}; the panel certificates do not hold"
-                )
+        dens = np.real(dens) - limit
+        if not np.all(np.abs(dens) <= rem_bound * np.exp(-delta * k) + noise):
+            raise InvariantViolated(
+                f"|sigma - sigma_inf| above M_g e^(-delta k) with M_g = "
+                f"{rem_bound:.6e}; the panel certificates do not hold"
+            )
         dens = dens * (half[:, None] * _GL_WEIGHTS)
         out = np.empty((len(lo),) + shape, dtype=complex)
         per_pair = k.size * (top + len(powers) + 1 + len(orders))
@@ -653,14 +610,12 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
         raise DomainError("tol_abs needs a finite entry for every pair")
     values = np.zeros(shape, dtype=complex)
     err = np.zeros(shape)
-    counts = ("panels", "gl_calls", "nodes", "evals", "bisections", "certified")
-    stats = dict.fromkeys(counts, 0)
+    stats = dict.fromkeys(QUAD_COUNTS, 0)
     stats["tol_use"] = 0.0
     if bound == 0.0 or not len(rhos):
         return values, err, stats
 
-    split = getattr(density, "limit", None)
-    limit, delta, rem_bound = split or (0.0, 0.0, bound)
+    limit, delta, rem_bound = getattr(density, "limit", None) or (0.0, 0.0, bound)
     if rem_bound > 0.0:
         thick = getattr(density, "thickest", 0.0)
         tol_tail = 0.1 * np.min(np.where(finite, tol_abs, np.inf), axis=(1, 2))
@@ -668,10 +623,10 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
                                 8.0 / thick if thick > 0.0 else math.inf)
         for group in _group_pairs(kmax, width, shape[1] * shape[2]):
             values[group], err[group], own = _grid_tables(
-                density, split, rhos[group], zetas[group], kmax[group],
-                width[group], powers, orders, tol_abs[group], max_panels,
+                density, limit, delta, rem_bound, rhos[group], zetas[group],
+                kmax[group], width[group], powers, orders, tol_abs[group], max_panels,
             )
-            for key in counts:
+            for key in QUAD_COUNTS:
                 stats[key] += own[key]
     if limit != 0.0:
         image, rounding = _image_table(rhos, zetas, powers, orders)

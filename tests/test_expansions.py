@@ -747,7 +747,8 @@ from layerfmm import (
     eval_reaction_me, me_from_charges, polarization_source,
     reaction_me_from_charges,
 )
-from layerfmm.errors import DomainError, InvariantViolated
+from layerfmm import sommerfeld
+from layerfmm.errors import DomainError, InvariantViolated, ToleranceNotMet
 from layerfmm.sommerfeld import radial_table
 
 if __debug__:
@@ -810,6 +811,18 @@ try:
     radial_table(UnderReportedRemainder(), 1.0, 0.5, [0], [0], np.array([[1e-10]]))
 except InvariantViolated:
     fired.append("remainder_bound")
+
+def peak(lo, hi):
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * sommerfeld._GL_NODES
+    return (half * ((1.0 / (x * x + 1e-4)) @ sommerfeld._GL_WEIGHTS))[:, None]
+
+try:
+    # 4 initial panels: the budget of 7 is spent by refinement passes
+    sommerfeld._adaptive_panels(peak, np.linspace(-1.0, 1.0, 5), np.array([1e-10]),
+                                max_panels=7)
+except ToleranceNotMet:
+    fired.append("refinement_budget")
 print(" ".join(fired))
 """
 
@@ -817,9 +830,9 @@ print(" ".join(fired))
 def test_invariant_checks_fire_under_optimize():
     """The key-inequality tripwire, the imaginary-residue checks, the
     density-bound check under the panel certificates, the real-density
-    check of the real contraction and the remainder-bound check of the
-    split tables are explicit raises, so python -O (which strips asserts)
-    keeps them."""
+    check of the real contraction, the remainder-bound check of the split
+    tables and the panel budget of a refinement pass are explicit raises,
+    so python -O (which strips asserts) keeps them."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
@@ -829,5 +842,5 @@ def test_invariant_checks_fire_under_optimize():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
         "key_inequality", "eval_expansion", "eval_reaction_me", "density_bound",
-        "complex_density", "remainder_bound",
+        "complex_density", "remainder_bound", "refinement_budget",
     ]

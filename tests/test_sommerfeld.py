@@ -199,34 +199,36 @@ def _gl_evaluate(f, calls=None):
 def _greedy_panels(evaluate, edges, tol):
     """Reference refinement for scalar integrands: one rule per evaluate
     call, and the single worst panel bisected until the summed error
-    meets tol.  Returns (value, panels, gl_calls)."""
+    meets tol, each child with its own three rules (6 a bisection).
+    Returns (value, panels, gl_calls)."""
 
     def rule(lo, hi):
         return evaluate(np.array([lo]), np.array([hi]))[0, 0]
 
     panels = []
 
-    def add(lo, hi, whole):
+    def add(lo, hi):
         mid = 0.5 * (lo + hi)
         left, right = rule(lo, mid), rule(mid, hi)
-        panels.append((lo, hi, left, right, abs(whole - (left + right))))
+        panels.append((lo, hi, left + right, abs(rule(lo, hi) - (left + right))))
 
     for lo, hi in zip(edges[:-1], edges[1:]):
-        add(lo, hi, rule(lo, hi))
+        add(lo, hi)
     gl_calls = 3 * len(panels)
-    while sum(p[4] for p in panels) > tol:
-        worst = max(range(len(panels)), key=lambda i: panels[i][4])
-        lo, hi, left, right, _ = panels.pop(worst)
+    while sum(p[3] for p in panels) > tol:
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        lo, hi, _, _ = panels.pop(worst)
         mid = 0.5 * (lo + hi)
-        add(lo, mid, left)
-        add(mid, hi, right)
-        gl_calls += 4
-    return sum(p[2] + p[3] for p in panels), len(panels), gl_calls
+        add(lo, mid)
+        add(mid, hi)
+        gl_calls += 6
+    return sum(p[2] for p in panels), len(panels), gl_calls
 
 
 def test_adaptive_panels_refines_a_peak():
     """1/(x^2 + 1e-4) on [-1, 1] from 4 panels: the refinement path the
-    reaction tables never take.  Every bisection costs 4 rules."""
+    reaction tables never take.  Every bisection costs 6 rules: each
+    child's whole rule and halves."""
     f = lambda x: 1.0 / (x * x + 1e-4)
     edges = np.linspace(-1.0, 1.0, 5)
     value, err, stats = sommerfeld._adaptive_panels(
@@ -236,9 +238,9 @@ def test_adaptive_panels_refines_a_peak():
     assert err[0] <= 1e-10
     assert stats["panels"] > 4
     assert stats["bisections"] == stats["panels"] - 4
-    assert stats["gl_calls"] == 3 * 4 + 4 * (stats["panels"] - 4)
+    assert stats["gl_calls"] == 3 * 4 + 6 * (stats["panels"] - 4)
     ref, panels, gl_calls = _greedy_panels(_gl_evaluate(f), edges, 1e-10)
-    assert (stats["panels"], stats["gl_calls"]) == (panels, gl_calls) == (10, 36)
+    assert (stats["panels"], stats["gl_calls"]) == (panels, gl_calls) == (10, 48)
     assert value[0] == pytest.approx(ref, rel=1e-14)
 
 
@@ -270,8 +272,38 @@ def test_adaptive_panels_budget_spent_during_refinement():
             max_panels=7,
         )
     assert calls[0] == 3 * 4
-    assert sum(calls[1:]) == 4 * 3  # three bisections fill the budget of 7
+    # the third bisection fills the budget of 7 before its rules run
+    assert sum(calls[1:]) == 6 * 2
     assert err.value.achieved > 1.0
+
+
+def test_adaptive_panels_bound_certified_panels_before_their_rules():
+    """Certified panels are split on their bounds before their rules run,
+    also after an estimated panel is bisected into the certified range:
+    the peak at 0.2 is refined by estimates on [0, 0.5], while the rules on
+    [0.5, 2], but for the right half of the estimated panel [0, 1], tile it
+    once, one rule per final certified panel."""
+    f = lambda x: 1.0 / ((x - 0.2) ** 2 + 1e-4) + np.exp(-x)
+    rules = []
+
+    def evaluate(lo, hi):
+        rules.extend(zip(lo.tolist(), hi.tolist()))
+        return _gl_evaluate(f)(lo, hi)
+
+    def certify(lo, hi):
+        return np.where(lo >= 0.5, 1e-3 * (hi - lo) ** 8, np.inf)[:, None]
+
+    value, err, stats = sommerfeld._adaptive_panels(
+        evaluate, np.array([0.0, 1.0, 2.0]), np.array([1e-8]), certify=certify
+    )
+    exact = 100.0 * (math.atan(180.0) + math.atan(20.0)) + 1.0 - math.exp(-2.0)
+    assert abs(value[0] - exact) <= 1e-8 and err[0] <= 1e-8
+    tiles = sorted(r for r in rules if r[0] >= 0.5)
+    tiles.remove((0.5, 1.0))  # the right half of [0, 1]
+    assert (0.0, 1.0) in rules
+    assert [a for a, _ in tiles[1:]] == [b for _, b in tiles[:-1]]
+    assert (tiles[0][0], tiles[-1][1]) == (0.5, 2.0)
+    assert len(tiles) == stats["certified"]
 
 
 def test_radial_table_block_size_invariance(monkeypatch):
