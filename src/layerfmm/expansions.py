@@ -16,16 +16,18 @@ equivalent polarization coordinates of the sources; only the basis
 functions change, from solid harmonics to Sommerfeld-type integrals.  A
 reaction multipole expansion is therefore an ordinary coefficient table
 tagged with its component (a, b, l, l') and centered at a polarization
-center.  Every reaction operator (basis function, LE coefficient, M2L
-entry) is assembled here, as a closed-form prefactor times a radial
-integral from the sommerfeld module's radial_table; the per-entry
-operators are single entries of the table builders.
+center.  The reaction operators are one operator, _reaction_operator:
+the M2L matrix T_{nm,n'm'}, a closed-form prefactor times a radial
+integral from the sommerfeld module's tables.  With c_0 = 1/sqrt(4 pi),
+the multipole basis is c_0 times its row 0 (target degree 0) and a unit
+charge's local expansion c_0 times its column 0 (source degree 0); the
+per-entry operators are single entries of those tables.
 
 Operator weights combine factorial-bearing constants and radial powers in
 log space, which keeps everything finite through the supported orders.
 m2m, l2l and m2l_free cache their last two orders' geometry-free weights,
 14 bytes an entry: 0.2, 2.7, 194 MB at p = 10, 20, 60 (m2l_free p <= 30);
-reaction_m2l_matrix its last two (p, p')'s, 24 bytes an entry: 0.35, 4.7,
+_reaction_operator its last four (p, p')'s, 24 bytes an entry: 0.35, 4.7,
 22 MB at p = p' = 10, 20, 30.
 """
 
@@ -184,22 +186,31 @@ def _charge_moments(q, rel_positions, p, inverse=False):
     return coeff / (4.0 * math.pi * cst.c**2)[:, None]
 
 
+def _multipole(kind, q, positions, center, p, radius, what, component=None):
+    """Expansion of the given kind with the multipole moments of charges q
+    at positions about center: radius defaults to the farthest position,
+    and a position beyond it raises ChargeOutsideBox, naming the position
+    `what`."""
+    center = np.asarray(center, dtype=float)
+    rel = positions - center
+    dist = np.linalg.norm(rel, axis=1)
+    if radius is None:
+        radius = float(dist.max(initial=0.0))
+    if np.any(dist > radius * (1 + 1e-12)):
+        raise ChargeOutsideBox(
+            f"{what} at distance {dist.max():.6g} exceeds box radius {radius:.6g}"
+        )
+    coeff = _charge_moments(q, rel, p)
+    return HarmonicExpansion(kind, center, p, coeff, radius=radius, component=component)
+
+
 def me_from_charges(system, center, p, radius=None):
     """Multipole expansion of the free-space potential of charges inside
     a box of circumscribed radius `radius` about `center`."""
-    center = np.asarray(center, dtype=float)
-    rel = system.positions - center
-    dist = np.linalg.norm(rel, axis=1)
-    if radius is None:
-        radius = system.source_box.radius if system.source_box else float(
-            dist.max(initial=0.0)
-        )
-    if np.any(dist > radius * (1 + 1e-12)):
-        raise ChargeOutsideBox(
-            f"charge at distance {dist.max():.6g} exceeds box radius {radius:.6g}"
-        )
-    coeff = _charge_moments(system.q, rel, p)
-    return HarmonicExpansion("multipole", center, p, coeff, radius=radius)
+    if radius is None and system.source_box:
+        radius = system.source_box.radius
+    return _multipole("multipole", system.q, system.positions, center, p, radius,
+                      "charge")
 
 
 def le_from_charges(system, center, p, radius=None):
@@ -346,6 +357,17 @@ def _m2l_weights(p, source_p):
     return _translation(p, source_p, block)
 
 
+def _require_separated(exp, distance, target_radius):
+    """BoxesNotSeparated unless the centers are farther apart than the
+    source and target radii together (when both are known)."""
+    if exp.radius is not None and target_radius is not None:
+        if distance <= exp.radius + target_radius:
+            raise BoxesNotSeparated(
+                f"center distance {distance:.6g} <= a_s + a_t = "
+                f"{exp.radius + target_radius:.6g}"
+            )
+
+
 def m2l_free(exp, target_center, p, target_radius=None):
     """Translate a free-space multipole expansion into a local expansion
     about a well-separated target center."""
@@ -354,12 +376,7 @@ def m2l_free(exp, target_center, p, target_radius=None):
     rr, theta, phi = cartesian_to_spherical(exp.center - target_center)
     if rr == 0.0:
         raise BoxesNotSeparated("source and target centers coincide")
-    if exp.radius is not None and target_radius is not None:
-        if rr <= exp.radius + target_radius:
-            raise BoxesNotSeparated(
-                f"center distance {rr:.6g} <= a_s + a_t = "
-                f"{exp.radius + target_radius:.6g}"
-            )
+    _require_separated(exp, rr, target_radius)
     ytab = sph_harm_table(2 * max(p, exp.p), theta, phi)
     flat = _translate(_m2l_weights(p, exp.p), rr, ytab, _pack(exp.coeff, exp.p))
     return HarmonicExpansion(
@@ -368,17 +385,23 @@ def m2l_free(exp, target_center, p, target_radius=None):
     )
 
 
-def _check_real(val, terms):
-    """An expansion of real charges must sum to a real value at each
-    point, up to roundoff in its terms (a NaN residue fails too); val has
-    the leading shape of terms[..., n, m]."""
-    scale = np.abs(terms).sum(axis=(-2, -1))
-    real = np.abs(val.imag) <= 1e-10 * np.abs(val) + 1e-12 * (scale + 1e-300)
-    if not real.all():
-        raise InvariantViolated(
-            f"imaginary residue {np.asarray(val.imag)[~real][0]} too large for "
-            "a real charge system"
-        )
+def _expansion_sum(exp, functions):
+    """sum over (n, m) of exp.coeff times functions[..., n, m], one value
+    per leading index (a float or complex for none).  An expansion of real
+    charges must sum to a real value at each point, up to roundoff in its
+    terms (a NaN residue fails too), and returns the real part."""
+    terms = exp.coeff * functions
+    val = terms.sum(axis=(-2, -1))
+    if exp.real_sources:
+        scale = np.abs(terms).sum(axis=(-2, -1))
+        real = np.abs(val.imag) <= 1e-10 * np.abs(val) + 1e-12 * (scale + 1e-300)
+        if not real.all():
+            raise InvariantViolated(
+                f"imaginary residue {np.asarray(val.imag)[~real][0]} too large "
+                "for a real charge system"
+            )
+        val = val.real
+    return val if val.ndim else val.item()
 
 
 @lru_cache(maxsize=64)
@@ -425,12 +448,7 @@ def eval_expansion(exp, r):
     """Evaluate a multipole or local expansion at a point, or at each row
     of an (N, 3) array of points (an array of N values), with the region
     warnings of solid_harmonics."""
-    terms = exp.coeff * solid_harmonics(exp, r)
-    val = terms.sum(axis=(-2, -1))
-    if exp.real_sources:
-        _check_real(val, terms)
-        val = val.real
-    return val if val.ndim else val.item()
+    return _expansion_sum(exp, solid_harmonics(exp, r))
 
 
 def direct_potential(system, r):
@@ -475,50 +493,29 @@ def reaction_me_from_charges(
     free-space coefficient formula applied to the polarization
     coordinates of the charges."""
     require_component(medium, a, b, ell, ellprime)
-    center = np.asarray(center, dtype=float)
     _check_polarization_center(medium, a, center, ell)
     img = polarization_coordinates(system, medium, a, b, ell, ellprime)
-    rel = img - center
-    dist = np.linalg.norm(rel, axis=1)
-    if radius is None:
-        radius = float(dist.max(initial=0.0))
-    if np.any(dist > radius * (1 + 1e-12)):
-        raise ChargeOutsideBox(
-            f"polarization source at distance {dist.max():.6g} exceeds "
-            f"box radius {radius:.6g}"
-        )
-    coeff = _charge_moments(system.q, rel, p)
-    return HarmonicExpansion(
-        "reaction_multipole",
-        center,
-        p,
-        coeff,
-        radius=radius,
-        component=(a, b, ell, ellprime),
-    )
+    return _multipole("reaction_multipole", system.q, img, center, p, radius,
+                      "polarization source", (a, b, ell, ellprime))
 
 
 def _kernel_vector(medium, component, r, center, form):
-    """Kernel argument vector of a reaction operator and the index its
-    basis sign alternates with ("n" or "m").
+    """Kernel argument vector of a reaction operator, and whether its
+    basis entries F_nm flip by (-1)^{n+m} against the polarization form.
 
     form="polarization": center is a polarization center (an ME center,
     or a charge's polarization position for LE and M2L); the argument is
-    r - center, reflected in the xy-plane for a=2, and the basis sign
-    alternates with n for a=1, with m for a=2.  form="direct": center is
-    a physical source point in layer l'; the argument is tau^{ab}(r,
-    center) and b selects the sign instead.  r and center may be arrays of
-    points along the last axis (broadcast); so is the argument then.
+    r - center, reflected in the xy-plane for a=2.  form="direct": center
+    is a physical source point in layer l'; the argument is tau^{ab}(r,
+    center), and the basis flips when a = b.  r and center may be arrays
+    of points along the last axis (broadcast); so is the argument then.
     """
-    a, b, ell, ellprime = component
-    r = np.asarray(r, dtype=float)
-    center = np.asarray(center, dtype=float)
+    a, b = component[:2]
     if form == "polarization":
-        v = r - center if a == 1 else reflect(r - center)
-        return v, "n" if a == 1 else "m"
+        v = np.subtract(r, center, dtype=float)
+        return (v if a == 1 else reflect(v)), False
     if form == "direct":
-        v = tau_map(medium, a, b, ell, ellprime, r, center)
-        return v, "m" if b == 1 else "n"
+        return tau_map(medium, *component, r, center), a == b
     raise ValueError(f"unknown basis form {form!r}")
 
 
@@ -559,38 +556,79 @@ def _reaction_table(medium, component, v, top, rel_tol):
     return table, phi, stats
 
 
-def _signed_order(table, n, m):
-    """table[..., n, |m|] with J_{-|m|} = (-1)^{|m|} J_{|m|} folded in,
-    over index arrays n and m."""
-    return table[..., n, np.abs(m)] * np.where(m < 0, (-1.0) ** np.abs(m), 1.0)
+@lru_cache(maxsize=4)
+def _reaction_m2l_weights(p, source_p):
+    """Read-only geometry-free parts of _reaction_operator at target
+    degree p and source degree source_p, 24 bytes an entry: the weight
+    c_n'^2 C_n^m C_n'^m' (complex128), the flat index of I(n + n',
+    |m' - m|) in a table of top p + source_p (int32), that of the phase of
+    m' - m (int16), and for a = 1 and a = 2 whether the basis sign times
+    the J_{-m} fold is -1 (bool).  Negation commutes with rounding, so
+    applying that sign last gives the entries of the product taken in the
+    per-call order.  Four keys cover an M2L order and the basis and LE
+    tables that certify it."""
+    pmax = max(p, source_p)
+    cst = constants(pmax)
+    ns, ms = _packed_indices(p)
+    nu, mu = _packed_indices(source_p)
+    sn = ns[:, None] + nu[None, :]
+    dm = mu[None, :] - ms[:, None]
+    weight = (cst.c[nu[None, :]] ** 2 * cst.c_table[ns, ms + pmax][:, None]
+              * cst.c_table[nu, mu + pmax][None, :])
+    fold = (dm < 0) & (dm % 2 == 1)
+    signs = (nu[None, :], ns[:, None] + ms[:, None] + mu[None, :])
+    neg = [fold ^ (k % 2 == 1) for k in signs]
+    index = (sn * (p + source_p + 1) + np.abs(dm)).astype(np.int32)
+    return _read_only(weight, index, (dm + p + source_p).astype(np.int16), *neg)
 
 
-def _alternating(k):
-    """(-1)^k over an integer array."""
-    return np.where(k % 2 == 0, 1.0, -1.0)
+def _reaction_operator(medium, component, v, p, source_p, rel_tol, flip=False):
+    """The reaction operator T_{nm,n'm'}, n <= p, n' <= source_p, at
+    kernel argument v (see _kernel_vector): the basis sign times
+    c_n'^2 C_n^m C_n'^m' i^{m'-m} e^{i(m'-m) phi} I(n + n', |m' - m|),
+    with J_{-m} = (-1)^m J_m folded in, over packed indices.
+
+    It is the reaction M2L matrix, and with c_0 = 1/sqrt(4 pi), c_0 times
+    its row 0 at p = 0 is the multipole basis, c_0 times its column 0 at
+    source_p = 0 a unit charge's local expansion.  flip applies the
+    direct form's (-1)^{n+m+n'+m'}.  v is one vector or an array of them
+    along the last axis, whose tables share quadrature grids; returns
+    (T, stats), T of shape v.shape[:-1] + ((p+1)^2, (source_p+1)^2).
+    """
+    v = np.asarray(v, dtype=float)
+    lead, top = v.shape[:-1], p + source_p
+    table, phi, stats = _reaction_table(
+        medium, component, v.reshape(-1, 3) if lead else v, top, rel_tol
+    )
+    weight, index, dm, *neg = _reaction_m2l_weights(p, source_p)
+    d = np.arange(-top, top + 1)
+    phase = np.take((1j) ** d * np.exp(1j * d * phi[..., None]), dm, axis=-1)
+    out = np.take(table.reshape(phi.shape + ((top + 1) ** 2,)), index, axis=-1)
+    np.multiply(np.multiply(weight, phase, out=phase), out, out=out)
+    np.negative(out, out=out, where=neg[(component[0] - 1) ^ flip])
+    return out.reshape(lead + index.shape), stats
+
+
+#: c_0 = 1/sqrt(4 pi), which turns a row or column of the operator into
+#: a basis table or a unit charge's local expansion
+_C0 = 1.0 / math.sqrt(4.0 * math.pi)
 
 
 def reaction_basis_table(medium, component, p, r, center, rel_tol=1e-11,
                          form="polarization"):
     """All multipole basis values F_nm^{ab}(r, center), n <= p, on shared
-    quadrature nodes.  rel_tol is relative to each integral's analytic
-    magnitude bound.  form selects how center is read: a polarization
-    center ("polarization") or the physical source center in layer l'
-    ("direct"); see _kernel_vector.  Returns (table, stats); table is
-    (p+1, 2p+1) for one point r, and (N, p+1, 2p+1) for an (N, 3) array
-    of points, whose N tables share quadrature grids and one stats
+    quadrature nodes: c_0 times row 0 of the reaction operator.  rel_tol
+    is relative to each integral's analytic magnitude bound.  form
+    selects how center is read: a polarization center ("polarization") or
+    the physical source center in layer l' ("direct"); see
+    _kernel_vector.  Returns (table, stats); table is (p+1, 2p+1) for one
+    point r, and r.shape[:-1] + (p+1, 2p+1) for an array of points along
+    the last axis, whose tables share quadrature grids and one stats
     record.
     """
-    v, alternate = _kernel_vector(medium, component, r, center, form)
-    table, phi, stats = _reaction_table(medium, component, v, p, rel_tol)
-    cst = constants(p)
-    ns, ms = _packed_indices(p)
-    sign = _alternating(ns if alternate == "n" else ms)
-    pref = (
-        sign * cst.c[ns] ** 2 * cst.c_table[ns, ms + p] * (1j) ** ms
-        * np.exp(1j * ms * phi[..., None])
-    )
-    return _unpack(pref * _signed_order(table, ns, ms), p), stats
+    v, flip = _kernel_vector(medium, component, r, center, form)
+    row, stats = _reaction_operator(medium, component, v, 0, p, rel_tol, flip)
+    return _unpack(_C0 * row[..., 0, :], p), stats
 
 
 def eval_me_basis(
@@ -610,20 +648,15 @@ def eval_me_basis(
 
 def eval_reaction_me(exp, medium, r, rel_tol=1e-11, stats=False):
     """Evaluate a reaction multipole expansion: sum M_nm F_nm(r, center),
-    at a point or at each row of an (N, 3) array of points (an array of N
-    values, from one reaction_basis_table call).  With stats=True the
+    at a point or at each point along the last axis of an array (an array
+    of values, from one reaction_basis_table call).  With stats=True the
     basis table's quadrature stats come back as well: (values, stats).
     """
     _require_kind(exp, "reaction_multipole")
     basis, quad = reaction_basis_table(
         medium, exp.component, exp.p, r, exp.center, rel_tol
     )
-    terms = exp.coeff * basis
-    val = terms.sum(axis=(-2, -1))
-    if exp.real_sources:
-        _check_real(val, terms)
-        val = val.real
-    val = val if val.ndim else val.item()
+    val = _expansion_sum(exp, basis)
     return (val, quad) if stats else val
 
 
@@ -632,10 +665,10 @@ def reaction_le_from_charges(
     stats=False,
 ):
     """Local expansion of the reaction field of far-away charges about a
-    target center in layer l: per-charge Sommerfeld coefficient integrals,
-    on shared quadrature grids, summed with the charge weights.  With
-    stats=True the quadrature stats come back as well: (expansion,
-    stats)."""
+    target center in layer l: c_0 q_j times column 0 of each charge's
+    reaction operator, on shared quadrature grids, summed over the
+    charges.  With stats=True the quadrature stats come back as well:
+    (expansion, stats)."""
     require_component(medium, a, b, ell, ellprime)
     component = (a, b, ell, ellprime)
     center = np.asarray(center, dtype=float)
@@ -646,16 +679,9 @@ def reaction_le_from_charges(
             raise ChargeInsideBox(
                 "a polarization source lies inside the target radius"
             )
-    cst = constants(p)
-    ns, ms = _packed_indices(p)
-    sign = 1.0 if a == 1 else _alternating(ns + ms)
     w, _ = _kernel_vector(medium, component, center, img, "polarization")
-    table, phi, quad = _reaction_table(medium, component, w, p, rel_tol)
-    pref = (
-        sign * cst.c_table[ns, ms + p] / (4.0 * math.pi) * (1j) ** ms
-        * np.exp(-1j * ms * phi[:, None])
-    )
-    flat = system.q @ (pref * _signed_order(table, ns, ms))
+    column, quad = _reaction_operator(medium, component, w, p, 0, rel_tol)
+    flat = (_C0 * system.q) @ column[..., 0]
     exp = HarmonicExpansion("local", center, p, _unpack(flat, p), radius=radius)
     return (exp, quad) if stats else exp
 
@@ -678,45 +704,13 @@ def eval_reaction_le_coeff(
     return complex(exp.coeff[n, m + n])
 
 
-@lru_cache(maxsize=2)
-def _reaction_m2l_weights(p, source_p):
-    """Read-only geometry-free parts of reaction_m2l_matrix at target
-    degree p and source degree source_p, 24 bytes an entry: the weight
-    c_n'^2 C_n^m C_n'^m' (complex128), the flat index of I(n + n',
-    |m' - m|) in the table (int32), that of the phase of m' - m (int16),
-    and for a = 1 and a = 2 whether the basis sign times the J_{-m} fold
-    is -1 (bool).  Negation commutes with rounding, so applying that sign
-    last gives the entries of the product taken in the per-call order."""
-    pmax = max(p, source_p)
-    cst = constants(pmax)
-    ns, ms = _packed_indices(p)
-    nu, mu = _packed_indices(source_p)
-    sn = ns[:, None] + nu[None, :]
-    dm = mu[None, :] - ms[:, None]
-    weight = (cst.c[nu[None, :]] ** 2 * cst.c_table[ns, ms + pmax][:, None]
-              * cst.c_table[nu, mu + pmax][None, :])
-    fold = (dm < 0) & (dm % 2 == 1)
-    signs = (nu[None, :], ns[:, None] + ms[:, None] + mu[None, :])
-    neg = [fold ^ (k % 2 == 1) for k in signs]
-    index = (sn * (2 * pmax + 1) + np.abs(dm)).astype(np.int32)
-    return _read_only(weight, index, (dm + p + source_p).astype(np.int16), *neg)
-
-
 def reaction_m2l_matrix(exp, medium, target_center, p, rel_tol=1e-11):
     """Dense reaction M2L operator mapping packed multipole coefficients
     (degree <= exp.p) to packed local coefficients (degree <= p)."""
     _require_kind(exp, "reaction_multipole")
     v, _ = _kernel_vector(medium, exp.component, target_center, exp.center,
                           "polarization")
-    table, phi, stats = _reaction_table(
-        medium, exp.component, v, 2 * max(p, exp.p), rel_tol
-    )
-    weight, index, dm, *neg = _reaction_m2l_weights(p, exp.p)
-    d = np.arange(-(p + exp.p), p + exp.p + 1)
-    phase = np.take((1j) ** d * np.exp(1j * d * phi), dm)
-    out = np.take(table, index)
-    np.multiply(np.multiply(weight, phase, out=phase), out, out=out)
-    return np.negative(out, out=out, where=neg[exp.component[0] - 1]), stats
+    return _reaction_operator(medium, exp.component, v, p, exp.p, rel_tol)
 
 
 def eval_reaction_m2l_entry(
@@ -742,13 +736,9 @@ def m2l_reaction(exp, medium, target_center, p, rel_tol=1e-11, target_radius=Non
     """Translate a reaction multipole expansion into a free-space-basis
     local expansion about a well-separated target center."""
     target_center = np.asarray(target_center, dtype=float)
-    if exp.radius is not None and target_radius is not None:
-        sep = float(np.linalg.norm(target_center - exp.center))
-        if sep <= exp.radius + target_radius:
-            raise BoxesNotSeparated(
-                f"center distance {sep:.6g} <= a_s + a_t = "
-                f"{exp.radius + target_radius:.6g}"
-            )
+    _require_separated(
+        exp, float(np.linalg.norm(target_center - exp.center)), target_radius
+    )
     tmat, _ = reaction_m2l_matrix(exp, medium, target_center, p, rel_tol)
     flat = tmat @ _pack(exp.coeff, exp.p)
     return HarmonicExpansion(

@@ -45,6 +45,7 @@ from layerfmm.expansions import (
     _packed_indices,
     _radial_powers,
     _reaction_m2l_weights,
+    reaction_basis_table,
     reaction_m2l_matrix,
     truncated,
 )
@@ -648,7 +649,7 @@ def test_reaction_m2l_weights_match_per_call_assembly(slab, monkeypatch, p, sour
     product for both a, on real tables (as the engine returns) and on
     complex ones, at phi = 0 (exact phases) and at a generic phi."""
     rng = np.random.default_rng(10 * p + source_p)
-    size = 2 * max(p, source_p) + 1
+    size = p + source_p + 1
     real = rng.standard_normal((size, size)) + 0j
     tables = [real, real + 1j * rng.standard_normal((size, size))]
     for table in tables:
@@ -662,12 +663,113 @@ def test_reaction_m2l_weights_serve_both_a(slab, monkeypatch):
     """The weights do not depend on a, so the a = 1 and a = 2 components
     of one (p, p') share one cached entry instead of evicting each
     other."""
-    table = np.random.default_rng(3).standard_normal((9, 9)) + 0j
+    table = np.random.default_rng(3).standard_normal((8, 8)) + 0j
     _reaction_m2l_weights.cache_clear()
     for a in (1, 2, 1, 2):
         _m2l_on_table(monkeypatch, slab, table, 0.7, a, 4, 3)
     info = _reaction_m2l_weights.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def _basis_reference(a, b, form, table, phi, p):
+    """The multipole basis as its per-call formula: basis sign (with n for
+    a = 1 and m for a = 2 in the polarization form, m for b = 1 and n for
+    b = 2 in the direct form), c_n^2 C_n^m i^m e^{i m phi} and I(n, |m|)
+    with J_{-m} = (-1)^m J_m folded in."""
+    cst = constants(p)
+    ns, ms = _packed_indices(p)
+    by_n = a == 1 if form == "polarization" else b == 2
+    sign = (-1.0) ** (ns if by_n else ms)
+    fold = np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
+    flat = (
+        sign * cst.c[ns] ** 2 * cst.c_table[ns, ms + p] * (1j) ** ms
+        * np.exp(1j * ms * phi) * (table[ns, np.abs(ms)] * fold)
+    )
+    return expansions._unpack(flat, p)
+
+
+def _le_reference(a, q, tables, phis, p):
+    """A reaction LE as its per-call formula, summed over charges: q_j,
+    the sign (-1)^{n+m} for a = 2, C_n^m / (4 pi), i^m e^{-i m phi_j} and
+    I_j(n, |m|) with J_{-m} = (-1)^m J_m folded in."""
+    cst = constants(p)
+    ns, ms = _packed_indices(p)
+    sign = 1.0 if a == 1 else (-1.0) ** (ns + ms)
+    fold = np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
+    terms = [
+        qj * sign * cst.c_table[ns, ms + p] / (4.0 * math.pi) * (1j) ** ms
+        * np.exp(-1j * ms * phi) * (table[ns, np.abs(ms)] * fold)
+        for qj, table, phi in zip(q, tables, phis)
+    ]
+    return expansions._unpack(np.sum(terms, axis=0), p), np.sum(np.abs(terms), axis=0)
+
+
+@pytest.mark.parametrize("complex_table", [False, True])
+def test_reaction_basis_and_le_are_row_and_column_of_the_operator(
+    slab, monkeypatch, complex_table
+):
+    """reaction_basis_table (a = 1, 2, and the direct form) and
+    reaction_le_from_charges, which read row 0 and column 0 of the reaction
+    operator, give their per-call formulas on synthetic tables, at phi = 0
+    and at a generic phi, within a few ulps."""
+    rng = np.random.default_rng(5 + complex_table)
+    p, eps = 6, np.finfo(float).eps
+    tables = rng.standard_normal((3, p + 1, p + 1)) + 0j
+    if complex_table:
+        tables += 1j * rng.standard_normal(tables.shape)
+    r, csrc = np.array([0.3, 0.25, -0.4]), np.array([0.05, -0.1, -0.55])
+    tc = np.array([0.5, 0.3, -0.3])
+    one = ChargeSystem.in_medium(slab, [0.7], [csrc])
+    three = ChargeSystem.in_medium(
+        slab, [1.0, -0.5, 0.25], [csrc, [0.1, 0.2, -0.6], [-0.3, 0.1, -0.45]]
+    )
+    for phi in (0.0, float(rng.uniform(0.0, 2.0 * math.pi))):
+        phis = phi + np.arange(3.0)
+
+        def fake(medium, component, v, top, rel_tol):
+            assert top == p
+            if np.ndim(v) == 1:
+                return tables[0], np.asarray(phi), {}
+            return tables[: len(v)], phis[: len(v)], {}
+
+        monkeypatch.setattr(expansions, "_reaction_table", fake)
+        for a, b in [(1, 1), (2, 2), (1, 2), (2, 1)]:
+            for form in ("polarization", "direct"):
+                center = csrc if form == "direct" else polarization_source(
+                    slab, a, b, 1, 1, csrc
+                )
+                got, _ = reaction_basis_table(
+                    slab, (a, b, 1, 1), p, r, center, form=form
+                )
+                want = _basis_reference(a, b, form, tables[0], phi, p)
+                assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want))
+            for system in (one, three):
+                got = reaction_le_from_charges(system, slab, a, b, 1, 1, tc, p)
+                want, scale = _le_reference(a, system.q, tables, phis, p)
+                assert np.all(
+                    np.abs(got.coeff - want) <= 4 * eps * expansions._unpack(scale, p)
+                )
+
+
+@pytest.mark.parametrize("ab", [(1, 1), (2, 1)])
+def test_reaction_basis_and_me_take_stacked_points(slab, ab):
+    """reaction_basis_table and eval_reaction_me on an (M, N, 3) stack of
+    points give the (M, N) layout of the flattened batch, bitwise, as
+    eval_expansion does for free expansions."""
+    rng = np.random.default_rng(17)
+    pol_c = polarization_source(slab, *ab, 1, 1, np.array([0.05, -0.1, -0.55]))
+    sys_ = ChargeSystem.in_medium(
+        slab, [1.0, -0.4], [[0.05, -0.1, -0.55], [0.1, 0.0, -0.5]]
+    )
+    exp = reaction_me_from_charges(sys_, slab, *ab, 1, 1, pol_c, 4)
+    points = np.array([0.2, 0.1, -0.4]) + 0.1 * rng.uniform(-1, 1, (2, 3, 3))
+    table, _ = reaction_basis_table(slab, (*ab, 1, 1), 4, points, pol_c)
+    flat, _ = reaction_basis_table(slab, (*ab, 1, 1), 4, points.reshape(-1, 3), pol_c)
+    assert table.shape == (2, 3, 5, 9)
+    assert np.array_equal(table, flat.reshape(table.shape))
+    values = eval_reaction_me(exp, slab, points)
+    assert values.shape == (2, 3)
+    assert np.array_equal(values, eval_reaction_me(exp, slab, points.reshape(-1, 3)).reshape(2, 3))
 
 
 def test_reaction_m2m_shift(slab):
