@@ -769,7 +769,8 @@ def test_reaction_basis_and_me_take_stacked_points(slab, ab):
     assert np.array_equal(table, flat.reshape(table.shape))
     values = eval_reaction_me(exp, slab, points)
     assert values.shape == (2, 3)
-    assert np.array_equal(values, eval_reaction_me(exp, slab, points.reshape(-1, 3)).reshape(2, 3))
+    flat_values = eval_reaction_me(exp, slab, points.reshape(-1, 3))
+    assert np.array_equal(values, flat_values.reshape(2, 3))
 
 
 def test_reaction_m2m_shift(slab):
