@@ -18,18 +18,28 @@ import click
 import numpy as np
 
 from . import expansions as xp
-from .densities import density_bound, reaction_densities
-from .harmonics import MAX_ORDER
-from .lab import (
-    ExperimentConfig,
-    _eps_floor,
-    _reaction_oracle,
-    _sum_stats,
-    run_experiment,
-    run_property_suite,
+from .densities import reaction_densities
+from .errors import (
+    BoxCrossesInterface, ComponentAbsent, DomainError, IndexOutOfRange, PointOnInterface
 )
-from .medium import LayeredMedium, polarization_source
+from .harmonics import MAX_ORDER
+from .lab import ExperimentConfig, me_terms, run_experiment, run_property_suite
+from .medium import LayeredMedium
 from .sommerfeld import _reaction_green
+
+#: the errors bad input raises, which the commands report as usage errors
+_INPUT_ERRORS = (BoxCrossesInterface, ComponentAbsent, DomainError, IndexOutOfRange,
+                 PointOnInterface)
+
+
+class _Main(click.Group):
+    """The command group; its commands report _INPUT_ERRORS as usage errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as exc:
+            raise click.UsageError(str(exc)) from exc
 
 
 def _parse_vec(text):
@@ -39,16 +49,26 @@ def _parse_vec(text):
     return np.array(parts)
 
 
-def _require_outside(targets, exp):
-    """Usage error for a target not strictly outside the expansion's sphere,
-    where the expansion does not converge and the bound row is negative."""
-    for r in targets:
-        if np.linalg.norm(r - exp.center) <= exp.radius:
-            raise click.UsageError(
-                f"target {','.join(f'{v:g}' for v in r)} lies within radius "
-                f"{exp.radius:g} of the expansion center "
-                f"{','.join(f'{v:g}' for v in exp.center)}"
-            )
+def _load_rows(path, key, width):
+    """The rows under `key` of a JSON object file as an (N, width) array; a
+    usage error unless they are a nonempty list of rows of `width` numbers."""
+    try:
+        with open(path) as fh:
+            rows = np.asarray(json.load(fh)[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        rows = np.empty(0)
+    if rows.shape[1:] != (width,) or not len(rows):
+        raise click.UsageError(f"{key}: need a nonempty list of {width}-number rows")
+    return rows
+
+
+def _emit(text, out):
+    """Write text to the file `out`, or to stdout for "-" or None."""
+    if out in ("-", None):
+        click.echo(text, nl=False)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text)
 
 
 def _parse_component(text):
@@ -59,7 +79,7 @@ def _parse_component(text):
     raise click.BadParameter("component must be one of 11, 12, 21, 22, free")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Layered-media Laplace expansion toolkit."""
 
@@ -87,17 +107,12 @@ def density(medium_path, ell, ellprime, k_grid, out):
         for col in cols:
             row += [f"{col[i].real:.16e}", f"{col[i].imag:.16e}"]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _emit("\n".join(lines) + "\n", out)
 
 
 @main.command()
 @click.option("--medium", "medium_path", required=True, type=click.Path(exists=True))
-@click.option("--component", default="11")
+@click.option("--component", default="11", type=click.Choice(["11", "12", "21", "22"]))
 @click.option("--source", required=True, help="x,y,z of the source point")
 @click.option("--target", required=True, help="x,y,z of the target point")
 @click.option("--tol", default=1e-10, type=float)
@@ -134,82 +149,52 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
        show_stats):
     """Multipole expansion vs brute-force oracle at target points.
 
-    Emits CSV: x, y, z, expansion, oracle, abs_error, bound.  bound is
-    the truncation bound plus the smallest error the comparison with the
-    oracle can certify, as in the lab's row checks (lab._eps_floor).  A
-    target within the expansion radius, and for a reaction component
-    charges or targets in more than one layer, are usage errors.  With
-    --stats a reaction component also prints the summed quadrature
-    counters of the expansion's basis tables and of the oracle to stderr.
+    Emits CSV: x, y, z, expansion, oracle, abs_error, bound, from the lab's
+    ME check (lab.me_terms); a reaction oracle runs at min(1e-10, tol).
+    bound is the truncation bound plus the smallest error the comparison
+    with the oracle can certify.  A target within the expansion radius,
+    and for a reaction component charges or targets in more than one
+    layer, are usage errors.  With --stats a reaction component also
+    prints the quadrature counters of its basis table and oracle to stderr.
     """
-    with open(charges_path) as fh:
-        cdata = json.load(fh)["charges"]
-    q = [row[0] for row in cdata]
-    pos = [row[1:4] for row in cdata]
-    with open(targets_path) as fh:
-        targets = np.asarray(json.load(fh)["targets"], dtype=float)
-    center = _parse_vec(center)
+    charges = _load_rows(charges_path, "charges", 4)
+    targets = _load_rows(targets_path, "targets", 3)
     comp = _parse_component(component)
     if comp is None:
-        system = xp.ChargeSystem.free_space(q, pos)
-        exp = xp.me_from_charges(system, center, order)
-        _require_outside(targets, exp)
-        msig = 1.0
-        values = xp.eval_expansion(exp, targets)
-        oracle = [xp.direct_potential(system, r) for r in targets]
+        system = xp.ChargeSystem.free_space(charges[:, 0], charges[:, 1:])
+        medium = None
     else:
         if medium_path is None:
             raise click.UsageError("reaction components need --medium")
         medium = LayeredMedium.from_json(medium_path)
-        a, b = comp
-        system = xp.ChargeSystem.in_medium(medium, q, pos)
+        system = xp.ChargeSystem.in_medium(medium, charges[:, 0], charges[:, 1:])
         ellprime = int(system.layers[0])
         if np.any(system.layers != ellprime):
             raise click.UsageError(f"every charge must lie in layer {ellprime}")
         ell = medium.layer_of(targets[0][2])
         if any(medium.layer_of(r[2]) != ell for r in targets):
             raise click.UsageError(f"every target must lie in layer {ell}")
-        pol_center = polarization_source(medium, a, b, ell, ellprime, center)
-        exp = xp.reaction_me_from_charges(
-            system, medium, a, b, ell, ellprime, pol_center, order
-        )
-        _require_outside(targets, exp)
-        msig = density_bound(medium, ell, ellprime, a, b)
-        values, exp_stats = xp.eval_reaction_me(exp, medium, targets, tol, stats=True)
-        # the oracle keeps eval_reaction_green's default absolute tolerance
-        oracle, oracle_stats = _reaction_oracle(
-            medium, (a, b, ell, ellprime), system, targets, 1e-10
-        )
-        if show_stats:
-            for name, rec in (("expansion", _sum_stats([exp_stats])),
-                              ("oracle", oracle_stats)):
-                counts = "  ".join(
-                    f"{k} = {v}" for k, v in rec.items() if k != "tol_use"
-                )
-                click.echo(
-                    f"{name}: {counts}  tol_use = {rec['tol_use']:.3e}", err=True
-                )
-    qq = system.total_abs_charge
-    floor = _eps_floor(
-        comp is not None, tol, float(np.max(np.abs(oracle), initial=0.0))
+        comp += (ell, ellprime)
+    exp, functions, oracle, floor, msig, stats = me_terms(
+        system, _parse_vec(center), order, targets, medium, comp, tol
     )
+    values = xp._expansion_sum(exp, functions)
+    if show_stats:
+        for name, rec in stats.items():
+            counts = "  ".join(f"{k} = {v}" for k, v in rec.items() if k != "tol_use")
+            click.echo(f"{name}: {counts}  tol_use = {rec['tol_use']:.3e}", err=True)
     lines = ["x,y,z,expansion,oracle,abs_error,bound"]
     for r, val, ora in zip(targets, values, oracle):
         rr = float(np.linalg.norm(r - exp.center))
         bound = floor + (
-            qq * msig / (4 * math.pi * (rr - exp.radius))
+            system.total_abs_charge * msig / (4 * math.pi * (rr - exp.radius))
             * (exp.radius / rr) ** (order + 1)
         )
         lines.append(
             f"{r[0]:.16e},{r[1]:.16e},{r[2]:.16e},"
             f"{val:.16e},{ora:.16e},{abs(val - ora):.16e},{bound:.16e}"
         )
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _emit("\n".join(lines) + "\n", out)
 
 
 @main.group()
@@ -225,14 +210,9 @@ def lab_run(config_path, out, json_path):
     """Run a convergence experiment; exit 0 iff all bound checks pass."""
     config = ExperimentConfig.from_json(config_path)
     report = run_experiment(config)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(report.to_csv())
-    else:
-        click.echo(report.to_csv(), nl=False)
+    _emit(report.to_csv(), out)
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(report.to_json())
+        _emit(report.to_json(), json_path)
     click.echo(
         f"kind={report.kind} passed={report.passed} "
         f"rate_fit={report.rate_fit:.4f} rate_theory={report.rate_theory:.4f}",

@@ -119,9 +119,7 @@ class HarmonicExpansion:
     coeff has shape (p+1, 2p+1) with order m stored at column m + p.
     kind is "multipole", "local", or "reaction_multipole"; the latter
     carries its component tag and is centered at a polarization center.
-    radius records the box radius used at construction (None if unknown),
-    real_sources whether the coefficients came from real charges, in
-    which case evaluations must be real up to roundoff.
+    radius records the box radius used at construction (None if unknown).
     """
 
     kind: str
@@ -130,7 +128,6 @@ class HarmonicExpansion:
     coeff: np.ndarray
     radius: float | None = None
     component: tuple | None = None
-    real_sources: bool = True
 
     def __post_init__(self):
         object.__setattr__(
@@ -380,28 +377,25 @@ def m2l_free(exp, target_center, p, target_radius=None):
     ytab = sph_harm_table(2 * max(p, exp.p), theta, phi)
     flat = _translate(_m2l_weights(p, exp.p), rr, ytab, _pack(exp.coeff, exp.p))
     return HarmonicExpansion(
-        "local", target_center, p, _unpack(flat, p), radius=target_radius,
-        real_sources=exp.real_sources,
+        "local", target_center, p, _unpack(flat, p), radius=target_radius
     )
 
 
 def _expansion_sum(exp, functions):
     """sum over (n, m) of exp.coeff times functions[..., n, m], one value
-    per leading index (a float or complex for none).  An expansion of real
-    charges must sum to a real value at each point, up to roundoff in its
-    terms (a NaN residue fails too), and returns the real part."""
+    per leading index (a float for none).  An expansion of real charges
+    must sum to a real value at each point, up to roundoff in its terms
+    (a NaN residue fails too), and returns the real part."""
     terms = exp.coeff * functions
     val = terms.sum(axis=(-2, -1))
-    if exp.real_sources:
-        scale = np.abs(terms).sum(axis=(-2, -1))
-        real = np.abs(val.imag) <= 1e-10 * np.abs(val) + 1e-12 * (scale + 1e-300)
-        if not real.all():
-            raise InvariantViolated(
-                f"imaginary residue {np.asarray(val.imag)[~real][0]} too large "
-                "for a real charge system"
-            )
-        val = val.real
-    return val if val.ndim else val.item()
+    scale = np.abs(terms).sum(axis=(-2, -1))
+    real = np.abs(val.imag) <= 1e-10 * np.abs(val) + 1e-12 * (scale + 1e-300)
+    if not real.all():
+        raise InvariantViolated(
+            f"imaginary residue {np.asarray(val.imag)[~real][0]} too large "
+            "for a real charge system"
+        )
+    return val.real if val.ndim else val.real.item()
 
 
 @lru_cache(maxsize=64)
@@ -742,8 +736,7 @@ def m2l_reaction(exp, medium, target_center, p, rel_tol=1e-11, target_radius=Non
     tmat, _ = reaction_m2l_matrix(exp, medium, target_center, p, rel_tol)
     flat = tmat @ _pack(exp.coeff, exp.p)
     return HarmonicExpansion(
-        "local", target_center, p, _unpack(flat, p), radius=target_radius,
-        real_sources=exp.real_sources,
+        "local", target_center, p, _unpack(flat, p), radius=target_radius
     )
 
 

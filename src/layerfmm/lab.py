@@ -8,7 +8,8 @@ places charges and targets, computes its errors[p] against an oracle
 that shares no code with the operator, and ends in `_geometric`: the
 bound Q M_sigma / D (inner/outer)^(p+1) at rate log(outer/inner), with
 M_sigma = 1 in free space, judged by `_verdict`, the one place that sets
-the noise floors, the row verdicts and the run metadata.
+the noise floors, the row verdicts and the run metadata.  Every ME check
+(the ME kinds, `layerfmm me`) goes through `me_terms`.
 
 Reports are deterministic: fixed seeds, quasi-uniform Fibonacci-sphere
 target sets, fixed reduction order, and fixed float formatting, so two
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import expansions as xp
 from .densities import InterfaceMatrices, density_bound, reaction_densities
-from .errors import ComponentAbsent
+from .errors import DomainError
 from .harmonics import (
     cartesian_to_spherical,
     constants,
@@ -38,9 +39,7 @@ from .medium import (
     check_box_in_layer,
     polarization_source,
 )
-from .sommerfeld import (
-    CAGNIARD_CATALOG, QUAD_COUNTS, cagniard_identity_check, eval_reaction_green,
-)
+from .sommerfeld import CAGNIARD_CATALOG, cagniard_identity_check, eval_reaction_green
 
 CSV_SCHEMA = 1
 #: skew unit vector used for deterministic center placement
@@ -150,8 +149,7 @@ class ConvergenceReport:
             "rows": [
                 {"p": p, "max_error": e, "bound": b, "ratio": r, "passed": ok}
                 for p, e, b, r, ok in zip(
-                    self.ps, self.errors, self.bounds, self.ratios,
-                    self.passed_rows or [None] * len(self.ps),
+                    self.ps, self.errors, self.bounds, self.ratios, self.passed_rows
                 )
             ],
             "rate_fit": self.rate_fit,
@@ -194,8 +192,6 @@ def fit_decay_rate(ps, errors, floor):
     ps = np.asarray(ps, dtype=float)
     errors = np.asarray(errors, dtype=float)
     keep = errors > floor
-    if keep.sum() < 2:
-        return float("nan")
     ps, errors = ps[keep], errors[keep]
     half = len(ps) // 2
     ps, errors = ps[half:], errors[half:]
@@ -304,14 +300,12 @@ def _geometric(config, errors, system, oracle, denom, inner, outer, meta,
 
 def _free_me(config):
     system = _box_charges(config)
-    center = system.source_box.center
-    exp = xp.me_from_charges(system, center, config.p_max)
-    r = config.eval_radius
-    targets, oracle = _free_targets(config, system, center, r)
-    errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
+    center, r = system.source_box.center, config.eval_radius
+    targets = center + r * fibonacci_sphere(config.n_targets)
+    exp, basis, oracle, *_ = me_terms(system, center, config.p_max, targets)
     return _geometric(
-        config, errors, system, oracle, 4 * math.pi * (r - config.a_s),
-        config.a_s, r, {"r_eval": r, "a_s": config.a_s},
+        config, _partial_sum_errors(exp, basis, oracle), system, oracle,
+        4 * math.pi * (r - config.a_s), config.a_s, r, {"r_eval": r, "a_s": config.a_s},
     )
 
 
@@ -333,20 +327,20 @@ def _free_le(config):
 
 def _free_m2m(config):
     system = _box_charges(config)
-    center = system.source_box.center
+    center, r = system.source_box.center, config.eval_radius
     r_ss = 0.5 * config.a_s
     a_eff = config.a_s + r_ss
     new_center = center - r_ss * _SKEW
+    targets = new_center + r * fibonacci_sphere(config.n_targets)
+    recomputed, basis, oracle, *_ = me_terms(
+        system, new_center, config.p_max, targets, radius=a_eff
+    )
     shifted = xp.m2m(xp.me_from_charges(system, center, config.p_max), new_center)
-    recomputed = xp.me_from_charges(system, new_center, config.p_max, radius=a_eff)
     delta = np.abs(shifted.coeff - recomputed.coeff).max()
     scale = np.abs(recomputed.coeff).max()
-    r = config.eval_radius
-    targets, oracle = _free_targets(config, system, new_center, r)
-    basis = xp.solid_harmonics(shifted, targets)
-    errors = _partial_sum_errors(shifted, basis, oracle)
     return _geometric(
-        config, errors, system, oracle, 4 * math.pi * (r - a_eff), a_eff, r,
+        config, _partial_sum_errors(shifted, basis, oracle), system, oracle,
+        4 * math.pi * (r - a_eff), a_eff, r,
         {"shift": r_ss, "recompute_rel_agreement": float(delta / scale)},
     )
 
@@ -397,77 +391,80 @@ def _free_m2l(config):
 
 
 def _reaction_oracle(medium, component, system, targets, tol):
-    """Reaction potential of the charges at each target, with the summed
-    quadrature stats: one eval_reaction_green call over every (target,
-    charge) pair."""
+    """The reaction potential of the charges at each target, from one
+    eval_reaction_green call over every (target, charge) pair at absolute
+    tolerance min(1e-10, tol); M_sigma; and the call's quadrature stats."""
     n_t, n_c = len(targets), len(system)
     values, stats = eval_reaction_green(
         medium, *component, np.repeat(targets, n_c, axis=0),
-        np.tile(system.positions, (n_t, 1)), tol=tol, stats=True,
+        np.tile(system.positions, (n_t, 1)), tol=min(1e-10, tol), stats=True,
     )
-    return values.reshape(n_t, n_c) @ system.q, _sum_stats([stats])
-
-
-def _reaction_setup(config, box_radius, cloud_radius, expand):
-    """Set-up shared by the reaction kinds.  Charges fill the ball of
-    radius a_s at source_center in layer l'; the box of radius box_radius
-    at target_center must lie in layer l, and the targets sit on the
-    sphere of radius cloud_radius about it.  expand(system, pol_center,
-    center, targets) builds the operator under test and raises the kind's
-    own geometry errors; it runs before the oracle, so a bad geometry
-    fails before the costly part.  Returns (system, targets, what expand
-    returned, oracle values, M_sigma, metadata holding the oracle's
-    quadrature counters)."""
-    medium = config.medium
-    a, b, ell, ellprime = config.component
-    system = _box_charges(config, ellprime)
-    pol_center = polarization_source(
-        medium, a, b, ell, ellprime, system.source_box.center
-    )
-    center = np.asarray(config.target_center, dtype=float)
-    check_box_in_layer(medium, center, box_radius, ell)
-    targets = center + cloud_radius * fibonacci_sphere(config.n_targets)
-    built = expand(system, pol_center, center, targets)
-    oracle, stats = _reaction_oracle(
-        medium, config.component, system, targets, min(1e-10, config.quad_tol)
-    )
+    a, b, ell, ellprime = component
     msig = density_bound(medium, ell, ellprime, a, b)
-    return system, targets, built, oracle, msig, {"oracle_quadrature": stats}
+    return values.reshape(n_t, n_c) @ system.q, msig, stats
 
 
-def _reaction_multipole(config, system, pol_center):
-    return xp.reaction_me_from_charges(
-        system, config.medium, *config.component, pol_center, config.p_max,
-        radius=config.a_s,
-    )
+def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
+             radius=None):
+    """The ME of the charges about center (for a reaction component (a, b,
+    l, l'), about its polarization center), checked at the targets; a
+    target on or inside its sphere raises DomainError before any table or
+    oracle runs.  Returns (exp, functions, oracle, floor, M_sigma, stats):
+    the functions the ME sums there, the oracle, its _eps_floor and the
+    quadrature stats by name.  In free space: solid harmonics, direct
+    sums, 1 and {}; for a reaction component: the basis table at relative
+    tolerance tol ("expansion") and _reaction_oracle ("oracle")."""
+    targets = np.asarray(targets, dtype=float)
+    if component is None:
+        exp = xp.me_from_charges(system, center, p, radius)
+    else:
+        center = polarization_source(medium, *component, center)
+        exp = xp.reaction_me_from_charges(system, medium, *component, center, p, radius)
+    inside = np.linalg.norm(targets - exp.center, axis=-1) <= exp.radius
+    if inside.any():
+        raise DomainError(
+            f"target {','.join(f'{v:g}' for v in targets[inside.argmax()])} lies "
+            f"within radius {exp.radius:g} of the expansion center "
+            f"{','.join(f'{v:g}' for v in exp.center)}"
+        )
+    if component is None:
+        functions = xp.solid_harmonics(exp, targets)
+        oracle = np.array([xp.direct_potential(system, r) for r in targets])
+        msig, stats = 1.0, {}
+    else:
+        functions, quad = xp.reaction_basis_table(
+            medium, component, p, targets, exp.center, tol
+        )
+        oracle, msig, oracle_quad = _reaction_oracle(
+            medium, component, system, targets, tol
+        )
+        stats = {"expansion": quad, "oracle": oracle_quad}
+    scale = float(np.max(np.abs(oracle), initial=0.0))
+    floor = _eps_floor(component is not None, tol, scale)
+    return exp, functions, oracle, floor, msig, stats
 
 
-def _sum_stats(records):
-    """Quadrature counters summed over tables, with the largest tol_use."""
-    out = {k: sum(rec[k] for rec in records) for k in QUAD_COUNTS}
-    out["tol_use"] = max([0.0] + [rec["tol_use"] for rec in records])
-    return out
+def _reaction_cloud(config, box_radius, cloud_radius):
+    """(system, center, targets): charges in layer l' (_box_charges), the
+    box of box_radius at target_center in layer l, targets on its sphere
+    of cloud_radius."""
+    ell, ellprime = config.component[2:]
+    system = _box_charges(config, ellprime)
+    center = np.asarray(config.target_center, dtype=float)
+    check_box_in_layer(config.medium, center, box_radius, ell)
+    return system, center, center + cloud_radius * fibonacci_sphere(config.n_targets)
 
 
 def _reaction_me(config):
-    def expand(system, pol_center, center, targets):
-        exp = _reaction_multipole(config, system, pol_center)
-        r_min = float(np.linalg.norm(targets - pol_center, axis=1).min())
-        if r_min <= config.a_s:
-            raise ValueError("targets must lie outside the polarization circumsphere")
-        return exp, r_min
-
     spread = config.target_spread
-    system, targets, (exp, r_min), oracle, msig, meta = _reaction_setup(
-        config, max(spread, 1e-9), spread, expand
+    system, _, targets = _reaction_cloud(config, max(spread, 1e-9), spread)
+    exp, basis, oracle, _, msig, stats = me_terms(
+        system, system.source_box.center, config.p_max, targets, config.medium,
+        config.component, config.quad_tol, config.a_s,
     )
-    basis, stats = xp.reaction_basis_table(
-        config.medium, config.component, config.p_max, targets, exp.center,
-        config.quad_tol,
-    )
-    meta.update(
-        {"r_min": r_min, "a_s": config.a_s, "quadrature": _sum_stats([stats])}
-    )
+    r_min = float(np.linalg.norm(targets - exp.center, axis=1).min())
+    meta = {"r_min": r_min, "a_s": config.a_s, "quadrature": stats["expansion"],
+            "oracle_quadrature": stats["oracle"]}
     return _geometric(
         config, _partial_sum_errors(exp, basis, oracle), system, oracle,
         4 * math.pi * (r_min - config.a_s), config.a_s, r_min, meta, msig,
@@ -476,18 +473,17 @@ def _reaction_me(config):
 
 def _reaction_le(config):
     r_t = 0.6 * config.a_t
-
-    def expand(system, pol_center, center, targets):
-        return xp.reaction_le_from_charges(
-            system, config.medium, *config.component, center, config.p_max,
-            radius=config.a_t, rel_tol=config.quad_tol, stats=True,
-        )
-
-    system, targets, (exp, stats), oracle, msig, meta = _reaction_setup(
-        config, config.a_t, r_t, expand
+    system, center, targets = _reaction_cloud(config, config.a_t, r_t)
+    exp, stats = xp.reaction_le_from_charges(
+        system, config.medium, *config.component, center, config.p_max,
+        radius=config.a_t, rel_tol=config.quad_tol, stats=True,
+    )
+    oracle, msig, oracle_stats = _reaction_oracle(
+        config.medium, config.component, system, targets, config.quad_tol
     )
     errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
-    meta.update({"r_t": r_t, "a_t": config.a_t, "quadrature": _sum_stats([stats])})
+    meta = {"r_t": r_t, "a_t": config.a_t, "quadrature": stats,
+            "oracle_quadrature": oracle_stats}
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t), r_t,
         config.a_t, meta, msig,
@@ -495,16 +491,20 @@ def _reaction_le(config):
 
 
 def _reaction_m2l(config):
-    def expand(system, pol_center, center, targets):
-        exp = _reaction_multipole(config, system, pol_center)
-        sep = float(np.linalg.norm(center - pol_center))
-        c_eff = (sep - config.a_s) / config.a_t
-        if c_eff <= 1.0:
-            raise ValueError(f"boxes not well separated: effective c = {c_eff:.3f}")
-        return exp, center, sep, c_eff
-
-    system, targets, (exp, tc, sep, c_eff), oracle, msig, meta = _reaction_setup(
-        config, config.a_t, 0.9 * config.a_t, expand
+    system, tc, targets = _reaction_cloud(config, config.a_t, 0.9 * config.a_t)
+    pol_center = polarization_source(
+        config.medium, *config.component, system.source_box.center
+    )
+    exp = xp.reaction_me_from_charges(
+        system, config.medium, *config.component, pol_center, config.p_max,
+        radius=config.a_s,
+    )
+    sep = float(np.linalg.norm(tc - pol_center))
+    c_eff = (sep - config.a_s) / config.a_t
+    if c_eff <= 1.0:
+        raise ValueError(f"boxes not well separated: effective c = {c_eff:.3f}")
+    oracle, msig, oracle_stats = _reaction_oracle(
+        config.medium, config.component, system, targets, config.quad_tol
     )
     pm = config.p_max
     tmat, quad_stats = xp.reaction_m2l_matrix(
@@ -521,7 +521,8 @@ def _reaction_m2l(config):
     term = np.real(np.einsum("ti,iu,in->tnu", basis, by_nu, degree))
     grid = np.cumsum(np.cumsum(term, axis=1), axis=2)
     errs = np.abs(np.diagonal(grid, axis1=1, axis2=2) - oracle[:, None])
-    meta.update({"c_eff": c_eff, "separation": sep, "quadrature": quad_stats})
+    meta = {"c_eff": c_eff, "separation": sep, "quadrature": quad_stats,
+            "oracle_quadrature": oracle_stats}
     return _geometric(
         config, errs.max(axis=0), system, oracle,
         2 * math.pi * (c_eff - 1) * config.a_t, config.a_s + config.a_t,
@@ -610,11 +611,7 @@ def _suite_density_props(seed=11):
         for comp in dens.components:
             dev = np.abs(np.conj(dens.get(*comp)) - dens_conj.get(*comp)).max()
             worst = max(worst, float(dev))
-            try:
-                bnd = density_bound(med, ell, ellp, *comp)
-            except ComponentAbsent:
-                ok = False
-                continue
+            bnd = density_bound(med, ell, ellp, *comp)
             grid = np.linspace(0.0, 200.0, 512)
             vals = np.abs(reaction_densities(med, ell, ellp, grid).get(*comp))
             if vals.max() > bnd * (1 + 1e-9) + 1e-14:
@@ -751,12 +748,7 @@ def run_property_suite(kind="all"):
         "addition_theorems": _suite_addition_theorems,
         "cagniard": _suite_cagniard,
     }
-    if kind == "density_props":
-        selected = ["lemma21", "density_props"]
-    elif kind == "all":
-        selected = list(suites)
-    else:
-        if kind not in suites:
-            raise ValueError(f"unknown suite kind {kind!r}")
-        selected = [kind]
-    return {name: suites[name]() for name in selected}
+    groups = {"all": list(suites), "density_props": ["lemma21", "density_props"]}
+    if kind not in suites and kind not in groups:
+        raise ValueError(f"unknown suite kind {kind!r}")
+    return {name: suites[name]() for name in groups.get(kind, [kind])}

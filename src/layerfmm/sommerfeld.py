@@ -121,9 +121,9 @@ from .medium import component_exists, tau_map
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 MIN_TOL = 1e-13
-#: Panels a table may reach before it raises ToleranceNotMet: about 8192
-#: rules at one a certified panel; an estimated panel costs three, as did
-#: each estimated panel bisected on the way to it, so about 6 x 8192.
+#: Panels a table may reach (read at each call) before it raises
+#: ToleranceNotMet: about 8192 rules at one a certified panel; an estimated
+#: panel costs three, as did each bisected on the way to it: 6 x 8192.
 MAX_PANELS = 8192
 #: The counters of a quadrature's stats, which sum over tables; tol_use,
 #: the one other key, takes the largest.
@@ -273,21 +273,21 @@ def _bisect(lo, hi, pick):
     return keep, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]])
 
 
-def _next_split(err, tol, n_panels, max_panels):
+def _next_split(err, tol, n_panels):
     """(summed error, the panels _worst picks or None once the sum fits
-    tol everywhere); ToleranceNotMet once max_panels are spent."""
+    tol everywhere); ToleranceNotMet once MAX_PANELS are spent."""
     total = np.sum(err, axis=0)
     if np.all(total <= tol):
         return total, None
-    if n_panels >= max_panels:
+    if n_panels >= MAX_PANELS:
         raise ToleranceNotMet(
-            f"panel budget {max_panels} exhausted",
+            f"panel budget {MAX_PANELS} exhausted",
             achieved=float(np.max(total / tol)),
         )
-    return total, _worst(err, tol, max_panels - n_panels)
+    return total, _worst(err, tol, MAX_PANELS - n_panels)
 
 
-def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=None):
+def _adaptive_panels(evaluate, edges, tol_abs, certify=None):
     """Composite adaptive quadrature over initial panel edges.
 
     evaluate(lo, hi) returns Gauss-Legendre estimates of a (vector-valued)
@@ -332,7 +332,7 @@ def _adaptive_panels(evaluate, edges, tol_abs, max_panels=MAX_PANELS, certify=No
     val, todo = np.zeros(err.shape), np.ones(len(lo), dtype=bool)
     gl_calls = evals = 0
     while True:
-        total, pick = _next_split(err, safe_tol, len(lo), max_panels)
+        total, pick = _next_split(err, safe_tol, len(lo))
         if pick is not None:
             keep, c_lo, c_hi = _bisect(lo, hi, pick)
             c_err, c_cert = fresh(c_lo, c_hi)
@@ -518,7 +518,7 @@ def _panel_bounds(bound, rhos, zetas, powers, lo, hi):
 
 
 def _grid_tables(density, limit, delta, rem_bound, rhos, zetas, kmax, width, powers,
-                 orders, tol_abs, max_panels):
+                 orders, tol_abs):
     """The tables of a group of pairs on the module docstring's dyadic grid,
     from their smallest own w to past their largest own K, of sigma -
     limit: (limit, delta, rem_bound) is the density's (sigma_inf, delta,
@@ -573,16 +573,15 @@ def _grid_tables(density, limit, delta, rem_bound, rhos, zetas, kmax, width, pow
     w = float(np.min(width))
     doublings = math.ceil(math.log2(float(np.max(kmax)) / w))
     edges = np.concatenate([[0.0], w * 2.0 ** np.arange(doublings + 1)])
-    return _adaptive_panels(evaluate, edges, 0.9 * tol_abs, max_panels, certify)
+    return _adaptive_panels(evaluate, edges, 0.9 * tol_abs, certify)
 
 
-def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
-                   max_panels=MAX_PANELS):
+def _radial_tables(density, rhos, zetas, powers, orders, tol_abs):
     """radial_table for (rho, zeta) pairs of shape (B,); tol_abs, values
     and errors have shape (B, len(powers), len(orders)), and one stats
     record sums the batch.  Each pair's K and width are its own (one
     _own_grid call); each group of pairs (_group_pairs) shares one grid
-    (_grid_tables) and the panel budget max_panels."""
+    (_grid_tables) and the panel budget MAX_PANELS."""
     rhos = np.asarray(rhos, dtype=float)
     zetas = np.asarray(zetas, dtype=float)
     powers = np.asarray(powers, dtype=int)
@@ -624,7 +623,7 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
         for group in _group_pairs(kmax, width, shape[1] * shape[2]):
             values[group], err[group], own = _grid_tables(
                 density, limit, delta, rem_bound, rhos[group], zetas[group],
-                kmax[group], width[group], powers, orders, tol_abs[group], max_panels,
+                kmax[group], width[group], powers, orders, tol_abs[group],
             )
             for key in QUAD_COUNTS:
                 stats[key] += own[key]
@@ -636,7 +635,7 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs,
     return values, err, stats
 
 
-def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PANELS):
+def radial_table(density, rho, zeta, powers, orders, tol_abs):
     """All integrals I(n, m) for n in powers, m in orders on shared nodes.
 
     Requires zeta > 0, rho >= 0 and nonnegative powers and orders
@@ -654,8 +653,7 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs, max_panels=MAX_PAN
     is the one-pair view of _radial_tables.
     """
     values, err, stats = _radial_tables(
-        density, [rho], [zeta], powers, orders,
-        np.asarray(tol_abs, dtype=float)[None], max_panels,
+        density, [rho], [zeta], powers, orders, np.asarray(tol_abs, dtype=float)[None]
     )
     return values[0], err[0], stats
 

@@ -922,8 +922,8 @@ def peak(lo, hi):
 
 try:
     # 4 initial panels: the budget of 7 is spent by refinement passes
-    sommerfeld._adaptive_panels(peak, np.linspace(-1.0, 1.0, 5), np.array([1e-10]),
-                                max_panels=7)
+    sommerfeld.MAX_PANELS = 7
+    sommerfeld._adaptive_panels(peak, np.linspace(-1.0, 1.0, 5), np.array([1e-10]))
 except ToleranceNotMet:
     fired.append("refinement_budget")
 print(" ".join(fired))

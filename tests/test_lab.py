@@ -10,13 +10,14 @@ from layerfmm import (
     Box,
     ExperimentConfig,
     LayeredMedium,
+    eval_reaction_green,
     fibonacci_sphere,
     generate_charges,
     run_experiment,
     run_property_suite,
 )
 from layerfmm.cli import main
-from layerfmm.errors import BoxCrossesInterface
+from layerfmm.errors import BoxCrossesInterface, DomainError
 from layerfmm.lab import fit_decay_rate
 
 
@@ -386,6 +387,93 @@ def test_cli_me_rejects_order_out_of_range(tmp_path, order):
     assert res.exit_code == 2, res.output
     assert "Invalid value for '--p'" in res.output
     assert "0<=x<=60" in res.output
+
+
+def _write_inputs(tmp_path, medium=None, charges=None, targets=None):
+    """Paths of the medium, charges and targets files of a `me` run; by
+    default two charges above the interface of a two-layer medium and one
+    target above them."""
+    files = {
+        "m.json": medium or LayeredMedium([0.0], [1.0, 1.0], [1.0, 4.0]).to_dict(),
+        "charges.json": {"charges": [[1.0, 0.05, -0.02, 0.45],
+                                     [0.5, -0.04, 0.03, 0.55]]
+                         if charges is None else charges},
+        "targets.json": {"targets": [[0.4, 0.3, 1.2]] if targets is None else targets},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    return [str(tmp_path / name) for name in files]
+
+
+#: `me` on the files of _write_inputs: {m}, {c} and {t} stand for their paths
+_ME = ["me", "--medium", "{m}", "--charges", "{c}", "--targets", "{t}",
+       "--component", "11", "--center", "0,0,0.5", "--p", "6"]
+
+
+def _invoke(args, paths):
+    m, c, t = paths
+    return CliRunner().invoke(main, [a.format(m=m, c=c, t=t) for a in args])
+
+
+@pytest.mark.parametrize("args, charges, targets, message", [
+    pytest.param(["green", "--medium", "{m}", "--component", "22", "--source",
+                  "0,0,0.5", "--target", "0.3,0.2,1.0"], None, None,
+                 "component (2,2) vanishes", id="green_absent_component"),
+    pytest.param(["green", "--medium", "{m}", "--component", "free", "--source",
+                  "0,0,0.5", "--target", "0.3,0.2,1.0"], None, None,
+                 "'free' is not one of", id="green_free_component"),
+    pytest.param(["density", "--medium", "{m}", "--ell", "5", "--ellprime", "0"],
+                 None, None, "layer index 5 outside 0..1", id="density_bad_layer"),
+    pytest.param(_ME, None, [[0.4, 0.3, 1.2], [0.1, 0.2, 0.0]],
+                 "z=0.0 coincides with interface", id="me_target_on_interface"),
+    pytest.param(_ME, None, [], "targets: need a nonempty", id="me_no_targets"),
+    pytest.param(_ME, None, [[0.4, 0.3]], "targets: need a nonempty list of 3-number",
+                 id="me_two_column_targets"),
+    pytest.param(_ME, [], None, "charges: need a nonempty", id="me_no_charges"),
+    # the polarization images of these charges reach 0.8 from the
+    # polarization center 0,0,-0.5
+    pytest.param(_ME, [[1.0, 0.8, 0.0, 0.5], [0.5, -0.04, 0.03, 0.55]],
+                 [[0.0, 0.0, 0.1]], "target 0,0,0.1 lies within radius 0.8",
+                 id="me_target_inside_reaction_sphere"),
+])
+def test_cli_bad_input_is_a_usage_error(tmp_path, args, charges, targets, message):
+    """Input the package rejects with a typed error (absent component,
+    layer index out of range, point on an interface, target inside the
+    sphere), a component `green` has no value for, and empty or wrongly
+    shaped charge and target files exit 2 with a message, not a
+    traceback."""
+    res = _invoke(args, _write_inputs(tmp_path, charges=charges, targets=targets))
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+@pytest.mark.parametrize("eval_radius", [0.5, 1.0])
+def test_me_experiment_rejects_targets_inside_the_sphere(eval_radius):
+    """The lab's ME check raises DomainError naming the first target on or
+    inside the sphere of radius a_s, instead of a report with negative
+    bounds."""
+    cfg = ExperimentConfig(kind="me", p_max=6, n_charges=6, seed=1, a_s=1.0,
+                           eval_radius=eval_radius, n_targets=16)
+    first = ",".join(f"{v:g}" for v in eval_radius * fibonacci_sphere(16)[0])
+    with pytest.raises(DomainError, match=f"target {first} lies within radius 1 "):
+        run_experiment(cfg)
+
+
+def test_cli_me_oracle_runs_at_the_expansion_tolerance(tmp_path, monkeypatch):
+    """`me --tol` below 1e-10 reaches the reaction oracle, as in the lab:
+    its one eval_reaction_green call runs at min(1e-10, tol)."""
+    import layerfmm.lab
+
+    tols = []
+
+    def spy(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return eval_reaction_green(*args, **kwargs)
+
+    monkeypatch.setattr(layerfmm.lab, "eval_reaction_green", spy)
+    res = _invoke(_ME + ["--tol", "1e-12"], _write_inputs(tmp_path))
+    assert res.exit_code == 0, res.output
+    assert tols == [1e-12]
 
 
 def test_cli_lab_run_and_exit_code(tmp_path):

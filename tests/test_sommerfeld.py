@@ -175,10 +175,11 @@ def test_radial_integral_validation():
             _single(m, n, rho, zeta, dens, 1e-12)
 
 
-def test_radial_table_budget_exhaustion():
+def test_radial_table_budget_exhaustion(monkeypatch):
     dens = ConstantDensity()
+    monkeypatch.setattr(sommerfeld, "MAX_PANELS", 4)
     with pytest.raises(ToleranceNotMet) as err:
-        radial_table(dens, 50.0, 0.05, [0], [0], np.array([[1e-13]]), max_panels=4)
+        radial_table(dens, 50.0, 0.05, [0], [0], np.array([[1e-13]]))
     assert err.value.achieved is not None
 
 
@@ -261,15 +262,15 @@ def test_adaptive_panels_match_greedy_on_oscillatory_tail():
     assert abs(value[0] - 1.0 / math.hypot(50.0, 0.05)) <= 1e-10
 
 
-def test_adaptive_panels_budget_spent_during_refinement():
+def test_adaptive_panels_budget_spent_during_refinement(monkeypatch):
     """The budget error comes from a refinement pass, not only from an
-    initial panel count above max_panels."""
+    initial panel count above MAX_PANELS."""
     calls = []
     f = lambda x: 1.0 / (x * x + 1e-4)
+    monkeypatch.setattr(sommerfeld, "MAX_PANELS", 7)
     with pytest.raises(ToleranceNotMet) as err:
         sommerfeld._adaptive_panels(
             _gl_evaluate(f, calls), np.linspace(-1.0, 1.0, 5), np.array([1e-10]),
-            max_panels=7,
         )
     assert calls[0] == 3 * 4
     # the third bisection fills the budget of 7 before its rules run
