@@ -6,6 +6,10 @@ Subcommands:
     me        reaction/free multipole expansion vs oracle at target points
     lab run   convergence experiment from a JSON config
     lab suite property suites (exit code 0 iff everything passes)
+
+Every command exits 0 on success, 1 when a check it runs fails, and 2 on
+bad input: a DomainError, which the package raises for every input
+outside the hypotheses of its results, or an option that does not parse.
 """
 
 from __future__ import annotations
@@ -19,34 +23,36 @@ import numpy as np
 
 from . import expansions as xp
 from .densities import reaction_densities
-from .errors import (
-    BoxCrossesInterface, ComponentAbsent, DomainError, IndexOutOfRange, PointOnInterface
-)
+from .errors import DomainError
 from .harmonics import MAX_ORDER
 from .lab import ExperimentConfig, me_terms, run_experiment, run_property_suite
 from .medium import LayeredMedium
 from .sommerfeld import _reaction_green
 
-#: the errors bad input raises, which the commands report as usage errors
-_INPUT_ERRORS = (BoxCrossesInterface, ComponentAbsent, DomainError, IndexOutOfRange,
-                 PointOnInterface)
-
 
 class _Main(click.Group):
-    """The command group; its commands report _INPUT_ERRORS as usage errors."""
+    """The command group; its commands report a DomainError as a usage
+    error."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _INPUT_ERRORS as exc:
+        except DomainError as exc:
             raise click.UsageError(str(exc)) from exc
 
 
+def _parse(text, sep, types, form):
+    """The sep-separated fields of text, each converted by its click type;
+    BadParameter for the wrong number of fields or a field that does not
+    convert."""
+    fields = text.split(sep)
+    if len(fields) != len(types):
+        raise click.BadParameter(f"expected {form}, got {text!r}")
+    return [kind.convert(v, None, None) for kind, v in zip(types, fields)]
+
+
 def _parse_vec(text):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise click.BadParameter(f"expected x,y,z, got {text!r}")
-    return np.array(parts)
+    return np.array(_parse(text, ",", (click.FLOAT,) * 3, "x,y,z"))
 
 
 def _load_rows(path, key, width):
@@ -93,8 +99,8 @@ def main():
 def density(medium_path, ell, ellprime, k_grid, out):
     """Emit CSV of every present sigma^{ab} on a real spectral grid."""
     medium = LayeredMedium.from_json(medium_path)
-    start, stop, count = k_grid.split(":")
-    ks = np.linspace(float(start), float(stop), int(count))
+    ks = np.linspace(*_parse(k_grid, ":", (click.FLOAT, click.FLOAT, click.IntRange(0)),
+                             "start:stop:count"))
     dens = reaction_densities(medium, ell, ellprime, ks)
     comps = dens.components
     header = ["k"]
@@ -152,10 +158,12 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
     Emits CSV: x, y, z, expansion, oracle, abs_error, bound, from the lab's
     ME check (lab.me_terms); a reaction oracle runs at min(1e-10, tol).
     bound is the truncation bound plus the smallest error the comparison
-    with the oracle can certify.  A target within the expansion radius,
-    and for a reaction component charges or targets in more than one
-    layer, are usage errors.  With --stats a reaction component also
-    prints the quadrature counters of its basis table and oracle to stderr.
+    with the oracle can certify.  A reaction component runs from the
+    layers of the first target and the first charge.  A target within the
+    expansion radius, and a target or charge outside those layers, are
+    usage errors (a DomainError of the check).  With --stats a reaction
+    component also prints the quadrature counters of its basis table and
+    oracle to stderr.
     """
     charges = _load_rows(charges_path, "charges", 4)
     targets = _load_rows(targets_path, "targets", 3)
@@ -168,13 +176,7 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
             raise click.UsageError("reaction components need --medium")
         medium = LayeredMedium.from_json(medium_path)
         system = xp.ChargeSystem.in_medium(medium, charges[:, 0], charges[:, 1:])
-        ellprime = int(system.layers[0])
-        if np.any(system.layers != ellprime):
-            raise click.UsageError(f"every charge must lie in layer {ellprime}")
-        ell = medium.layer_of(targets[0][2])
-        if any(medium.layer_of(r[2]) != ell for r in targets):
-            raise click.UsageError(f"every target must lie in layer {ell}")
-        comp += (ell, ellprime)
+        comp += (medium.layer_of(targets[0][2]), int(system.layers[0]))
     exp, functions, oracle, floor, msig, stats = me_terms(
         system, _parse_vec(center), order, targets, medium, comp, tol
     )

@@ -474,9 +474,7 @@ def _check_polarization_center(medium, a, center, ell):
 def polarization_coordinates(system, medium, a, b, ell, ellprime):
     """Equivalent polarization positions of every charge in the system."""
     if np.any(system.layers != ellprime):
-        raise ValueError(
-            f"all charges must lie in source layer {ellprime} for this component"
-        )
+        raise DomainError(f"every charge must lie in layer {ellprime}")
     return polarization_source(medium, a, b, ell, ellprime, system.positions)
 
 

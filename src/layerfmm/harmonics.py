@@ -47,7 +47,7 @@ from math import isfinite, lgamma, log, pi, sqrt
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, OrderTooHigh
 
 MAX_ORDER = 60
 
@@ -218,13 +218,13 @@ class HarmonicConstants:
 
 @lru_cache(maxsize=None)
 def constants(p_max):
-    """Build the constant tables; p_max above 60 is refused (the log-gamma
-    route keeps the tables finite only in the supported range, and nothing
-    downstream is validated beyond it)."""
+    """Build the constant tables; p_max above 60 raises OrderTooHigh (the
+    log-gamma route keeps the tables finite only in the supported range,
+    and nothing downstream is validated beyond it)."""
     if p_max > MAX_ORDER:
-        raise OverflowError(f"p_max={p_max} exceeds supported maximum {MAX_ORDER}")
+        raise OrderTooHigh(f"p_max={p_max} exceeds supported maximum {MAX_ORDER}")
     if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
+        raise DomainError("p_max must be nonnegative")
     ns = np.arange(p_max + 1)
     c = np.sqrt((2.0 * ns + 1.0) / (4.0 * pi))
     log_c = 0.5 * (np.log(2.0 * ns + 1.0) - log(4.0 * pi))

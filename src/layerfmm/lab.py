@@ -4,12 +4,14 @@ observed geometric decay rates.
 
 `run_experiment` dispatches on config.kind through `_BUILDERS`; the
 property-suite kinds are entries there as well.  A convergence builder
-places charges and targets, computes its errors[p] against an oracle
-that shares no code with the operator, and ends in `_geometric`: the
-bound Q M_sigma / D (inner/outer)^(p+1) at rate log(outer/inner), with
-M_sigma = 1 in free space, judged by `_verdict`, the one place that sets
-the noise floors, the row verdicts and the run metadata.  Every ME check
-(the ME kinds, `layerfmm me`) goes through `me_terms`.
+places charges and targets, computes its errors[p] against `_oracle`
+(direct sums in free space, one batched eval_reaction_green call for a
+reaction component), which shares no code with the operator, and ends
+in `_geometric`: the bound Q M_sigma / D (inner/outer)^(p+1) at rate
+log(outer/inner), with M_sigma = 1 in free space, judged by `_verdict`,
+the one place that sets the noise floors, the row verdicts and the run
+metadata.  Every ME check (the ME kinds, `layerfmm me`) goes through
+`me_terms`.
 
 Reports are deterministic: fixed seeds, quasi-uniform Fibonacci-sphere
 target sets, fixed reduction order, and fixed float formatting, so two
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import expansions as xp
 from .densities import InterfaceMatrices, density_bound, reaction_densities
-from .errors import DomainError
+from .errors import BoxesNotSeparated, DomainError
 from .harmonics import (
     cartesian_to_spherical,
     constants,
@@ -38,6 +40,7 @@ from .medium import (
     LayeredMedium,
     check_box_in_layer,
     polarization_source,
+    read_json,
 )
 from .sommerfeld import CAGNIARD_CATALOG, cagniard_identity_check, eval_reaction_green
 
@@ -53,7 +56,9 @@ class ExperimentConfig:
     kind selects the operator under test; reaction kinds additionally
     need a medium and a component (a, b, ell, ellprime).  Free-space
     kinds ignore the medium.  All geometry must satisfy the hypotheses of
-    the bound being exercised (validated at run time).
+    the bound being exercised (validated at run time); a config outside
+    them, like an unknown kind or orders other than 0 <= p_min <= p_max,
+    raises DomainError.
 
     Geometry fields by kind:
       me           charges in a ball of radius a_s at source_center,
@@ -88,29 +93,32 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kind not in _BUILDERS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+            raise DomainError(f"unknown experiment kind {self.kind!r}")
+        if not 0 <= self.p_min <= self.p_max:
+            raise DomainError(f"need 0 <= p_min <= p_max ({self.p_min}, {self.p_max})")
         if self.kind.endswith("m2l") and self.c <= 1.0:
-            raise ValueError("m2l experiments need separation factor c > 1")
-        if self.kind.startswith("reaction"):
-            if self.medium is None or self.component is None:
-                raise ValueError("reaction experiments need medium and component")
+            raise DomainError("m2l experiments need separation factor c > 1")
+        if self.kind.startswith("reaction") and None in (self.medium, self.component):
+            raise DomainError("reaction experiments need medium and component")
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            data = json.load(fh)
-        medium = data.pop("medium", None)
+        """The config in a JSON file; DomainError for a key that names no
+        field."""
+        data = read_json(path)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown or "kind" not in data:
+            raise DomainError(f"unknown keys {unknown}" if unknown else "no kind given")
+        medium = data.get("medium")
         if isinstance(medium, str):
-            medium = LayeredMedium.from_json(medium)
+            data["medium"] = LayeredMedium.from_json(medium)
         elif isinstance(medium, dict):
-            medium = LayeredMedium.from_dict(medium)
-        component = data.pop("component", None)
-        if component is not None:
-            component = tuple(int(v) for v in component)
-        for key in ("source_center", "target_center"):
+            data["medium"] = LayeredMedium.from_dict(medium)
+        for key, kind in (("component", int), ("source_center", float),
+                          ("target_center", float)):
             if data.get(key) is not None:
-                data[key] = tuple(float(v) for v in data[key])
-        return cls(medium=medium, component=component, **data)
+                data[key] = tuple(kind(v) for v in data[key])
+        return cls(**data)
 
 
 @dataclass
@@ -221,13 +229,6 @@ def _shell_charges(config, rng, center, radius, widen):
     )
 
 
-def _free_targets(config, system, center, radius):
-    """Targets on the sphere of `radius` about `center` and the direct
-    free-space potential there."""
-    targets = center + radius * fibonacci_sphere(config.n_targets)
-    return targets, np.array([xp.direct_potential(system, r) for r in targets])
-
-
 def _partial_sum_errors(exp, basis, oracle):
     """errors[p] = max over targets t of |Re sum_{n <= p} sum_m
     exp.coeff[n, m] basis[t, n, m] - oracle[t]|."""
@@ -317,7 +318,8 @@ def _free_le(config):
     )
     exp = xp.le_from_charges(system, center, config.p_max, radius=config.a_t)
     r_t = 0.5 * config.a_t
-    targets, oracle = _free_targets(config, system, center, r_t)
+    targets = center + r_t * fibonacci_sphere(config.n_targets)
+    oracle, *_ = _oracle(system, targets)
     errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t),
@@ -350,8 +352,8 @@ def _free_l2l(config):
     rng = np.random.default_rng(config.seed)
     system = _shell_charges(config, rng, center, 2.5 * config.a_t, 1.4)
     new_center = center + 0.3 * config.a_t * _SKEW
-    pts = center + 0.45 * config.a_t * fibonacci_sphere(50) * rng.uniform(
-        0.3, 1.0, (50, 1)
+    pts = center + 0.45 * config.a_t * fibonacci_sphere(config.n_targets) * rng.uniform(
+        0.3, 1.0, (config.n_targets, 1)
     )
     ps = list(range(config.p_min, config.p_max + 1))
     errs, scales = [], []
@@ -378,7 +380,8 @@ def _free_m2l(config):
     exp = xp.me_from_charges(system, center, config.p_max)
     sep = config.a_s + config.c * config.a_t
     target_center = center + sep * _SKEW
-    targets, oracle = _free_targets(config, system, target_center, 0.9 * config.a_t)
+    targets = target_center + 0.9 * config.a_t * fibonacci_sphere(config.n_targets)
+    oracle, *_ = _oracle(system, targets)
     errors = np.zeros(config.p_max + 1)
     for p in range(config.p_min, config.p_max + 1):
         loc = xp.m2l_free(xp.truncated(exp, p), target_center, p)
@@ -390,34 +393,39 @@ def _free_m2l(config):
     )
 
 
-def _reaction_oracle(medium, component, system, targets, tol):
-    """The reaction potential of the charges at each target, from one
+def _oracle(system, targets, medium=None, component=None, tol=1e-11):
+    """(potential of the charges at each target, M_sigma, stats).  In
+    free space: direct sums, 1 and {}; for a reaction component: one
     eval_reaction_green call over every (target, charge) pair at absolute
-    tolerance min(1e-10, tol); M_sigma; and the call's quadrature stats."""
-    n_t, n_c = len(targets), len(system)
+    tolerance min(1e-10, tol), its density bound and the call's
+    quadrature stats."""
+    if component is None:
+        return np.array([xp.direct_potential(system, r) for r in targets]), 1.0, {}
     values, stats = eval_reaction_green(
-        medium, *component, np.repeat(targets, n_c, axis=0),
-        np.tile(system.positions, (n_t, 1)), tol=min(1e-10, tol), stats=True,
+        medium, *component, targets[:, None], system.positions[None],
+        tol=min(1e-10, tol), stats=True,
     )
     a, b, ell, ellprime = component
-    msig = density_bound(medium, ell, ellprime, a, b)
-    return values.reshape(n_t, n_c) @ system.q, msig, stats
+    return values @ system.q, density_bound(medium, ell, ellprime, a, b), stats
 
 
 def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
              radius=None):
     """The ME of the charges about center (for a reaction component (a, b,
     l, l'), about its polarization center), checked at the targets; a
-    target on or inside its sphere raises DomainError before any table or
-    oracle runs.  Returns (exp, functions, oracle, floor, M_sigma, stats):
-    the functions the ME sums there, the oracle, its _eps_floor and the
-    quadrature stats by name.  In free space: solid harmonics, direct
-    sums, 1 and {}; for a reaction component: the basis table at relative
-    tolerance tol ("expansion") and _reaction_oracle ("oracle")."""
+    target on or inside its sphere, or for a reaction component outside
+    layer l, raises DomainError before any table or oracle runs.  Returns
+    (exp, functions, oracle, floor, M_sigma, stats): the functions the ME
+    sums there, _oracle there, its _eps_floor, M_sigma and the quadrature
+    stats by name.  In free space: solid harmonics and {}; for a reaction
+    component: the basis table at relative tolerance tol ("expansion")
+    and the oracle's stats ("oracle")."""
     targets = np.asarray(targets, dtype=float)
     if component is None:
         exp = xp.me_from_charges(system, center, p, radius)
     else:
+        if any(medium.layer_of(z) != component[2] for z in targets[:, 2]):
+            raise DomainError(f"every target must lie in layer {component[2]}")
         center = polarization_source(medium, *component, center)
         exp = xp.reaction_me_from_charges(system, medium, *component, center, p, radius)
     inside = np.linalg.norm(targets - exp.center, axis=-1) <= exp.radius
@@ -427,18 +435,13 @@ def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
             f"within radius {exp.radius:g} of the expansion center "
             f"{','.join(f'{v:g}' for v in exp.center)}"
         )
+    oracle, msig, stats = _oracle(system, targets, medium, component, tol)
     if component is None:
         functions = xp.solid_harmonics(exp, targets)
-        oracle = np.array([xp.direct_potential(system, r) for r in targets])
-        msig, stats = 1.0, {}
     else:
-        functions, quad = xp.reaction_basis_table(
-            medium, component, p, targets, exp.center, tol
-        )
-        oracle, msig, oracle_quad = _reaction_oracle(
-            medium, component, system, targets, tol
-        )
-        stats = {"expansion": quad, "oracle": oracle_quad}
+        functions, quad = xp.reaction_basis_table(medium, component, p, targets,
+                                                  exp.center, tol)
+        stats = {"expansion": quad, "oracle": stats}
     scale = float(np.max(np.abs(oracle), initial=0.0))
     floor = _eps_floor(component is not None, tol, scale)
     return exp, functions, oracle, floor, msig, stats
@@ -478,9 +481,8 @@ def _reaction_le(config):
         system, config.medium, *config.component, center, config.p_max,
         radius=config.a_t, rel_tol=config.quad_tol, stats=True,
     )
-    oracle, msig, oracle_stats = _reaction_oracle(
-        config.medium, config.component, system, targets, config.quad_tol
-    )
+    oracle, msig, oracle_stats = _oracle(system, targets, config.medium,
+                                         config.component, config.quad_tol)
     errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
     meta = {"r_t": r_t, "a_t": config.a_t, "quadrature": stats,
             "oracle_quadrature": oracle_stats}
@@ -502,10 +504,9 @@ def _reaction_m2l(config):
     sep = float(np.linalg.norm(tc - pol_center))
     c_eff = (sep - config.a_s) / config.a_t
     if c_eff <= 1.0:
-        raise ValueError(f"boxes not well separated: effective c = {c_eff:.3f}")
-    oracle, msig, oracle_stats = _reaction_oracle(
-        config.medium, config.component, system, targets, config.quad_tol
-    )
+        raise BoxesNotSeparated(f"boxes not well separated: effective c = {c_eff:.3f}")
+    oracle, msig, oracle_stats = _oracle(system, targets, config.medium,
+                                         config.component, config.quad_tol)
     pm = config.p_max
     tmat, quad_stats = xp.reaction_m2l_matrix(
         exp, config.medium, tc, pm, config.quad_tol
@@ -750,5 +751,5 @@ def run_property_suite(kind="all"):
     }
     groups = {"all": list(suites), "density_props": ["lemma21", "density_props"]}
     if kind not in suites and kind not in groups:
-        raise ValueError(f"unknown suite kind {kind!r}")
+        raise DomainError(f"unknown suite kind {kind!r}")
     return {name: suites[name]() for name in groups.get(kind, [kind])}

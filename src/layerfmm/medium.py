@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     BoxCrossesInterface,
     ComponentAbsent,
+    DomainError,
     IndexOutOfRange,
     PointOnInterface,
 )
@@ -48,13 +49,13 @@ class LayeredMedium:
     def _validate(self):
         d = self.interfaces
         if any(not np.isfinite(v) for v in d + self.a + self.b):
-            raise ValueError("medium parameters must be finite")
+            raise DomainError("medium parameters must be finite")
         if any(d[i] <= d[i + 1] for i in range(len(d) - 1)):
-            raise ValueError("interface heights must be strictly decreasing")
+            raise DomainError("interface heights must be strictly decreasing")
         if len(self.a) != len(d) + 1 or len(self.b) != len(d) + 1:
-            raise ValueError("need exactly L+1 values of a and b for L interfaces")
+            raise DomainError("need exactly L+1 values of a and b for L interfaces")
         if any(v <= 0 for v in self.a) or any(v <= 0 for v in self.b):
-            raise ValueError("all interface constants a_l, b_l must be positive")
+            raise DomainError("all interface constants a_l, b_l must be positive")
 
     @property
     def num_interfaces(self):
@@ -95,12 +96,16 @@ class LayeredMedium:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(data["interfaces"], data["a"], data["b"])
+        """The medium of a mapping with the lists interfaces, a and b;
+        DomainError when one is missing."""
+        try:
+            return cls(data["interfaces"], data["a"], data["b"])
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"a medium needs interfaces, a and b ({exc!r})") from exc
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
     def to_dict(self):
         return {
@@ -108,6 +113,19 @@ class LayeredMedium:
             "a": list(self.a),
             "b": list(self.b),
         }
+
+
+def read_json(path):
+    """The JSON object in the file at path; DomainError if the file cannot
+    be read or holds no JSON object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"{path} holds no JSON object")
+    return data
 
 
 def homogeneous_medium():
@@ -132,7 +150,7 @@ def component_exists(medium, a, b, ell, ellprime):
     interfaces every component is absent.
     """
     if a not in (1, 2) or b not in (1, 2):
-        raise ValueError("component indices a, b must be 1 or 2")
+        raise DomainError("component indices a, b must be 1 or 2")
     medium.check_layer(ell)
     medium.check_layer(ellprime)
     L = medium.num_interfaces

@@ -16,9 +16,10 @@ from layerfmm import (
     run_experiment,
     run_property_suite,
 )
+from layerfmm import expansions as xp
 from layerfmm.cli import main
 from layerfmm.errors import BoxCrossesInterface, DomainError
-from layerfmm.lab import fit_decay_rate
+from layerfmm.lab import fit_decay_rate, me_terms
 
 
 def test_generate_charges_deterministic():
@@ -131,6 +132,21 @@ def test_reaction_reports_carry_quadrature_counters(kind):
     assert report.metadata["oracle_quadrature"]["panels"] < 64
 
 
+def test_l2l_experiment_checks_n_targets_points(monkeypatch):
+    """The l2l report checks as many points as its n_targets records."""
+    sizes = []
+    real = xp.eval_expansion
+
+    def spy(exp, r):
+        sizes.append(len(r))
+        return real(exp, r)
+
+    monkeypatch.setattr(xp, "eval_expansion", spy)
+    report = run_experiment(ExperimentConfig(kind="l2l", p_max=3, n_targets=12))
+    assert report.metadata["n_targets"] == 12
+    assert sizes and set(sizes) == {12}
+
+
 def test_l2l_experiment_exactness():
     cfg = ExperimentConfig(kind="l2l", p_min=2, p_max=8, n_charges=8, seed=2,
                            a_t=1.0)
@@ -173,13 +189,19 @@ def test_suite_kind_report():
     assert report.to_csv() == header
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(kind="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(kind="m2l", c=0.5)
     with pytest.raises(ValueError):
         ExperimentConfig(kind="reaction_me")  # medium/component missing
+    with pytest.raises(ValueError):
+        ExperimentConfig(kind="me", p_min=5, p_max=3)  # no rows to check
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"kind": "me", "p_maxx": 3}))
+    with pytest.raises(ValueError, match="unknown keys"):
+        ExperimentConfig.from_json(path)
 
 
 def test_config_from_json(tmp_path, two_layer):
@@ -445,6 +467,63 @@ def test_cli_bad_input_is_a_usage_error(tmp_path, args, charges, targets, messag
     res = _invoke(args, _write_inputs(tmp_path, charges=charges, targets=targets))
     assert res.exit_code == 2, res.output
     assert message in res.output
+
+
+#: a medium whose interfaces increase, and one without b
+_RISING = {"interfaces": [0.0, 1.0], "a": [1.0] * 3, "b": [1.0] * 3}
+_NO_B = {"interfaces": [0.0], "a": [1.0, 1.0]}
+_DENSITY = ["density", "--medium", "{x}", "--ell", "0", "--ellprime", "0"]
+
+
+@pytest.mark.parametrize("args, data, message", [
+    pytest.param(["lab", "run", "--config", "{x}"], {"kind": "me", "p_maxx": 3},
+                 "unknown keys ['p_maxx']", id="lab_run_unknown_key"),
+    pytest.param(["lab", "run", "--config", "{x}"], {"kind": "mee"},
+                 "unknown experiment kind 'mee'", id="lab_run_unknown_kind"),
+    pytest.param(["lab", "run", "--config", "{x}"], {"kind": "m2l", "c": 0.5},
+                 "separation factor c > 1", id="lab_run_c_below_1"),
+    pytest.param(["lab", "run", "--config", "{x}"], {"kind": "me", "p_max": 61},
+                 "p_max=61 exceeds supported maximum 60", id="lab_run_me_p61"),
+    pytest.param(["lab", "run", "--config", "{x}"], {"kind": "m2l", "p_max": 31},
+                 "exceeds supported maximum 60", id="lab_run_m2l_p31"),
+    pytest.param(["lab", "run", "--config", "{x}"],
+                 {"kind": "me", "p_min": 5, "p_max": 3},
+                 "need 0 <= p_min <= p_max (5, 3)", id="lab_run_p_min_above_p_max"),
+    pytest.param(["lab", "suite", "--kind", "nope"], None,
+                 "unknown suite kind 'nope'", id="lab_suite_unknown_kind"),
+    pytest.param(_DENSITY, _RISING, "interface heights must be strictly decreasing",
+                 id="density_rising_interfaces"),
+    pytest.param(_DENSITY, _NO_B, "a medium needs interfaces, a and b",
+                 id="density_medium_without_b"),
+    pytest.param(_DENSITY[:2] + ["{m}"] + _DENSITY[3:] + ["--k-grid", "0:5"], None,
+                 "expected start:stop:count, got '0:5'", id="density_k_grid_0_5"),
+    # the charges of _write_inputs lie above the interface, so the
+    # polarization center of 0,0,-0.5 lies above it too
+    pytest.param([a if a != "0,0,0.5" else "0,0,-0.5" for a in _ME], None,
+                 "polarization center must satisfy z < d_l", id="me_center_below"),
+    pytest.param([a if a != "0,0,0.5" else "a,b,c" for a in _ME], None,
+                 "'a' is not a valid float", id="me_center_not_numbers"),
+])
+def test_cli_bad_input_exits_2(tmp_path, args, data, message):
+    """Every bad input exits 2 with one Error line naming it, never a
+    traceback: a DomainError, or an option that does not parse."""
+    m, c, t = _write_inputs(tmp_path)
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, [a.format(m=m, c=c, t=t, x=x) for a in args])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0], res.output
+
+
+def test_me_terms_rejects_a_target_outside_layer_ell(two_layer):
+    """u^11 from layer 0 into layer 0 has no value at a target in layer
+    1, so me_terms refuses it before any table runs."""
+    system = xp.ChargeSystem.in_medium(two_layer, [1.0], [[0.0, 0.0, 0.5]])
+    targets = [[0.3, 0.2, 1.2], [0.3, 0.2, -0.2]]
+    with pytest.raises(DomainError, match="every target must lie in layer 0"):
+        me_terms(system, [0.0, 0.0, 0.5], 6, targets, two_layer, (1, 1, 0, 0),
+                 radius=0.1)
 
 
 @pytest.mark.parametrize("eval_radius", [0.5, 1.0])
