@@ -5,7 +5,6 @@ exponential truncation-error bounds."""
 from .medium import (
     LayeredMedium,
     component_exists,
-    homogeneous_medium,
     polarization_source,
     reflect,
     tau_map,
@@ -25,7 +24,6 @@ from .harmonics import (
     sph_harm_table,
 )
 from .sommerfeld import (
-    bessel_j,
     cagniard_identity_check,
     eval_reaction_green,
     sqrt_branch,
@@ -36,9 +34,6 @@ from .expansions import (
     HarmonicExpansion,
     direct_potential,
     eval_expansion,
-    eval_me_basis,
-    eval_reaction_le_coeff,
-    eval_reaction_m2l_entry,
     eval_reaction_me,
     le_from_charges,
     l2l,

@@ -68,6 +68,10 @@ def _load_rows(path, key, width):
     return rows
 
 
+#: the reaction components (a, b) a command takes, as "ab"
+_COMPONENTS = ["11", "12", "21", "22"]
+
+
 def _emit(text, out):
     """Write text to the file `out`, or to stdout for "-" or None."""
     if out in ("-", None):
@@ -75,14 +79,6 @@ def _emit(text, out):
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _parse_component(text):
-    if text == "free":
-        return None
-    if len(text) == 2 and text[0] in "12" and text[1] in "12":
-        return int(text[0]), int(text[1])
-    raise click.BadParameter("component must be one of 11, 12, 21, 22, free")
 
 
 @click.group(cls=_Main)
@@ -118,14 +114,14 @@ def density(medium_path, ell, ellprime, k_grid, out):
 
 @main.command()
 @click.option("--medium", "medium_path", required=True, type=click.Path(exists=True))
-@click.option("--component", default="11", type=click.Choice(["11", "12", "21", "22"]))
+@click.option("--component", default="11", type=click.Choice(_COMPONENTS))
 @click.option("--source", required=True, help="x,y,z of the source point")
 @click.option("--target", required=True, help="x,y,z of the target point")
 @click.option("--tol", default=1e-10, type=float)
 def green(medium_path, component, source, target, tol):
     """One reaction component value with its achieved error estimate."""
     medium = LayeredMedium.from_json(medium_path)
-    a, b = _parse_component(component)
+    a, b = map(int, component)
     rp = _parse_vec(source)
     r = _parse_vec(target)
     ell = medium.layer_of(r[2])
@@ -143,7 +139,7 @@ def green(medium_path, component, source, target, tol):
 @main.command()
 @click.option("--medium", "medium_path", type=click.Path(exists=True), default=None)
 @click.option("--charges", "charges_path", required=True, type=click.Path(exists=True))
-@click.option("--component", default="free")
+@click.option("--component", default="free", type=click.Choice(_COMPONENTS + ["free"]))
 @click.option("--center", required=True, help="x,y,z of the source box center")
 @click.option("--p", "order", default=12, type=click.IntRange(0, MAX_ORDER))
 @click.option("--targets", "targets_path", required=True, type=click.Path(exists=True))
@@ -167,7 +163,7 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
     """
     charges = _load_rows(charges_path, "charges", 4)
     targets = _load_rows(targets_path, "targets", 3)
-    comp = _parse_component(component)
+    comp = None if component == "free" else tuple(map(int, component))
     if comp is None:
         system = xp.ChargeSystem.free_space(charges[:, 0], charges[:, 1:])
         medium = None

@@ -77,9 +77,11 @@ class InterfaceMatrices:
 
     Holds, vectorized over k:
         e[l]            exp(-k D_l); e_0 = e_L = 1 exactly (the scalar 1.0)
-        alpha[l]        cumulative product ttilde[1] ... ttilde[l] of the
-                        rescaled transmission matrices between layers
-                        l-1, l; alpha[0] is the 2 x 2 identity
+        alpha[l]        row 2, (alpha_21, alpha_22), of the cumulative
+                        product ttilde[1] ... ttilde[l] of the rescaled
+                        transmission matrices between layers l-1, l (the
+                        only row the recursion reads); alpha[0] is row 2
+                        of the identity
         t11[l], t12[l]  first-row entries of T^{l,l+1}
         gamma_plus[l], gamma_minus[l]
     plus s2e(l) = 2 e_l S_breve^{(l)} (the only stable form of S) and the
@@ -100,23 +102,19 @@ class InterfaceMatrices:
         e = [np.exp(-k * t) if t > 0.0 else 1.0 for t in geo.thick]
         self.e = e
 
-        # alpha[l] = alpha[l-1] ttilde[l], with ttilde[l] =
+        # row 2 of alpha[l] = alpha[l-1] ttilde[l], with ttilde[l] =
         # [[g+ e_{l-1} e_l, g- e_{l-1}], [g- e_l, g+]]
-        self.alpha = [np.eye(2)]
+        self.alpha = [np.array([0.0, 1.0])]
         for l in range(1, medium.num_interfaces + 1):
             gp, gm = geo.gamma_plus[l], geo.gamma_minus[l]
-            t00, t01, t10 = gp * e[l - 1] * e[l], gm * e[l - 1], gm * e[l]
+            t10 = gm * e[l]
             if l == 1:
-                p00, p01, p10, p11 = t00, t01, t10, gp
+                p10, p11 = t10, gp
             else:
-                p00, p01, p10, p11 = (
-                    p00 * t00 + p01 * t10,
-                    p00 * t01 + p01 * gp,
-                    p10 * t00 + p11 * t10,
-                    p10 * t01 + p11 * gp,
-                )
-            al = np.empty((2, 2) + k.shape, dtype=k.dtype)
-            al[0, 0], al[0, 1], al[1, 0], al[1, 1] = p00, p01, p10, p11
+                t00, t01 = gp * e[l - 1] * e[l], gm * e[l - 1]
+                p10, p11 = p10 * t00 + p11 * t10, p10 * t01 + p11 * gp
+            al = np.empty((2,) + k.shape, dtype=k.dtype)
+            al[0], al[1] = p10, p11
             self.alpha.append(al)
 
         self.t11 = [c * e[l + 1] for l, c in enumerate(geo.c11)]
@@ -141,7 +139,7 @@ class InterfaceMatrices:
         prod = 1.0
         for l in range(1, self.medium.num_interfaces + 1):
             prod *= self.gamma_plus[l] ** 2 - self.gamma_minus[l] ** 2
-            row = np.abs(self.alpha[l][1])
+            row = np.abs(self.alpha[l])
             sq = row * row
             if not (sq[1] - sq[0] >= prod - 1e-10 * (sq[1] + sq[0])).all():
                 raise InvariantViolated(
@@ -193,8 +191,8 @@ def _row_bilinear(mats, lsub, lS, vec):
     """(alpha^{(lsub)} row 2) . (2 e S)^{(lS)} . vec, vectorized over k."""
     al = mats.alpha[lsub]
     s = mats.s2e(lS)
-    r0 = al[1, 0] * s[0][0] + al[1, 1] * s[1][0]
-    r1 = al[1, 0] * s[0][1] + al[1, 1] * s[1][1]
+    r0 = al[0] * s[0][0] + al[1] * s[1][0]
+    r1 = al[0] * s[0][1] + al[1] * s[1][1]
     return r0 * vec[0] + r1 * vec[1]
 
 
@@ -217,7 +215,7 @@ def _chain(mats, ellprime, b, ell):
     vec = (-a_c[ellprime] if b == 1 else a_c[ellprime], b_c[ellprime])
     seed = _row_bilinear(mats, src, src, vec)
     s1 = 0.0
-    s2 = -mats.cratio(src + 1, L) / mats.alpha[L][1, 1] * seed
+    s2 = -mats.cratio(src + 1, L) / mats.alpha[L][1] * seed
     for l in range(L - 1, ell - 1, -1):
         s1 = mats.t11[l] * s1 + mats.t12[l] * s2
         if b == 2 and l == src:
@@ -225,9 +223,9 @@ def _chain(mats, ellprime, b, ell):
         if l >= 1:
             al = mats.alpha[l]
             if l > src:
-                s2 = -(mats.cratio(src + 1, l) * seed + al[1, 0] * s1) / al[1, 1]
+                s2 = -(mats.cratio(src + 1, l) * seed + al[0] * s1) / al[1]
             else:
-                s2 = -(al[1, 0] / al[1, 1]) * s1
+                s2 = -(al[0] / al[1]) * s1
     return s1, s2
 
 
@@ -282,8 +280,7 @@ class ReactionDensity:
     def limit(self):
         """(sigma_inf, delta, M_g) of the sommerfeld module docstring's
         split, from the pass that estimates the bound."""
-        return _density_bounds(self.medium, self.ell, self.ellprime, self.a, self.b,
-                               DENSITY_BOUND_KMAX)[1:]
+        return _density_bounds(self.medium, self.ell, self.ellprime, self.a, self.b)[1:]
 
 
 DENSITY_BOUND_KMAX = 1.0e3
@@ -313,7 +310,7 @@ def _sampled_sup(f, rays, values):
 
 
 @lru_cache(maxsize=512)
-def _density_bounds(medium, ell, ellprime, a, b, k_max=DENSITY_BOUND_KMAX):
+def _density_bounds(medium, ell, ellprime, a, b):
     """(M_sigma, sigma_inf, delta, M_g) of one component in one pass:
     sigma_inf is the recursion at k = inf (every e_l = 0), delta = D_min
     (inf with no finite layer, where sigma is constant and M_g = 0), and
@@ -321,7 +318,7 @@ def _density_bounds(medium, ell, ellprime, a, b, k_max=DENSITY_BOUND_KMAX):
     but on the real ray only up to 30/delta, past which sigma - sigma_inf
     is rounding noise."""
     density = ReactionDensity(medium, a, b, ell, ellprime)
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, k_max, 800)])
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, DENSITY_BOUND_KMAX, 800)])
     rays = [grid + 0j, 1j * grid, -1j * grid]
     sigma = [density(ray) for ray in rays]
     bound = _sampled_sup(lambda k: np.abs(density(k)), rays, [np.abs(x) for x in sigma])
@@ -338,13 +335,13 @@ def _density_bounds(medium, ell, ellprime, a, b, k_max=DENSITY_BOUND_KMAX):
     return bound, limit, delta, _sampled_sup(remainder, rays, values)
 
 
-def density_bound(medium, ell, ellprime, a, b, k_max=DENSITY_BOUND_KMAX):
+def density_bound(medium, ell, ellprime, a, b):
     """Estimated sup of |sigma^{ab}| over the closed right half plane.
 
     sigma is analytic and bounded there, so the supremum is controlled by
-    its boundary values: we sample the real ray [0, k_max] and the
-    imaginary ray i[-k_max, k_max] on geometric grids, refine around the
-    maximum, and multiply by a 1.05 safety factor.  The error theorems
-    only need *some* valid bound; the slack absorbs grid error.
+    its boundary values: we sample the real ray [0, K] and the imaginary
+    ray i[-K, K], K = DENSITY_BOUND_KMAX, on geometric grids, refine
+    around the maximum, and multiply by a 1.05 safety factor.  The error
+    theorems only need *some* valid bound; the slack absorbs grid error.
     """
-    return _density_bounds(medium, ell, ellprime, a, b, k_max)[0]
+    return _density_bounds(medium, ell, ellprime, a, b)[0]

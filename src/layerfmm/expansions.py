@@ -20,8 +20,7 @@ center.  The reaction operators are one operator, _reaction_operator:
 the M2L matrix T_{nm,n'm'}, a closed-form prefactor times a radial
 integral from the sommerfeld module's tables.  With c_0 = 1/sqrt(4 pi),
 the multipole basis is c_0 times its row 0 (target degree 0) and a unit
-charge's local expansion c_0 times its column 0 (source degree 0); the
-per-entry operators are single entries of those tables.
+charge's local expansion c_0 times its column 0 (source degree 0).
 
 Operator weights combine factorial-bearing constants and radial powers in
 log space, which keeps everything finite through the supported orders.
@@ -48,9 +47,16 @@ from .errors import (
     ChargeOutsideBox,
     DomainError,
     InvariantViolated,
+    OrderTooHigh,
     RegionViolation,
 )
-from .harmonics import _read_only, cartesian_to_spherical, constants, sph_harm_table
+from .harmonics import (
+    MAX_ORDER,
+    _read_only,
+    cartesian_to_spherical,
+    constants,
+    sph_harm_table,
+)
 from .medium import polarization_source, reflect, require_component, tau_map
 from .sommerfeld import _GAMMA, _radial_tables, radial_table
 
@@ -367,14 +373,21 @@ def _require_separated(exp, distance, target_radius):
 
 def m2l_free(exp, target_center, p, target_radius=None):
     """Translate a free-space multipole expansion into a local expansion
-    about a well-separated target center."""
+    about a well-separated target center.  Its weights need the constants
+    of order 2 max(p, exp.p), so an order above MAX_ORDER / 2 raises
+    OrderTooHigh."""
     _require_kind(exp, "multipole")
+    top = max(p, exp.p)
+    if 2 * top > MAX_ORDER:
+        raise OrderTooHigh(
+            f"p_max={top} exceeds supported maximum {MAX_ORDER // 2} of a free-space M2L"
+        )
     target_center = np.asarray(target_center, dtype=float)
     rr, theta, phi = cartesian_to_spherical(exp.center - target_center)
     if rr == 0.0:
         raise BoxesNotSeparated("source and target centers coincide")
     _require_separated(exp, rr, target_radius)
-    ytab = sph_harm_table(2 * max(p, exp.p), theta, phi)
+    ytab = sph_harm_table(2 * top, theta, phi)
     flat = _translate(_m2l_weights(p, exp.p), rr, ytab, _pack(exp.coeff, exp.p))
     return HarmonicExpansion(
         "local", target_center, p, _unpack(flat, p), radius=target_radius
@@ -623,21 +636,6 @@ def reaction_basis_table(medium, component, p, r, center, rel_tol=1e-11,
     return _unpack(_C0 * row[..., 0, :], p), stats
 
 
-def eval_me_basis(
-    medium, a, b, ell, ellprime, n, m, r, center, rel_tol=1e-11,
-    form="polarization",
-):
-    """Multipole basis function F_nm^{ab}(r, center): entry (n, m) of
-    reaction_basis_table at p = n, with the same rel_tol (relative to the
-    integral's analytic magnitude bound, default 1e-11)."""
-    if abs(m) > n:
-        return 0.0 + 0.0j
-    table, _ = reaction_basis_table(
-        medium, (a, b, ell, ellprime), n, r, center, rel_tol, form
-    )
-    return complex(table[n, m + n])
-
-
 def eval_reaction_me(exp, medium, r, rel_tol=1e-11, stats=False):
     """Evaluate a reaction multipole expansion: sum M_nm F_nm(r, center),
     at a point or at each point along the last axis of an array (an array
@@ -678,24 +676,6 @@ def reaction_le_from_charges(
     return (exp, quad) if stats else exp
 
 
-def eval_reaction_le_coeff(
-    medium, a, b, ell, ellprime, n, m, target_center, source_point,
-    rel_tol=1e-11,
-):
-    """Local-expansion coefficient (n, m) about target_center of the
-    reaction field of one unit source at a physical point in layer l':
-    reaction_le_from_charges of that charge at p = n, with the same
-    rel_tol (relative to the integral's analytic magnitude bound, default
-    1e-11)."""
-    if abs(m) > n:
-        return 0.0 + 0.0j
-    one = ChargeSystem([1.0], [source_point], [ellprime])
-    exp = reaction_le_from_charges(
-        one, medium, a, b, ell, ellprime, target_center, n, rel_tol=rel_tol
-    )
-    return complex(exp.coeff[n, m + n])
-
-
 def reaction_m2l_matrix(exp, medium, target_center, p, rel_tol=1e-11):
     """Dense reaction M2L operator mapping packed multipole coefficients
     (degree <= exp.p) to packed local coefficients (degree <= p)."""
@@ -703,25 +683,6 @@ def reaction_m2l_matrix(exp, medium, target_center, p, rel_tol=1e-11):
     v, _ = _kernel_vector(medium, exp.component, target_center, exp.center,
                           "polarization")
     return _reaction_operator(medium, exp.component, v, p, exp.p, rel_tol)
-
-
-def eval_reaction_m2l_entry(
-    medium, a, b, ell, ellprime, n, m, nprime, mprime, target_center,
-    source_center, rel_tol=1e-11,
-):
-    """Entry T^{ab}_{nm,n'm'} of the reaction multipole-to-local operator
-    between a polarization source center and a target center: one entry of
-    reaction_m2l_matrix at target degree n and source degree n', with the
-    same rel_tol (relative to each integral's analytic magnitude bound,
-    default 1e-11)."""
-    if abs(m) > n or abs(mprime) > nprime:
-        return 0.0 + 0.0j
-    exp = HarmonicExpansion(
-        "reaction_multipole", source_center, nprime,
-        np.zeros((nprime + 1, 2 * nprime + 1)), component=(a, b, ell, ellprime),
-    )
-    tmat, _ = reaction_m2l_matrix(exp, medium, target_center, n, rel_tol)
-    return complex(tmat[n * n + n + m, nprime * nprime + nprime + mprime])
 
 
 def m2l_reaction(exp, medium, target_center, p, rel_tol=1e-11, target_radius=None):

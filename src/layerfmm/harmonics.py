@@ -278,7 +278,3 @@ def cartesian_to_spherical(v):
     phi = np.where(zero, 0.0, np.where(phi < 0.0, phi + 2.0 * pi, phi))
     return r, theta, phi
 
-
-def spherical_to_cartesian(r, theta, phi):
-    st = np.sin(theta)
-    return np.array([r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)])

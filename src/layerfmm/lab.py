@@ -2,8 +2,9 @@
 brute-force oracles, check the theoretical bounds row by row, and fit the
 observed geometric decay rates.
 
-`run_experiment` dispatches on config.kind through `_BUILDERS`; the
-property-suite kinds are entries there as well.  A convergence builder
+`run_experiment` dispatches on config.kind through `_BUILDERS`, whose
+entries are the convergence builders; the property suites run through
+`run_property_suite` (`layerfmm lab suite`).  A convergence builder
 places charges and targets, computes its errors[p] against `_oracle`
 (direct sums in free space, one batched eval_reaction_green call for a
 reaction component), which shares no code with the operator, and ends
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -54,11 +57,14 @@ class ExperimentConfig:
     """Geometry and sweep parameters for one convergence experiment.
 
     kind selects the operator under test; reaction kinds additionally
-    need a medium and a component (a, b, ell, ellprime).  Free-space
-    kinds ignore the medium.  All geometry must satisfy the hypotheses of
-    the bound being exercised (validated at run time); a config outside
-    them, like an unknown kind or orders other than 0 <= p_min <= p_max,
-    raises DomainError.
+    need a medium, a component (a, b, ell, ellprime) and a target_center.
+    Free-space kinds ignore the medium.  All geometry must satisfy the
+    hypotheses of the bound being exercised (validated at run time); a
+    config outside them raises DomainError: an unknown kind, a field of
+    the wrong type, a count or order below its range (0 <= p_min <= p_max,
+    n_charges >= 0, seed >= 0, n_targets >= 1), a length, c or quad_tol
+    that is not a finite number > 0 (target_spread >= 0), or a center
+    other than 3 finite numbers.
 
     Geometry fields by kind:
       me           charges in a ball of radius a_s at source_center,
@@ -70,8 +76,6 @@ class ExperimentConfig:
       reaction_*   charges in layer l' at source_center (radius a_s);
                    target_center/target_spread (and a_t, c for LE/M2L)
                    place the evaluation cloud in layer l
-      density_props, cagniard, addition_theorems
-                   run that property suite; no geometry
     """
 
     kind: str
@@ -92,14 +96,32 @@ class ExperimentConfig:
     component: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _BUILDERS:
-            raise DomainError(f"unknown experiment kind {self.kind!r}")
-        if not 0 <= self.p_min <= self.p_max:
+        if not isinstance(self.kind, str) or self.kind not in _BUILDERS:
+            raise DomainError(f"unknown experiment kind {self.kind!r} (the property "
+                              "suites run with `layerfmm lab suite`)")
+        for name, low in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if not _is_number(value, integer=True) or value < low:
+                raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not self.p_min <= self.p_max:
             raise DomainError(f"need 0 <= p_min <= p_max ({self.p_min}, {self.p_max})")
+        for name in ("a_s", "a_t", "c", "eval_radius", "quad_tol", "target_spread"):
+            value, low = getattr(self, name), ">= 0" if name == "target_spread" else "> 0"
+            if not _is_number(value) or value < 0 or (value == 0 and low == "> 0"):
+                raise DomainError(f"{name} must be a finite number {low}, got {value!r}")
         if self.kind.endswith("m2l") and self.c <= 1.0:
             raise DomainError("m2l experiments need separation factor c > 1")
-        if self.kind.startswith("reaction") and None in (self.medium, self.component):
-            raise DomainError("reaction experiments need medium and component")
+        self.source_center = _numbers("source_center", self.source_center, 3)
+        if self.target_center is not None:
+            self.target_center = _numbers("target_center", self.target_center, 3)
+        if self.component is not None:
+            self.component = _numbers("component", self.component, 4, integer=True)
+        if not isinstance(self.medium, (LayeredMedium, type(None))):
+            raise DomainError(f"medium must be a medium, its mapping or a path, "
+                              f"got {self.medium!r}")
+        needs = (self.medium, self.component, self.target_center)
+        if self.kind.startswith("reaction") and None in needs:
+            raise DomainError("reaction kinds need medium, component and target_center")
 
     @classmethod
     def from_json(cls, path):
@@ -114,11 +136,29 @@ class ExperimentConfig:
             data["medium"] = LayeredMedium.from_json(medium)
         elif isinstance(medium, dict):
             data["medium"] = LayeredMedium.from_dict(medium)
-        for key, kind in (("component", int), ("source_center", float),
-                          ("target_center", float)):
-            if data.get(key) is not None:
-                data[key] = tuple(kind(v) for v in data[key])
         return cls(**data)
+
+
+#: ExperimentConfig's integer fields and the least value of each
+_INT_FIELDS = {"p_min": 0, "p_max": 0, "n_charges": 0, "seed": 0, "n_targets": 1}
+
+
+def _is_number(value, integer=False):
+    """Whether value is an integer (integer=True), or else a real number
+    a float holds finite; a bool is neither."""
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool) and (
+        integer or abs(value) <= sys.float_info.max)
+
+
+def _numbers(name, value, size, integer=False):
+    """value, a list or tuple of size finite numbers (ints for integer=True),
+    as a tuple; DomainError naming the field otherwise."""
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == size
+            and all(_is_number(v, integer) for v in value)):
+        what = "integers" if integer else "finite numbers"
+        raise DomainError(f"{name} must be {size} {what}, got {value!r}")
+    return tuple((int if integer else float)(v) for v in value)
 
 
 @dataclass
@@ -383,7 +423,8 @@ def _free_m2l(config):
     targets = target_center + 0.9 * config.a_t * fibonacci_sphere(config.n_targets)
     oracle, *_ = _oracle(system, targets)
     errors = np.zeros(config.p_max + 1)
-    for p in range(config.p_min, config.p_max + 1):
+    # highest order first: an order m2l_free does not support fails at once
+    for p in range(config.p_max, config.p_min - 1, -1):
         loc = xp.m2l_free(xp.truncated(exp, p), target_center, p)
         vals = xp.eval_expansion(loc, targets)
         errors[p] = np.abs(vals - oracle).max()
@@ -531,15 +572,6 @@ def _reaction_m2l(config):
     )
 
 
-def _suite(config):
-    summary = run_property_suite(config.kind)
-    passed = all(entry["passed"] for entry in summary.values())
-    return ConvergenceReport(
-        config.kind, [], [], [], float("nan"), float("nan"), passed,
-        metadata={"suite": summary},
-    )
-
-
 _BUILDERS = {
     "me": _free_me,
     "le": _free_le,
@@ -549,9 +581,6 @@ _BUILDERS = {
     "reaction_me": _reaction_me,
     "reaction_le": _reaction_le,
     "reaction_m2l": _reaction_m2l,
-    "density_props": _suite,
-    "cagniard": _suite,
-    "addition_theorems": _suite,
 }
 
 
@@ -585,7 +614,7 @@ def _suite_lemma21(samples=10_000, seed=7):
         for l in range(1, L + 1):
             prod *= mats.gamma_plus[l] ** 2 - mats.gamma_minus[l] ** 2
             al = mats.alpha[l]
-            margin = (np.abs(al[1, 1]) ** 2 - np.abs(al[1, 0]) ** 2) / prod
+            margin = (np.abs(al[1]) ** 2 - np.abs(al[0]) ** 2) / prod
             worst = min(worst, float(margin.min()))
             violations += int(np.sum(margin < 1.0 - 1e-10))
         n_done += batch

@@ -15,6 +15,7 @@ turn each reaction component into a function of a Euclidean difference.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,12 @@ class LayeredMedium:
     b: tuple
 
     def __init__(self, interfaces, a, b):
-        object.__setattr__(self, "interfaces", tuple(float(d) for d in interfaces))
-        object.__setattr__(self, "a", tuple(float(v) for v in a))
-        object.__setattr__(self, "b", tuple(float(v) for v in b))
+        for name, given in (("interfaces", interfaces), ("a", a), ("b", b)):
+            if not isinstance(given, (list, tuple, np.ndarray)) or not all(
+                isinstance(v, numbers.Real) for v in given
+            ):
+                raise DomainError(f"medium {name} must be a list of numbers, got {given!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in given))
         self._validate()
 
     def _validate(self):
@@ -126,12 +130,6 @@ def read_json(path):
     if not isinstance(data, dict):
         raise DomainError(f"{path} holds no JSON object")
     return data
-
-
-def homogeneous_medium():
-    """Degenerate medium with no interfaces; every reaction component is
-    absent and only the free-space kernel survives."""
-    return LayeredMedium((), (1.0,), (1.0,))
 
 
 def reflect(r):

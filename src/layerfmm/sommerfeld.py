@@ -130,15 +130,6 @@ MAX_PANELS = 8192
 QUAD_COUNTS = ("panels", "gl_calls", "nodes", "evals", "bisections", "certified")
 
 
-def bessel_j(m, x):
-    """Bessel function of the first kind J_m(x), m >= 0, x >= 0."""
-    if m < 0:
-        raise DomainError("bessel_j expects order m >= 0")
-    if np.any(np.asarray(x) < 0):
-        raise DomainError("bessel_j expects x >= 0")
-    return special.jv(m, x)
-
-
 def _bessel_orders(orders, x):
     """J_m(x) for each m in orders (nonnegative ints), stacked along a new
     first axis, x >= 0 of any shape.  J_0, J_1 come from special.j0/j1,
@@ -742,8 +733,9 @@ def _scalar_adaptive(f, lo, hi, tol, n_init=16):
     return complex(value[0])
 
 
-def cagniard_identity_check(f, rho, z, eta, tol=1e-8):
-    """Both sides of the hyperbolic contour identity
+def cagniard_identity_check(name, rho, z, eta, tol=1e-8):
+    """Both sides of the hyperbolic contour identity, for the test
+    function f of CAGNIARD_CATALOG[name],
 
         int_R f(xi) e^{i xi rho - sqrt(eta^2+xi^2) z} d xi
           = i int_1^inf [f(xi_+) Lam_+ - f(xi_-) Lam_-]
@@ -758,10 +750,7 @@ def cagniard_identity_check(f, rho, z, eta, tol=1e-8):
     from the growth bound; the right side uses t = cosh(s), which removes
     the endpoint singularity analytically.  Returns (lhs, rhs).
     """
-    if isinstance(f, str):
-        fun, growth = CAGNIARD_CATALOG[f]
-    else:
-        fun, growth = f
+    fun, growth = CAGNIARD_CATALOG[name]
     if z <= 0 or eta <= 0 or rho < 0:
         raise DomainError("requires z > 0, eta > 0, rho >= 0")
     r = math.hypot(rho, z)

@@ -1,6 +1,5 @@
 """Cross-checks of the batched table builders against an independent
-scalar assembly of the paper's three operator formulas, and of the
-public per-entry operators against the builders they slice."""
+scalar assembly of the paper's three operator formulas."""
 
 import math
 from functools import lru_cache
@@ -12,9 +11,6 @@ from layerfmm import (
     ChargeSystem,
     LayeredMedium,
     ReactionDensity,
-    eval_me_basis,
-    eval_reaction_le_coeff,
-    eval_reaction_m2l_entry,
     polarization_source,
     reflect,
     tau_map,
@@ -162,62 +158,6 @@ def test_m2l_matrix_matches_single_entries():
                     int(ms[j]), tc, pol_c, 1e-12,
                 )
                 assert tmat[i, j] == pytest.approx(ref, rel=1e-8, abs=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# public per-entry operators against the builders they slice
-# ---------------------------------------------------------------------------
-
-def test_me_basis_slices_builder():
-    r = np.array([0.3, 0.25, -0.4])
-    csrc = np.array([0.05, -0.1, -0.55])
-    p = 4
-    for a, b in [(1, 1), (2, 1)]:
-        pol_c = polarization_source(SLAB, a, b, 1, 1, csrc)
-        table, _ = reaction_basis_table(SLAB, (a, b, 1, 1), p, r, pol_c, 1e-12)
-        for n, m in [(0, 0), (2, -1), (3, 2), (4, -4)]:
-            single = eval_me_basis(SLAB, a, b, 1, 1, n, m, r, pol_c, 1e-12)
-            assert single == pytest.approx(table[n, m + p], rel=1e-9, abs=1e-14)
-    table, _ = reaction_basis_table(
-        SLAB, (1, 2, 1, 1), p, r, csrc, 1e-12, form="direct"
-    )
-    single = eval_me_basis(SLAB, 1, 2, 1, 1, 3, -2, r, csrc, 1e-12, "direct")
-    assert single == pytest.approx(table[3, -2 + p], rel=1e-9, abs=1e-14)
-
-
-def test_le_coeff_slices_builder():
-    src = np.array([0.1, -0.05, -0.45])
-    one = ChargeSystem.in_medium(SLAB, [1.0], [src])
-    tc = np.array([0.5, 0.3, -0.3])
-    p = 4
-    for a, b in [(1, 2), (2, 1)]:
-        exp = reaction_le_from_charges(one, SLAB, a, b, 1, 1, tc, p,
-                                       rel_tol=1e-12)
-        for n, m in [(0, 0), (2, -1), (3, 3), (4, -2)]:
-            single = eval_reaction_le_coeff(
-                SLAB, a, b, 1, 1, n, m, tc, src, 1e-12
-            )
-            assert single == pytest.approx(
-                exp.coeff[n, m + p], rel=1e-9, abs=1e-14
-            )
-
-
-def test_m2l_entry_slices_builder():
-    src = np.array([0.02, 0.04, -0.52])
-    one = ChargeSystem.in_medium(SLAB, [1.0], [src])
-    tc = np.array([0.25, 0.15, -0.35])
-    p = 3
-    for a, b in [(1, 1), (2, 2)]:
-        pol_c = polarization_source(SLAB, a, b, 1, 1, np.array([0, 0, -0.5]))
-        exp = reaction_me_from_charges(one, SLAB, a, b, 1, 1, pol_c, p)
-        tmat, _ = reaction_m2l_matrix(exp, SLAB, tc, p, 1e-12)
-        for n, m, nprime, mprime in [(0, 0, 0, 0), (2, -1, 1, 1),
-                                     (1, 1, 3, -2), (3, -3, 2, 0)]:
-            single = eval_reaction_m2l_entry(
-                SLAB, a, b, 1, 1, n, m, nprime, mprime, tc, pol_c, 1e-12
-            )
-            want = tmat[n * n + n + m, nprime * nprime + nprime + mprime]
-            assert single == pytest.approx(want, rel=1e-8, abs=1e-13)
 
 
 def test_le_coeff_conjugate_symmetry():

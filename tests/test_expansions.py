@@ -860,7 +860,7 @@ fired = []
 slab = LayeredMedium([0.0, -1.0], [1.0, 1.0, 1.0], [1.0, 3.0, 8.0])
 
 mats = InterfaceMatrices(slab, np.array([0.5, 2.0]))
-mats.alpha[1][1, 0] = 10.0 * mats.alpha[1][1, 1]
+mats.alpha[1][0] = 10.0 * mats.alpha[1][1]
 try:
     mats._check_key_inequality()
 except InvariantViolated:

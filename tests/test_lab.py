@@ -180,15 +180,6 @@ def test_property_suite_selection():
         run_property_suite("bogus")
 
 
-def test_suite_kind_report():
-    report = run_experiment(ExperimentConfig(kind="cagniard"))
-    assert report.passed
-    assert set(report.metadata["suite"]) == {"cagniard"}
-    assert report.ps == report.errors == report.bounds == []
-    header = "# schema=1\np,max_error,bound,ratio,rate_fit,rate_theory\n"
-    assert report.to_csv() == header
-
-
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(kind="nope")
@@ -485,7 +476,11 @@ _DENSITY = ["density", "--medium", "{x}", "--ell", "0", "--ellprime", "0"]
     pytest.param(["lab", "run", "--config", "{x}"], {"kind": "me", "p_max": 61},
                  "p_max=61 exceeds supported maximum 60", id="lab_run_me_p61"),
     pytest.param(["lab", "run", "--config", "{x}"], {"kind": "m2l", "p_max": 31},
-                 "exceeds supported maximum 60", id="lab_run_m2l_p31"),
+                 "p_max=31 exceeds supported maximum 30 of a free-space M2L",
+                 id="lab_run_m2l_p31"),
+    pytest.param(["lab", "run", "--config", "{x}"], {"kind": "cagniard"},
+                 "unknown experiment kind 'cagniard' (the property suites run with "
+                 "`layerfmm lab suite`)", id="lab_run_suite_kind"),
     pytest.param(["lab", "run", "--config", "{x}"],
                  {"kind": "me", "p_min": 5, "p_max": 3},
                  "need 0 <= p_min <= p_max (5, 3)", id="lab_run_p_min_above_p_max"),
@@ -511,6 +506,70 @@ def test_cli_bad_input_exits_2(tmp_path, args, data, message):
     x = tmp_path / "x.json"
     x.write_text(json.dumps(data))
     res = CliRunner().invoke(main, [a.format(m=m, c=c, t=t, x=x) for a in args])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0], res.output
+
+
+_SLAB = {"interfaces": [0.0, -1.0], "a": [1.0] * 3, "b": [1.0, 3.0, 8.0]}
+_REACTION = {"kind": "reaction_me", "medium": _SLAB, "component": [1, 1, 1, 1],
+             "source_center": [0.0, 0.0, -0.5], "target_center": [0.0, 0.0, -0.25]}
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"kind": "me", "p_max": "3"}, "p_max must be an integer >= 0, got '3'",
+                 id="p_max_string"),
+    pytest.param({"kind": "me", "p_max": True}, "p_max must be an integer >= 0, got True",
+                 id="p_max_bool"),
+    pytest.param({"kind": "me", "n_charges": -1},
+                 "n_charges must be an integer >= 0, got -1", id="n_charges_negative"),
+    pytest.param({"kind": "me", "n_targets": 0},
+                 "n_targets must be an integer >= 1, got 0", id="n_targets_zero"),
+    pytest.param({"kind": "me", "seed": -2}, "seed must be an integer >= 0, got -2",
+                 id="seed_negative"),
+    pytest.param({"kind": "me", "a_s": 0}, "a_s must be a finite number > 0, got 0",
+                 id="a_s_zero"),
+    pytest.param({"kind": "le", "a_t": "1"}, "a_t must be a finite number > 0, got '1'",
+                 id="a_t_string"),
+    pytest.param({"kind": "m2l", "c": float("inf")},
+                 "c must be a finite number > 0, got inf", id="c_infinite"),
+    pytest.param({"kind": "me", "eval_radius": 10 ** 400},
+                 "eval_radius must be a finite number > 0, got 1000", id="eval_radius_huge"),
+    pytest.param({"kind": "me", "eval_radius": -4.0},
+                 "eval_radius must be a finite number > 0, got -4.0",
+                 id="eval_radius_negative"),
+    pytest.param({"kind": "me", "quad_tol": float("nan")},
+                 "quad_tol must be a finite number > 0, got nan", id="quad_tol_nan"),
+    pytest.param(dict(_REACTION, target_spread=-0.1),
+                 "target_spread must be a finite number >= 0, got -0.1",
+                 id="target_spread_negative"),
+    pytest.param({"kind": "me", "source_center": [0.0, 0.0]},
+                 "source_center must be 3 finite numbers, got [0.0, 0.0]",
+                 id="source_center_two_numbers"),
+    pytest.param(dict(_REACTION, target_center=[0.0, "y", -0.25]),
+                 "target_center must be 3 finite numbers", id="target_center_string"),
+    pytest.param(dict(_REACTION, component=[1, 1, 1]),
+                 "component must be 4 integers, got [1, 1, 1]",
+                 id="component_three_entries"),
+    pytest.param(dict(_REACTION, component=[1, 1, 1.0, 1]),
+                 "component must be 4 integers", id="component_float"),
+    pytest.param(dict(_REACTION, medium=dict(_SLAB, interfaces=["x"])),
+                 "medium interfaces must be a list of numbers, got ['x']",
+                 id="medium_interface_string"),
+    pytest.param(dict(_REACTION, medium=dict(_SLAB, b=3.0)),
+                 "medium b must be a list of numbers, got 3.0", id="medium_b_number"),
+    pytest.param(dict(_REACTION, medium=5), "medium must be a medium, its mapping or "
+                 "a path, got 5", id="medium_number"),
+    pytest.param({k: v for k, v in _REACTION.items() if k != "target_center"},
+                 "reaction kinds need medium, component and target_center",
+                 id="reaction_without_target_center"),
+])
+def test_cli_lab_run_rejects_bad_config_values(tmp_path, data, message):
+    """A config field of the wrong type or outside its range exits 2 with
+    one Error line naming the field, not with a traceback from the run."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["lab", "run", "--config", str(path)])
     assert res.exit_code == 2, res.output
     errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1 and message in errors[0], res.output

@@ -6,7 +6,6 @@ import pytest
 from layerfmm import (
     LayeredMedium,
     component_exists,
-    homogeneous_medium,
     polarization_source,
     reflect,
     tau_map,
@@ -99,7 +98,7 @@ def test_component_absence_rules():
 
 
 def test_homogeneous_medium_has_no_components():
-    m = homogeneous_medium()
+    m = LayeredMedium((), (1.0,), (1.0,))
     for a in (1, 2):
         for b in (1, 2):
             assert not component_exists(m, a, b, 0, 0)

@@ -10,13 +10,10 @@ from scipy import special
 
 from layerfmm import (
     ChargeSystem,
+    HarmonicExpansion,
     ReactionDensity,
-    bessel_j,
     cagniard_identity_check,
-    eval_me_basis,
     eval_reaction_green,
-    eval_reaction_le_coeff,
-    eval_reaction_m2l_entry,
     polarization_source,
     sqrt_branch,
 )
@@ -27,18 +24,29 @@ from layerfmm.errors import (
     InvariantViolated,
     ToleranceNotMet,
 )
-from layerfmm.expansions import _reaction_table
+from layerfmm.expansions import (
+    _reaction_table,
+    reaction_basis_table,
+    reaction_le_from_charges,
+    reaction_m2l_matrix,
+)
 from layerfmm.medium import component_exists
-from layerfmm.sommerfeld import CAGNIARD_CATALOG, ConstantDensity, radial_table
+from layerfmm.sommerfeld import (
+    CAGNIARD_CATALOG,
+    ConstantDensity,
+    _bessel_orders,
+    radial_table,
+)
+
+
+def _bessel(m, x):
+    """J_m(x) from the engine's Bessel ladder, one order at one x."""
+    return float(_bessel_orders(np.array([m]), np.array(x))[0])
 
 
 def test_bessel_trivial_values():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(1, 0.0) == 0.0
-    with pytest.raises(DomainError):
-        bessel_j(-1, 1.0)
-    with pytest.raises(DomainError):
-        bessel_j(0, -1.0)
+    assert _bessel(0, 0.0) == 1.0
+    assert _bessel(1, 0.0) == 0.0
 
 
 def test_bessel_first_zero_from_power_series():
@@ -61,7 +69,7 @@ def test_bessel_first_zero_from_power_series():
             lo = mid
     root = 0.5 * (lo + hi)
     assert root == pytest.approx(2.4048255577, abs=1e-9)
-    assert abs(bessel_j(0, root)) < 1e-9
+    assert abs(_bessel(0, root)) < 1e-9
 
 
 def test_bessel_against_mpmath():
@@ -72,7 +80,7 @@ def test_bessel_against_mpmath():
         m = int(rng.integers(0, 31))
         x = float(rng.uniform(0, 60))
         ref = float(mpmath.besselj(m, x))
-        got = bessel_j(m, x)
+        got = _bessel(m, x)
         assert abs(got - ref) <= 1e-13 * max(abs(ref), 1e-3)
 
 
@@ -154,7 +162,7 @@ def test_radial_integral_brute_force_cross_check():
     """(m, n) = (1, 1) against a dense trapezoid evaluation."""
     rho, zeta = 0.9, 1.1
     k = np.linspace(0.0, 400.0, 2_000_001)
-    brute = np.trapezoid(bessel_j(1, k * rho) * np.exp(-k * zeta) * k, k)
+    brute = np.trapezoid(special.jv(1, k * rho) * np.exp(-k * zeta) * k, k)
     got = _single(1, 1, rho, zeta, ConstantDensity(), 1e-12)
     assert got.real == pytest.approx(brute, abs=1e-9)
 
@@ -889,7 +897,7 @@ def test_me_basis_monopole_consistency(two_layer):
     src = np.array([0.25, -0.4, 0.8])
     center = polarization_source(two_layer, 1, 1, 0, 0, src)
     r = np.array([0.9, 0.1, 1.4])
-    f00 = eval_me_basis(two_layer, 1, 1, 0, 0, 0, 0, r, center, 1e-12)
+    f00 = reaction_basis_table(two_layer, (1, 1, 0, 0), 0, r, center, 1e-12)[0][0, 0]
     m00 = 1.0 / math.sqrt(4 * math.pi)
     oracle = eval_reaction_green(two_layer, 1, 1, 0, 0, r, src, 1e-12)
     assert (m00 * f00).real == pytest.approx(oracle, abs=1e-12)
@@ -899,11 +907,12 @@ def test_me_basis_monopole_consistency(two_layer):
 def test_me_basis_conventions(three_layer):
     r = np.array([0.4, 0.3, -0.2])
     center = np.array([0.1, -0.2, -1.6])
-    assert eval_me_basis(three_layer, 1, 1, 1, 1, 2, 3, r, center) == 0
-    for n in range(4):
+    p = 3
+    table, _ = reaction_basis_table(three_layer, (1, 1, 1, 1), p, r, center, 1e-12)
+    assert table[2, 3 + p] == 0
+    for n in range(p + 1):
         for m in range(n + 1):
-            f_pos = eval_me_basis(three_layer, 1, 1, 1, 1, n, m, r, center, 1e-12)
-            f_neg = eval_me_basis(three_layer, 1, 1, 1, 1, n, -m, r, center, 1e-12)
+            f_pos, f_neg = table[n, m + p], table[n, -m + p]
             assert f_neg == pytest.approx(
                 (-1.0) ** m * np.conj(f_pos), rel=1e-10, abs=1e-13
             )
@@ -914,9 +923,22 @@ def test_le_coeff_center_value(three_layer):
     L_00 Y_0^0 equals the reaction potential there."""
     src = np.array([0.2, 0.1, -0.7])
     tc = np.array([0.6, -0.3, -0.25])
-    l00 = eval_reaction_le_coeff(three_layer, 2, 1, 1, 1, 0, 0, tc, src, 1e-12)
+    one = ChargeSystem([1.0], [src], [1])
+    l00 = reaction_le_from_charges(
+        one, three_layer, 2, 1, 1, 1, tc, 0, rel_tol=1e-12
+    ).coeff[0, 0]
     oracle = eval_reaction_green(three_layer, 2, 1, 1, 1, tc, src, 1e-12)
     assert (l00 / math.sqrt(4 * math.pi)).real == pytest.approx(oracle, abs=1e-11)
+
+
+def _m2l_matrix(medium, component, target_center, source_center, p, source_p):
+    """The reaction M2L matrix from degree source_p about a polarization
+    source center to degree p about target_center, at rel_tol 1e-12."""
+    exp = HarmonicExpansion(
+        "reaction_multipole", source_center, source_p,
+        np.zeros((source_p + 1, 2 * source_p + 1)), component=component,
+    )
+    return reaction_m2l_matrix(exp, medium, target_center, p, 1e-12)[0]
 
 
 def test_m2l_entry_monopole_closed_form(two_layer):
@@ -925,7 +947,7 @@ def test_m2l_entry_monopole_closed_form(two_layer):
     kappa = (eps0 - eps1) / (eps0 + eps1)
     sc = np.array([0.2, -0.3, -0.9])  # below the interface (a=1 side)
     tc = np.array([0.5, 0.4, 1.2])
-    t00 = eval_reaction_m2l_entry(two_layer, 1, 1, 0, 0, 0, 0, 0, 0, tc, sc, 1e-12)
+    t00 = _m2l_matrix(two_layer, (1, 1, 0, 0), tc, sc, 0, 0)[0, 0]
     assert t00.real == pytest.approx(
         kappa / np.linalg.norm(tc - sc), rel=1e-10
     )
@@ -935,13 +957,10 @@ def test_m2l_entry_monopole_closed_form(two_layer):
 def test_m2l_entry_conjugation_symmetry(three_layer):
     tc = np.array([0.3, 0.2, -0.4])
     sc = np.array([-0.1, 0.4, -2.1])
+    tmat = _m2l_matrix(three_layer, (1, 1, 1, 1), tc, sc, 3, 3)
     for (n, m, np_, mp_) in [(1, 1, 2, -1), (2, 0, 3, 2), (3, -2, 1, 1)]:
-        t1 = eval_reaction_m2l_entry(
-            three_layer, 1, 1, 1, 1, n, m, np_, mp_, tc, sc, 1e-12
-        )
-        t2 = eval_reaction_m2l_entry(
-            three_layer, 1, 1, 1, 1, n, -m, np_, -mp_, tc, sc, 1e-12
-        )
+        t1 = tmat[n * n + n + m, np_ * np_ + np_ + mp_]
+        t2 = tmat[n * n + n - m, np_ * np_ + np_ - mp_]
         assert t2 == pytest.approx(
             (-1.0) ** (m + mp_) * np.conj(t1), rel=1e-9, abs=1e-13
         )
