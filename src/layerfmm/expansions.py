@@ -22,12 +22,14 @@ integral from the sommerfeld module's tables.  With c_0 = 1/sqrt(4 pi),
 the multipole basis is c_0 times its row 0 (target degree 0) and a unit
 charge's local expansion c_0 times its column 0 (source degree 0).
 
-Operator weights combine factorial-bearing constants and radial powers in
-log space, which keeps everything finite through the supported orders.
-m2m, l2l and m2l_free cache their last two orders' geometry-free weights,
-14 bytes an entry: 0.2, 2.7, 194 MB at p = 10, 20, 60 (m2l_free p <= 30);
-_reaction_operator its last four (p, p')'s, 24 bytes an entry: 0.35, 4.7,
-22 MB at p = p' = 10, 20, 30.
+Each free translation weight is a constant, assembled once in log space
+from the factorial-bearing tables, times r^s for the degree s of the
+shift vector's harmonic it gathers (r^-(s+1) for M2L), so a call scales
+that small harmonics table by the powers of r, not every weight.  m2m,
+l2l and m2l_free cache their last two orders' constants and gather
+indices, 12 bytes an entry: 0.18, 2.3, 166 MB at p = 10, 20, 60
+(m2l_free p <= 30); _reaction_operator its last four (p, p')'s, 24 bytes
+an entry: 0.35, 4.7, 22 MB at p = p' = 10, 20, 30.
 """
 
 from __future__ import annotations
@@ -234,47 +236,49 @@ def le_from_charges(system, center, p, radius=None):
 
 def _require_kind(exp, kind):
     if exp.kind != kind:
-        raise ValueError(f"expected a {kind} expansion, got {exp.kind}")
+        raise DomainError(f"expected a {kind} expansion, got {exp.kind}")
 
 
 def _translation(p, source_p, block, zero=0):
-    """Read-only geometry-free parts of w = (-1)^parity exp(logw0 + power
-    log r) ytab.flat[index]: float64 logw0, int8 power and sign, int32
-    index, from block(n, m, nu, mu) -> valid, logw0, power, parity, index
-    run on 2^14 entries at a time, to build in little more memory than the
-    result.  An invalid entry reads the zero harmonic ytab.flat[zero]."""
+    """Read-only geometry-free parts of w = weight r^s ytab.flat[index],
+    where s is the degree of the harmonic at index: float64 weight
+    (-1)^parity exp(logw0) and int32 index, from block(n, m, nu, mu) ->
+    valid, logw0, parity, index run on 2^14 entries at a time, to build in
+    little more memory than the result.  An invalid entry reads the zero
+    harmonic ytab.flat[zero]."""
     ns, ms = _packed_indices(p)
     nu, mu = _packed_indices(source_p)
-    out = [np.empty((len(ns), len(nu)), t) for t in (float, np.int8, np.int8, np.int32)]
+    weight = np.empty((len(ns), len(nu)))
+    index = np.empty(weight.shape, np.int32)
     step = max(1, (1 << 14) // len(nu))
     for rows in (slice(lo, lo + step) for lo in range(0, len(ns), step)):
-        valid, logw0, power, parity, index = block(ns[rows, None], ms[rows, None],
-                                                   nu, mu)
-        sign = np.where(parity % 2 == 1, -1, 1)
-        for arr, val, off in zip(out, (logw0, power, sign, index), (0.0, 0, 1, zero)):
-            arr[rows] = np.where(valid, val, off)
-    return _read_only(*out)
+        valid, logw0, parity, at = block(ns[rows, None], ms[rows, None], nu, mu)
+        w = np.exp(logw0)
+        weight[rows] = np.where(valid, np.where(parity % 2 == 1, -w, w), 0.0)
+        index[rows] = np.where(valid, at, zero)
+    return _read_only(weight, index)
 
 
-def _translate(weights, rr, ytab, flat):
-    """w @ flat at distance rr; the gather runs before w exists, for a
-    lower peak."""
-    logw0, power, sign, index = weights
-    g = np.take(ytab, index)
-    w = power * math.log(rr)
-    np.exp(np.add(logw0, w, out=w), out=w)
-    return np.multiply(np.multiply(sign, w, out=w), g, out=g) @ flat
+def _translate(weights, ytab, radial, flat):
+    """w @ flat: row s of ytab times radial[s] (the power of r in every
+    weight that gathers a degree-s harmonic), gathered, then times the
+    cached weights in place."""
+    weight, index = weights
+    g = np.take(np.multiply(ytab, radial), index)
+    return np.multiply(weight, g, out=g) @ flat
 
 
 def _shifted(exp, new_center, weights, grow=False):
-    """exp about new_center by the shift weights(exp.p); grow widens radius."""
+    """exp about new_center by the shift weights(exp.p), whose degree-s
+    harmonics carry r^s; grow widens radius."""
     new_center = np.asarray(new_center, dtype=float)
     rr, theta, phi = cartesian_to_spherical(exp.center - new_center)
     if rr == 0.0:
         return replace(exp, center=new_center)
     radius = exp.radius + rr if grow and exp.radius is not None else exp.radius
     ytab = sph_harm_table(exp.p, theta, phi)
-    flat = _translate(weights(exp.p), rr, ytab, _pack(exp.coeff, exp.p))
+    radial = rr ** _radial_powers(exp.p)[0]
+    flat = _translate(weights(exp.p), ytab, radial, _pack(exp.coeff, exp.p))
     return replace(exp, center=new_center, coeff=_unpack(flat, exp.p), radius=radius)
 
 
@@ -292,7 +296,7 @@ def _m2m_weights(p):
             - 2.0 * cst.log_c[dn]
             - cst.log_abs_a[n, np.abs(m)]
         )
-        return valid, logw0, dn, np.abs(m) + np.abs(mu), dn * (2 * p + 1) - dm + p
+        return valid, logw0, np.abs(m) + np.abs(mu), dn * (2 * p + 1) - dm + p
 
     # an uncoupled pair reads ytab[0, 2p], order p above degree 0: zero
     return _translation(p, p, block, zero=2 * p)
@@ -308,7 +312,7 @@ def m2m(exp, new_center):
     of the target layer, which evaluation enforces.
     """
     if exp.kind not in ("multipole", "reaction_multipole"):
-        raise ValueError(f"expected a multipole expansion, got {exp.kind}")
+        raise DomainError(f"expected a multipole expansion, got {exp.kind}")
     return _shifted(exp, new_center, _m2m_weights, grow=True)
 
 
@@ -329,7 +333,7 @@ def _l2l_weights(p):
             - cst.log_abs_a[nu, np.abs(mu)]
         )
         parity = dn + np.abs(dm) + np.abs(mu) + np.abs(m)
-        return valid, logw0, dn, parity, dn * (2 * p + 1) + dm + p
+        return valid, logw0, parity, dn * (2 * p + 1) + dm + p
 
     return _translation(p, p, block, zero=2 * p)
 
@@ -354,8 +358,8 @@ def _m2l_weights(p, source_p):
             - 2.0 * cst2.log_c[n]
             - cst2.log_abs_a[sn, np.abs(dm)]
         )
-        # logw0 - (sn + 1) log r, as logw0 + power log r
-        return True, logw0, -(sn + 1), nu + np.abs(m), sn * (2 * off + 1) + dm + off
+        # the harmonic of degree sn carries r^-(sn + 1)
+        return True, logw0, nu + np.abs(m), sn * (2 * off + 1) + dm + off
 
     return _translation(p, source_p, block)
 
@@ -388,7 +392,8 @@ def m2l_free(exp, target_center, p, target_radius=None):
         raise BoxesNotSeparated("source and target centers coincide")
     _require_separated(exp, rr, target_radius)
     ytab = sph_harm_table(2 * top, theta, phi)
-    flat = _translate(_m2l_weights(p, exp.p), rr, ytab, _pack(exp.coeff, exp.p))
+    radial = rr ** _radial_powers(2 * top)[1]
+    flat = _translate(_m2l_weights(p, exp.p), ytab, radial, _pack(exp.coeff, exp.p))
     return HarmonicExpansion(
         "local", target_center, p, _unpack(flat, p), radius=target_radius
     )
@@ -397,26 +402,34 @@ def m2l_free(exp, target_center, p, target_radius=None):
 def _expansion_sum(exp, functions):
     """sum over (n, m) of exp.coeff times functions[..., n, m], one value
     per leading index (a float for none).  An expansion of real charges
-    must sum to a real value at each point, up to roundoff in its terms
-    (a NaN residue fails too), and returns the real part."""
+    must sum to a real value at each point, |Im v| <= 1e-10 |v| +
+    1e-12 sum |terms| (a NaN residue fails too), and returns the real
+    part.  |Im v| <= 1e-10 |v| alone suffices, so the sum of |terms| is
+    formed only where that fails; one point stays on Python scalars."""
     terms = exp.coeff * functions
     val = terms.sum(axis=(-2, -1))
-    scale = np.abs(terms).sum(axis=(-2, -1))
-    real = np.abs(val.imag) <= 1e-10 * np.abs(val) + 1e-12 * (scale + 1e-300)
-    if not real.all():
-        raise InvariantViolated(
-            f"imaginary residue {np.asarray(val.imag)[~real][0]} too large "
-            "for a real charge system"
-        )
-    return val.real if val.ndim else val.real.item()
+    if val.ndim:
+        real = (np.abs(val.imag) <= 1e-10 * np.abs(val)).all()
+    else:
+        val = complex(val)
+        real = abs(val.imag) <= 1e-10 * abs(val)
+    if not real:
+        scale = np.abs(terms).sum(axis=(-2, -1))
+        real = np.abs(val.imag) <= 1e-10 * np.abs(val) + 1e-12 * (scale + 1e-300)
+        if not real.all():
+            raise InvariantViolated(
+                f"imaginary residue {np.asarray(val.imag)[~real][0]} too large "
+                "for a real charge system"
+            )
+    return val.real
 
 
 @lru_cache(maxsize=64)
 def _radial_powers(p):
-    """Read-only powers of r in the terms of degrees 0..p: n for a local
-    expansion, -n-1 for a multipole expansion."""
-    ns = np.arange(p + 1)
-    return _read_only(ns.astype(float), -ns - 1.0)
+    """Read-only powers of r of degrees 0..p as (p+1, 1) columns: n for a
+    local expansion, -n-1 for a multipole expansion."""
+    ns = np.arange(p + 1.0)[:, None]
+    return _read_only(ns, -ns - 1.0)
 
 
 def solid_harmonics(exp, points):
@@ -432,23 +445,28 @@ def solid_harmonics(exp, points):
     """
     v = np.asarray(points, dtype=float) - exp.center
     rr, theta, phi = cartesian_to_spherical(v)
-    rr = np.asarray(rr)
+    # one point keeps r on a Python float; a batch needs only its extremes
+    if v.ndim == 1:
+        near = far = rr
+    else:
+        near, far = rr.min(initial=math.inf), rr.max(initial=0.0)
+        rr = rr[..., None, None]
     local, multipole = _radial_powers(exp.p)
     if exp.kind == "multipole":
-        if (rr == 0.0).any():
+        if near == 0.0:
             raise DomainError("multipole expansion evaluated at its center")
-        if exp.radius is not None and (rr <= exp.radius).any():
+        if exp.radius is not None and near <= exp.radius:
             warnings.warn("evaluation inside the source box", RegionViolation)
-        radial = rr[..., None] ** multipole
+        radial = rr**multipole
     elif exp.kind == "local":
-        if exp.radius is not None and (rr >= exp.radius).any():
+        if exp.radius is not None and far >= exp.radius:
             warnings.warn("evaluation outside the target box", RegionViolation)
-        radial = rr[..., None] ** local
+        radial = rr**local
     else:
-        raise ValueError(
+        raise DomainError(
             "reaction multipole expansions are evaluated with eval_reaction_me"
         )
-    return sph_harm_table(exp.p, theta, phi) * radial[..., None]
+    return sph_harm_table(exp.p, theta, phi) * radial
 
 
 def eval_expansion(exp, r):
@@ -521,7 +539,7 @@ def _kernel_vector(medium, component, r, center, form):
         return (v if a == 1 else reflect(v)), False
     if form == "direct":
         return tau_map(medium, *component, r, center), a == b
-    raise ValueError(f"unknown basis form {form!r}")
+    raise DomainError(f"unknown basis form {form!r}")
 
 
 def _reaction_table(medium, component, v, top, rel_tol):

@@ -34,9 +34,10 @@ normalized_legendre, sph_harm_table and cartesian_to_spherical take one
 point or a batch along leading axes, and each point of a batch gets the
 bits of a one-point call.  numpy's cost is per call, not per value, and
 an FMM pays for one point per target and per box pair, so one point has
-its own path: the Legendre recurrence on Python floats, and (r, theta,
-phi) from one dot product and two scalar ufuncs.  Batches keep the array
-code, where one call serves every point.
+its own path: the Legendre recurrence on Python floats as one packed row,
+the harmonics table as the batch's products on that row and one cached
+gather, and (r, theta, phi) from one dot product and two scalar ufuncs.
+Batches keep the array code, where one call serves every point.
 """
 
 from __future__ import annotations
@@ -103,23 +104,21 @@ def _legendre_lists(n_max):
 
 
 def _legendre_point(n_max, x):
-    """normalized_legendre at one float x: the array recurrence's products,
-    in its order, on Python floats."""
+    """normalized_legendre at one float x as its packed row, degree by
+    degree with orders 0..n: the array recurrence's products, in its
+    order, on Python floats."""
     if not abs(x) <= 1.0:
         raise DomainError(f"Legendre argument {x} outside [-1, 1]")
     s = sqrt(max(0.0, 1.0 - x * x))
-    (ns, ms), weights = _legendre_lists(n_max)
     # prev2 is row n - 2 with the zero the array step reads at column n - 1
     prev2, prev = [0.0], [sqrt(1.0 / (4.0 * pi))]
     flat = list(prev)
-    for diag, alpha, beta in weights:
+    for diag, alpha, beta in _legendre_lists(n_max)[1]:
         row = [a * x * p1 - b * p2 for a, b, p1, p2 in zip(alpha, beta, prev, prev2)]
         row.append(diag * s * prev[-1])
         flat += row
         prev2, prev = prev + [0.0], row
-    tab = np.zeros((n_max + 1, n_max + 1))
-    tab[ns, ms] = flat
-    return tab
+    return flat
 
 
 def normalized_legendre(n_max, x):
@@ -141,7 +140,9 @@ def normalized_legendre(n_max, x):
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        return _legendre_point(n_max, float(x))
+        tab = np.zeros((n_max + 1, n_max + 1))
+        tab[_legendre_lists(n_max)[0]] = _legendre_point(n_max, float(x))
+        return tab
     outside = ~(np.abs(x) <= 1.0)
     if outside.any():
         raise DomainError(f"Legendre argument {x[outside][0]} outside [-1, 1]")
@@ -164,10 +165,39 @@ def _order_tables(n_max):
     return _read_only(1j * ms, (-1.0) ** ms[:0:-1], outside)
 
 
+@lru_cache(maxsize=None)
+def _point_tables(n_max):
+    """Read-only per-n_max parts of a one-point sph_harm_table: the order
+    m and (-1)^m of each packed (n, m <= n) entry of normalized_legendre,
+    and the index of the (n_max+1, 2 n_max+1) table into the packed
+    values of the orders m >= 0, then of the orders -m, then one zero."""
+    ns, ms = _legendre_lists(n_max)[0]
+    index = np.full((n_max + 1, 2 * n_max + 1), 2 * len(ms))
+    packed = np.arange(len(ms))
+    index[ns, n_max + ms] = packed
+    index[ns[ms > 0], n_max - ms[ms > 0]] = len(ms) + packed[ms > 0]
+    return _read_only(ms, (-1.0) ** ms, index)
+
+
+_ZERO = _read_only(np.zeros(1, dtype=complex))[0]
+
+
+def _sph_harm_point(n_max, theta, phi):
+    """sph_harm_table at one (theta, phi): the batch's products on the
+    packed entries, then one cached gather."""
+    ms, sign, index = _point_tables(n_max)
+    ph = np.array(_legendre_point(n_max, float(np.cos(theta))))
+    vals = np.multiply(ph, np.exp(_order_tables(n_max)[0] * phi)[ms])
+    # Y_n^{-m} = (-1)^m conj(Y_n^m)
+    return np.concatenate((vals, np.multiply(sign, np.conj(vals)), _ZERO))[index]
+
+
 def sph_harm_table(n_max, theta, phi):
     """All Y_n^m(theta, phi) for n <= n_max as a complex array of shape
     theta.shape + (n_max+1, 2 n_max+1); entry [..., n, m + n_max] holds
     order m, zero for |m| > n."""
+    if np.ndim(theta) == 0:
+        return _sph_harm_point(n_max, theta, phi)
     ph = normalized_legendre(n_max, np.cos(theta))
     im, sign, outside = _order_tables(n_max)
     out = np.empty(ph.shape[:-1] + (2 * n_max + 1,), dtype=complex)

@@ -750,6 +750,11 @@ def cagniard_identity_check(name, rho, z, eta, tol=1e-8):
     from the growth bound; the right side uses t = cosh(s), which removes
     the endpoint singularity analytically.  Returns (lhs, rhs).
     """
+    if name not in CAGNIARD_CATALOG:
+        raise DomainError(
+            f"unknown Cagniard test function {name!r}; "
+            f"the catalog has {', '.join(CAGNIARD_CATALOG)}"
+        )
     fun, growth = CAGNIARD_CATALOG[name]
     if z <= 0 or eta <= 0 or rho < 0:
         raise DomainError("requires z > 0, eta > 0, rho >= 0")

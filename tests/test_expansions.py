@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from layerfmm.errors import (
     ChargeOutsideBox,
     ComponentAbsent,
     DomainError,
+    InvariantViolated,
     RegionViolation,
 )
 from layerfmm.expansions import (
@@ -52,7 +54,9 @@ from layerfmm.expansions import (
 from layerfmm.harmonics import (
     _legendre_lists,
     _legendre_weights,
+    _ZERO,
     _order_tables,
+    _point_tables,
     cartesian_to_spherical,
     constants,
     sph_harm,
@@ -289,6 +293,54 @@ def test_translations_repeat_bitwise_across_cached_orders():
             assert calls[i]().coeff.tobytes() == first[i].tobytes()
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_shifts_keep_their_range_across_scales(scale):
+    """The translation weights carry no power of r: each call scales the
+    shift's harmonics by r^s (M2M, L2L) or r^-(s+1) (M2L).  On clouds of
+    size 1e-3 to 1e3 the shifted tables stay finite at p = 30 and 60
+    (M2L at 30), L2L reproduces the unshifted expansion to 1e-13, and
+    M2M and M2L stay within their classical bounds of the direct sum,
+    up to a roundoff floor of 64 eps times the bound's charge scale."""
+    rng = np.random.default_rng(36)
+    u = rng.normal(size=(6, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    a = 0.5 * scale
+    src = _random_cloud(rng, 12, a)
+    far = _random_cloud(rng, 12, a, scale * np.array([5.0, -2.0, 3.0]))
+    q = src.total_abs_charge
+    floor = 64.0 * np.finfo(float).eps
+    try:
+        for p in (30, 60):
+            me = me_from_charges(src, np.zeros(3), p, radius=a)
+            shifted = m2m(me, scale * np.array([0.3, -0.2, 0.25]))
+            assert np.all(np.isfinite(shifted.coeff))
+            r, grown = 4.0 * scale, shifted.radius
+            unit = q / (4 * math.pi * (r - grown))
+            for x in shifted.center + r * u:
+                err = abs(eval_expansion(shifted, x) - direct_potential(src, x))
+                assert err <= unit * ((grown / r) ** (p + 1) + floor), (p, x)
+
+            le = le_from_charges(far, np.zeros(3), p, radius=4.0 * a)
+            moved = l2l(le, scale * np.array([0.2, 0.1, -0.3]))
+            assert np.all(np.isfinite(moved.coeff))
+            for x in a * u * rng.uniform(0.2, 1.0, (6, 1)):
+                want = eval_expansion(le, x)
+                assert abs(eval_expansion(moved, x) - want) <= 1e-13 * abs(want)
+
+            if p == 30:
+                c = 3.0
+                tc = (a + c * a) * np.array([0.0, 0.6, 0.8])
+                loc = m2l_free(me, tc, p, target_radius=a)
+                assert np.all(np.isfinite(loc.coeff))
+                unit = q / (4 * math.pi * (c - 1) * a)
+                for x in tc + 0.9 * a * u:
+                    err = abs(eval_expansion(loc, x) - direct_potential(src, x))
+                    assert err <= unit * ((2.0 / (1.0 + c)) ** (p + 1) + floor)
+    finally:  # one p = 60 weight table holds 166 MB
+        _m2m_weights.cache_clear()
+        _l2l_weights.cache_clear()
+
+
 def test_cached_tables_are_read_only():
     """Every cached table refuses writes, so no caller can corrupt the
     operators that read it later."""
@@ -300,6 +352,7 @@ def test_cached_tables_are_read_only():
     tables += [*_reaction_m2l_weights(3, 5)]
     tables += [a for row in _legendre_weights(6) for a in row[1:]]
     tables += [*_legendre_lists(6)[0], *_order_tables(6), *_radial_powers(4)]
+    tables += [*_point_tables(6), _ZERO]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -389,6 +442,61 @@ def test_eval_expansion_batch_matches_points():
     )
     with pytest.raises(ValueError, match="eval_reaction_me"):
         eval_expansion(reaction, pts)
+
+
+def test_residue_verdicts_on_one_point_and_a_batch():
+    """A dipole's potential on its zero plane is pure roundoff: there
+    |Im v| <= 1e-10 |v| fails and the verdict rests on the 1e-12 sum
+    |terms| allowance, which passes it, alone and in a batch, with the
+    same bits.  An imaginary expansion fails the check on both paths."""
+    dipole = ChargeSystem.free_space([1.0, -1.0], [[0.1, 0.05, 0.0], [-0.1, -0.05, 0.0]])
+    me = me_from_charges(dipole, np.zeros(3), 8, radius=0.2)
+    on_plane = np.array([0.8, -1.6, 0.5])  # equidistant from the two charges
+    terms = me.coeff * expansions.solid_harmonics(me, on_plane)
+    val = complex(terms.sum())
+    assert not abs(val.imag) <= 1e-10 * abs(val)
+    assert abs(val.imag) <= 1e-10 * abs(val) + 1e-12 * np.abs(terms).sum()
+    pts = np.array([on_plane, [1.0, 2.0, -0.5]])
+    one = eval_expansion(me, on_plane)
+    assert abs(one) < 1e-15
+    batch = eval_expansion(me, pts)
+    assert batch.tobytes() == np.array([eval_expansion(me, x) for x in pts]).tobytes()
+
+    imaginary = replace(me, coeff=1j * me.coeff)
+    with pytest.raises(InvariantViolated):
+        eval_expansion(imaginary, pts[1])
+    with pytest.raises(InvariantViolated):
+        eval_expansion(imaginary, pts)
+
+
+def _wrong_kind_calls():
+    rng = np.random.default_rng(37)
+    slab = LayeredMedium([0.0, -1.0], [1, 1, 1], [1.0, 3.0, 8.0])
+    cloud = _random_cloud(rng, 5, 0.2)
+    me = me_from_charges(cloud, np.zeros(3), 3)
+    le = le_from_charges(cloud, np.array([3.0, 0.0, 0.0]), 3)
+    charges = ChargeSystem.in_medium(slab, [1.0, -0.5], [[0, 0, -0.3], [0.1, 0, -0.6]])
+    pol_c = polarization_source(slab, 1, 1, 1, 1, np.array([0.0, 0.0, -0.5]))
+    rme = reaction_me_from_charges(charges, slab, 1, 1, 1, 1, pol_c, 3)
+    target = np.array([0.2, 0.1, -0.4])
+    return {
+        "l2l_of_a_multipole": lambda: l2l(me, np.ones(3)),
+        "m2l_free_of_a_local": lambda: m2l_free(le, np.zeros(3), 3),
+        "m2m_of_a_local": lambda: m2m(le, np.zeros(3)),
+        "eval_expansion_of_a_reaction_me": lambda: eval_expansion(rme, target),
+        "eval_reaction_me_of_a_free_me": lambda: eval_reaction_me(me, slab, target),
+        "m2l_reaction_of_a_free_me": lambda: m2l_reaction(me, slab, target, 3),
+        "reaction_basis_table_bogus_form": lambda: reaction_basis_table(
+            slab, (1, 1, 1, 1), 3, target, pol_c, form="bogus"),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_wrong_kind_calls()))
+def test_wrong_kind_and_unknown_form_are_domain_errors(call):
+    """The wrong kind of expansion, or an unknown basis form, is bad
+    input: a DomainError, raised before any table is built."""
+    with pytest.raises(DomainError):
+        _wrong_kind_calls()[call]()
 
 
 BAD_POINTS = [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]]
@@ -872,6 +980,10 @@ try:
     eval_expansion(replace(exp, coeff=1j * exp.coeff), [1.0, 0.5, 0.2])
 except InvariantViolated:
     fired.append("eval_expansion")
+try:
+    eval_expansion(replace(exp, coeff=1j * exp.coeff), [[1.0, 0.5, 0.2], [0.3, 2.0, 1.0]])
+except InvariantViolated:
+    fired.append("eval_expansion_batch")
 
 charges = ChargeSystem.in_medium(slab, [1.0, -0.5], [[0, 0, -0.3], [0.1, 0, -0.6]])
 pol_c = polarization_source(slab, 1, 1, 1, 1, np.array([0, 0, -0.5]))
@@ -931,7 +1043,8 @@ print(" ".join(fired))
 
 
 def test_invariant_checks_fire_under_optimize():
-    """The key-inequality tripwire, the imaginary-residue checks, the
+    """The key-inequality tripwire, the imaginary-residue checks (one
+    point and a batch of a free expansion, and a reaction ME), the
     density-bound check under the panel certificates, the real-density
     check of the real contraction, the remainder-bound check of the split
     tables and the panel budget of a refinement pass are explicit raises,
@@ -944,6 +1057,7 @@ def test_invariant_checks_fire_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "key_inequality", "eval_expansion", "eval_reaction_me", "density_bound",
+        "key_inequality", "eval_expansion", "eval_expansion_batch", "eval_reaction_me",
+        "density_bound",
         "complex_density", "remainder_bound", "refinement_budget",
     ]

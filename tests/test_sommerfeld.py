@@ -1023,6 +1023,14 @@ def test_cagniard_validation():
         cagniard_identity_check("one", 0.5, -1.0, 1.0)
 
 
+def test_cagniard_unknown_name_lists_the_catalog():
+    """A name outside the catalog is bad input, not a KeyError."""
+    with pytest.raises(DomainError, match="two") as info:
+        cagniard_identity_check("two", 0.5, 1.0, 1.0)
+    assert all(name in str(info.value) for name in CAGNIARD_CATALOG)
+    assert not isinstance(info.value, KeyError)
+
+
 def test_density_regular_at_origin(two_layer):
     dens = ReactionDensity(two_layer, 1, 1, 0, 0)
     v0 = dens(np.array([0.0]))[0]
