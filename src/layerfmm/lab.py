@@ -45,9 +45,17 @@ from .medium import (
     polarization_source,
     read_json,
 )
-from .sommerfeld import CAGNIARD_CATALOG, cagniard_identity_check, eval_reaction_green
+from .sommerfeld import (
+    CAGNIARD_CATALOG,
+    MIN_TOL,
+    cagniard_identity_check,
+    eval_reaction_green,
+)
 
 CSV_SCHEMA = 1
+#: least quad_tol: eval_reaction_green floors its absolute tolerance here,
+#: so the oracle could not honour a smaller one
+QUAD_TOL_FLOOR = MIN_TOL / (4.0 * math.pi)
 #: skew unit vector used for deterministic center placement
 _SKEW = np.array([1.0, 0.5, 0.3]) / np.linalg.norm([1.0, 0.5, 0.3])
 
@@ -63,8 +71,8 @@ class ExperimentConfig:
     config outside them raises DomainError: an unknown kind, a field of
     the wrong type, a count or order below its range (0 <= p_min <= p_max,
     n_charges >= 0, seed >= 0, n_targets >= 1), a length, c or quad_tol
-    that is not a finite number > 0 (target_spread >= 0), or a center
-    other than 3 finite numbers.
+    that is not a finite number > 0 (target_spread >= 0), a quad_tol
+    below QUAD_TOL_FLOOR, or a center other than 3 finite numbers.
 
     Geometry fields by kind:
       me           charges in a ball of radius a_s at source_center,
@@ -109,6 +117,9 @@ class ExperimentConfig:
             value, low = getattr(self, name), ">= 0" if name == "target_spread" else "> 0"
             if not _is_number(value) or value < 0 or (value == 0 and low == "> 0"):
                 raise DomainError(f"{name} must be a finite number {low}, got {value!r}")
+        if self.quad_tol < QUAD_TOL_FLOOR:
+            raise DomainError(f"quad_tol {self.quad_tol!r} is below {QUAD_TOL_FLOOR:.3g}, "
+                              "the least absolute tolerance (MIN_TOL/4pi) of the oracle")
         if self.kind.endswith("m2l") and self.c <= 1.0:
             raise DomainError("m2l experiments need separation factor c > 1")
         self.source_center = _numbers("source_center", self.source_center, 3)

@@ -42,8 +42,8 @@ remainder's integrand is e^{-k (zeta + delta)} g k^n J_m, so the K solve,
 the grid and the certificates below take (M, zeta) = (M_g, zeta + delta);
 every node is checked for |sigma - sigma_inf| <= M_g e^{-delta k} plus
 rounding (InvariantViolated).  Over one interface sigma is constant and a
-table is its closed form, with no panel.  Densities without limit
-(ConstantDensity) are integrated whole, with M = M_sigma.
+table is its closed form, with no panel.  A density without `limit` is
+integrated whole, with M = M_sigma.
 
 I_inf in closed form, r = hypot(rho, zeta), c = zeta/r, s = rho/r: for
 m <= n it is (n-m)! P_n^m(c) / r^{n+1} (Ferrers, no Condon-Shortley
@@ -170,20 +170,6 @@ def _bessel_orders(orders, x):
         ladder[2:, down] = sub[2:]
         ladder[2:, flat == 0.0] = 0.0
     return ladder[orders].reshape((len(orders),) + x.shape)
-
-
-class ConstantDensity:
-    """sigma identical to a constant; the closed-form Lipschitz test case."""
-
-    def __init__(self, value=1.0):
-        self.value = complex(value)
-
-    def __call__(self, k):
-        return np.full(np.shape(k), self.value)
-
-    @property
-    def bound(self):
-        return abs(self.value)
 
 
 #: special.gamma(n + 1) for n = 0 ... 171 (inf at 171), looked up, not recomputed

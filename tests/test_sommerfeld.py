@@ -33,10 +33,24 @@ from layerfmm.expansions import (
 from layerfmm.medium import component_exists
 from layerfmm.sommerfeld import (
     CAGNIARD_CATALOG,
-    ConstantDensity,
     _bessel_orders,
     radial_table,
 )
+
+
+class ConstantDensity:
+    """sigma identical to a constant; the closed-form Lipschitz test case.
+    It has no `limit`, so its tables integrate sigma whole."""
+
+    def __init__(self, value=1.0):
+        self.value = complex(value)
+
+    def __call__(self, k):
+        return np.full(np.shape(k), self.value)
+
+    @property
+    def bound(self):
+        return abs(self.value)
 
 
 def _bessel(m, x):
