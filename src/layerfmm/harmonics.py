@@ -113,8 +113,9 @@ def _legendre_point(n_max, x):
     """normalized_legendre at one float x as its packed entries, order by
     order with degrees m..n_max: the array recurrence's products, in its
     order, on Python floats.  Each order starts from P_m^m = diag s
-    P_{m-1}^{m-1} and steps up in n with two floats of state; at n = m+1
-    beta is 0 and the zero below the diagonal, as on the array path."""
+    P_{m-1}^{m-1} and steps up in n with two floats of state; the step to
+    n = m+1 reads beta = 0 times the zero below the diagonal, as the array
+    step does."""
     if not abs(x) <= 1.0:
         raise DomainError(f"Legendre argument {x} outside [-1, 1]")
     s = sqrt(max(0.0, 1.0 - x * x))
@@ -146,9 +147,9 @@ def normalized_legendre(n_max, x):
     whatever its length, so a batch runs the recurrence on arrays, a few
     calls per degree for all its points, and one point (a 0-d x) runs it
     on Python floats, order by order, with the same products in the same
-    order: about 0.08 us an entry (5 us at n_max = 10, 120 us at 60),
-    one scatter into the table, against about 60 us at n_max = 10 for
-    the array path on one point.
+    order: about 0.08 us an entry (6 us at n_max = 10, 130 us at 60)
+    and one scatter into the table, where the array path's ten numpy
+    calls a degree take about 60 us on one point at n_max = 10.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -180,7 +181,7 @@ def _order_tables(n_max):
 @lru_cache(maxsize=None)
 def _point_tables(n_max):
     """Read-only per-n_max parts of a one-point sph_harm_table: the order
-    m and (-1)^m of each packed (n, m <= n) entry of normalized_legendre,
+    m and (-1)^m of each entry _legendre_point packs (order by order),
     and the index of the (n_max+1, 2 n_max+1) table into the packed
     values of the orders m >= 0, then of the orders -m, then one zero."""
     ns, ms = _legendre_lists(n_max)[0]

@@ -1038,6 +1038,17 @@ try:
     sommerfeld._adaptive_panels(peak, np.linspace(-1.0, 1.0, 5), np.array([1e-10]))
 except ToleranceNotMet:
     fired.append("refinement_budget")
+
+from layerfmm.harmonics import _legendre_point
+
+domain = []
+for x in (1.5, float("nan")):
+    try:
+        _legendre_point(4, x)
+    except DomainError:
+        domain.append(x)
+if len(domain) == 2:
+    fired.append("legendre_domain")
 print(" ".join(fired))
 """
 
@@ -1047,8 +1058,9 @@ def test_invariant_checks_fire_under_optimize():
     point and a batch of a free expansion, and a reaction ME), the
     density-bound check under the panel certificates, the real-density
     check of the real contraction, the remainder-bound check of the split
-    tables and the panel budget of a refinement pass are explicit raises,
-    so python -O (which strips asserts) keeps them."""
+    tables, the panel budget of a refinement pass and the domain check of
+    the one-point Legendre recurrence are explicit raises, so python -O
+    (which strips asserts) keeps them."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
@@ -1059,5 +1071,5 @@ def test_invariant_checks_fire_under_optimize():
     assert done.stdout.split() == [
         "key_inequality", "eval_expansion", "eval_expansion_batch", "eval_reaction_me",
         "density_bound",
-        "complex_density", "remainder_bound", "refinement_budget",
+        "complex_density", "remainder_bound", "refinement_budget", "legendre_domain",
     ]

@@ -204,6 +204,32 @@ def test_merged_legendre_step_matches_the_loop_bitwise():
             assert _bitwise(one, _legendre_loop(n_max, float(x)))
 
 
+def test_order_major_legendre_is_the_loop_and_the_batch_bitwise():
+    """The one-point recurrence, run order by order, gives at every n_max
+    up to 60 the bits of the entry-by-entry loop and of the batch's row,
+    at the poles, the origin and -0.0 too."""
+    rng = np.random.default_rng(23)
+    xs = np.concatenate([[1.0, -1.0, 0.0, -0.0], rng.uniform(-1, 1, 3)])
+    for n_max in range(61):
+        tab = normalized_legendre(n_max, xs)
+        for i, x in enumerate(xs):
+            one = normalized_legendre(n_max, float(x))
+            assert _bitwise(one, _legendre_loop(n_max, float(x)))
+            assert _bitwise(one, tab[i])
+
+
+def test_one_point_harmonics_match_the_batch_at_signed_zero_poles():
+    """One-point sph_harm_table, gathered from the order-major entries,
+    gives the batch's bits at the poles reached with signed-zero x, y."""
+    poles = [[-0.0, -0.0, 1.0], [0.0, -0.0, -3.0], [-0.0, 0.0, 0.5],
+             [-0.0, -0.0, -1.0], [0.0, 0.0, 2.0], [0.0, 0.0, -2.0]]
+    _, theta, phi = cartesian_to_spherical(poles)
+    for n_max in (1, 2, 3, 11, 59, 60):
+        ytab = sph_harm_table(n_max, theta, phi)
+        for i in range(len(poles)):
+            assert _bitwise(sph_harm_table(n_max, theta[i], phi[i]), ytab[i])
+
+
 def test_non_finite_arguments_are_domain_errors():
     """NaN fails the Legendre domain check on the float and the array
     path, and a vector with a NaN or infinite coordinate has no (r,

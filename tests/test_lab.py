@@ -19,7 +19,7 @@ from layerfmm import (
 from layerfmm import expansions as xp
 from layerfmm.cli import main
 from layerfmm.errors import BoxCrossesInterface, DomainError
-from layerfmm.lab import fit_decay_rate, me_terms
+from layerfmm.lab import QUAD_TOL_FLOOR, fit_decay_rate, me_terms
 
 
 def test_generate_charges_deterministic():
@@ -573,6 +573,29 @@ def test_cli_lab_run_rejects_bad_config_values(tmp_path, data, message):
     assert res.exit_code == 2, res.output
     errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1 and message in errors[0], res.output
+
+
+def test_cli_lab_run_rejects_a_quad_tol_below_the_oracle_floor(tmp_path):
+    """The reaction demo at quad_tol 1e-300 exits 2 with one Error line
+    naming the oracle's floor, not a ToleranceNotMet traceback."""
+    data = dict(_REACTION, p_max=4, n_charges=8, seed=11, a_s=0.3,
+                target_spread=0.05, quad_tol=1e-300, n_targets=32)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["lab", "run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "is below 7.96e-15" in errors[0], res.output
+
+
+def test_quad_tol_floor_is_the_oracle_floor():
+    """eval_reaction_green floors its absolute tolerance at MIN_TOL/4pi:
+    a config at that floor constructs, the next float below does not."""
+    assert QUAD_TOL_FLOOR == 1e-13 / (4.0 * math.pi)
+    cfg = ExperimentConfig(kind="me", quad_tol=QUAD_TOL_FLOOR)
+    assert cfg.quad_tol == QUAD_TOL_FLOOR
+    with pytest.raises(DomainError, match="quad_tol .* is below 7.96e-15"):
+        ExperimentConfig(kind="me", quad_tol=math.nextafter(QUAD_TOL_FLOOR, 0.0))
 
 
 def test_me_terms_rejects_a_target_outside_layer_ell(two_layer):
