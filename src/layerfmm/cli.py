@@ -146,7 +146,8 @@ def green(medium_path, component, source, target, tol):
 @click.option("--tol", default=1e-11, type=float)
 @click.option("--out", type=click.Path(), default="-")
 @click.option("--stats", "show_stats", is_flag=True,
-              help="print the quadrature counters of a reaction component to stderr")
+              help="print the quadrature and oracle stats of a reaction component "
+                   "to stderr")
 def me(medium_path, charges_path, component, center, order, targets_path, tol, out,
        show_stats):
     """Multipole expansion vs brute-force oracle at target points.
@@ -159,7 +160,8 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
     expansion radius, and a target or charge outside those layers, are
     usage errors (a DomainError of the check).  With --stats a reaction
     component also prints the quadrature counters of its basis table and
-    oracle to stderr.
+    the stats of its oracle (quadrature counters, or over one finite layer
+    the image series' term count and tail bound) to stderr.
     """
     charges = _load_rows(charges_path, "charges", 4)
     targets = _load_rows(targets_path, "targets", 3)
@@ -179,8 +181,9 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
     values = xp._expansion_sum(exp, functions)
     if show_stats:
         for name, rec in stats.items():
-            counts = "  ".join(f"{k} = {v}" for k, v in rec.items() if k != "tol_use")
-            click.echo(f"{name}: {counts}  tol_use = {rec['tol_use']:.3e}", err=True)
+            counts = "  ".join(f"{k} = {v:.3e}" if isinstance(v, float) else f"{k} = {v}"
+                               for k, v in rec.items())
+            click.echo(f"{name}: {counts}", err=True)
     lines = ["x,y,z,expansion,oracle,abs_error,bound"]
     for r, val, ora in zip(targets, values, oracle):
         rr = float(np.linalg.norm(r - exp.center))

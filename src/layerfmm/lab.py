@@ -6,13 +6,15 @@ observed geometric decay rates.
 entries are the convergence builders; the property suites run through
 `run_property_suite` (`layerfmm lab suite`).  A convergence builder
 places charges and targets, computes its errors[p] against `_oracle`
-(direct sums in free space, one batched eval_reaction_green call for a
-reaction component), which shares no code with the operator, and ends
-in `_geometric`: the bound Q M_sigma / D (inner/outer)^(p+1) at rate
-log(outer/inner), with M_sigma = 1 in free space, judged by `_verdict`,
-the one place that sets the noise floors, the row verdicts and the run
-metadata.  Every ME check (the ME kinds, `layerfmm me`) goes through
-`me_terms`.
+(direct sums in free space; for a reaction component one batched call:
+over a medium with one finite layer the image series
+sommerfeld._image_green, which shares no quadrature, Bessel or K code
+with the operators, over any other eval_reaction_green, the engine they
+use), and ends in `_geometric`: the bound Q M_sigma / D
+(inner/outer)^(p+1) at rate log(outer/inner), with M_sigma = 1 in free
+space, judged by `_verdict`, the one place that sets the noise floors,
+the row verdicts and the run metadata.  Every ME check (the ME kinds,
+`layerfmm me`) goes through `me_terms`.
 
 Reports are deterministic: fixed seeds, quasi-uniform Fibonacci-sphere
 target sets, fixed reduction order, and fixed float formatting, so two
@@ -48,13 +50,15 @@ from .medium import (
 from .sommerfeld import (
     CAGNIARD_CATALOG,
     MIN_TOL,
+    _image_green,
     cagniard_identity_check,
     eval_reaction_green,
 )
 
 CSV_SCHEMA = 1
-#: least quad_tol: eval_reaction_green floors its absolute tolerance here,
-#: so the oracle could not honour a smaller one
+#: least quad_tol: eval_reaction_green, the oracle over any medium but one
+#: finite layer, floors its absolute tolerance here, so it could not
+#: honour a smaller one
 QUAD_TOL_FLOOR = MIN_TOL / (4.0 * math.pi)
 #: skew unit vector used for deterministic center placement
 _SKEW = np.array([1.0, 0.5, 0.3]) / np.linalg.norm([1.0, 0.5, 0.3])
@@ -72,7 +76,8 @@ class ExperimentConfig:
     the wrong type, a count or order below its range (0 <= p_min <= p_max,
     n_charges >= 0, seed >= 0, n_targets >= 1), a length, c or quad_tol
     that is not a finite number > 0 (target_spread >= 0), a quad_tol
-    below QUAD_TOL_FLOOR, or a center other than 3 finite numbers.
+    below QUAD_TOL_FLOOR, an m2l c <= 1, or a center other than 3 finite
+    numbers.
 
     Geometry fields by kind:
       me           charges in a ball of radius a_s at source_center,
@@ -80,10 +85,13 @@ class ExperimentConfig:
       le           charges on a shell of radius eval_radius * a_t,
                    targets at 0.5 a_t inside the box
       m2m / l2l    as me / le with a deterministic center shift
-      m2l          target box placed at separation a_s + c * a_t
+      m2l          target box placed at separation a_s + c * a_t (the
+                   only kind that reads c)
       reaction_*   charges in layer l' at source_center (radius a_s);
-                   target_center/target_spread (and a_t, c for LE/M2L)
-                   place the evaluation cloud in layer l
+                   target_center/target_spread (and a_t for LE/M2L)
+                   place the evaluation cloud in layer l; reaction_m2l
+                   reports its separation factor c_eff, which
+                   target_center sets
     """
 
     kind: str
@@ -120,7 +128,7 @@ class ExperimentConfig:
         if self.quad_tol < QUAD_TOL_FLOOR:
             raise DomainError(f"quad_tol {self.quad_tol!r} is below {QUAD_TOL_FLOOR:.3g}, "
                               "the least absolute tolerance (MIN_TOL/4pi) of the oracle")
-        if self.kind.endswith("m2l") and self.c <= 1.0:
+        if self.kind == "m2l" and self.c <= 1.0:
             raise DomainError("m2l experiments need separation factor c > 1")
         self.source_center = _numbers("source_center", self.source_center, 3)
         if self.target_center is not None:
@@ -447,18 +455,28 @@ def _free_m2l(config):
 
 def _oracle(system, targets, medium=None, component=None, tol=1e-11):
     """(potential of the charges at each target, M_sigma, stats).  In
-    free space: direct sums, 1 and {}; for a reaction component: one
-    eval_reaction_green call over every (target, charge) pair at absolute
-    tolerance min(1e-10, tol), its density bound and the call's
-    quadrature stats."""
+    free space: direct sums, 1 and {}; for a reaction component: one call
+    over every (target, charge) pair at absolute tolerance min(1e-10,
+    tol), its density bound and the call's stats.  Over one finite layer
+    the call is the image series (sommerfeld._image_green, summed to its
+    rounding; stats: its term count and tail bound), which shares no
+    quadrature, Bessel or K code with the operators; over any other
+    medium it is eval_reaction_green (stats: its quadrature counters)."""
     if component is None:
         return np.array([xp.direct_potential(system, r) for r in targets]), 1.0, {}
-    values, stats = eval_reaction_green(
-        medium, *component, targets[:, None], system.positions[None],
-        tol=min(1e-10, tol), stats=True,
-    )
+    pairs = (medium, *component, targets[:, None], system.positions[None])
+    if medium.num_interfaces == 2:
+        values, _, stats = _image_green(*pairs, min(1e-10, tol))
+    else:
+        values, stats = eval_reaction_green(*pairs, tol=min(1e-10, tol), stats=True)
     a, b, ell, ellprime = component
     return values @ system.q, density_bound(medium, ell, ellprime, a, b), stats
+
+
+def _oracle_entry(stats):
+    """The report metadata entry of a reaction oracle's stats: the image
+    series' ("oracle_images") or the quadrature's ("oracle_quadrature")."""
+    return {"oracle_images" if "terms" in stats else "oracle_quadrature": stats}
 
 
 def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
@@ -519,7 +537,7 @@ def _reaction_me(config):
     )
     r_min = float(np.linalg.norm(targets - exp.center, axis=1).min())
     meta = {"r_min": r_min, "a_s": config.a_s, "quadrature": stats["expansion"],
-            "oracle_quadrature": stats["oracle"]}
+            **_oracle_entry(stats["oracle"])}
     return _geometric(
         config, _partial_sum_errors(exp, basis, oracle), system, oracle,
         4 * math.pi * (r_min - config.a_s), config.a_s, r_min, meta, msig,
@@ -537,7 +555,7 @@ def _reaction_le(config):
                                          config.component, config.quad_tol)
     errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
     meta = {"r_t": r_t, "a_t": config.a_t, "quadrature": stats,
-            "oracle_quadrature": oracle_stats}
+            **_oracle_entry(oracle_stats)}
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t), r_t,
         config.a_t, meta, msig,
@@ -575,7 +593,7 @@ def _reaction_m2l(config):
     grid = np.cumsum(np.cumsum(term, axis=1), axis=2)
     errs = np.abs(np.diagonal(grid, axis1=1, axis2=2) - oracle[:, None])
     meta = {"c_eff": c_eff, "separation": sep, "quadrature": quad_stats,
-            "oracle_quadrature": oracle_stats}
+            **_oracle_entry(oracle_stats)}
     return _geometric(
         config, errs.max(axis=0), system, oracle,
         2 * math.pi * (c_eff - 1) * config.a_t, config.a_s + config.a_t,

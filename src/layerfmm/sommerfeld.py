@@ -13,9 +13,12 @@ closed-form prefactor times a 1-D radial integral
 
 with zeta > 0, so the integrand decays exponentially and there are no
 poles or principal values (Laplace case).  This module holds the engine,
-the reaction Green's function oracle built on it, and the hyperbolic-
-contour identity check of the complex square root's branch conventions;
-the expansions module assembles every operator prefactor.
+the reaction Green's function oracle built on it, the image-series
+oracle over one finite layer (_image_green: sigma's exact image
+expansion, summed in closed form with no quadrature, Bessel or K code),
+and the hyperbolic-contour identity check of the complex square root's
+branch conventions; the expansions module assembles every operator
+prefactor.
 
 The engine, ``radial_table``, evaluates a family of integrals sharing
 (rho, zeta, sigma) - an expansion's coefficients, or an M2L operator - on
@@ -29,7 +32,7 @@ twice each member's own, and a group holds at most 4096 table entries.
 The split.  sigma depends on k only through the e_l = exp(-k D_l), so it
 tends to sigma_inf (the recursion at every e_l = 0) and sigma - sigma_inf
 = O(e^{-delta k}), delta = D_min the thinnest finite layer.  A density
-exposing limit = (sigma_inf, delta, M_g), as ReactionDensity does, gives
+exposes limit = (sigma_inf, delta, M_g), as ReactionDensity does, and
 
     I = sigma_inf I_inf + int_0^inf J_m(k rho) e^{-k zeta} (sigma - sigma_inf) k^n dk,
 
@@ -42,8 +45,8 @@ remainder's integrand is e^{-k (zeta + delta)} g k^n J_m, so the K solve,
 the grid and the certificates below take (M, zeta) = (M_g, zeta + delta);
 every node is checked for |sigma - sigma_inf| <= M_g e^{-delta k} plus
 rounding (InvariantViolated).  Over one interface sigma is constant and a
-table is its closed form, with no panel.  A density without `limit` is
-integrated whole, with M = M_sigma.
+table is its closed form, with no panel.  A density whose limit is (0,
+0, M_sigma) is integrated whole, with M = M_sigma.
 
 I_inf in closed form, r = hypot(rho, zeta), c = zeta/r, s = rho/r: for
 m <= n it is (n-m)! P_n^m(c) / r^{n+1} (Ferrers, no Condon-Shortley
@@ -114,7 +117,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .densities import ReactionDensity
+from .densities import InterfaceMatrices, ReactionDensity, _chain
 from .errors import DomainError, InvariantViolated, ToleranceNotMet
 from .medium import component_exists, tau_map
 
@@ -591,9 +594,9 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs):
     if bound == 0.0 or not len(rhos):
         return values, err, stats
 
-    limit, delta, rem_bound = getattr(density, "limit", None) or (0.0, 0.0, bound)
+    limit, delta, rem_bound = density.limit
     if rem_bound > 0.0:
-        thick = getattr(density, "thickest", 0.0)
+        thick = density.thickest
         tol_tail = 0.1 * np.min(np.where(finite, tol_abs, np.inf), axis=(1, 2))
         kmax, width = _own_grid(rem_bound, rhos, zetas + delta, powers, tol_tail,
                                 8.0 / thick if thick > 0.0 else math.inf)
@@ -617,8 +620,9 @@ def radial_table(density, rho, zeta, powers, orders, tol_abs):
 
     Requires zeta > 0, rho >= 0 and nonnegative powers and orders
     (DomainError otherwise), and a density exposing a uniform bound
-    M_sigma (and, to have its limit split off, limit = (sigma_inf, delta,
-    M_g)); a density value above its bounds raises InvariantViolated, one
+    M_sigma, its limit = (sigma_inf, delta, M_g) ((0, 0, M_sigma) to
+    integrate it whole) and thickest = D_max (0 for no width cap); a
+    density value above its bounds raises InvariantViolated, one
     with a nonzero imaginary part DomainError.  tol_abs is an entrywise
     absolute tolerance of shape (len(powers), len(orders)); inf entries do
     not drive refinement, and at least one must be finite (DomainError for
@@ -650,6 +654,107 @@ def _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol):
     )
     values = np.real(values).reshape(rho.shape) / (4.0 * math.pi)
     err = err.reshape(rho.shape) / (4.0 * math.pi)
+    if tau.ndim == 1:
+        return float(values), float(err), stats
+    return values, err, stats
+
+
+#: sigma samples over one period 2 pi / D of the imaginary axis
+#: (_image_series): the FFT that reads sigma's numerator polynomial
+_IMAGE_SAMPLES = 8
+
+
+@lru_cache(maxsize=512)
+def _image_series(medium, a, b, ell, ellprime):
+    """(c_0, c_1, c_2), r, D and slack of sigma^{ab}_{l,l'} over a medium
+    with one finite layer, of thickness D: sigma = sum_j c_j e^j, e =
+    e^{-kD}, with c_{j+2} = r c_j for j >= 1.
+
+    The denominator of the recursion is alpha_22 = A + B e^2, A =
+    gamma+_1 gamma+_2, B = gamma-_1 gamma-_2, so sigma (A + B e^2) is a
+    polynomial p_0 + p_1 e + p_2 e^2; its coefficients come from an FFT
+    of _IMAGE_SAMPLES values on the imaginary axis, where e runs once
+    round the unit circle, and every coefficient above degree 2 must
+    vanish to rounding (InvariantViolated otherwise).  Expanding 1/(A +
+    B e^2) = (1/A) sum_i r^i e^{2i}, r = -B/A (|r| < 1, as |gamma-_l| <
+    gamma+_l), gives c_0 = p_0/A, c_1 = p_1/A and c_2 = (p_2 + r p_0)/A.
+    slack bounds sum_j |c_j error| from the coefficients' rounding: p_0,
+    p_1 and p_2 each off by the largest coefficient above degree 2 (or
+    imaginary part) plus 8 eps max |sigma alpha_22|, which c_0, c_1, c_2
+    and their multiples r^i c_1, r^i c_2 carry to at most 3 / (|A| (1 -
+    |r|)) times that.  The check's 1e-10 relative slack is the key
+    inequality's: the recursion cancels on the imaginary axis."""
+    thick = medium.interfaces[0] - medium.interfaces[1]
+    n = _IMAGE_SAMPLES
+    mats = InterfaceMatrices(medium, 2j * math.pi * np.arange(n) / (n * thick))
+    samples = _chain(mats, ellprime, b, ell)[a - 1] * mats.alpha[2][1]
+    poly = np.fft.ifft(samples)
+    scale = float(np.max(np.abs(samples)))
+    noise = float(max(np.max(np.abs(poly[3:])), np.max(np.abs(poly[:3].imag))))
+    if not noise <= 1e-10 * scale:
+        raise InvariantViolated(
+            f"sigma alpha_22 has a coefficient {noise:.3e} above degree 2 in "
+            f"e^(-kD) (samples up to {scale:.3e}); the image series does not hold"
+        )
+    gp, gm = mats.gamma_plus, mats.gamma_minus
+    big, ratio = gp[1] * gp[2], -(gm[1] * gm[2]) / (gp[1] * gp[2])
+    p0, p1, p2 = (float(x) / big for x in poly[:3].real)
+    slack = 3.0 * (noise + 8.0 * float(np.finfo(float).eps) * scale) / (
+        abs(big) * (1.0 - abs(ratio)))
+    return (p0, p1, p2 + ratio * p0), ratio, thick, slack
+
+
+def _image_green(medium, a, b, ell, ellprime, r, rprime, tol):
+    """_reaction_green over a medium with exactly one finite layer (DomainError
+    otherwise), as the image series of _image_series: sigma = sum_j c_j
+    e^{-kjD} integrates term by term (Lipschitz) to
+
+        u = (1/4pi) sum_{j < K} c_j / sqrt(rho^2 + (zeta + jD)^2),
+
+    no quadrature.  As |c_{j+2}| = q |c_j| for j >= 1, q = |r| < 1, the
+    terms past K = 2i + 1 sum to at most (|c_1| + |c_2|) q^i / ((1 - q)
+    (zeta + KD) 4pi), the tail bound.  i is the least with that at every
+    pair at most tol (> 0, absolute on u, DomainError otherwise) and at
+    most eps times the pair's first three terms (each at least 1 /
+    (sqrt(rho^2 + zeta^2) + 2D) times its |c_j|), so the sum is exact to
+    its rounding for a few terms more than tol alone needs.  The error
+    adds (K + 8) eps of the terms' absolute sum, at most (|c_0| + (|c_1|
+    + |c_2|) / (1 - q)) / sqrt(rho^2 + zeta^2), for rounding and slack /
+    zeta for the coefficients.  Returns (values, errors, stats) as
+    _reaction_green; stats holds the term count K ("terms") and the
+    largest tail bound ("tail")."""
+    if medium.num_interfaces != 2:
+        raise DomainError("the image series needs a medium with one finite layer")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    tau = tau_map(medium, a, b, ell, ellprime, r, rprime)
+    rho, zeta = np.hypot(tau[..., 0], tau[..., 1]), tau[..., 2]
+    if not np.all(zeta > 0):
+        raise DomainError("zeta must be positive")
+    (c0, c1, c2), ratio, thick, slack = _image_series(medium, a, b, ell, ellprime)
+    eps, q, head = float(np.finfo(float).eps), abs(ratio), abs(c1) + abs(c2)
+    near = np.hypot(rho, zeta)
+    cut = min(4.0 * math.pi * tol,
+              eps * (abs(c0) + head) / (float(np.max(near)) + 2.0 * thick))
+    budget = (1.0 - q) * cut * float(np.min(zeta))
+    i = 1
+    if head * q > budget:
+        i = max(1, math.ceil(math.log(budget / head) / math.log(q)))
+        i += head * q ** i > budget
+    terms = 2 * i + 1
+    geo, coeff = ratio ** np.arange(i), np.empty(terms)
+    coeff[0], coeff[1::2], coeff[2::2] = c0, c1 * geo, c2 * geo
+    # terms in chunks of _CHUNK_DOUBLES, so memory stays bounded as q -> 1
+    step = max(1, _CHUNK_DOUBLES // max(rho.size, 1))
+    total = 0.0
+    for j in range(0, terms, step):
+        depth = zeta[..., None] + thick * np.arange(j, min(j + step, terms))
+        total = total + np.sum(coeff[j:j + step] / np.hypot(rho[..., None], depth), axis=-1)
+    tails = head * q ** i / ((1.0 - q) * (zeta + terms * thick))
+    rounding = (terms + 8) * eps * (abs(c0) + head / (1.0 - q)) / near
+    values = total / (4.0 * math.pi)
+    err = (tails + rounding + slack / zeta) / (4.0 * math.pi)
+    stats = {"terms": terms, "tail": float(np.max(tails)) / (4.0 * math.pi)}
     if tau.ndim == 1:
         return float(values), float(err), stats
     return values, err, stats

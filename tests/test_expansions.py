@@ -994,7 +994,7 @@ except InvariantViolated:
     fired.append("eval_reaction_me")
 
 class UnderReported:
-    bound = 1.0
+    bound, limit, thickest = 1.0, (0.0, 0.0, 1.0), 0.0
 
     def __call__(self, k):
         return np.full(np.shape(k), 2.0 + 0j)
@@ -1005,7 +1005,7 @@ except InvariantViolated:
     fired.append("density_bound")
 
 class NotReal:
-    bound = 1.0
+    bound, limit, thickest = 1.0, (0.0, 0.0, 1.0), 0.0
 
     def __call__(self, k):
         return np.full(np.shape(k), 0.5 + 0.5j)
@@ -1018,6 +1018,7 @@ except DomainError:
 class UnderReportedRemainder:
     bound = 2.0
     limit = (1.0, 1.0, 0.5)
+    thickest = 1.0
 
     def __call__(self, k):
         return 1.0 + np.exp(-np.asarray(k, dtype=float))

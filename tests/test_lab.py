@@ -10,9 +10,11 @@ from layerfmm import (
     Box,
     ExperimentConfig,
     LayeredMedium,
+    density_bound,
     eval_reaction_green,
     fibonacci_sphere,
     generate_charges,
+    polarization_source,
     run_experiment,
     run_property_suite,
 )
@@ -114,11 +116,127 @@ def test_report_byte_identical(kind):
     assert r1.to_csv().startswith("# schema=1\np,max_error,bound,ratio")
 
 
+def _charges_q(cfg):
+    """The charges' q of a config, drawn here as each kind documents its
+    draw: le from one generator (directions, radii, then q), the others
+    by generate_charges in the ball of radius a_s at source_center."""
+    if cfg.kind == "le":
+        rng = np.random.default_rng(cfg.seed)
+        rng.normal(size=(cfg.n_charges, 3))
+        rng.uniform(1.0, 1.5, cfg.n_charges)
+        return rng.uniform(-1.0, 1.0, cfg.n_charges)
+    box = Box(np.asarray(cfg.source_center), cfg.a_s)
+    return generate_charges(cfg.seed, cfg.n_charges, box).q
+
+
+def _paper_bound(cfg):
+    """(bounds, rate) of a geometric kind from the paper's estimate Q M /
+    D (inner/outer)^(p+1), recomputed from the config alone:
+
+      me            D = 4pi (r - a_s),        inner a_s,   outer r = eval_radius
+      le            D = 4pi (a_t - r_t),      inner r_t = a_t / 2, outer a_t
+      m2m           D = 4pi (r - a_eff),      inner a_eff = 3 a_s / 2, outer r
+      m2l           D = 4pi (c - 1) a_t,      inner a_s + a_t, outer a_s + c a_t
+      reaction_me   D = 4pi (r_min - a_s),    inner a_s,   outer r_min
+      reaction_le   D = 4pi (a_t - r_t),      inner r_t = 0.6 a_t, outer a_t
+      reaction_m2l  D = 2pi (c_eff - 1) a_t,  inner a_s + a_t, outer a_s + c_eff a_t
+
+    with M = M_sigma of the component (1 in free space), r_min the least
+    distance of the targets (target_spread about target_center) from the
+    polarization center, and c_eff = (|target_center - polarization
+    center| - a_s) / a_t."""
+    q_abs, msig = float(np.abs(_charges_q(cfg)).sum()), 1.0
+    if cfg.kind.startswith("reaction"):
+        a, b, ell, ellprime = cfg.component
+        msig = density_bound(cfg.medium, ell, ellprime, a, b)
+        pol = polarization_source(cfg.medium, *cfg.component, np.asarray(cfg.source_center))
+        far = float(np.linalg.norm(np.asarray(cfg.target_center) - pol))
+    four_pi = 4.0 * math.pi
+    if cfg.kind == "me":
+        denom, inner, outer = four_pi * (cfg.eval_radius - cfg.a_s), cfg.a_s, cfg.eval_radius
+    elif cfg.kind == "le":
+        denom, inner, outer = four_pi * 0.5 * cfg.a_t, 0.5 * cfg.a_t, cfg.a_t
+    elif cfg.kind == "m2m":
+        a_eff = 1.5 * cfg.a_s
+        denom, inner, outer = four_pi * (cfg.eval_radius - a_eff), a_eff, cfg.eval_radius
+    elif cfg.kind == "m2l":
+        denom = four_pi * (cfg.c - 1.0) * cfg.a_t
+        inner, outer = cfg.a_s + cfg.a_t, cfg.a_s + cfg.c * cfg.a_t
+    elif cfg.kind == "reaction_me":
+        targets = np.asarray(cfg.target_center) + cfg.target_spread * fibonacci_sphere(
+            cfg.n_targets)
+        r_min = float(np.linalg.norm(targets - pol, axis=1).min())
+        denom, inner, outer = four_pi * (r_min - cfg.a_s), cfg.a_s, r_min
+    elif cfg.kind == "reaction_le":
+        denom, inner, outer = four_pi * 0.4 * cfg.a_t, 0.6 * cfg.a_t, cfg.a_t
+    else:
+        c_eff = (far - cfg.a_s) / cfg.a_t
+        denom = 2.0 * math.pi * (c_eff - 1.0) * cfg.a_t
+        inner, outer = cfg.a_s + cfg.a_t, cfg.a_s + c_eff * cfg.a_t
+    ps = range(cfg.p_min, cfg.p_max + 1)
+    return [q_abs * msig / denom * (inner / outer) ** (p + 1) for p in ps], math.log(
+        outer / inner)
+
+
+@pytest.mark.parametrize("kind", sorted(set(SMALL) - {"l2l"}))
+def test_bounds_match_the_paper_formula(kind):
+    """Each geometric kind's bounds and theoretical rate, recomputed from
+    the config by the paper's formula without the lab's _geometric, match
+    the report's to 1e-12 relative; a bound off by any factor fails."""
+    cfg = ExperimentConfig(kind=kind, p_min=1, **SMALL[kind])
+    report = run_experiment(cfg)
+    bounds, rate = _paper_bound(cfg)
+    assert report.bounds == pytest.approx(bounds, rel=1e-12, abs=0.0)
+    assert report.rate_theory == pytest.approx(rate, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_floors_and_verdicts_match_their_formulas(kind):
+    """eps_floor and noise_floor, recomputed from the report's quad_tol, Q
+    and oracle_scale: for a reaction kind max(100 quad_tol, 64 eps) times
+    the oracle scale and 100 quad_tol max(Q, 1), in free space 64 eps
+    times the oracle scale and 1e4 eps max(Q, 1).  Each row passes where
+    its error is within its bound (1 + 1e-12) plus eps_floor."""
+    report = run_experiment(ExperimentConfig(kind=kind, p_min=1, **SMALL[kind]))
+    meta, eps = report.metadata, float(np.finfo(float).eps)
+    scale, q_big = meta["oracle_scale"], max(meta["Q"], 1.0)
+    if kind.startswith("reaction"):
+        eps_floor = max(100.0 * meta["quad_tol"], 64.0 * eps) * scale
+        noise_floor = 100.0 * meta["quad_tol"] * q_big
+    else:
+        eps_floor, noise_floor = 64.0 * eps * scale, 1e4 * eps * q_big
+    assert meta["eps_floor"] == pytest.approx(eps_floor, rel=1e-12, abs=0.0)
+    assert meta["noise_floor"] == pytest.approx(noise_floor, rel=1e-12, abs=0.0)
+    assert report.passed_rows == [e <= b * (1 + 1e-12) + eps_floor
+                                  for e, b in zip(report.errors, report.bounds)]
+
+
+def test_reaction_m2l_does_not_read_c():
+    """Only m2l reads c: a reaction_m2l config with c = 0.5 runs, and its
+    report is the c = 3 report, whose separation comes from target_center;
+    an m2l config with c <= 1 is still a DomainError."""
+    base = dict(SMALL["reaction_m2l"], p_min=1)
+    low = run_experiment(ExperimentConfig(kind="reaction_m2l", **dict(base, c=0.5)))
+    high = run_experiment(ExperimentConfig(kind="reaction_m2l", **base))
+    assert low.to_json() == high.to_json() and low.metadata["c_eff"] > 1.0
+    with pytest.raises(DomainError, match="c > 1"):
+        ExperimentConfig(kind="m2l", c=1.0)
+
+
+#: four layers, two finite: the lab's reaction oracle there is the
+#: Sommerfeld engine (eval_reaction_green); layer 1 is the slab's layer 1
+STACK = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
+
+
 @pytest.mark.parametrize("kind", ["reaction_me", "reaction_le", "reaction_m2l"])
 def test_reaction_reports_carry_quadrature_counters(kind):
     """Each reaction report carries the counters of its expansion's
-    tables and of its oracle's one batched call: counts, no timings."""
-    report = run_experiment(ExperimentConfig(kind=kind, p_min=1, **SMALL[kind]))
+    tables and of its oracle's one batched call: counts, no timings.  Over
+    two finite layers the oracle is the engine and reports its quadrature;
+    over the slab's one finite layer it is the image series and reports
+    its term count and tail bound, within the oracle's tolerance."""
+    report = run_experiment(ExperimentConfig(kind=kind, p_min=1,
+                                             **dict(SMALL[kind], medium=STACK)))
     keys = {"panels", "gl_calls", "nodes", "evals", "bisections", "certified",
             "tol_use"}
     for name in ("quadrature", "oracle_quadrature"):
@@ -130,6 +248,14 @@ def test_reaction_reports_carry_quadrature_counters(kind):
     # one grid for all (target, charge) pairs: about a table's panels,
     # not n_targets * n_charges of them
     assert report.metadata["oracle_quadrature"]["panels"] < 64
+    assert "oracle_images" not in report.metadata
+
+    cfg = ExperimentConfig(kind=kind, p_min=1, **SMALL[kind])
+    slab = run_experiment(cfg).metadata
+    assert "oracle_quadrature" not in slab and slab["quadrature"]["panels"] > 0
+    assert set(slab["oracle_images"]) == {"terms", "tail"}
+    assert slab["oracle_images"]["terms"] > 0
+    assert 0.0 <= slab["oracle_images"]["tail"] <= min(1e-10, cfg.quad_tol)
 
 
 def test_l2l_experiment_checks_n_targets_points(monkeypatch):
@@ -298,12 +424,12 @@ def test_cli_me_reaction(tmp_path, two_layer):
     assert row[5] < 1e-8
 
 
-def test_cli_me_stats(tmp_path, three_layer):
-    """--stats prints the expansion's and the oracle's quadrature counters
-    to stderr and leaves the CSV on stdout as it was.  Above the slab the
-    counters cover the remainder sigma - sigma_inf."""
+def _me_stats(tmp_path, medium, tol):
+    """stderr lines of `me --stats` above the medium's top interface, by
+    their name, as {name: {counter: text}}, after checking that --stats
+    leaves the CSV on stdout as it was."""
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps(three_layer.to_dict()))
+    mpath.write_text(json.dumps(medium.to_dict()))
     cpath = tmp_path / "charges.json"
     tpath = tmp_path / "targets.json"
     cpath.write_text(json.dumps(
@@ -313,19 +439,39 @@ def test_cli_me_stats(tmp_path, three_layer):
     args = [
         "me", "--medium", str(mpath), "--charges", str(cpath),
         "--targets", str(tpath), "--component", "11", "--center", "0,0,0.5",
-        "--p", "8",
+        "--p", "8", "--tol", str(tol),
     ]
     plain = CliRunner().invoke(main, args)
     res = CliRunner().invoke(main, args + ["--stats"])
     assert res.exit_code == 0, res.output
     assert res.stdout == plain.stdout
     lines = res.stderr.strip().splitlines()
-    assert [line.split(":")[0] for line in lines] == ["expansion", "oracle"]
-    for line in lines:
-        counts = dict(re.findall(r"(\w+) = (\S+)", line))
+    return {line.split(":")[0]: dict(re.findall(r"(\w+) = (\S+)", line))
+            for line in lines}
+
+
+def test_cli_me_stats(tmp_path, three_layer):
+    """--stats prints the expansion's quadrature counters and the oracle's
+    stats to stderr and leaves the CSV on stdout as it was.  Above the
+    media the counters cover the remainder sigma - sigma_inf.  Over two
+    finite layers the oracle is the engine, with its quadrature counters;
+    over the slab it is the image series, with its term count and a tail
+    bound within the oracle's tolerance."""
+    stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
+    lines = _me_stats(tmp_path, stack, 1e-11)
+    assert list(lines) == ["expansion", "oracle"]
+    for counts in lines.values():
         assert int(counts["panels"]) > 0 and float(counts["tol_use"]) < 1.0
         assert int(counts["nodes"]) == 32 * int(counts["gl_calls"])
         assert 0 < int(counts["certified"]) < int(counts["panels"])
+
+    lines = _me_stats(tmp_path, three_layer, 1e-12)
+    assert list(lines) == ["expansion", "oracle"]
+    counts = lines["expansion"]
+    assert int(counts["panels"]) > 0 and float(counts["tol_use"]) < 1.0
+    assert set(lines["oracle"]) == {"terms", "tail"}
+    assert int(lines["oracle"]["terms"]) > 0
+    assert 0.0 <= float(lines["oracle"]["tail"]) <= 1e-12
 
 
 def test_cli_me_rejects_targets_in_two_layers(tmp_path, two_layer):

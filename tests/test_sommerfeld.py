@@ -30,7 +30,7 @@ from layerfmm.expansions import (
     reaction_le_from_charges,
     reaction_m2l_matrix,
 )
-from layerfmm.medium import component_exists
+from layerfmm.medium import component_exists, tau_map
 from layerfmm.sommerfeld import (
     CAGNIARD_CATALOG,
     _bessel_orders,
@@ -40,10 +40,14 @@ from layerfmm.sommerfeld import (
 
 class ConstantDensity:
     """sigma identical to a constant; the closed-form Lipschitz test case.
-    It has no `limit`, so its tables integrate sigma whole."""
+    Its limit (0, 0, M_sigma) splits nothing off, so its tables integrate
+    sigma whole, and thickest 0 leaves the first panel uncapped."""
+
+    thickest = 0.0
 
     def __init__(self, value=1.0):
         self.value = complex(value)
+        self.limit = (0.0, 0.0, abs(self.value))
 
     def __call__(self, k):
         return np.full(np.shape(k), self.value)
@@ -562,11 +566,15 @@ def test_image_table_matches_mpmath():
 
 
 class _Unsplit:
-    """A density with its bound but without its limit: the engine then
-    integrates sigma whole, as before the split."""
+    """A density with its bound but the limit (0, 0, M_sigma) and no
+    width cap: the engine then integrates sigma whole, as before the
+    split."""
+
+    thickest = 0.0
 
     def __init__(self, density):
         self.density, self.bound = density, density.bound
+        self.limit = (0.0, 0.0, density.bound)
 
     def __call__(self, k):
         return self.density(k)
@@ -646,6 +654,7 @@ class _UnderReportedRemainder:
 
     bound = 2.0
     limit = (1.0, 1.0, 0.5)
+    thickest = 1.0
 
     def __call__(self, k):
         return 1.0 + np.exp(-np.asarray(k, dtype=float))
@@ -792,7 +801,7 @@ def test_ellipse_term_bounds_the_worst_chebyshev_polynomial(r):
 class _UnderReportedDensity:
     """sigma = 1 + k/100 that claims |sigma| <= 1."""
 
-    bound = 1.0
+    bound, limit, thickest = 1.0, (0.0, 0.0, 1.0), 0.0
 
     def __call__(self, k):
         return 1.0 + np.asarray(k, dtype=complex) / 100.0
@@ -814,7 +823,7 @@ def test_density_above_its_bound_is_caught():
 class _ComplexDensity:
     """Within its bound, but not real on the real axis."""
 
-    bound = 1.0
+    bound, limit, thickest = 1.0, (0.0, 0.0, 1.0), 0.0
 
     def __call__(self, k):
         return np.full(np.shape(k), 0.5 + 0.5j)
@@ -1232,3 +1241,100 @@ def test_oracle_batch_matches_pairs(three_layer):
     fixed = eval_reaction_green(three_layer, 2, 1, 1, 1, r, rp[0], 1e-11)
     assert abs(fixed[3] - eval_reaction_green(
         three_layer, 2, 1, 1, 1, r[3], rp[0], 1e-11)) <= 1e-11
+
+
+def _one_layer_media():
+    """The criteria 7-8 slab, ten random media with one finite layer (seed
+    29) and two of high contrast, q = 0.935 (a = 1) and 0.971."""
+    rng = np.random.default_rng(29)
+    return ([LayeredMedium([0.0, -1.0], [1.0] * 3, [1.0, 3.0, 8.0])]
+            + [random_medium(rng, L=2) for _ in range(10)]
+            + [LayeredMedium([0.3, -0.9], [1.0] * 3, [1.0, 60.0, 1.0]),
+               LayeredMedium([1.0, 0.2], [0.5, 1.0, 2.0], [2.0, 300.0, 1.0])])
+
+
+def _layer_pairs(rng, med, ell, ellprime, n=3):
+    """n random (target in layer ell, source in layer ellprime) pairs."""
+    from conftest import random_z_in_layer
+
+    def points(layer):
+        return np.array([[*rng.uniform(-1.0, 1.0, 2), random_z_in_layer(rng, med, layer)]
+                         for _ in range(n)])
+    return points(ell), points(ellprime)
+
+
+def test_image_oracle_matches_the_engine():
+    """Over one finite layer the image series (sommerfeld._image_green)
+    and the Sommerfeld engine (_reaction_green), which share no quadrature,
+    Bessel or K code, agree at tol 1e-13 within the sum of their returned
+    errors, for every present component and layer pair of the slab and
+    twelve more media, q up to 0.97.  The image tail bound covers the 50
+    terms past the returned term count, and stays within tol."""
+    rng = np.random.default_rng(31)
+    checked, q_max = 0, 0.0
+    for med in _one_layer_media():
+        for comp in itertools.product((1, 2), (1, 2), range(3), range(3)):
+            if not component_exists(med, *comp):
+                continue
+            r, rp = _layer_pairs(rng, med, *comp[2:])
+            got, err, stats = sommerfeld._image_green(med, *comp, r, rp, 1e-13)
+            want, werr, _ = sommerfeld._reaction_green(med, *comp, r, rp, 1e-13)
+            assert np.all(np.abs(got - want) <= err + werr), (med, comp)
+
+            (c0, c1, c2), ratio, thick, _ = sommerfeld._image_series(med, *comp)
+            j = np.arange(stats["terms"], stats["terms"] + 50)
+            coeff = np.where(j % 2, c1, c2) * ratio ** ((j - 1) // 2)
+            tau = tau_map(med, *comp, r, rp)
+            depth = tau[:, 2, None] + thick * j
+            extra = np.sum(coeff / np.hypot(np.hypot(tau[:, 0], tau[:, 1])[:, None], depth),
+                           axis=1) / (4.0 * math.pi)
+            assert np.all(np.abs(extra) <= stats["tail"]) and stats["tail"] <= 1e-13
+            checked, q_max = checked + 1, max(q_max, abs(ratio))
+    assert checked == 13 * 16 and q_max > 0.97
+
+
+def test_image_oracle_matches_the_slab_images():
+    """Where a = 1 in every layer, the image oracle of each component in
+    the slab's layer 1 agrees with conftest.slab_image_green, the closed
+    image series of the two reflections, within its returned error plus
+    the reference's own cut 1e-15."""
+    from conftest import slab_image_green
+
+    rng = np.random.default_rng(37)
+    media = [med for med in _one_layer_media() if set(med.a) == {1.0}]
+    for med in media:
+        r, rp = _layer_pairs(rng, med, 1, 1, n=8)
+        for ab in itertools.product((1, 2), (1, 2)):
+            got, err, _ = sommerfeld._image_green(med, *ab, 1, 1, r, rp, 1e-13)
+            want = slab_image_green(med, *ab, r, rp, 1e-15)
+            assert np.all(np.abs(got - want) <= err + 1e-15), (med, ab)
+    assert len(media) == 2
+
+
+def test_image_oracle_checks_its_series(monkeypatch):
+    """sigma alpha_22 with a term of degree 3 in e^{-kD} is no image series
+    of degree 2 over 1 / alpha_22: the FFT check raises InvariantViolated.
+    A medium without exactly one finite layer, and a tol that is not
+    positive, are DomainErrors; one pair of points gives floats."""
+    slab = LayeredMedium([0.0, -1.0], [1.0] * 3, [1.0, 3.0, 8.0])
+    chain = sommerfeld._chain
+
+    def cubic(mats, *args):
+        s1, s2 = chain(mats, *args)
+        return s1 + 1e-6 * mats.e[1] ** 3, s2
+    sommerfeld._image_series.cache_clear()
+    monkeypatch.setattr(sommerfeld, "_chain", cubic)
+    with pytest.raises(InvariantViolated, match="above degree 2"):
+        sommerfeld._image_green(slab, 1, 1, 1, 1, [0, 0, -0.3], [0, 0, -0.6], 1e-12)
+    monkeypatch.undo()
+    sommerfeld._image_series.cache_clear()
+
+    value, err, stats = sommerfeld._image_green(slab, 1, 1, 1, 1, [0.2, 0, -0.3],
+                                                [0, 0, -0.6], 1e-12)
+    assert isinstance(value, float) and isinstance(err, float)
+    assert isinstance(stats["terms"], int) and stats["terms"] % 2 == 1
+    stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
+    with pytest.raises(DomainError, match="one finite layer"):
+        sommerfeld._image_green(stack, 1, 1, 1, 1, [0, 0, -0.3], [0, 0, -0.6], 1e-12)
+    with pytest.raises(DomainError, match="tol must be positive"):
+        sommerfeld._image_green(slab, 1, 1, 1, 1, [0, 0, -0.3], [0, 0, -0.6], 0.0)
