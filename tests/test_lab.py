@@ -457,8 +457,7 @@ def test_cli_me_stats(tmp_path, three_layer):
     finite layers the oracle is the engine, with its quadrature counters;
     over the slab it is the image series, with its term count and a tail
     bound within the oracle's tolerance."""
-    stack = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
-    lines = _me_stats(tmp_path, stack, 1e-11)
+    lines = _me_stats(tmp_path, STACK, 1e-11)
     assert list(lines) == ["expansion", "oracle"]
     for counts in lines.values():
         assert int(counts["panels"]) > 0 and float(counts["tol_use"]) < 1.0
