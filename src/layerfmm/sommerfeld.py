@@ -678,12 +678,13 @@ def _image_series(medium, a, b, ell, ellprime):
     vanish to rounding (InvariantViolated otherwise).  Expanding 1/(A +
     B e^2) = (1/A) sum_i r^i e^{2i}, r = -B/A (|r| < 1, as |gamma-_l| <
     gamma+_l), gives c_0 = p_0/A, c_1 = p_1/A and c_2 = (p_2 + r p_0)/A.
-    slack bounds sum_j |c_j error| from the coefficients' rounding: p_0,
-    p_1 and p_2 each off by the largest coefficient above degree 2 (or
-    imaginary part) plus 8 eps max |sigma alpha_22|, which c_0, c_1, c_2
-    and their multiples r^i c_1, r^i c_2 carry to at most 3 / (|A| (1 -
-    |r|)) times that.  The check's 1e-10 relative slack is the key
-    inequality's: the recursion cancels on the imaginary axis."""
+    slack is sum_j |c_j error| from the coefficients' rounding, taking p_0,
+    p_1 and p_2 each off by the samples' rounding as the FFT shows it
+    (the largest coefficient above degree 2 or imaginary part) plus 8 eps
+    max |sigma alpha_22| for the FFT itself; c_0, c_1, c_2 and their
+    multiples r^i c_1, r^i c_2 carry that to at most 3 / (|A| (1 - |r|))
+    times it.  The check's 1e-10 relative slack is the key inequality's:
+    the recursion cancels on the imaginary axis."""
     thick = medium.interfaces[0] - medium.interfaces[1]
     n = _IMAGE_SAMPLES
     mats = InterfaceMatrices(medium, 2j * math.pi * np.arange(n) / (n * thick))

@@ -279,9 +279,10 @@ SLAB_ORACLE_CASES = [
 
 
 def test_criteria_07_09_oracle_matches_slab_images():
-    """The oracle of criteria 7-9 (eval_reaction_green, a Sommerfeld
-    quadrature) against the slab's geometric image series, which shares no
-    code with it: every (target, charge) pair of those geometries agrees
+    """eval_reaction_green (a Sommerfeld quadrature: criterion 9's oracle,
+    and the lab's before the image series took over one finite layer)
+    against the slab's geometric image series, which shares no code with
+    it: every (target, charge) pair of the criteria 7-9 geometries agrees
     to 2e-12, the oracle's tolerance 1e-12 plus the series cut."""
     from conftest import slab_image_green
 
