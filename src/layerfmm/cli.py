@@ -146,8 +146,8 @@ def green(medium_path, component, source, target, tol):
 @click.option("--tol", default=1e-11, type=float)
 @click.option("--out", type=click.Path(), default="-")
 @click.option("--stats", "show_stats", is_flag=True,
-              help="print the quadrature and oracle stats of a reaction component "
-                   "to stderr")
+              help="print the expansion's and the oracle's stats of a reaction "
+                   "component to stderr")
 def me(medium_path, charges_path, component, center, order, targets_path, tol, out,
        show_stats):
     """Multipole expansion vs brute-force oracle at target points.
@@ -159,9 +159,11 @@ def me(medium_path, charges_path, component, center, order, targets_path, tol, o
     layers of the first target and the first charge.  A target within the
     expansion radius, and a target or charge outside those layers, are
     usage errors (a DomainError of the check).  With --stats a reaction
-    component also prints the quadrature counters of its basis table and
-    the stats of its oracle (quadrature counters, or over one finite layer
-    the image series' term count and tail bound) to stderr.
+    component also prints the stats of its basis table and of its oracle
+    to stderr, one line each, named by the path that ran as in lab
+    reports: "quadrature" and "oracle_quadrature" (the engine's counters),
+    or over one finite layer "images" and "oracle_images" (the image
+    sums' term count and tail bound).
     """
     charges = _load_rows(charges_path, "charges", 4)
     targets = _load_rows(targets_path, "targets", 3)

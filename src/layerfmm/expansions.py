@@ -60,7 +60,7 @@ from .harmonics import (
     sph_harm_table,
 )
 from .medium import polarization_source, reflect, require_component, tau_map
-from .sommerfeld import _GAMMA, _radial_tables, radial_table
+from .sommerfeld import _GAMMA, _image_tables, _radial_tables, radial_table
 
 
 @dataclass(frozen=True)
@@ -544,12 +544,18 @@ def _kernel_vector(medium, component, r, center, form):
 
 def _reaction_table(medium, component, v, top, rel_tol):
     """Radial integrals I(n, m), 0 <= n, m <= top, of the component's
-    density at kernel argument v, with the azimuth phi of v.
+    density at kernel argument v, with the azimuth phi of v: the one place
+    every reaction operator (basis table, a charge's LE, M2L matrix) gets
+    them.
 
     Each entry with m <= n is computed to rel_tol times its analytic
     magnitude bound M_sigma Gamma(n+1)/zeta^{n+1}; entries with m > n do
-    not drive refinement.  v is one vector (radial_table) or an (N, 3)
-    array of them, whose N tables share quadrature grids
+    not drive refinement.  Over a medium with one finite layer the tables
+    are sums of exact image tables (sommerfeld._image_tables; stats: the
+    term count and the tail over its tolerance) while their term count
+    stays within sommerfeld.IMAGE_TERMS; otherwise they are the engine's
+    quadrature (stats: its counters): v is one vector (radial_table) or an
+    (N, 3) array of them, whose N tables share quadrature grids
     (_radial_tables).  Returns (table, phi, stats), with table of shape
     (N, top+1, top+1) and phi of shape (N,) for a batch.
     """
@@ -570,6 +576,13 @@ def _reaction_table(medium, component, v, top, rel_tol):
         np.maximum(rel_tol * ref[..., :, None], 1e-300),
         np.inf,
     )
+    found = None
+    if medium.num_interfaces == 2:
+        found = _image_tables(medium, component, np.atleast_1d(rho),
+                              np.atleast_1d(zeta), n, n, tol.reshape(-1, top + 1, top + 1))
+    if found is not None:
+        table, _, stats = found
+        return table.reshape(tol.shape), phi, stats
     # one vector goes through the public radial_table, whose calls the
     # benchmark's tracer counts per table
     if v.ndim == 1:

@@ -8,13 +8,16 @@ entries are the convergence builders; the property suites run through
 places charges and targets, computes its errors[p] against `_oracle`
 (direct sums in free space; for a reaction component one batched call:
 over a medium with one finite layer the image series
-sommerfeld._image_green, which shares no quadrature, Bessel or K code
-with the operators, over any other eval_reaction_green, the engine they
-use), and ends in `_geometric`: the bound Q M_sigma / D
-(inner/outer)^(p+1) at rate log(outer/inner), with M_sigma = 1 in free
-space, judged by `_verdict`, the one place that sets the noise floors,
-the row verdicts and the run metadata.  Every ME check (the ME kinds,
-`layerfmm me`) goes through `me_terms`.
+sommerfeld._image_green, whose coefficients come from its own real-axis
+values, so it shares no quadrature, Bessel, K or coefficient code with
+the operators' image tables; over any other medium, or past the
+series' term budget, eval_reaction_green, the engine), and ends in
+`_geometric`: the bound Q M_sigma / D (inner/outer)^(p+1) at rate
+log(outer/inner), with M_sigma = 1 in free space, judged by `_verdict`,
+the one place that sets the noise floors, the row verdicts and the run
+metadata.  Report metadata carry the operators' and the oracle's stats
+under keys that name the path that ran (`_stats_entry`).  Every ME check
+(the ME kinds, `layerfmm me`) goes through `me_terms`.
 
 Reports are deterministic: fixed seeds, quasi-uniform Fibonacci-sphere
 target sets, fixed reduction order, and fixed float formatting, so two
@@ -57,8 +60,8 @@ from .sommerfeld import (
 
 CSV_SCHEMA = 1
 #: least quad_tol: eval_reaction_green, the oracle over any medium but one
-#: finite layer, floors its absolute tolerance here, so it could not
-#: honour a smaller one
+#: finite layer (and there past the image series' term budget), floors its
+#: absolute tolerance here, so it could not honour a smaller one
 QUAD_TOL_FLOOR = MIN_TOL / (4.0 * math.pi)
 #: skew unit vector used for deterministic center placement
 _SKEW = np.array([1.0, 0.5, 0.3]) / np.linalg.norm([1.0, 0.5, 0.3])
@@ -459,24 +462,32 @@ def _oracle(system, targets, medium=None, component=None, tol=1e-11):
     over every (target, charge) pair at absolute tolerance min(1e-10,
     tol), its density bound and the call's stats.  Over one finite layer
     the call is the image series (sommerfeld._image_green, summed to its
-    rounding; stats: its term count and tail bound), which shares no
-    quadrature, Bessel or K code with the operators; over any other
-    medium it is eval_reaction_green (stats: its quadrature counters)."""
+    rounding; stats: its term count and tail bound), which reads sigma's
+    coefficients off its own real-axis values and shares no quadrature,
+    Bessel, K or coefficient code with the operators; over any other
+    medium, or where the series would pass its term budget
+    (sommerfeld.IMAGE_GREEN_TERMS), it is eval_reaction_green (stats: its
+    quadrature counters)."""
     if component is None:
         return np.array([xp.direct_potential(system, r) for r in targets]), 1.0, {}
     pairs = (medium, *component, targets[:, None], system.positions[None])
+    found = None
     if medium.num_interfaces == 2:
-        values, _, stats = _image_green(*pairs, min(1e-10, tol))
-    else:
+        found = _image_green(*pairs, min(1e-10, tol))
+    if found is None:
         values, stats = eval_reaction_green(*pairs, tol=min(1e-10, tol), stats=True)
+    else:
+        values, _, stats = found
     a, b, ell, ellprime = component
     return values @ system.q, density_bound(medium, ell, ellprime, a, b), stats
 
 
-def _oracle_entry(stats):
-    """The report metadata entry of a reaction oracle's stats: the image
-    series' ("oracle_images") or the quadrature's ("oracle_quadrature")."""
-    return {"oracle_images" if "terms" in stats else "oracle_quadrature": stats}
+def _stats_entry(stats, oracle=False):
+    """The report metadata entry of an expansion's or (oracle) a reaction
+    oracle's stats, named by the path that ran: image sums ("images",
+    "oracle_images") or quadrature ("quadrature", "oracle_quadrature")."""
+    path = "images" if "terms" in stats else "quadrature"
+    return {f"oracle_{path}" if oracle else path: stats}
 
 
 def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
@@ -486,10 +497,10 @@ def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
     target on or inside its sphere, or for a reaction component outside
     layer l, raises DomainError before any table or oracle runs.  Returns
     (exp, functions, oracle, floor, M_sigma, stats): the functions the ME
-    sums there, _oracle there, its _eps_floor, M_sigma and the quadrature
-    stats by name.  In free space: solid harmonics and {}; for a reaction
-    component: the basis table at relative tolerance tol ("expansion")
-    and the oracle's stats ("oracle")."""
+    sums there, _oracle there, its _eps_floor, M_sigma and the stats by
+    name.  In free space: solid harmonics and {}; for a reaction
+    component: the basis table at relative tolerance tol and the stats of
+    it and of the oracle, under the keys of _stats_entry."""
     targets = np.asarray(targets, dtype=float)
     if component is None:
         exp = xp.me_from_charges(system, center, p, radius)
@@ -511,7 +522,7 @@ def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
     else:
         functions, quad = xp.reaction_basis_table(medium, component, p, targets,
                                                   exp.center, tol)
-        stats = {"expansion": quad, "oracle": stats}
+        stats = {**_stats_entry(quad), **_stats_entry(stats, oracle=True)}
     scale = float(np.max(np.abs(oracle), initial=0.0))
     floor = _eps_floor(component is not None, tol, scale)
     return exp, functions, oracle, floor, msig, stats
@@ -536,8 +547,7 @@ def _reaction_me(config):
         config.component, config.quad_tol, config.a_s,
     )
     r_min = float(np.linalg.norm(targets - exp.center, axis=1).min())
-    meta = {"r_min": r_min, "a_s": config.a_s, "quadrature": stats["expansion"],
-            **_oracle_entry(stats["oracle"])}
+    meta = {"r_min": r_min, "a_s": config.a_s, **stats}
     return _geometric(
         config, _partial_sum_errors(exp, basis, oracle), system, oracle,
         4 * math.pi * (r_min - config.a_s), config.a_s, r_min, meta, msig,
@@ -554,8 +564,8 @@ def _reaction_le(config):
     oracle, msig, oracle_stats = _oracle(system, targets, config.medium,
                                          config.component, config.quad_tol)
     errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
-    meta = {"r_t": r_t, "a_t": config.a_t, "quadrature": stats,
-            **_oracle_entry(oracle_stats)}
+    meta = {"r_t": r_t, "a_t": config.a_t, **_stats_entry(stats),
+            **_stats_entry(oracle_stats, oracle=True)}
     return _geometric(
         config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t), r_t,
         config.a_t, meta, msig,
@@ -592,8 +602,8 @@ def _reaction_m2l(config):
     term = np.real(np.einsum("ti,iu,in->tnu", basis, by_nu, degree))
     grid = np.cumsum(np.cumsum(term, axis=1), axis=2)
     errs = np.abs(np.diagonal(grid, axis1=1, axis2=2) - oracle[:, None])
-    meta = {"c_eff": c_eff, "separation": sep, "quadrature": quad_stats,
-            **_oracle_entry(oracle_stats)}
+    meta = {"c_eff": c_eff, "separation": sep, **_stats_entry(quad_stats),
+            **_stats_entry(oracle_stats, oracle=True)}
     return _geometric(
         config, errs.max(axis=0), system, oracle,
         2 * math.pi * (c_eff - 1) * config.a_t, config.a_s + config.a_t,

@@ -13,9 +13,10 @@ closed-form prefactor times a 1-D radial integral
 
 with zeta > 0, so the integrand decays exponentially and there are no
 poles or principal values (Laplace case).  This module holds the engine,
-the reaction Green's function oracle built on it, the image-series
-oracle over one finite layer (_image_green: sigma's exact image
-expansion, summed in closed form with no quadrature, Bessel or K code),
+the reaction Green's function oracle built on it, the operators' image
+tables over one finite layer (_image_tables), the image-series oracle
+there (_image_green: sigma's exact image expansion, summed in closed
+form with no quadrature, Bessel or K code, from coefficients of its own),
 and the hyperbolic-contour identity check of the complex square root's
 branch conventions; the expansions module assembles every operator
 prefactor.
@@ -47,6 +48,17 @@ every node is checked for |sigma - sigma_inf| <= M_g e^{-delta k} plus
 rounding (InvariantViolated).  Over one interface sigma is constant and a
 table is its closed form, with no panel.  A density whose limit is (0,
 0, M_sigma) is integrated whole, with M = M_sigma.
+
+The split carried to every order.  Over one finite layer, of thickness
+D, sigma (gamma+_1 gamma+_2 + gamma-_1 gamma-_2 e^2), e = e^{-kD}, is a
+polynomial of degree 2 in e, so sigma = sum_j c_j e^{-kjD} exactly, a
+geometric image series of ratio q < 1 past c_0 = sigma_inf
+(_image_series).  Every integral is then a finite sum of closed forms,
+I(n, m; rho, zeta) = sum_{j < K} c_j I_inf(n, m; rho, zeta + jD), with a
+closed-form tail bound (_image_tables).  The operators take that sum
+(expansions._reaction_table) while K stays within IMAGE_TERMS (q up to
+about 0.8 at rel_tol 1e-12), and the engine past it or over any other
+medium; radial_table and eval_reaction_green stay the engine.
 
 I_inf in closed form, r = hypot(rho, zeta), c = zeta/r, s = rho/r: for
 m <= n it is (n-m)! P_n^m(c) / r^{n+1} (Ferrers, no Condon-Shortley
@@ -396,7 +408,7 @@ def _group_pairs(kmax, width, entries):
 
 @lru_cache(maxsize=16)
 def _image_plan(powers, orders):
-    """The k-free parts of _image_table for tuples of powers and orders,
+    """The k-free parts of _image_lanes for tuples of powers and orders,
     read-only: top; the runs' factors by step i (m = n - i going down, 0
     once m < 1); the lanes n, 1/n (0 at n = 0), (2n-1)!! and -(n+1); where
     each entry sits in the runs and the order its m <= n entries scale by;
@@ -409,46 +421,68 @@ def _image_plan(powers, orders):
     over = np.where(live, n + m, 1.0)
     steps = (np.where(live, 2.0 * m, 0.0) / over, 2.0 * i + 0.0 * n + 1.0,
              np.where(live, -i, 0.0) / over, n * n - i * i)
-    plan = (top, np.stack(steps[:2], axis=1)[:, :, None],
-            np.stack(steps[2:], axis=1)[:, :, None],
-            n, np.divide(1.0, n, out=np.zeros_like(n), where=n > 0),
-            np.array([float(math.prod(range(1, 2 * k, 2))) for k in range(top + 1)]),
-            -(n + 1.0),
-            (np.where(low, p - o, p) + 1, np.where(low, 0, 1), slice(None),
-             np.where(low, p, o)),
+    plan = (top, np.stack(steps[:2], axis=1)[..., None],
+            np.stack(steps[2:], axis=1)[..., None],
+            n[:, None], np.divide(1.0, n, out=np.zeros_like(n), where=n > 0)[:, None],
+            np.array([float(math.prod(range(1, 2 * k, 2))) for k in range(top + 1)])[:, None],
+            -(n[:, None] + 1.0),
+            (np.where(low, p - o, p) + 1, np.where(low, 0, 1), np.where(low, p, o)),
             np.where(low, o, 0),
             (p[:, 0] + 2.0) * np.finfo(float).eps * _GAMMA[np.minimum(p[:, 0], 171)],
             -(p[:, 0] + 1.0))
-    for x in plan[1:7] + plan[7][:2] + plan[7][3:] + plan[8:]:
+    for x in plan[1:7] + plan[7] + plan[8:]:
         x.flags.writeable = False
     return plan
 
 
-def _image_table(rhos, zetas, powers, orders):
-    """(I_inf by pair, power and order; its rounding bound by pair and power):
-    the module docstring's closed form, both runs in one loop of top steps,
-    the one up in n from I(-1, m) = t^m / m (0 at m = 0) and I(0, m)."""
+#: Pairs above which _image_lanes forms its step factors step by step,
+#: not all at once: a top-12 table of 210 pairs takes 0.62 ms, not 0.85,
+#: where 6 pairs would take 82 us, not 59.
+_IMAGE_STEP_PAIRS = 64
+
+
+def _image_lanes(rhos, zetas, powers, orders):
+    """(I_inf by power, order and pair; its rounding bound by pair and
+    power): the module docstring's closed form, both runs in one loop of
+    top steps, the one up in n from I(-1, m) = t^m / m (0 at m = 0) and
+    I(0, m); pairs run along the last axis of every step."""
     (top, step_a, step_b, lanes, inv_lanes, dfact, lift, where, order, rounding,
      lower) = _image_plan(tuple(powers.tolist()), tuple(orders.tolist()))
     r, rounding = np.hypot(rhos, zetas), rounding * zetas[:, None] ** lower
     if top == 0:
-        return (1.0 / r)[:, None, None] * np.ones(order.shape), rounding
+        return np.ones(order.shape + (1,)) * (1.0 / r), rounding
     c, s, inv = zetas / r, rhos / r, 1.0 / r
-    # the runs' pair factors: c and zeta/r^2 by step_a, s^2 and 1/r^2 by step_b
-    factor = np.array([c, c * inv, s * s, inv * inv])[:, :, None]
-    step_a, step_b = step_a * factor[:2], step_b * factor[2:]
-    # run[i + 1] = (D_n^{n-i} by n, I(i, m) by m), each by [pair, lane]
-    run = np.empty((top + 2, 2, len(r), top + 1))
+    # the runs' pair factors: c and zeta/r^2 by step_a, s^2 and 1/r^2 by
+    # step_b, formed by step (two lane-by-pair buffers) for many pairs
+    factor = np.array([c, c * inv, s * s, inv * inv])[:, None, :]
+    by_step = len(r) > _IMAGE_STEP_PAIRS
+    if by_step:
+        fa, fb = np.empty((2, 2, top + 1, len(r)))
+    else:
+        step_a, step_b = step_a * factor[:2], step_b * factor[2:]
+    # run[i + 1] = (D_n^{n-i} by n, I(i, m) by m), each by [lane, pair]
+    run = np.empty((top + 2, 2, top + 1, len(r)))
     run[0, 0], run[1, 0] = 0.0, 1.0
-    t_m = (s / (1.0 + c))[:, None] ** lanes
-    run[0, 1], run[1, 1] = t_m * inv_lanes, t_m * inv[:, None]
+    t_m = (s / (1.0 + c)) ** lanes
+    run[0, 1], run[1, 1] = t_m * inv_lanes, t_m * inv
     for i in range(top):
         nxt = run[i + 2]
+        if by_step:
+            np.multiply(np.multiply(step_a[i], factor[:2], out=fa), run[i + 1], out=nxt)
+            nxt += np.multiply(np.multiply(step_b[i], factor[2:], out=fb), run[i], out=fb)
+            continue
         np.multiply(step_a[i], run[i + 1], out=nxt)
         nxt += step_b[i] * run[i]
     # (2n-1)!! / r^{n+1} on the lanes of D
-    run[1:, 0] *= dfact * r[:, None] ** lift
-    return run[where].transpose(2, 0, 1) * s[:, None, None] ** order, rounding
+    run[1:, 0] *= dfact * r ** lift
+    return run[where] * (s ** lanes)[order], rounding
+
+
+def _image_table(rhos, zetas, powers, orders):
+    """(I_inf by pair, power and order; its rounding bound by pair and
+    power): _image_lanes with the pairs first."""
+    lanes, rounding = _image_lanes(rhos, zetas, powers, orders)
+    return lanes.transpose(2, 0, 1), rounding
 
 
 #: Bernstein-ellipse parameters r tried for each panel's certificate, each
@@ -705,10 +739,183 @@ def _image_series(medium, a, b, ell, ellprime):
     return (p0, p1, p2 + ratio * p0), ratio, thick, slack
 
 
+#: Most image terms K an operator's table may take (_image_tables); past
+#: it the engine is cheaper.  An image table costs about K closed-form
+#: tables: on a one-pair top-12 table at rel_tol 1e-12 (rho/zeta 0.6 and
+#: 3.75, 2-CPU host) q = 0.8 needs K = 213 and costs 1.5-1.9 ms against the
+#: engine's 1.9 ms, q = 0.85 K = 289 and 2.0 ms against 1.9-2.2 ms, and
+#: q = 0.9 K = 437 and 3.4 ms against 2.2 ms.
+IMAGE_TERMS = 255
+
+#: Doubles one _image_lanes call of _image_tables may hold in its
+#: temporaries (2 MiB): the stacked pairs run in chunks of at most this.
+_IMAGE_CHUNK_DOUBLES = 1 << 18
+
+
+def _image_count(series, zetas, powers, tol_abs):
+    """(i, log tail) of _image_tables: the least i that puts the tail bound
+    at K = 2i + 1 terms at or below a tenth of every finite tol_abs
+    (pairs, powers, orders), or None past IMAGE_TERMS; log tail is by pair
+    and power.  The bound with zeta + KD held at zeta puts i at most at
+    some `need`, and with it held at its value at `need` at least at some
+    `least`; i is searched by bisection between them."""
+    (c0, c1, c2), ratio, thick, _ = series
+    q, head = abs(ratio), abs(c1) + abs(c2)
+    n = powers.astype(float)
+    zeta = zetas[:, None]
+    with np.errstate(divide="ignore"):
+        # log of head n! / (1 - q) and of a tenth of the least tolerance
+        base = np.log(head) - math.log1p(-q) + special.gammaln(n + 1.0)
+        room = np.log(0.1 * np.min(tol_abs, axis=2))
+        log_q = np.log(q)
+
+    def log_tail(i):
+        return base + (i * log_q if i else 0.0) - (n + 1.0) * np.log(
+            zeta + (2 * i + 1) * thick)
+
+    def fits(i):
+        return bool(np.all(log_tail(i) <= room))
+
+    def count(depth):
+        # the least i with the bound below room at zeta + KD held at depth
+        with np.errstate(invalid="ignore"):
+            excess = np.max(base - (n + 1.0) * np.log(depth) - room)
+        return max(0, math.ceil(float(excess) / -log_q)) if excess > 0 else 0
+
+    top = (IMAGE_TERMS - 1) // 2
+    if not (head and q):
+        lo, hi = -1, 0 if fits(0) else 1
+    else:
+        hi = count(zeta)
+        if hi > top or not fits(hi):
+            hi = top
+            if not fits(hi):
+                return None
+        lo = count(zeta + (2 * hi + 1) * thick) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi, log_tail(hi)
+
+
+def _image_tables(medium, component, rhos, zetas, powers, orders, tol_abs):
+    """_radial_tables of ReactionDensity(medium, *component) for (rho, zeta)
+    pairs of shape (B,) over a medium with exactly one finite layer
+    (DomainError otherwise), as a finite sum of closed forms: sigma =
+    sum_j c_j e^{-kjD} (_image_series) integrates term by term to
+
+        I(n, m; rho, zeta) = sum_{j < K} c_j I_inf(n, m; rho, zeta + jD),
+
+    I_inf by _image_lanes over the B K stacked pairs (rho_b, zeta_b +
+    jD), in chunks whose temporaries stay within _IMAGE_CHUNK_DOUBLES (one
+    call for the basis table of 6 targets at p = 12 and K = 35).  |I_inf(n, m;
+    rho, Z)| <= n!/Z^{n+1}, so the terms past K = 2i + 1 sum to at most
+    (|c_1| + |c_2|) q^i n! / ((1 - q)(zeta + KD)^{n+1}), the tail; i is the
+    least that puts it at or below a tenth of every finite tolerance
+    (_image_count).  Each error adds that tail, (1 + 2K/(n + 2)) sum_j
+    |c_j| times _image_lanes' rounding at zeta + jD (the rounding of the
+    closed forms, of r^i c_j and of the K-term sum) and the coefficients'
+    slack times n!/zeta^{n+1}; ToleranceNotMet if an error exceeds its
+    tolerance.  Returns (values, errors, stats) as _radial_tables, stats
+    {"terms": K, "tail": the largest tail over its tolerance}, or None
+    when K would pass IMAGE_TERMS: the caller runs the engine."""
+    if medium.num_interfaces != 2:
+        raise DomainError("the image series needs a medium with one finite layer")
+    powers, orders = np.asarray(powers, dtype=int), np.asarray(orders, dtype=int)
+    rhos, zetas = np.asarray(rhos, dtype=float), np.asarray(zetas, dtype=float)
+    tol_abs = np.asarray(tol_abs, dtype=float)
+    shape = (len(rhos), len(powers), len(orders))
+    if not len(rhos):
+        return np.zeros(shape, dtype=complex), np.zeros(shape), {"terms": 0, "tail": 0.0}
+    series = _image_series(medium, *component)
+    found = _image_count(series, zetas, powers, tol_abs)
+    if found is None:
+        return None
+    i, log_tail = found
+    (c0, c1, c2), ratio, thick, slack = series
+    terms = 2 * i + 1
+    geo, coeff = ratio ** np.arange(i), np.empty(terms)
+    coeff[0], coeff[1::2], coeff[2::2] = c0, c1 * geo, c2 * geo
+    # a stacked pair's doubles in _image_lanes: its runs, and its gathered
+    # table and product
+    top = int(max(powers.max(), orders.max()))
+    per_pair = 2 * ((top + 2) * (top + 1) + len(powers) * len(orders))
+    step = max(1, _IMAGE_CHUNK_DOUBLES // per_pair)
+    batch = min(len(rhos), step)
+    images = max(1, step // batch)
+    values, rounding = np.empty(shape, dtype=complex), np.empty(shape[:2])
+    for s in range(0, len(rhos), batch):
+        rb, zb = rhos[s:s + batch], zetas[s:s + batch]
+        total, rnd = 0.0, 0.0
+        for j in range(0, terms, images):
+            js = np.arange(j, min(j + images, terms))
+            # (powers x orders x pairs, images) @ c_j
+            table, own = _image_lanes(np.repeat(rb, len(js)),
+                                      (zb[:, None] + thick * js).ravel(), powers, orders)
+            total = total + table.reshape(-1, len(js)) @ coeff[js]
+            rnd = rnd + np.abs(coeff[js]) @ own.reshape(len(rb), len(js), -1)
+        values[s:s + batch] = total.reshape(shape[1:] + (len(rb),)).transpose(2, 0, 1)
+        rounding[s:s + batch] = rnd
+    n = powers.astype(float)
+    tail = np.exp(log_tail)
+    err = (tail + (1.0 + 2.0 * terms / (n + 2.0)) * rounding
+           + slack * _GAMMA[np.minimum(powers, 171)] / zetas[:, None] ** (n + 1.0))
+    err = np.broadcast_to(err[..., None], values.shape).copy()
+    finite = np.isfinite(tol_abs)
+    if not np.all(err[finite] <= tol_abs[finite]):
+        raise ToleranceNotMet(
+            "image table rounding above its tolerance",
+            achieved=float(np.max(err[finite] / tol_abs[finite])),
+        )
+    return values, err, {"terms": terms,
+                         "tail": float(np.max(tail / np.min(tol_abs, axis=2)))}
+
+
+@lru_cache(maxsize=512)
+def _real_axis_series(medium, a, b, ell, ellprime):
+    """_image_series for _image_green by its own extraction, from four
+    real-axis values: sigma alpha_22 = p_0 + p_1 e + p_2 e^2 is solved at
+    e = e^{-kD} in {0, 1/2, 1} (k = inf, ln 2 / D, 0) and checked at e =
+    1/4; a miss past 1e-10 of the values raises InvariantViolated.  Then
+    c_0 = p_0/A, c_1 = p_1/A and c_2 = (p_2 + r p_0)/A as there.  The
+    solve moves p_1 and p_2 by at most 8 times the values' rounding, taken
+    as the check's miss plus 8 eps of the largest value, so slack is 24
+    times that over |A| (1 - |r|)."""
+    thick = medium.interfaces[0] - medium.interfaces[1]
+    mats = InterfaceMatrices(medium, np.array([np.inf, math.log(2.0), 0.0,
+                                               math.log(4.0)]) / thick)
+    f0, fh, f1, fq = _chain(mats, ellprime, b, ell)[a - 1] * mats.alpha[2][1]
+    e, quarter = mats.e[1][1], mats.e[1][3]
+    # p_1 e + p_2 e^2 through (e, fh - f0) and (1, f1 - f0)
+    p2 = ((fh - f0) / e - (f1 - f0)) / (e - 1.0)
+    p1 = f1 - f0 - p2
+    scale = float(max(abs(f0), abs(fh), abs(f1), abs(fq)))
+    noise = abs(f0 + (p1 + p2 * quarter) * quarter - fq)
+    if not noise <= 1e-10 * scale:
+        raise InvariantViolated(
+            f"sigma alpha_22 has a term above degree 2 in e^(-kD): a miss of "
+            f"{noise:.3e} at e = 1/4 (values up to {scale:.3e}); the image series "
+            f"does not hold"
+        )
+    gp, gm = mats.gamma_plus, mats.gamma_minus
+    big, ratio = gp[1] * gp[2], -(gm[1] * gm[2]) / (gp[1] * gp[2])
+    slack = 24.0 * (noise + 8.0 * float(np.finfo(float).eps) * scale) / (
+        abs(big) * (1.0 - abs(ratio)))
+    p0 = f0 / big
+    return (float(p0), float(p1 / big), float(p2 / big + ratio * p0)), ratio, thick, slack
+
+
+#: Most image terms K _image_green may sum; past it lab._oracle runs the
+#: engine (eval_reaction_green).  An image term costs about 13 ns a pair:
+#: at K = 8197 (q = 0.99, tol 1e-12) 18 pairs cost 2.1 ms against the
+#: engine's 2.6 ms, and 320 pairs 35 ms against 9.7 ms.
+IMAGE_GREEN_TERMS = 1 << 13
+
+
 def _image_green(medium, a, b, ell, ellprime, r, rprime, tol):
     """_reaction_green over a medium with exactly one finite layer (DomainError
-    otherwise), as the image series of _image_series: sigma = sum_j c_j
-    e^{-kjD} integrates term by term (Lipschitz) to
+    otherwise), as the image series of _real_axis_series: sigma = sum_j
+    c_j e^{-kjD} integrates term by term (Lipschitz) to
 
         u = (1/4pi) sum_{j < K} c_j / sqrt(rho^2 + (zeta + jD)^2),
 
@@ -723,7 +930,8 @@ def _image_green(medium, a, b, ell, ellprime, r, rprime, tol):
     + |c_2|) / (1 - q)) / sqrt(rho^2 + zeta^2), for rounding and slack /
     zeta for the coefficients.  Returns (values, errors, stats) as
     _reaction_green; stats holds the term count K ("terms") and the
-    largest tail bound ("tail")."""
+    largest tail bound ("tail"); None, with no sum, where K would pass
+    IMAGE_GREEN_TERMS."""
     if medium.num_interfaces != 2:
         raise DomainError("the image series needs a medium with one finite layer")
     if not tol > 0:
@@ -732,7 +940,7 @@ def _image_green(medium, a, b, ell, ellprime, r, rprime, tol):
     rho, zeta = np.hypot(tau[..., 0], tau[..., 1]), tau[..., 2]
     if not np.all(zeta > 0):
         raise DomainError("zeta must be positive")
-    (c0, c1, c2), ratio, thick, slack = _image_series(medium, a, b, ell, ellprime)
+    (c0, c1, c2), ratio, thick, slack = _real_axis_series(medium, a, b, ell, ellprime)
     eps, q, head = float(np.finfo(float).eps), abs(ratio), abs(c1) + abs(c2)
     near = np.hypot(rho, zeta)
     cut = min(4.0 * math.pi * tol,
@@ -743,6 +951,8 @@ def _image_green(medium, a, b, ell, ellprime, r, rprime, tol):
         i = max(1, math.ceil(math.log(budget / head) / math.log(q)))
         i += head * q ** i > budget
     terms = 2 * i + 1
+    if terms > IMAGE_GREEN_TERMS:
+        return None
     geo, coeff = ratio ** np.arange(i), np.empty(terms)
     coeff[0], coeff[1::2], coeff[2::2] = c0, c1 * geo, c2 * geo
     # terms in chunks of _CHUNK_DOUBLES, so memory stays bounded as q -> 1

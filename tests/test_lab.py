@@ -19,6 +19,7 @@ from layerfmm import (
     run_property_suite,
 )
 from layerfmm import expansions as xp
+from layerfmm import lab, sommerfeld
 from layerfmm.cli import main
 from layerfmm.errors import BoxCrossesInterface, DomainError
 from layerfmm.lab import QUAD_TOL_FLOOR, fit_decay_rate, me_terms
@@ -234,7 +235,9 @@ def test_reaction_reports_carry_quadrature_counters(kind):
     tables and of its oracle's one batched call: counts, no timings.  Over
     two finite layers the oracle is the engine and reports its quadrature;
     over the slab's one finite layer it is the image series and reports
-    its term count and tail bound, within the oracle's tolerance."""
+    its term count and tail bound, within the oracle's tolerance, and its
+    expansion is an image sum, whose tail is within a tenth of every
+    table tolerance."""
     report = run_experiment(ExperimentConfig(kind=kind, p_min=1,
                                              **dict(SMALL[kind], medium=STACK)))
     keys = {"panels", "gl_calls", "nodes", "evals", "bisections", "certified",
@@ -250,12 +253,69 @@ def test_reaction_reports_carry_quadrature_counters(kind):
     assert report.metadata["oracle_quadrature"]["panels"] < 64
     assert "oracle_images" not in report.metadata
 
+    assert "images" not in report.metadata
+
     cfg = ExperimentConfig(kind=kind, p_min=1, **SMALL[kind])
     slab = run_experiment(cfg).metadata
-    assert "oracle_quadrature" not in slab and slab["quadrature"]["panels"] > 0
+    assert "oracle_quadrature" not in slab and "quadrature" not in slab
+    assert set(slab["images"]) == {"terms", "tail"} and slab["images"]["terms"] > 0
+    assert 0.0 <= slab["images"]["tail"] <= 0.1
     assert set(slab["oracle_images"]) == {"terms", "tail"}
     assert slab["oracle_images"]["terms"] > 0
     assert 0.0 <= slab["oracle_images"]["tail"] <= min(1e-10, cfg.quad_tol)
+
+
+#: criterion 7's reaction ME on the slab, component (1, 1, 1, 1)
+CRITERION_7 = dict(
+    kind="reaction_me", medium=SLAB, component=(1, 1, 1, 1), p_min=1, p_max=15,
+    n_charges=10, seed=11, a_s=0.3, source_center=(0.0, 0.0, -0.5),
+    target_center=(0.0, 0.0, -0.25), target_spread=0.05, quad_tol=1e-12,
+    n_targets=32,
+)
+
+
+def test_reaction_me_fails_when_the_operators_coefficients_are_off(monkeypatch):
+    """Seeded defect: c_1 and c_2 of the operators' image series
+    (sommerfeld._image_series) scaled by 1 + 1e-6 fail criterion 7's
+    reaction ME report on the slab, which passes as it is (c_1 of its
+    component vanishes, as a = 1 puts its images at even depths, so c_2
+    carries the defect).  The oracle reads its own real-axis
+    coefficients, so it does not move with the defect; were it to read
+    the operators', both would move together and the report would pass."""
+    assert run_experiment(ExperimentConfig(**CRITERION_7)).passed
+    series = sommerfeld._image_series
+
+    def off(*args):
+        (c0, c1, c2), *rest = series(*args)
+        return ((c0, c1 * (1.0 + 1e-6), c2 * (1.0 + 1e-6)), *rest)
+    monkeypatch.setattr(sommerfeld, "_image_series", off)
+    report = run_experiment(ExperimentConfig(**CRITERION_7))
+    assert "images" in report.metadata and "oracle_images" in report.metadata
+    assert not report.passed and not all(report.passed_rows)
+
+
+def test_reaction_oracle_past_its_term_budget_runs_the_engine(monkeypatch):
+    """Over a slab of reflection product q = 0.99998 (D = 0.041, b = 2e5 in
+    the slab) the image series would need about 3.6 million terms: past
+    IMAGE_GREEN_TERMS _image_green declines before it sums, and the lab's
+    oracle is eval_reaction_green, with its quadrature counters.  Its
+    values agree with the whole image sum (the budget lifted) within the
+    sum of both returned errors."""
+    med = LayeredMedium([0.0, -0.041], [1.0] * 3, [1.0, 2e5, 1.0])
+    comp = (1, 1, 1, 1)
+    system = generate_charges(3, 3, Box([0.0, 0.0, -0.03], 0.005), med, 1)
+    targets = np.array([[0.1, 0.0, -0.01], [0.0, 0.2, -0.02], [-0.05, 0.05, -0.015]])
+    pairs = (med, *comp, targets[:, None], system.positions[None])
+    assert sommerfeld._image_green(*pairs, 1e-11) is None
+    oracle, _, stats = lab._oracle(system, targets, med, comp, 1e-11)
+    assert stats["panels"] > 0 and "terms" not in stats
+    want, werr, _ = sommerfeld._reaction_green(*pairs, 1e-11)
+    assert np.array_equal(oracle, want @ system.q)
+
+    monkeypatch.setattr(sommerfeld, "IMAGE_GREEN_TERMS", 1 << 23)
+    got, err, images = sommerfeld._image_green(*pairs, 1e-11)
+    assert images["terms"] > 1 << 13
+    assert np.all(np.abs(got - want) <= err + werr)
 
 
 def test_l2l_experiment_checks_n_targets_points(monkeypatch):
@@ -454,23 +514,23 @@ def test_cli_me_stats(tmp_path, three_layer):
     """--stats prints the expansion's quadrature counters and the oracle's
     stats to stderr and leaves the CSV on stdout as it was.  Above the
     media the counters cover the remainder sigma - sigma_inf.  Over two
-    finite layers the oracle is the engine, with its quadrature counters;
-    over the slab it is the image series, with its term count and a tail
-    bound within the oracle's tolerance."""
+    finite layers the expansion and the oracle run the engine, with its
+    quadrature counters; over the slab both are image sums, with their
+    term counts and tail bounds (a tenth of the table tolerances, within
+    the oracle's tolerance).  Each line is named by the path that ran."""
     lines = _me_stats(tmp_path, STACK, 1e-11)
-    assert list(lines) == ["expansion", "oracle"]
+    assert list(lines) == ["quadrature", "oracle_quadrature"]
     for counts in lines.values():
         assert int(counts["panels"]) > 0 and float(counts["tol_use"]) < 1.0
         assert int(counts["nodes"]) == 32 * int(counts["gl_calls"])
         assert 0 < int(counts["certified"]) < int(counts["panels"])
 
     lines = _me_stats(tmp_path, three_layer, 1e-12)
-    assert list(lines) == ["expansion", "oracle"]
-    counts = lines["expansion"]
-    assert int(counts["panels"]) > 0 and float(counts["tol_use"]) < 1.0
-    assert set(lines["oracle"]) == {"terms", "tail"}
-    assert int(lines["oracle"]["terms"]) > 0
-    assert 0.0 <= float(lines["oracle"]["tail"]) <= 1e-12
+    assert list(lines) == ["images", "oracle_images"]
+    for counts in lines.values():
+        assert set(counts) == {"terms", "tail"} and int(counts["terms"]) > 0
+    assert 0.0 <= float(lines["images"]["tail"]) <= 0.1
+    assert 0.0 <= float(lines["oracle_images"]["tail"]) <= 1e-12
 
 
 def test_cli_me_rejects_targets_in_two_layers(tmp_path, two_layer):

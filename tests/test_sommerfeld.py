@@ -1281,7 +1281,7 @@ def test_image_oracle_matches_the_engine():
             want, werr, _ = sommerfeld._reaction_green(med, *comp, r, rp, 1e-13)
             assert np.all(np.abs(got - want) <= err + werr), (med, comp)
 
-            (c0, c1, c2), ratio, thick, _ = sommerfeld._image_series(med, *comp)
+            (c0, c1, c2), ratio, thick, _ = sommerfeld._real_axis_series(med, *comp)
             j = np.arange(stats["terms"], stats["terms"] + 50)
             coeff = np.where(j % 2, c1, c2) * ratio ** ((j - 1) // 2)
             tau = tau_map(med, *comp, r, rp)
@@ -1313,21 +1313,27 @@ def test_image_oracle_matches_the_slab_images():
 
 def test_image_oracle_checks_its_series(monkeypatch):
     """sigma alpha_22 with a term of degree 3 in e^{-kD} is no image series
-    of degree 2 over 1 / alpha_22: the FFT check raises InvariantViolated.
-    A medium without exactly one finite layer, and a tol that is not
-    positive, are DomainErrors; one pair of points gives floats."""
+    of degree 2 over 1 / alpha_22: the oracle's real-axis check and the
+    operators' FFT check each raise InvariantViolated.  A medium without
+    exactly one finite layer, and a tol that is not positive, are
+    DomainErrors; one pair of points gives floats."""
     slab = LayeredMedium([0.0, -1.0], [1.0] * 3, [1.0, 3.0, 8.0])
     chain = sommerfeld._chain
 
     def cubic(mats, *args):
         s1, s2 = chain(mats, *args)
         return s1 + 1e-6 * mats.e[1] ** 3, s2
-    sommerfeld._image_series.cache_clear()
+    caches = (sommerfeld._image_series, sommerfeld._real_axis_series)
+    for cache in caches:
+        cache.cache_clear()
     monkeypatch.setattr(sommerfeld, "_chain", cubic)
     with pytest.raises(InvariantViolated, match="above degree 2"):
         sommerfeld._image_green(slab, 1, 1, 1, 1, [0, 0, -0.3], [0, 0, -0.6], 1e-12)
+    with pytest.raises(InvariantViolated, match="above degree 2"):
+        reaction_basis_table(slab, (1, 1, 1, 1), 2, [0, 0, -0.3], [0, 0, -0.6])
     monkeypatch.undo()
-    sommerfeld._image_series.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
     value, err, stats = sommerfeld._image_green(slab, 1, 1, 1, 1, [0.2, 0, -0.3],
                                                 [0, 0, -0.6], 1e-12)
@@ -1338,3 +1344,75 @@ def test_image_oracle_checks_its_series(monkeypatch):
         sommerfeld._image_green(stack, 1, 1, 1, 1, [0, 0, -0.3], [0, 0, -0.6], 1e-12)
     with pytest.raises(DomainError, match="tol must be positive"):
         sommerfeld._image_green(slab, 1, 1, 1, 1, [0, 0, -0.3], [0, 0, -0.6], 0.0)
+
+
+def _image_tol(density, zetas, top, rel_tol=1e-12):
+    """_reaction_table's tolerances: rel_tol of M_sigma n!/zeta^{n+1} for
+    m <= n, inf above."""
+    n = np.arange(top + 1)
+    ref = density.bound * sommerfeld._GAMMA[n] / zetas[:, None] ** (n + 1.0)
+    return np.where(n[None, :] <= n[:, None], rel_tol * ref[:, :, None], np.inf)
+
+
+def test_image_tables_match_the_engine():
+    """Over one finite layer the image tables (sommerfeld._image_tables,
+    the operators' path) agree with radial_table on ReactionDensity (the
+    engine) within the sum of both returned errors, at n, m <= 16, for
+    every present component and layer pair of the slab and ten random
+    media with one finite layer (seed 41) and two of high contrast, q up
+    to 0.8, near the term budget.  The tail bound covers the 50 terms
+    past the returned term count."""
+    rng = np.random.default_rng(41)
+    media = ([LayeredMedium([0.0, -1.0], [1.0] * 3, [1.0, 3.0, 8.0])]
+             + [random_medium(rng, L=2) for _ in range(10)]
+             + [LayeredMedium([0.3, -0.9], [1.0] * 3, [1.0, 17.9, 1.0]),
+                LayeredMedium([1.0, 0.2], [0.5, 1.0, 2.0], [2.0, 15.0, 1.0])])
+    top, checked, q_max = 16, 0, 0.0
+    n = np.arange(top + 1)
+    for med in media:
+        for comp in itertools.product((1, 2), (1, 2), range(3), range(3)):
+            if not component_exists(med, *comp):
+                continue
+            r, rp = _layer_pairs(rng, med, *comp[2:], n=2)
+            tau = tau_map(med, *comp, r, rp)
+            rhos, zetas = np.hypot(tau[:, 0], tau[:, 1]), tau[:, 2]
+            density = ReactionDensity(med, *comp)
+            tol = _image_tol(density, zetas, top)
+            got = sommerfeld._image_tables(med, comp, rhos, zetas, n, n, tol)
+            assert got is not None, (med, comp)
+            values, err, stats = got
+            assert np.all(err[np.isfinite(tol)] <= tol[np.isfinite(tol)])
+            for i in range(len(rhos)):
+                want, werr, _ = radial_table(density, rhos[i], zetas[i], n, n, tol[i])
+                assert np.all(np.abs(values[i] - want) <= err[i] + werr), (med, comp)
+
+            (c0, c1, c2), ratio, thick, _ = sommerfeld._image_series(med, *comp)
+            j = np.arange(stats["terms"], stats["terms"] + 50)
+            coeff = np.where(j % 2, c1, c2) * ratio ** ((j - 1) // 2)
+            table, _ = sommerfeld._image_table(np.repeat(rhos, len(j)),
+                                               (zetas[:, None] + thick * j).ravel(), n, n)
+            extra = np.einsum("j,bjnm->bnm", coeff, table.reshape(len(rhos), len(j),
+                                                                  top + 1, top + 1))
+            least = np.min(tol, axis=2)[..., None]
+            assert np.all(np.abs(extra) <= stats["tail"] * least), (med, comp)
+            assert 0.0 <= stats["tail"] <= 0.1
+            checked, q_max = checked + 1, max(q_max, abs(ratio))
+    assert checked == 13 * 16 and 0.79 < q_max < 0.81
+
+
+def test_image_tables_past_the_budget_run_the_engine():
+    """A table whose image sum would pass IMAGE_TERMS (q = 0.9 at rel_tol
+    1e-12) is no image table: _reaction_table runs the engine, and its
+    stats carry the panels."""
+    med = LayeredMedium([0.3, -0.9], [1.0] * 3, [1.0, 37.97, 1.0])
+    comp, top = (1, 1, 1, 1), 12
+    assert abs(sommerfeld._image_series(med, *comp)[1]) > 0.89
+    zetas = np.array([0.5])
+    tol = _image_tol(ReactionDensity(med, *comp), zetas, top)
+    n = np.arange(top + 1)
+    assert sommerfeld._image_tables(med, comp, np.array([0.3]), zetas, n, n, tol) is None
+    _, _, stats = _reaction_table(med, comp, np.array([0.3, 0.0, 0.5]), top, 1e-12)
+    assert stats["panels"] > 0 and "terms" not in stats
+    slab = LayeredMedium([0.3, -0.9], [1.0] * 3, [1.0, 3.0, 8.0])
+    _, _, stats = _reaction_table(slab, comp, np.array([0.3, 0.0, 0.5]), top, 1e-12)
+    assert 0 < stats["terms"] <= sommerfeld.IMAGE_TERMS
