@@ -756,9 +756,8 @@ def _image_count(series, zetas, powers, tol_abs):
     """(i, log tail) of _image_tables: the least i that puts the tail bound
     at K = 2i + 1 terms at or below a tenth of every finite tol_abs
     (pairs, powers, orders), or None past IMAGE_TERMS; log tail is by pair
-    and power.  The bound with zeta + KD held at zeta puts i at most at
-    some `need`, and with it held at its value at `need` at least at some
-    `least`; i is searched by bisection between them."""
+    and power.  The bound with zeta + KD held at zeta caps i (count(zeta)),
+    and held at its value at that cap floors it; i is bisected between."""
     (c0, c1, c2), ratio, thick, _ = series
     q, head = abs(ratio), abs(c1) + abs(c2)
     n = powers.astype(float)
