@@ -27,7 +27,7 @@ from the factorial-bearing tables, times r^s for the degree s of the
 shift vector's harmonic it gathers (r^-(s+1) for M2L), so a call scales
 that small harmonics table by the powers of r, not every weight.  m2m,
 l2l and m2l_free cache their last two orders' constants and gather
-indices, 12 bytes an entry: 0.18, 2.3, 166 MB at p = 10, 20, 60
+indices, 16 bytes an entry: 0.23, 3.1, 222 MB at p = 10, 20, 60
 (m2l_free p <= 30); _reaction_operator its last four (p, p')'s, 24 bytes
 an entry: 0.35, 4.7, 22 MB at p = p' = 10, 20, 30.
 """
@@ -102,15 +102,15 @@ class ChargeSystem:
             raise ValueError("charge arrays must have matching lengths")
 
     @classmethod
-    def free_space(cls, q, positions, **kw):
+    def free_space(cls, q, positions):
         q = np.asarray(q, dtype=float)
-        return cls(q, positions, np.zeros(len(q), dtype=int), **kw)
+        return cls(q, positions, np.zeros(len(q), dtype=int))
 
     @classmethod
-    def in_medium(cls, medium, q, positions, **kw):
+    def in_medium(cls, medium, q, positions):
         positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         layers = np.array([medium.layer_of(p[2]) for p in positions])
-        return cls(q, positions, layers, **kw)
+        return cls(q, positions, layers)
 
     def __len__(self):
         return len(self.q)
@@ -242,14 +242,15 @@ def _require_kind(exp, kind):
 def _translation(p, source_p, block, zero=0):
     """Read-only geometry-free parts of w = weight r^s ytab.flat[index],
     where s is the degree of the harmonic at index: float64 weight
-    (-1)^parity exp(logw0) and int32 index, from block(n, m, nu, mu) ->
-    valid, logw0, parity, index run on 2^14 entries at a time, to build in
-    little more memory than the result.  An invalid entry reads the zero
-    harmonic ytab.flat[zero]."""
+    (-1)^parity exp(logw0) and intp index (which _translate's indexing
+    reads in place; np.take would copy a read-only one), from block(n, m,
+    nu, mu) -> valid, logw0, parity, index run on 2^14 entries at a time,
+    to build in little more memory than the result.  An invalid entry
+    reads the zero harmonic ytab.flat[zero]."""
     ns, ms = _packed_indices(p)
     nu, mu = _packed_indices(source_p)
     weight = np.empty((len(ns), len(nu)))
-    index = np.empty(weight.shape, np.int32)
+    index = np.empty(weight.shape, np.intp)
     step = max(1, (1 << 14) // len(nu))
     for rows in (slice(lo, lo + step) for lo in range(0, len(ns), step)):
         valid, logw0, parity, at = block(ns[rows, None], ms[rows, None], nu, mu)
@@ -264,7 +265,7 @@ def _translate(weights, ytab, radial, flat):
     weight that gathers a degree-s harmonic), gathered, then times the
     cached weights in place."""
     weight, index = weights
-    g = np.take(np.multiply(ytab, radial), index)
+    g = np.multiply(ytab, radial).ravel()[index]
     return np.multiply(weight, g, out=g) @ flat
 
 
@@ -667,18 +668,14 @@ def reaction_basis_table(medium, component, p, r, center, rel_tol=1e-11,
     return _unpack(_C0 * row[..., 0, :], p), stats
 
 
-def eval_reaction_me(exp, medium, r, rel_tol=1e-11, stats=False):
+def eval_reaction_me(exp, medium, r, rel_tol=1e-11):
     """Evaluate a reaction multipole expansion: sum M_nm F_nm(r, center),
     at a point or at each point along the last axis of an array (an array
-    of values, from one reaction_basis_table call).  With stats=True the
-    basis table's quadrature stats come back as well: (values, stats).
+    of values, from one reaction_basis_table call).
     """
     _require_kind(exp, "reaction_multipole")
-    basis, quad = reaction_basis_table(
-        medium, exp.component, exp.p, r, exp.center, rel_tol
-    )
-    val = _expansion_sum(exp, basis)
-    return (val, quad) if stats else val
+    basis, _ = reaction_basis_table(medium, exp.component, exp.p, r, exp.center, rel_tol)
+    return _expansion_sum(exp, basis)
 
 
 def reaction_le_from_charges(

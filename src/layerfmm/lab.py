@@ -2,22 +2,25 @@
 brute-force oracles, check the theoretical bounds row by row, and fit the
 observed geometric decay rates.
 
-`run_experiment` dispatches on config.kind through `_BUILDERS`, whose
-entries are the convergence builders; the property suites run through
-`run_property_suite` (`layerfmm lab suite`).  A convergence builder
-places charges and targets, computes its errors[p] against `_oracle`
-(direct sums in free space; for a reaction component one batched call:
-over a medium with one finite layer the image series
-sommerfeld._image_green, whose coefficients come from its own real-axis
-values, so it shares no quadrature, Bessel, K or coefficient code with
-the operators' image tables; over any other medium, or past the
-series' term budget, eval_reaction_green, the engine), and ends in
-`_geometric`: the bound Q M_sigma / D (inner/outer)^(p+1) at rate
-log(outer/inner), with M_sigma = 1 in free space, judged by `_verdict`,
-the one place that sets the noise floors, the row verdicts and the run
-metadata.  Report metadata carry the operators' and the oracle's stats
-under keys that name the path that ran (`_stats_entry`).  Every ME check
-(the ME kinds, `layerfmm me`) goes through `me_terms`.
+`run_experiment` is the one runner of the convergence kinds; the property
+suites run through `run_property_suite` (`layerfmm lab suite`).  A
+geometric kind (`_KINDS`) places charges and targets and returns only
+what differs: its values at the targets truncated at each order, the
+bound geometry (denominator, inner and outer radius) and its metadata.
+The runner makes the one `_oracle` call (direct sums in free space; for
+a reaction component one batched call: over a medium with one finite
+layer the image series sommerfeld._image_green, whose coefficients come
+from its own real-axis values, so it shares no quadrature, Bessel, K or
+coefficient code with the operators' image tables; over any other
+medium, or past the series' term budget, the engine
+sommerfeld._reaction_green), forms the errors and the bound Q M_sigma /
+D (inner/outer)^(p+1) at rate log(outer/inner), with M_sigma = 1 in free
+space, and ends in `_verdict`, the one place that sets the noise floors,
+the row verdicts and the run metadata.  l2l, whose shift is exact, has
+no geometric bound and runs on its own.  Report metadata carry the
+operators' and the oracle's stats under keys that name the path that ran
+(`_stats_entry`).  The ME kinds and `me_terms` (`layerfmm me`) build
+their ME through `_me_setup`.
 
 Reports are deterministic: fixed seeds, quasi-uniform Fibonacci-sphere
 target sets, fixed reduction order, and fixed float formatting, so two
@@ -54,14 +57,14 @@ from .sommerfeld import (
     CAGNIARD_CATALOG,
     MIN_TOL,
     _image_green,
+    _reaction_green,
     cagniard_identity_check,
-    eval_reaction_green,
 )
 
 CSV_SCHEMA = 1
-#: least quad_tol: eval_reaction_green, the oracle over any medium but one
-#: finite layer (and there past the image series' term budget), floors its
-#: absolute tolerance here, so it could not honour a smaller one
+#: least quad_tol: sommerfeld._reaction_green, the oracle over any medium
+#: but one finite layer (and there past the image series' term budget),
+#: floors its absolute tolerance here, so it could not honour a smaller one
 QUAD_TOL_FLOOR = MIN_TOL / (4.0 * math.pi)
 #: skew unit vector used for deterministic center placement
 _SKEW = np.array([1.0, 0.5, 0.3]) / np.linalg.norm([1.0, 0.5, 0.3])
@@ -115,7 +118,7 @@ class ExperimentConfig:
     component: tuple | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _BUILDERS:
+        if not isinstance(self.kind, str) or self.kind not in (*_KINDS, "l2l"):
             raise DomainError(f"unknown experiment kind {self.kind!r} (the property "
                               "suites run with `layerfmm lab suite`)")
         for name, low in _INT_FIELDS.items():
@@ -291,13 +294,6 @@ def _shell_charges(config, rng, center, radius, widen):
     )
 
 
-def _partial_sum_errors(exp, basis, oracle):
-    """errors[p] = max over targets t of |Re sum_{n <= p} sum_m
-    exp.coeff[n, m] basis[t, n, m] - oracle[t]|."""
-    degree = np.real((exp.coeff * basis).sum(axis=-1))
-    return np.abs(np.cumsum(degree, axis=1) - oracle[:, None]).max(axis=0)
-
-
 def _eps_floor(reaction, quad_tol, oracle_scale):
     """The smallest error a measurement against an oracle of magnitude
     oracle_scale can certify: 64 ulps of it, and for a reaction oracle
@@ -345,31 +341,19 @@ def _verdict(config, ps, errs, bounds, rate_theory, meta):
     )
 
 
-def _geometric(config, errors, system, oracle, denom, inner, outer, meta,
-               msig=1.0):
-    """Certify the paper's bound shape, errors[p] <= Q M_sigma / denom *
-    (inner / outer)^(p+1) for p_min <= p <= p_max, at the rate
-    log(outer / inner); M_sigma is 1 in free space and is recorded for
-    the reaction kinds."""
-    q = system.total_abs_charge
-    ps = list(range(config.p_min, config.p_max + 1))
-    meta.update({"Q": q, "oracle_scale": float(np.abs(oracle).max())})
-    if config.kind.startswith("reaction"):
-        meta["M_sigma"] = msig
-    bounds = [q * msig / denom * (inner / outer) ** (p + 1) for p in ps]
-    errs = [float(errors[p]) for p in ps]
-    return _verdict(config, ps, errs, bounds, math.log(outer / inner), meta)
+def _partial_sums(exp, functions):
+    """sums[t, p] = Re sum_{n <= p} sum_m exp.coeff[n, m] functions[t, n, m]."""
+    return np.cumsum(np.real((exp.coeff * functions).sum(axis=-1)), axis=1)
 
 
 def _free_me(config):
     system = _box_charges(config)
     center, r = system.source_box.center, config.eval_radius
     targets = center + r * fibonacci_sphere(config.n_targets)
-    exp, basis, oracle, *_ = me_terms(system, center, config.p_max, targets)
-    return _geometric(
-        config, _partial_sum_errors(exp, basis, oracle), system, oracle,
-        4 * math.pi * (r - config.a_s), config.a_s, r, {"r_eval": r, "a_s": config.a_s},
-    )
+    exp, basis, _ = _me_setup(system, center, config.p_max, targets)
+    return (system, targets, _partial_sums(exp, basis),
+            (4 * math.pi * (r - config.a_s), config.a_s, r),
+            {"r_eval": r, "a_s": config.a_s})
 
 
 def _free_le(config):
@@ -381,12 +365,9 @@ def _free_le(config):
     exp = xp.le_from_charges(system, center, config.p_max, radius=config.a_t)
     r_t = 0.5 * config.a_t
     targets = center + r_t * fibonacci_sphere(config.n_targets)
-    oracle, *_ = _oracle(system, targets)
-    errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
-    return _geometric(
-        config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t),
-        r_t, config.a_t, {"r_t": r_t, "a_t": config.a_t},
-    )
+    return (system, targets, _partial_sums(exp, xp.solid_harmonics(exp, targets)),
+            (4 * math.pi * (config.a_t - r_t), r_t, config.a_t),
+            {"r_t": r_t, "a_t": config.a_t})
 
 
 def _free_m2m(config):
@@ -396,17 +377,14 @@ def _free_m2m(config):
     a_eff = config.a_s + r_ss
     new_center = center - r_ss * _SKEW
     targets = new_center + r * fibonacci_sphere(config.n_targets)
-    recomputed, basis, oracle, *_ = me_terms(
-        system, new_center, config.p_max, targets, radius=a_eff
-    )
+    recomputed, basis, _ = _me_setup(system, new_center, config.p_max, targets,
+                                     radius=a_eff)
     shifted = xp.m2m(xp.me_from_charges(system, center, config.p_max), new_center)
     delta = np.abs(shifted.coeff - recomputed.coeff).max()
     scale = np.abs(recomputed.coeff).max()
-    return _geometric(
-        config, _partial_sum_errors(shifted, basis, oracle), system, oracle,
-        4 * math.pi * (r - a_eff), a_eff, r,
-        {"shift": r_ss, "recompute_rel_agreement": float(delta / scale)},
-    )
+    return (system, targets, _partial_sums(shifted, basis),
+            (4 * math.pi * (r - a_eff), a_eff, r),
+            {"shift": r_ss, "recompute_rel_agreement": float(delta / scale)})
 
 
 def _free_l2l(config):
@@ -443,20 +421,17 @@ def _free_m2l(config):
     sep = config.a_s + config.c * config.a_t
     target_center = center + sep * _SKEW
     targets = target_center + 0.9 * config.a_t * fibonacci_sphere(config.n_targets)
-    oracle, *_ = _oracle(system, targets)
-    errors = np.zeros(config.p_max + 1)
+    sums = np.zeros((config.n_targets, config.p_max + 1))
     # highest order first: an order m2l_free does not support fails at once
     for p in range(config.p_max, config.p_min - 1, -1):
         loc = xp.m2l_free(xp.truncated(exp, p), target_center, p)
-        vals = xp.eval_expansion(loc, targets)
-        errors[p] = np.abs(vals - oracle).max()
-    return _geometric(
-        config, errors, system, oracle, 4 * math.pi * (config.c - 1) * config.a_t,
-        config.a_s + config.a_t, sep, {"c": config.c, "separation": sep},
-    )
+        sums[:, p] = xp.eval_expansion(loc, targets)
+    return (system, targets, sums,
+            (4 * math.pi * (config.c - 1) * config.a_t, config.a_s + config.a_t, sep),
+            {"c": config.c, "separation": sep})
 
 
-def _oracle(system, targets, medium=None, component=None, tol=1e-11):
+def _oracle(system, targets, medium, component, tol):
     """(potential of the charges at each target, M_sigma, stats).  In
     free space: direct sums, 1 and {}; for a reaction component: one call
     over every (target, charge) pair at absolute tolerance min(1e-10,
@@ -466,18 +441,15 @@ def _oracle(system, targets, medium=None, component=None, tol=1e-11):
     coefficients off its own real-axis values and shares no quadrature,
     Bessel, K or coefficient code with the operators; over any other
     medium, or where the series would pass its term budget
-    (sommerfeld.IMAGE_GREEN_TERMS), it is eval_reaction_green (stats: its
-    quadrature counters)."""
+    (sommerfeld.IMAGE_GREEN_TERMS), it is the engine,
+    sommerfeld._reaction_green (stats: its quadrature counters)."""
     if component is None:
         return np.array([xp.direct_potential(system, r) for r in targets]), 1.0, {}
     pairs = (medium, *component, targets[:, None], system.positions[None])
     found = None
     if medium.num_interfaces == 2:
         found = _image_green(*pairs, min(1e-10, tol))
-    if found is None:
-        values, stats = eval_reaction_green(*pairs, tol=min(1e-10, tol), stats=True)
-    else:
-        values, _, stats = found
+    values, _, stats = found or _reaction_green(*pairs, min(1e-10, tol))
     a, b, ell, ellprime = component
     return values @ system.q, density_bound(medium, ell, ellprime, a, b), stats
 
@@ -490,25 +462,27 @@ def _stats_entry(stats, oracle=False):
     return {f"oracle_{path}" if oracle else path: stats}
 
 
-def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
-             radius=None):
-    """The ME of the charges about center (for a reaction component (a, b,
-    l, l'), about its polarization center), checked at the targets; a
-    target on or inside its sphere, or for a reaction component outside
-    layer l, raises DomainError before any table or oracle runs.  Returns
-    (exp, functions, oracle, floor, M_sigma, stats): the functions the ME
-    sums there, _oracle there, its _eps_floor, M_sigma and the stats by
-    name.  In free space: solid harmonics and {}; for a reaction
-    component: the basis table at relative tolerance tol and the stats of
-    it and of the oracle, under the keys of _stats_entry."""
-    targets = np.asarray(targets, dtype=float)
+def _expansion(system, center, p, medium, component, radius):
+    """The ME of the charges about center, or for a reaction component
+    (a, b, l, l') about its polarization center."""
     if component is None:
-        exp = xp.me_from_charges(system, center, p, radius)
-    else:
-        if any(medium.layer_of(z) != component[2] for z in targets[:, 2]):
-            raise DomainError(f"every target must lie in layer {component[2]}")
-        center = polarization_source(medium, *component, center)
-        exp = xp.reaction_me_from_charges(system, medium, *component, center, p, radius)
+        return xp.me_from_charges(system, center, p, radius)
+    center = polarization_source(medium, *component, center)
+    return xp.reaction_me_from_charges(system, medium, *component, center, p, radius)
+
+
+def _me_setup(system, center, p, targets, medium=None, component=None, tol=1e-11,
+              radius=None):
+    """(exp, functions, stats): the ME of _expansion and the functions it
+    sums at the targets, for a reaction component with the stats of its
+    basis table (at relative tolerance tol) under the key of _stats_entry,
+    in free space solid harmonics and {}.  A target on or inside the
+    ME's sphere, or for a reaction component outside layer l, raises
+    DomainError before any table runs."""
+    if component is not None and any(medium.layer_of(z) != component[2]
+                                     for z in targets[:, 2]):
+        raise DomainError(f"every target must lie in layer {component[2]}")
+    exp = _expansion(system, center, p, medium, component, radius)
     inside = np.linalg.norm(targets - exp.center, axis=-1) <= exp.radius
     if inside.any():
         raise DomainError(
@@ -516,15 +490,27 @@ def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
             f"within radius {exp.radius:g} of the expansion center "
             f"{','.join(f'{v:g}' for v in exp.center)}"
         )
-    oracle, msig, stats = _oracle(system, targets, medium, component, tol)
     if component is None:
-        functions = xp.solid_harmonics(exp, targets)
-    else:
-        functions, quad = xp.reaction_basis_table(medium, component, p, targets,
-                                                  exp.center, tol)
-        stats = {**_stats_entry(quad), **_stats_entry(stats, oracle=True)}
-    scale = float(np.max(np.abs(oracle), initial=0.0))
-    floor = _eps_floor(component is not None, tol, scale)
+        return exp, xp.solid_harmonics(exp, targets), {}
+    functions, quad = xp.reaction_basis_table(medium, component, p, targets,
+                                              exp.center, tol)
+    return exp, functions, _stats_entry(quad)
+
+
+def me_terms(system, center, p, targets, medium=None, component=None, tol=1e-11,
+             radius=None):
+    """The ME check of `layerfmm me`: _me_setup, then _oracle at the
+    targets.  Returns (exp, functions, oracle, floor, M_sigma, stats): the
+    ME and the functions it sums there, the oracle there, its _eps_floor,
+    M_sigma and, for a reaction component, the stats of the basis table
+    and of the oracle under the keys of _stats_entry ({} in free space)."""
+    targets = np.asarray(targets, dtype=float)
+    exp, functions, stats = _me_setup(system, center, p, targets, medium, component, tol,
+                                      radius)
+    oracle, msig, oracle_stats = _oracle(system, targets, medium, component, tol)
+    if component is not None:
+        stats = {**stats, **_stats_entry(oracle_stats, oracle=True)}
+    floor = _eps_floor(component is not None, tol, float(np.max(np.abs(oracle), initial=0.0)))
     return exp, functions, oracle, floor, msig, stats
 
 
@@ -542,16 +528,14 @@ def _reaction_cloud(config, box_radius, cloud_radius):
 def _reaction_me(config):
     spread = config.target_spread
     system, _, targets = _reaction_cloud(config, max(spread, 1e-9), spread)
-    exp, basis, oracle, _, msig, stats = me_terms(
+    exp, basis, stats = _me_setup(
         system, system.source_box.center, config.p_max, targets, config.medium,
         config.component, config.quad_tol, config.a_s,
     )
     r_min = float(np.linalg.norm(targets - exp.center, axis=1).min())
-    meta = {"r_min": r_min, "a_s": config.a_s, **stats}
-    return _geometric(
-        config, _partial_sum_errors(exp, basis, oracle), system, oracle,
-        4 * math.pi * (r_min - config.a_s), config.a_s, r_min, meta, msig,
-    )
+    return (system, targets, _partial_sums(exp, basis),
+            (4 * math.pi * (r_min - config.a_s), config.a_s, r_min),
+            {"r_min": r_min, "a_s": config.a_s, **stats})
 
 
 def _reaction_le(config):
@@ -561,36 +545,21 @@ def _reaction_le(config):
         system, config.medium, *config.component, center, config.p_max,
         radius=config.a_t, rel_tol=config.quad_tol, stats=True,
     )
-    oracle, msig, oracle_stats = _oracle(system, targets, config.medium,
-                                         config.component, config.quad_tol)
-    errors = _partial_sum_errors(exp, xp.solid_harmonics(exp, targets), oracle)
-    meta = {"r_t": r_t, "a_t": config.a_t, **_stats_entry(stats),
-            **_stats_entry(oracle_stats, oracle=True)}
-    return _geometric(
-        config, errors, system, oracle, 4 * math.pi * (config.a_t - r_t), r_t,
-        config.a_t, meta, msig,
-    )
+    return (system, targets, _partial_sums(exp, xp.solid_harmonics(exp, targets)),
+            (4 * math.pi * (config.a_t - r_t), r_t, config.a_t),
+            {"r_t": r_t, "a_t": config.a_t, **_stats_entry(stats)})
 
 
 def _reaction_m2l(config):
     system, tc, targets = _reaction_cloud(config, config.a_t, 0.9 * config.a_t)
-    pol_center = polarization_source(
-        config.medium, *config.component, system.source_box.center
-    )
-    exp = xp.reaction_me_from_charges(
-        system, config.medium, *config.component, pol_center, config.p_max,
-        radius=config.a_s,
-    )
-    sep = float(np.linalg.norm(tc - pol_center))
+    pm = config.p_max
+    exp = _expansion(system, system.source_box.center, pm, config.medium,
+                     config.component, config.a_s)
+    sep = float(np.linalg.norm(tc - exp.center))
     c_eff = (sep - config.a_s) / config.a_t
     if c_eff <= 1.0:
         raise BoxesNotSeparated(f"boxes not well separated: effective c = {c_eff:.3f}")
-    oracle, msig, oracle_stats = _oracle(system, targets, config.medium,
-                                         config.component, config.quad_tol)
-    pm = config.p_max
-    tmat, quad_stats = xp.reaction_m2l_matrix(
-        exp, config.medium, tc, pm, config.quad_tol
-    )
+    tmat, stats = xp.reaction_m2l_matrix(exp, config.medium, tc, pm, config.quad_tol)
     # local coefficients by source degree nu, packed [i, nu], so every
     # rectangular truncation (n <= p, nu <= p) is a partial double sum
     ns, ms = xp._packed_indices(pm)
@@ -601,21 +570,17 @@ def _reaction_m2l(config):
     # term[t, n, nu] = Re sum over packed i of degree n of basis * by_nu
     term = np.real(np.einsum("ti,iu,in->tnu", basis, by_nu, degree))
     grid = np.cumsum(np.cumsum(term, axis=1), axis=2)
-    errs = np.abs(np.diagonal(grid, axis1=1, axis2=2) - oracle[:, None])
-    meta = {"c_eff": c_eff, "separation": sep, **_stats_entry(quad_stats),
-            **_stats_entry(oracle_stats, oracle=True)}
-    return _geometric(
-        config, errs.max(axis=0), system, oracle,
-        2 * math.pi * (c_eff - 1) * config.a_t, config.a_s + config.a_t,
-        config.a_s + c_eff * config.a_t, meta, msig,
-    )
+    return (system, targets, np.diagonal(grid, axis1=1, axis2=2),
+            (2 * math.pi * (c_eff - 1) * config.a_t, config.a_s + config.a_t,
+             config.a_s + c_eff * config.a_t),
+            {"c_eff": c_eff, "separation": sep, **_stats_entry(stats)})
 
 
-_BUILDERS = {
+#: the geometric kinds; l2l, whose shift is exact, runs on its own
+_KINDS = {
     "me": _free_me,
     "le": _free_le,
     "m2m": _free_m2m,
-    "l2l": _free_l2l,
     "m2l": _free_m2l,
     "reaction_me": _reaction_me,
     "reaction_le": _reaction_le,
@@ -624,28 +589,47 @@ _BUILDERS = {
 
 
 def run_experiment(config):
-    """Execute the experiment of config.kind and return its report."""
-    return _BUILDERS[config.kind](config)
-
+    """Execute the experiment of config.kind and return its report.  A
+    geometric kind returns (system, targets, sums, (denom, inner, outer),
+    meta), sums[t, p] its value at target t truncated at order p; this
+    certifies the paper's bound shape max_t |sums[t, p] - oracle[t]| <=
+    Q M_sigma / denom (inner / outer)^(p+1) for p_min <= p <= p_max, at
+    the rate log(outer / inner), against one _oracle call (M_sigma is 1
+    in free space, and is recorded with the oracle's stats for the
+    reaction kinds)."""
+    if config.kind == "l2l":
+        return _free_l2l(config)
+    system, targets, sums, (denom, inner, outer), meta = _KINDS[config.kind](config)
+    reaction = config.kind.startswith("reaction")
+    medium, component = (config.medium, config.component) if reaction else (None, None)
+    oracle, msig, stats = _oracle(system, targets, medium, component, config.quad_tol)
+    q = system.total_abs_charge
+    meta.update({"Q": q, "oracle_scale": float(np.abs(oracle).max())})
+    if reaction:
+        meta.update({"M_sigma": msig, **_stats_entry(stats, oracle=True)})
+    ps = list(range(config.p_min, config.p_max + 1))
+    errs = np.abs(sums - oracle[:, None]).max(axis=0)[config.p_min:].tolist()
+    bounds = [q * msig / denom * (inner / outer) ** (p + 1) for p in ps]
+    return _verdict(config, ps, errs, bounds, math.log(outer / inner), meta)
 
 # ---------------------------------------------------------------------------
 # property suites
 # ---------------------------------------------------------------------------
 
-def _suite_lemma21(samples=10_000, seed=7):
+def _suite_lemma21():
     """Key inequality for the cumulative interface matrices at random
-    media and random spectral points in the closed right half plane."""
-    rng = np.random.default_rng(seed)
+    media and 10,000 random spectral points in the closed right half plane."""
+    rng = np.random.default_rng(7)
     violations = 0
     worst = math.inf
     n_done = 0
-    while n_done < samples:
+    while n_done < 10_000:
         L = int(rng.integers(1, 6))
         d = np.sort(rng.uniform(-5, 5, L))[::-1]
         if L > 1 and np.min(-np.diff(d)) < 1e-3:
             continue
         med = LayeredMedium(d, rng.uniform(0.1, 10, L + 1), rng.uniform(0.1, 10, L + 1))
-        batch = min(200, samples - n_done)
+        batch = min(200, 10_000 - n_done)
         k = rng.uniform(0, 50, batch) + 1j * rng.uniform(-50, 50, batch)
         k = np.abs(k.real) + 1j * k.imag
         mats = InterfaceMatrices(med, k)
@@ -660,9 +644,9 @@ def _suite_lemma21(samples=10_000, seed=7):
     return {"passed": violations == 0, "worst_margin": worst, "samples": n_done}
 
 
-def _suite_density_props(seed=11):
+def _suite_density_props():
     """Conjugate symmetry, boundedness on a real grid, |e_l| <= 1."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     worst = 0.0
     ok = True
     for _ in range(20):
@@ -688,14 +672,15 @@ def _suite_density_props(seed=11):
     return {"passed": ok and worst < 1e-12, "worst_conjugation": worst, "samples": 20}
 
 
-def _translation_theorem_residuals(rng, cap=24, samples=4):
-    """Normalized residuals of the three harmonic translation theorems at
-    truncation `cap` with center separation ratio 1/8, where the
-    geometric remainder sits far below 1e-12."""
+def _translation_theorem_residuals(rng):
+    """Normalized residuals of the three harmonic translation theorems,
+    four samples each, at truncation cap = 24 with center separation ratio
+    1/8, where the geometric remainder sits far below 1e-12."""
+    cap = 24
     cst = constants(cap + 4)
     worst = 0.0
     for kind in ("outer_outer", "outer_inner", "inner"):
-        for _ in range(samples):
+        for _ in range(4):
             q = rng.normal(size=3)
             q /= np.linalg.norm(q)
             p_vec = rng.normal(size=3)
@@ -757,11 +742,11 @@ def _translation_theorem_residuals(rng, cap=24, samples=4):
     return worst
 
 
-def _suite_addition_theorems(seed=3):
+def _suite_addition_theorems():
     """Legendre addition theorem, the three harmonic translation
     theorems, and the complex-direction polynomial identity behind the
     Sommerfeld basis reduction."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(40):
         t1, p1 = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)

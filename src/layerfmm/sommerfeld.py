@@ -478,13 +478,6 @@ def _image_lanes(rhos, zetas, powers, orders):
     return run[where] * (s ** lanes)[order], rounding
 
 
-def _image_table(rhos, zetas, powers, orders):
-    """(I_inf by pair, power and order; its rounding bound by pair and
-    power): _image_lanes with the pairs first."""
-    lanes, rounding = _image_lanes(rhos, zetas, powers, orders)
-    return lanes.transpose(2, 0, 1), rounding
-
-
 #: Bernstein-ellipse parameters r tried for each panel's certificate, each
 #: clipped to the largest the panel admits; near the best r the log bound is
 #: flat to second order, so the 16% steps cost at most a factor 1.2.
@@ -642,8 +635,8 @@ def _radial_tables(density, rhos, zetas, powers, orders, tol_abs):
             for key in QUAD_COUNTS:
                 stats[key] += own[key]
     if limit != 0.0:
-        image, rounding = _image_table(rhos, zetas, powers, orders)
-        values += limit * image
+        image, rounding = _image_lanes(rhos, zetas, powers, orders)
+        values += limit * image.transpose(2, 0, 1)
         err += abs(limit) * rounding[..., None]
     stats["tol_use"] = float(np.max(err[finite] / tol_abs[finite]))
     return values, err, stats
@@ -905,7 +898,7 @@ def _real_axis_series(medium, a, b, ell, ellprime):
 
 
 #: Most image terms K _image_green may sum; past it lab._oracle runs the
-#: engine (eval_reaction_green).  An image term costs about 13 ns a pair:
+#: engine (_reaction_green).  An image term costs about 13 ns a pair:
 #: at K = 8197 (q = 0.99, tol 1e-12) 18 pairs cost 2.1 ms against the
 #: engine's 2.6 ms, and 320 pairs 35 ms against 9.7 ms.
 IMAGE_GREEN_TERMS = 1 << 13
@@ -970,8 +963,7 @@ def _image_green(medium, a, b, ell, ellprime, r, rprime, tol):
     return values, err, stats
 
 
-def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10,
-                        stats=False):
+def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10):
     """Reaction component u^{ab}_{l,l'}(r, r'): the oracle every expansion
     in this package is tested against.
 
@@ -979,11 +971,10 @@ def eval_reaction_green(medium, a, b, ell, ellprime, r, rprime, tol=1e-10,
 
     tol is an absolute tolerance on u.  r and r' are points (a float
     back) or arrays of points along the last axis, broadcast against each
-    other (one value per pair, the pairs on shared quadrature grids).  With
-    stats=True the quadrature stats come back as well: (values, stats).
+    other (one value per pair, the pairs on shared quadrature grids).
+    _reaction_green returns their error estimates and stats as well.
     """
-    values, _, quad = _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol)
-    return (values, quad) if stats else values
+    return _reaction_green(medium, a, b, ell, ellprime, r, rprime, tol)[0]
 
 
 def eval_reaction_potential(medium, ell, ellprime, r, rprime, tol=1e-10):

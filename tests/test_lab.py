@@ -11,7 +11,6 @@ from layerfmm import (
     ExperimentConfig,
     LayeredMedium,
     density_bound,
-    eval_reaction_green,
     fibonacci_sphere,
     generate_charges,
     polarization_source,
@@ -182,7 +181,7 @@ def _paper_bound(cfg):
 @pytest.mark.parametrize("kind", sorted(set(SMALL) - {"l2l"}))
 def test_bounds_match_the_paper_formula(kind):
     """Each geometric kind's bounds and theoretical rate, recomputed from
-    the config by the paper's formula without the lab's _geometric, match
+    the config by the paper's formula without the lab's bound code, match
     the report's to 1e-12 relative; a bound off by any factor fails."""
     cfg = ExperimentConfig(kind=kind, p_min=1, **SMALL[kind])
     report = run_experiment(cfg)
@@ -225,7 +224,8 @@ def test_reaction_m2l_does_not_read_c():
 
 
 #: four layers, two finite: the lab's reaction oracle there is the
-#: Sommerfeld engine (eval_reaction_green); layer 1 is the slab's layer 1
+#: Sommerfeld engine (sommerfeld._reaction_green); layer 1 is the slab's
+#: layer 1
 STACK = LayeredMedium([0.0, -1.0, -2.0], [1.0] * 4, [1.0, 4.0, 2.0, 8.0])
 
 
@@ -294,13 +294,57 @@ def test_reaction_me_fails_when_the_operators_coefficients_are_off(monkeypatch):
     assert not report.passed and not all(report.passed_rows)
 
 
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_each_kind_calls_the_oracle_once(kind, monkeypatch):
+    """Every geometric kind is checked against one lab._oracle call per
+    run; l2l, which compares two expansions, makes none."""
+    calls = []
+    real = lab._oracle
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lab, "_oracle", spy)
+    run_experiment(ExperimentConfig(kind=kind, p_min=1, **SMALL[kind]))
+    assert len(calls) == (kind != "l2l")
+
+
+#: configs of criteria 4 (me at r_s = 8), 5 (m2m) and 7 (reaction_me)
+ORACLE_DEFECT_CASES = {
+    "me": dict(kind="me", p_min=1, p_max=20, n_charges=20, seed=0, a_s=1.0,
+               eval_radius=8.0),
+    "m2m": dict(kind="m2m", p_min=1, p_max=16, n_charges=20, seed=2, a_s=1.0,
+                eval_radius=5.0),
+    "reaction_me": CRITERION_7,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DEFECT_CASES))
+def test_an_oracle_off_by_one_part_in_a_million_fails(name, monkeypatch):
+    """Seeded defect: the oracle's values times 1 + 1e-6 fail these
+    criteria's reports, which pass as they are; their bounds at p_max
+    sit far below 1e-6 of the oracle's scale."""
+    cfg = ExperimentConfig(**ORACLE_DEFECT_CASES[name])
+    assert run_experiment(cfg).passed
+    real = lab._oracle
+
+    def off(*args):
+        values, msig, stats = real(*args)
+        return values * (1.0 + 1e-6), msig, stats
+
+    monkeypatch.setattr(lab, "_oracle", off)
+    report = run_experiment(cfg)
+    assert not report.passed and not all(report.passed_rows)
+
+
 def test_reaction_oracle_past_its_term_budget_runs_the_engine(monkeypatch):
     """Over a slab of reflection product q = 0.99998 (D = 0.041, b = 2e5 in
     the slab) the image series would need about 3.6 million terms: past
     IMAGE_GREEN_TERMS _image_green declines before it sums, and the lab's
-    oracle is eval_reaction_green, with its quadrature counters.  Its
-    values agree with the whole image sum (the budget lifted) within the
-    sum of both returned errors."""
+    oracle is the engine, sommerfeld._reaction_green, with its quadrature
+    counters.  Its values agree with the whole image sum (the budget
+    lifted) within the sum of both returned errors."""
     med = LayeredMedium([0.0, -0.041], [1.0] * 3, [1.0, 2e5, 1.0])
     comp = (1, 1, 1, 1)
     system = generate_charges(3, 3, Box([0.0, 0.0, -0.03], 0.005), med, 1)
@@ -827,16 +871,15 @@ def test_me_experiment_rejects_targets_inside_the_sphere(eval_radius):
 
 def test_cli_me_oracle_runs_at_the_expansion_tolerance(tmp_path, monkeypatch):
     """`me --tol` below 1e-10 reaches the reaction oracle, as in the lab:
-    its one eval_reaction_green call runs at min(1e-10, tol)."""
-    import layerfmm.lab
-
+    its one engine call (sommerfeld._reaction_green) runs at min(1e-10,
+    tol)."""
     tols = []
 
-    def spy(*args, **kwargs):
-        tols.append(kwargs["tol"])
-        return eval_reaction_green(*args, **kwargs)
+    def spy(*args):
+        tols.append(args[-1])
+        return sommerfeld._reaction_green(*args)
 
-    monkeypatch.setattr(layerfmm.lab, "eval_reaction_green", spy)
+    monkeypatch.setattr(lab, "_reaction_green", spy)
     res = _invoke(_ME + ["--tol", "1e-12"], _write_inputs(tmp_path))
     assert res.exit_code == 0, res.output
     assert tols == [1e-12]

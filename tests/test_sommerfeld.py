@@ -552,15 +552,16 @@ def test_image_table_matches_mpmath():
         assert abs(direct - _image_reference(n, m, 0.5, 0.5)) <= 1e-14
     rhos, zetas = (np.array(v) for v in zip(*IMAGE_PAIRS))
     top = np.arange(121)
-    values, rounding = sommerfeld._image_table(rhos, zetas, top, top)
+    values, rounding = sommerfeld._image_lanes(rhos, zetas, top, top)
+    values = values.transpose(2, 0, 1)
     for i, (rho, zeta) in enumerate(IMAGE_PAIRS):
         for n in IMAGE_INDICES:
             scale = math.factorial(n) / mpmath.mpf(zeta) ** (n + 1)
             for m in IMAGE_INDICES:
                 miss = abs(values[i, n, m] - _image_reference(n, m, rho, zeta))
                 assert miss <= 1e-14 * scale and miss <= rounding[i, n]
-    one, tiny = sommerfeld._image_table(rhos, zetas, np.array([0]), np.array([0]))
-    assert np.array_equal(one[:, 0, 0], 1.0 / np.hypot(rhos, zetas))
+    one, tiny = sommerfeld._image_lanes(rhos, zetas, np.array([0]), np.array([0]))
+    assert np.array_equal(one.transpose(2, 0, 1)[:, 0, 0], 1.0 / np.hypot(rhos, zetas))
     np.testing.assert_allclose(tiny[:, 0], 2.0 * np.finfo(float).eps / zetas,
                                rtol=1e-15)
 
@@ -683,7 +684,8 @@ def test_one_interface_table_is_the_closed_form(two_layer):
     n = np.arange(9)
     tol, _ = _expansion_tol(dens.bound, np.array([0.3]), len(n))
     values, err, stats = radial_table(dens, 2.0, 0.3, n, n, tol[0])
-    image, rounding = sommerfeld._image_table(np.array([2.0]), np.array([0.3]), n, n)
+    image, rounding = sommerfeld._image_lanes(np.array([2.0]), np.array([0.3]), n, n)
+    image = image.transpose(2, 0, 1)
     assert np.array_equal(values, limit * image[0])
     assert np.array_equal(err, abs(limit) * np.broadcast_to(rounding[0, :, None],
                                                             err.shape))
@@ -1233,7 +1235,7 @@ def test_oracle_batch_matches_pairs(three_layer):
     rng = np.random.default_rng(7)
     r = np.column_stack([rng.uniform(-2, 2, (8, 2)), rng.uniform(-0.95, -0.05, 8)])
     rp = np.column_stack([rng.uniform(-2, 2, (8, 2)), rng.uniform(-0.95, -0.05, 8)])
-    got, stats = eval_reaction_green(three_layer, 2, 1, 1, 1, r, rp, 1e-11, stats=True)
+    got, _, stats = sommerfeld._reaction_green(three_layer, 2, 1, 1, 1, r, rp, 1e-11)
     assert got.shape == (8,) and stats["panels"] > 0
     for i in range(8):
         one = eval_reaction_green(three_layer, 2, 1, 1, 1, r[i], rp[i], 1e-11)
@@ -1389,8 +1391,9 @@ def test_image_tables_match_the_engine():
             (c0, c1, c2), ratio, thick, _ = sommerfeld._image_series(med, *comp)
             j = np.arange(stats["terms"], stats["terms"] + 50)
             coeff = np.where(j % 2, c1, c2) * ratio ** ((j - 1) // 2)
-            table, _ = sommerfeld._image_table(np.repeat(rhos, len(j)),
+            table, _ = sommerfeld._image_lanes(np.repeat(rhos, len(j)),
                                                (zetas[:, None] + thick * j).ravel(), n, n)
+            table = table.transpose(2, 0, 1)
             extra = np.einsum("j,bjnm->bnm", coeff, table.reshape(len(rhos), len(j),
                                                                   top + 1, top + 1))
             least = np.min(tol, axis=2)[..., None]
